@@ -1,7 +1,7 @@
-"""Benchmark the diff kernels: compiled extension vs pure Python.
+"""Benchmark the line diff.
 
 Synthesizes function-sized line sequences, mutates a few runs the way real
-fixes do, and times edit_runs with each available kernel.
+fixes do, and times edit_runs over each workload.
 
 Run:  python benchmarks/bench_diff.py
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 
-from linefix.linediff import KERNEL_BACKEND, available_kernels, edit_runs
+from linefix.linediff import edit_runs
 
 VOCAB = [
     "{",
@@ -47,10 +47,10 @@ def synth_pair(rng: random.Random, n_lines: int, n_edits: int) -> tuple[list[str
     return before, after
 
 
-def bench(kernel, pairs: list[tuple[list[str], list[str]]]) -> float:
+def bench(pairs: list[tuple[list[str], list[str]]]) -> float:
     start = time.perf_counter()
     for before, after in pairs:
-        edit_runs(before, after, kernel=kernel)
+        edit_runs(before, after)
     return time.perf_counter() - start
 
 
@@ -61,15 +61,9 @@ def main() -> None:
         "medium fixes (800 lines, 8 edits, x100)": [synth_pair(rng, 800, 8) for _ in range(100)],
         "heavy rewrites (600 lines, 120 edits, x40)": [synth_pair(rng, 600, 120) for _ in range(40)],
     }
-    kernels = available_kernels()
-    print(f"default kernel: {KERNEL_BACKEND}")
-    print(f"{'workload':<45}" + "".join(f"{name:>12}" for name in kernels))
+    print(f"{'workload':<45}{'edit_runs':>12}")
     for label, pairs in workloads.items():
-        times = {name: bench(fn, pairs) for name, fn in kernels.items()}
-        row = f"{label:<45}" + "".join(f"{times[name]:>11.3f}s" for name in kernels)
-        if "compiled" in times and times["compiled"] > 0:
-            row += f"   ({times['python'] / times['compiled']:.1f}x)"
-        print(row)
+        print(f"{label:<45}{bench(pairs):>11.3f}s")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,7 @@
 Greedy forward search over the edit graph with a per-depth trace for
 backtracking. Time is O((n+m)*D) and trace memory O(D^2), where D is the
 edit distance; both are small for the near-identical sequences this package
-diffs. The compiled kernel in ``linefix._myers`` implements the identical
-algorithm and tie conventions.
+diffs.
 """
 
 from __future__ import annotations

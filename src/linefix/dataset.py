@@ -30,7 +30,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from linefix.engine import apply_patch, changed_before_lines, derive_patch, validate_patch
+from linefix.engine import changed_before_lines, derive_patch
 from linefix.errors import (
     InvalidRecord,
     LinefixError,
@@ -64,8 +64,6 @@ class DatasetRecord:
 
     split: str
     vuln: VulnRecord
-    raw_before: str
-    raw_after: str
 
 
 @dataclass(frozen=True)
@@ -245,11 +243,12 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
         vuln_lines=tuple(vuln_lines),
         source=src,
         cve_id=row.get("cve_id"),
-        reference_after=after,
         reference_patch=patch,
     )
-    vuln.validate()
-    return DatasetRecord(split, vuln, to_text(src), to_text(after))
+    if src.had_trailing_newline != after.had_trailing_newline:
+        # the fixed source is rebuilt from the patch, which keeps before's flag
+        raise InvalidRecord("source_before and source_after differ in their trailing newline")
+    return DatasetRecord(split, vuln)
 
 
 def _record_from_training(row: dict, path: str, line_no: int) -> DatasetRecord:
@@ -262,22 +261,8 @@ def _record_from_training(row: dict, path: str, line_no: int) -> DatasetRecord:
         raise InvalidRecord(
             f"cwe_id field {row['cwe_id']!r} disagrees with prompt {parsed.cwe_id!r}"
         )
-    patch = parse_patch(row["completion"])
-    report = validate_patch(parsed.source, patch)
-    if not report.ok:
-        raise InvalidRecord(f"completion does not validate: {report.summary()}")
-    after = apply_patch(parsed.source, patch)
-    vuln = VulnRecord(
-        id=row["id"],
-        cwe_id=parsed.cwe_id,
-        cwe_description=parsed.cwe_description,
-        vuln_lines=parsed.vuln_lines,
-        source=parsed.source,
-        reference_after=after,
-        reference_patch=patch,
-    )
-    vuln.validate()
-    return DatasetRecord(split, vuln, to_text(parsed.source), to_text(after))
+    vuln = replace(parsed, id=row["id"], reference_patch=parse_patch(row["completion"]))
+    return DatasetRecord(split, vuln)
 
 
 def ingest(path: str, fmt: str = "jsonl") -> IngestResult:
@@ -315,8 +300,8 @@ def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
                 "cwe_id": r.vuln.cwe_id,
                 "cwe_description": r.vuln.cwe_description,
                 "vuln_lines": list(r.vuln.vuln_lines),
-                "source_before": r.raw_before,
-                "source_after": r.raw_after,
+                "source_before": to_text(r.vuln.source),
+                "source_after": to_text(r.vuln.reference_after),
                 "split": r.split,
             }
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
@@ -330,7 +315,7 @@ def export_jsonl(records: list[DatasetRecord], path: str) -> ExportResult:
         for r in records:
             try:
                 example = render_training_example(r.vuln)
-            except (MissingReference, InvalidRecord) as exc:
+            except MissingReference as exc:
                 quarantined.append(QuarantineEntry(reason=str(exc), record_id=r.vuln.id))
                 continue
             obj = {
@@ -361,13 +346,8 @@ def compute_fingerprint(record: DatasetRecord, mode: str = "exact") -> Fingerpri
     """
     if mode not in FINGERPRINT_MODES:
         raise ValueError(f"unknown fingerprint mode {mode!r}")
-    patch = record.vuln.reference_patch
-    if patch is None:
-        if record.vuln.reference_after is None:
-            raise MissingReference(f"record {record.vuln.id!r} has no reference fix")
-        patch = derive_patch(record.vuln.source, record.vuln.reference_after)
     src_text = "\n".join(record.vuln.source.lines)
-    patch_text = serialize_patch(patch)
+    patch_text = serialize_patch(record.vuln.reference())
     if mode == "ws_normalized":
         src_text = _squash_ws(src_text)
         patch_text = _squash_ws(patch_text)

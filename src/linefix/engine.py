@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from linefix.errors import InvalidPatch
 from linefix.linediff import edit_runs
-from linefix.patchfmt import EditSpan, PatchSet, _span_key
+from linefix.patchfmt import EditSpan, PatchSet, span_conflicts
 from linefix.source import SourceUnit, to_text
 
 
@@ -38,25 +38,17 @@ def validate_patch(src: SourceUnit, patch: PatchSet) -> ValidationReport:
     n = len(src.lines)
     issues: list[Issue] = []
     for i, s in enumerate(patch.spans):
-        if s.line_bef < -1 or s.line_bef >= s.line_af or s.line_af > n:
+        if s.line_af > n:
             issues.append(
                 Issue(i, "OutOfRange", f"span {s.line_bef}-{s.line_af} outside [-1, {n}]")
             )
-    order = sorted(range(len(patch.spans)), key=lambda i: _span_key(patch.spans[i]))
-    for prev, cur in zip(order, order[1:]):
+    for prev, cur, kind in span_conflicts(patch.spans):
         s, t = patch.spans[prev], patch.spans[cur]
-        if _span_key(s) == _span_key(t):
-            issues.append(
-                Issue(cur, "Duplicate", f"span {t.line_bef}-{t.line_af} duplicates span {prev}")
-            )
-        elif s.line_af > t.line_bef + 1:
-            issues.append(
-                Issue(
-                    cur,
-                    "Overlap",
-                    f"span {t.line_bef}-{t.line_af} overlaps span {s.line_bef}-{s.line_af}",
-                )
-            )
+        if kind == "Duplicate":
+            message = f"span {t.line_bef}-{t.line_af} duplicates span {prev}"
+        else:
+            message = f"span {t.line_bef}-{t.line_af} overlaps span {s.line_bef}-{s.line_af}"
+        issues.append(Issue(cur, kind, message))
     uses_sentinel = any(s.line_bef == -1 or s.line_af == n for s in patch.spans)
     return ValidationReport(not issues, tuple(issues), uses_sentinel)
 
@@ -71,7 +63,7 @@ def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
     if not report.ok:
         raise InvalidPatch(report.summary())
     out = list(src.lines)
-    for s in sorted(patch.spans, key=_span_key, reverse=True):
+    for s in reversed(patch.canonical().spans):
         out[s.line_bef + 1: s.line_af] = s.body
     return SourceUnit(tuple(out), src.had_trailing_newline, src.newline_normalized)
 

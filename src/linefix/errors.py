@@ -46,11 +46,18 @@ class MalformedPrompt(LinefixError):
 
 
 class InvalidRecord(LinefixError):
-    """Record violates an invariant (CWE id shape, line range, reference mismatch)."""
+    """Record violates an invariant.
+
+    Raised when a record is constructed: bad CWE id shape, vuln lines out of
+    range or not strictly ascending, or a reference patch that does not
+    validate against the source. Ingest also raises it for a raw pair whose
+    before and after differ in their trailing newline, which a line-addressed
+    patch cannot carry.
+    """
 
 
 class MissingReference(LinefixError):
-    """Record carries neither a reference patch nor a fixed source."""
+    """Record carries no reference patch."""
 
 
 # --- dataset ---------------------------------------------------------------

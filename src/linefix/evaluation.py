@@ -17,8 +17,8 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from linefix.client import BatchResult, DecodeConfig, generate_batch
-from linefix.engine import applied_equivalent, derive_patch, validate_patch
-from linefix.errors import EmptyEvaluation, MissingReference, PatchFormatError
+from linefix.engine import applied_equivalent, validate_patch
+from linefix.errors import EmptyEvaluation, PatchFormatError
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.prompting import VulnRecord, build_prompt
 
@@ -137,15 +137,6 @@ def sample_hit(candidates: list[str], reference: str, *, strict: bool = False) -
     return first_hit_index(candidates, reference, strict=strict) is not None
 
 
-def _reference_completion(record: VulnRecord) -> str:
-    patch = record.reference_patch
-    if patch is None:
-        if record.reference_after is None:
-            raise MissingReference(f"record {record.id!r} has no reference fix")
-        patch = derive_patch(record.source, record.reference_after)
-    return serialize_patch(patch)
-
-
 def evaluate(
     records: list[VulnRecord],
     backend,
@@ -162,7 +153,7 @@ def evaluate(
     """
     if not records:
         raise EmptyEvaluation("no records to evaluate")
-    references = [_reference_completion(r) for r in records]
+    references = [serialize_patch(r.reference()) for r in records]
     prompts = [(r.id, build_prompt(r)) for r in records]
     batch = generate_batch(prompts, cfg, backend, progress=progress)
     return score_batch(

@@ -10,55 +10,24 @@ braces), changes are placed earliest: the kernel runs over the reversed
 sequences, so common suffixes are matched greedily and ambiguity resolves
 toward the top of the file. The result is deterministic across runs and
 platforms.
-
-The kernel is the compiled extension when built, otherwise the pure-Python
-fallback; ``KERNEL_BACKEND`` names the one in use.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from linefix import _myers_py
-
-try:
-    from linefix import _myers as _myers_c  # compiled at install time, optional
-except ImportError:
-    _myers_c = None
-
-if _myers_c is not None:
-    KERNEL_BACKEND = "compiled"
-    _lcs_pairs = _myers_c.lcs_pairs
-else:
-    KERNEL_BACKEND = "python"
-    _lcs_pairs = _myers_py.lcs_pairs
+from linefix._myers_py import lcs_pairs
 
 Run = tuple[int, int, int, int]
-Kernel = Callable[[list[int], list[int]], list[tuple[int, int]]]
 
 
-def available_kernels() -> dict[str, Kernel]:
-    """Importable kernels by name; used by tests and the benchmark."""
-    kernels: dict[str, Kernel] = {"python": _myers_py.lcs_pairs}
-    if _myers_c is not None:
-        kernels["compiled"] = _myers_c.lcs_pairs
-    return kernels
-
-
-def edit_runs(
-    a: Sequence[str],
-    b: Sequence[str],
-    *,
-    kernel: Kernel | None = None,
-) -> list[Run]:
+def edit_runs(a: Sequence[str], b: Sequence[str]) -> list[Run]:
     """Maximal changed runs of a minimal line diff between ``a`` and ``b``."""
-    if kernel is None:
-        kernel = _lcs_pairs
     table: dict[str, int] = {}
     a_ids = [table.setdefault(line, len(table)) for line in a]
     b_ids = [table.setdefault(line, len(table)) for line in b]
     n, m = len(a_ids), len(b_ids)
-    rev_pairs = kernel(a_ids[::-1], b_ids[::-1])
+    rev_pairs = lcs_pairs(a_ids[::-1], b_ids[::-1])
     pairs = [(n - 1 - x, m - 1 - y) for x, y in rev_pairs]
     pairs.reverse()
     runs: list[Run] = []

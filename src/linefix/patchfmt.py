@@ -98,22 +98,32 @@ def _span_key(span: EditSpan) -> tuple[int, int]:
     return (span.line_bef, span.line_af)
 
 
-def check_disjoint(spans: tuple[EditSpan, ...]) -> None:
-    """Raise ConflictingSpans on duplicate anchors or overlapping intervals.
+def span_conflicts(spans: tuple[EditSpan, ...]) -> list[tuple[int, int, str]]:
+    """Conflicting neighbours in (line_bef, line_af) order, as index pairs.
 
-    Spans may touch (s.line_af == t.line_bef + 1); their replaced ranges are
-    still disjoint, which keeps application order independent.
+    Each entry is ``(earlier, later, kind)`` with indices into ``spans`` and
+    kind ``"Duplicate"`` (same anchors) or ``"Overlap"`` (replaced ranges
+    intersect). Spans may touch (s.line_af == t.line_bef + 1); their replaced
+    ranges are still disjoint, which keeps application order independent.
     """
-    ordered = sorted(spans, key=_span_key)
-    for s, t in zip(ordered, ordered[1:]):
+    order = sorted(range(len(spans)), key=lambda i: _span_key(spans[i]))
+    conflicts = []
+    for i, j in zip(order, order[1:]):
+        s, t = spans[i], spans[j]
         if _span_key(s) == _span_key(t):
-            raise ConflictingSpans(
-                f"duplicate span {s.line_bef}-{s.line_af}"
-            )
-        if s.line_af > t.line_bef + 1:
-            raise ConflictingSpans(
-                f"span {s.line_bef}-{s.line_af} overlaps {t.line_bef}-{t.line_af}"
-            )
+            conflicts.append((i, j, "Duplicate"))
+        elif s.line_af > t.line_bef + 1:
+            conflicts.append((i, j, "Overlap"))
+    return conflicts
+
+
+def check_disjoint(spans: tuple[EditSpan, ...]) -> None:
+    """Raise ConflictingSpans on duplicate anchors or overlapping intervals."""
+    for i, j, kind in span_conflicts(spans):
+        s, t = spans[i], spans[j]
+        if kind == "Duplicate":
+            raise ConflictingSpans(f"duplicate span {s.line_bef}-{s.line_af}")
+        raise ConflictingSpans(f"span {s.line_bef}-{s.line_af} overlaps {t.line_bef}-{t.line_af}")
 
 
 def parse_patch(text: str) -> PatchSet:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from linefix.engine import apply_patch, derive_patch
+from linefix.engine import apply_patch, validate_patch
 from linefix.errors import InvalidRecord, MalformedPrompt, MissingReference
 from linefix.patchfmt import MID, SEP, PatchSet, serialize_patch
 from linefix.source import SourceUnit, number_lines
@@ -34,9 +34,14 @@ _CWE_RE = re.compile(r"CWE-\d+")
 _HEADER_RE = re.compile(r" ?((?:\d+ )*)(CWE-\d+) (.*)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VulnRecord:
-    """One vulnerable function plus the metadata the prompt carries."""
+    """One vulnerable function, the metadata the prompt carries, and its fix.
+
+    The fix is one line-addressed reference patch against ``source``; the
+    fixed source is derived from it. A record is validated once, when it is
+    constructed, and is immutable afterwards.
+    """
 
     id: str
     cwe_id: str
@@ -44,12 +49,12 @@ class VulnRecord:
     vuln_lines: tuple[int, ...]
     source: SourceUnit
     cve_id: str | None = None
-    reference_after: SourceUnit | None = None
     reference_patch: PatchSet | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.vuln_lines, tuple):
-            self.vuln_lines = tuple(self.vuln_lines)
+            object.__setattr__(self, "vuln_lines", tuple(self.vuln_lines))
+        self.validate()
 
     def validate(self) -> None:
         """Raise InvalidRecord on any invariant violation."""
@@ -63,12 +68,23 @@ class VulnRecord:
                 )
         if any(a >= b for a, b in zip(self.vuln_lines, self.vuln_lines[1:])):
             raise InvalidRecord(f"record {self.id!r}: vuln_lines not strictly ascending")
-        if self.reference_patch is not None and self.reference_after is not None:
-            patched = apply_patch(self.source, self.reference_patch)
-            if patched.lines != self.reference_after.lines:
+        if self.reference_patch is not None:
+            report = validate_patch(self.source, self.reference_patch)
+            if not report.ok:
                 raise InvalidRecord(
-                    f"record {self.id!r}: reference_patch does not produce reference_after"
+                    f"record {self.id!r}: reference patch does not validate: {report.summary()}"
                 )
+
+    def reference(self) -> PatchSet:
+        """The reference patch; raises MissingReference when the record has none."""
+        if self.reference_patch is None:
+            raise MissingReference(f"record {self.id!r} has no reference fix")
+        return self.reference_patch
+
+    @property
+    def reference_after(self) -> SourceUnit:
+        """The fixed source: the reference patch applied to ``source``."""
+        return apply_patch(self.source, self.reference())
 
 
 @dataclass(frozen=True)
@@ -79,17 +95,17 @@ class TrainingExample:
 
 def build_prompt(record: VulnRecord) -> str:
     """Render the instruction prompt for a record. Deterministic."""
-    record.validate()
     nums = " ".join(str(i) for i in record.vuln_lines)
     header = f"{INST_OPEN}{nums} {record.cwe_id} {record.cwe_description}"
     return f"{header}\n{number_lines(record.source)}\n{INST_CLOSE}"
 
 
 def parse_prompt(text: str) -> VulnRecord:
-    """Recover the record fields from a prompt built by build_prompt.
+    """Recover the record from a prompt built by build_prompt.
 
-    The returned record has an empty id and no references. Raises
-    MalformedPrompt when the layout does not match.
+    The returned record has an empty id and no reference. Raises
+    MalformedPrompt when the layout does not match and InvalidRecord when the
+    recovered fields break a record invariant.
     """
     if not text.startswith(INST_OPEN):
         raise MalformedPrompt(f"prompt must start with {INST_OPEN}")
@@ -122,14 +138,9 @@ def parse_prompt(text: str) -> VulnRecord:
 def render_training_example(record: VulnRecord) -> TrainingExample:
     """Prompt plus serialized reference patch.
 
-    Uses the stored reference patch, else derives one from reference_after.
-    Raises MissingReference when the record carries neither.
+    Raises MissingReference when the record carries no reference patch.
     """
-    patch = record.reference_patch
-    if patch is None:
-        if record.reference_after is None:
-            raise MissingReference(f"record {record.id!r} has no reference fix")
-        patch = derive_patch(record.source, record.reference_after)
+    patch = record.reference()
     if not patch.spans:
         logger.warning("record %s: reference fix is an empty patch", record.id)
     return TrainingExample(build_prompt(record), serialize_patch(patch))

@@ -107,15 +107,12 @@ def vpx_reference_patch() -> PatchSet:
 
 @pytest.fixture
 def vpx_record(vpx_source, vpx_reference_patch) -> VulnRecord:
-    from linefix.engine import apply_patch
-
     return VulnRecord(
         id="vpx-activity-1",
         cwe_id=VPX_CWE_ID,
         cwe_description=VPX_CWE_DESCRIPTION,
         vuln_lines=VPX_VULN_LINES,
         source=vpx_source,
-        reference_after=apply_patch(vpx_source, vpx_reference_patch),
         reference_patch=vpx_reference_patch,
     )
 

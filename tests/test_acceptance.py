@@ -35,7 +35,7 @@ from tests.conftest import (
     VPX_REFERENCE_PATCH_TEXT,
 )
 from tests.helpers import random_pair, random_patchset
-from tests.test_dataset import mem_record
+from tests.test_dataset import mem_record, texts
 
 
 @contextmanager
@@ -55,7 +55,6 @@ def eval_record(rid: str, cwe: str) -> VulnRecord:
         cwe_description="Out-of-bounds write.",
         vuln_lines=(2,),
         source=src,
-        reference_after=apply_patch(src, patch),
         reference_patch=patch,
     )
 
@@ -170,9 +169,9 @@ def test_acceptance_refine_invariant():
             # inject intra-train duplicates and test-side leaks
             for i in range(rng.randint(0, 3)):
                 src = rng.choice(train)
-                train.append(mem_record(f"dup{i}", src.raw_before, src.raw_after))
+                train.append(mem_record(f"dup{i}", *texts(src)))
             test = [
-                mem_record(f"e{i}", r.raw_before, r.raw_after, "test")
+                mem_record(f"e{i}", *texts(r), "test")
                 for i, r in enumerate(rng.sample(train, rng.randint(1, 3)))
             ] + [mem_record("fresh", "g()\n{\n  y;\n}\n", "g()\n{\n  z;\n}\n", "test")]
             kept, manifest = refine(train, test)

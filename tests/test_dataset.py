@@ -24,7 +24,7 @@ from linefix.dataset import (
 from linefix.engine import changed_before_lines, derive_patch
 from linefix.errors import SchemaError
 from linefix.prompting import VulnRecord
-from linefix.source import from_text
+from linefix.source import from_text, to_text
 
 
 def raw_row(i: int, split: str = "train", cwe: str = "CWE-787", **extra) -> dict:
@@ -63,10 +63,14 @@ def mem_record(
         cwe_description="d.",
         vuln_lines=tuple(changed_before_lines(patch)),
         source=src,
-        reference_after=after,
         reference_patch=patch,
     )
-    return DatasetRecord(split, vuln, before_text, after_text)
+    return DatasetRecord(split, vuln)
+
+
+def texts(record: DatasetRecord) -> tuple[str, str]:
+    """The record's before and after source text, as ingest reads them."""
+    return to_text(record.vuln.source), to_text(record.vuln.reference_after)
 
 
 def simple_record(i: int, split: str = "train", cwe: str = "CWE-787") -> DatasetRecord:
@@ -152,6 +156,23 @@ def test_ingest_quarantines_invariant_violations(tmp_path):
     assert all(q.line_no is not None for q in result.quarantined)
 
 
+@pytest.mark.parametrize(
+    "before,after",
+    [
+        ("x\ny\n", "x\nz"),  # the fix drops the final newline
+        ("x\ny", "x\ny\n"),  # whitespace-only fix: adds it
+    ],
+)
+def test_ingest_quarantines_trailing_newline_change(tmp_path, before, after):
+    # the fixed source is rebuilt from the patch with before's trailing
+    # newline, so writing the record back would change its source_after
+    row = raw_row(0, source_before=before, source_after=after)
+    result = ingest(write_jsonl(tmp_path / "r.jsonl", [row, raw_row(1)]))
+    assert [r.vuln.id for r in result.records] == ["rec-1"]
+    assert [q.record_id for q in result.quarantined] == ["rec-0"]
+    assert "trailing newline" in result.quarantined[0].reason
+
+
 def test_ingest_csv(tmp_path):
     path = tmp_path / "r.csv"
     fields = ["id", "cve_id", "cwe_id", "cwe_description", "vuln_lines",
@@ -211,7 +232,7 @@ def test_ingest_marker_source_sets_vuln_lines(tmp_path):
     )
     rec = ingest(path).records[0]
     assert rec.vuln.vuln_lines == (2, 3)
-    assert BUG_START not in rec.raw_before
+    assert BUG_START not in to_text(rec.vuln.source)
     assert rec.vuln.source.lines[2] == "  buf[i] = 1;"
 
 
@@ -262,8 +283,6 @@ def test_export_quarantines_missing_reference(tmp_path):
             vuln_lines=(),
             source=rec.vuln.source,
         ),
-        rec.raw_before,
-        rec.raw_before,
     )
     out = tmp_path / "t.jsonl"
     export = export_jsonl([rec, bare], str(out))
@@ -325,7 +344,7 @@ def test_detect_overlap_counts_test_side():
     shared = [simple_record(i) for i in range(2)]
     train = shared + [simple_record(i) for i in range(2, 6)]
     test = [
-        mem_record(f"t{r.vuln.id}", r.raw_before, r.raw_after, "test") for r in shared
+        mem_record(f"t{r.vuln.id}", *texts(r), "test") for r in shared
     ] + [simple_record(i, "test") for i in range(10, 12)]
     manifest = detect_overlap(train, test)
     assert manifest.overlap_count == 2
@@ -345,10 +364,10 @@ def test_detect_overlap_rejects_empty():
 def test_refine_drops_leaks_and_duplicates():
     leak = simple_record(0)
     dup_a = simple_record(1)
-    dup_b = mem_record("copy-of-1", dup_a.raw_before, dup_a.raw_after)
+    dup_b = mem_record("copy-of-1", *texts(dup_a))
     clean = simple_record(2)
     train = [leak, dup_a, dup_b, clean]
-    test = [mem_record("t0", leak.raw_before, leak.raw_after, "test")]
+    test = [mem_record("t0", *texts(leak), "test")]
     kept, manifest = refine(train, test)
     assert [r.vuln.id for r in kept] == ["m1", "m2"]  # keep-first on duplicates
     assert manifest.overlap_count == 1
@@ -364,7 +383,7 @@ def test_refine_drops_leaks_and_duplicates():
 def test_refine_ws_normalized_catches_indentation_variants():
     a = mem_record("a", "f()\n{\n  x;\n}\n", "f()\n{\n  y;\n}\n")
     spaced = mem_record("b", "f()\n{\n        x;\n}\n", "f()\n{\n        y;\n}\n")
-    test = [mem_record("t", a.raw_before, a.raw_after, "test")]
+    test = [mem_record("t", *texts(a), "test")]
     kept_exact, _ = refine([a, spaced], test, "exact")
     assert [r.vuln.id for r in kept_exact] == ["b"]
     kept_ws, _ = refine([a, spaced], test, "ws_normalized")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from linefix.client import BackendSpec, DecodeConfig, MockBackend, generate_batch
-from linefix.engine import apply_patch
 from linefix.errors import EmptyEvaluation, MissingReference
 from linefix.evaluation import (
     DEFAULT_CWE_ORDER,
@@ -34,7 +33,6 @@ def record(rid: str, cwe: str = "CWE-787") -> VulnRecord:
         cwe_description="Out-of-bounds write.",
         vuln_lines=(2,),
         source=src,
-        reference_after=apply_patch(src, patch),
         reference_patch=patch,
     )
 

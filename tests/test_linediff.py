@@ -1,4 +1,4 @@
-"""Diff kernel: minimality, run shape, tie placement, kernel parity."""
+"""Diff kernel: minimality, run shape, tie placement."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ import random
 
 import pytest
 
-from linefix.linediff import KERNEL_BACKEND, available_kernels, edit_runs
+from linefix.linediff import edit_runs
 from tests.helpers import lcs_length, random_pair
-
-KERNELS = sorted(available_kernels())
 
 
 def _changed_counts(runs):
@@ -64,14 +62,12 @@ def test_ambiguity_resolves_earliest(a, b, expected):
     assert edit_runs(a, b) == expected
 
 
-@pytest.mark.parametrize("kernel_name", KERNELS)
-def test_minimality_against_dp_oracle(kernel_name):
-    kernel = available_kernels()[kernel_name]
+def test_minimality_against_dp_oracle():
     rng = random.Random(0xD1FF)
     for case_no in range(250):
         before, after = random_pair(rng, case_no)
         a, b = list(before.lines), list(after.lines)
-        runs = edit_runs(a, b, kernel=kernel)
+        runs = edit_runs(a, b)
         deleted, inserted = _changed_counts(runs)
         lcs = lcs_length(a, b)
         assert deleted == len(a) - lcs, (a, b, runs)
@@ -92,21 +88,3 @@ def test_run_shape_invariants():
             assert a_start > prev_a and b_start > prev_b
             prev_a, prev_b = a_end, b_end
 
-
-@pytest.mark.skipif(
-    "compiled" not in KERNELS, reason="compiled kernel not built"
-)
-def test_kernels_agree_exactly():
-    kernels = available_kernels()
-    rng = random.Random(0xC0DE)
-    for case_no in range(400):
-        before, after = random_pair(rng, case_no)
-        a, b = list(before.lines), list(after.lines)
-        runs = {
-            name: edit_runs(a, b, kernel=k) for name, k in kernels.items()
-        }
-        assert runs["python"] == runs["compiled"], (a, b)
-
-
-def test_backend_reports_an_available_kernel():
-    assert KERNEL_BACKEND in available_kernels()

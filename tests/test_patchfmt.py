@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linefix.engine import validate_patch
 from linefix.errors import (
     BelowSentinel,
     ConflictingSpans,
@@ -19,10 +20,12 @@ from linefix.patchfmt import (
     EditSpan,
     PatchSet,
     SpanKind,
+    check_disjoint,
     classify_span,
     parse_patch,
     serialize_patch,
 )
+from linefix.source import SourceUnit
 from tests.conftest import VPX_REFERENCE_PATCH_TEXT
 from tests.helpers import random_patchset
 
@@ -217,3 +220,24 @@ def test_patchset_roundtrip_randomized():
     for _ in range(300):
         patch = random_patchset(rng)
         assert parse_patch(serialize_patch(patch)) == patch.canonical()
+
+
+SPAN = st.builds(
+    lambda bef, gap: EditSpan(bef, bef + gap),
+    st.integers(min_value=-1, max_value=12),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(SPAN, max_size=6))
+def test_check_disjoint_agrees_with_validate_patch(spans):
+    src = SourceUnit(("x",) * 16)  # every span in range: only conflicts can be reported
+    kinds = [i.kind for i in validate_patch(src, PatchSet(tuple(spans))).issues]
+    assert "OutOfRange" not in kinds
+    try:
+        check_disjoint(tuple(spans))
+    except ConflictingSpans:
+        assert kinds
+    else:
+        assert not kinds

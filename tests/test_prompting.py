@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import random
 
 import pytest
 
+from linefix.engine import derive_patch
 from linefix.errors import InvalidRecord, MalformedPrompt, MissingReference
 from linefix.patchfmt import EditSpan, PatchSet
 from linefix.prompting import (
@@ -78,16 +80,17 @@ def test_build_validates_record():
         build_prompt(_record(vuln_lines=(2, 1)))
 
 
-def test_reference_pair_must_agree():
-    src = SourceUnit(("a", "b"))
-    record = _record(
-        source=src,
-        vuln_lines=(0,),
-        reference_after=SourceUnit(("a", "c")),
-        reference_patch=PatchSet((EditSpan(0, 2, ("z",)),)),
-    )
-    with pytest.raises(InvalidRecord):
-        record.validate()
+def test_record_validated_at_construction():
+    with pytest.raises(InvalidRecord, match="reference patch does not validate"):
+        _record(reference_patch=PatchSet((EditSpan(1, 4, ("z",)),)))  # 3-line source
+    with pytest.raises(InvalidRecord, match="outside"):
+        _record(vuln_lines=(3,))
+    with pytest.raises(InvalidRecord, match="ascending"):
+        _record(vuln_lines=(1, 1))
+    record = _record(reference_patch=PatchSet((EditSpan(0, 2, ("{ return 0;",)),)))
+    assert record.reference_after.lines == ("int f()", "{ return 0;", "}")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.vuln_lines = (7,)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -101,7 +104,7 @@ def test_parse_inverts_build():
     assert parsed.vuln_lines == record.vuln_lines
     assert parsed.source.lines == record.source.lines
     assert parsed.id == ""
-    assert parsed.reference_after is None
+    assert parsed.reference_patch is None
 
 
 def test_parse_roundtrip_randomized():
@@ -172,8 +175,7 @@ def test_render_derives_when_patch_missing(stb_before, stb_after):
     record = _record(
         source=stb_before,
         vuln_lines=(6,),
-        reference_after=stb_after,
-        reference_patch=None,
+        reference_patch=derive_patch(stb_before, stb_after),
     )
     example = render_training_example(record)
     assert example.completion == "5-6<MID>   if (w == NULL) return 0;"
@@ -186,7 +188,7 @@ def test_render_without_reference_raises():
 
 def test_render_empty_patch_warns(caplog):
     src = SourceUnit(("a", "b"))
-    record = _record(source=src, vuln_lines=(0,), reference_after=src)
+    record = _record(source=src, vuln_lines=(0,), reference_patch=PatchSet(()))
     with caplog.at_level(logging.WARNING, logger="linefix.prompting"):
         example = render_training_example(record)
     assert example.completion == ""
