@@ -17,7 +17,6 @@ from linefix.client import (
 )
 from linefix.engine import (
     ValidationReport,
-    applied_equivalent,
     apply_patch,
     derive_patch,
     validate_patch,
@@ -68,7 +67,6 @@ __all__ = [
     "TrainingExample",
     "ValidationReport",
     "VulnRecord",
-    "applied_equivalent",
     "apply_patch",
     "build_prompt",
     "classify_span",

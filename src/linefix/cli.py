@@ -11,6 +11,7 @@ identical inputs, flags, and seed produce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -265,30 +266,29 @@ def evaluate_cmd(
     if (backend_config_path is None) == (mock_script_path is None):
         _fail(EXIT_USAGE, "exactly one of --backend-config or --mock-script is required")
 
-    resolved = {
-        "strategy": strategy or decode_cfg.get("strategy", "beam"),
-        "k": k if k is not None else int(decode_cfg.get("k", 5)),
-        "temperature": temperature if temperature is not None
-        else float(decode_cfg.get("temperature", 0.8)),
-        "max_new_tokens": max_new_tokens if max_new_tokens is not None
-        else int(decode_cfg.get("max_new_tokens", 256)),
-        "stop_sequences": list(stop_sequences) or list(decode_cfg.get("stop", [])),
-        "seed": seed if seed is not None else file_cfg.get("seed"),
-        "cwe_list": list(cwe_list) or list(file_cfg.get("cwe_list", DEFAULT_CWE_ORDER)),
-        "strict": strict or bool(file_cfg.get("strict", False)),
-    }
+    given: dict = {}
+    for name, flag, section, key, cast in (
+        ("strategy", strategy, decode_cfg, "strategy", None),
+        ("k", k, decode_cfg, "k", int),
+        ("temperature", temperature, decode_cfg, "temperature", float),
+        ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens", int),
+        ("stop_sequences", stop_sequences or None, decode_cfg, "stop", tuple),
+        ("seed", seed, file_cfg, "seed", None),
+    ):
+        if flag is not None:
+            given[name] = flag
+        elif key in section:
+            given[name] = cast(section[key]) if cast else section[key]
     try:
-        cfg = DecodeConfig(
-            strategy=resolved["strategy"],
-            k=resolved["k"],
-            temperature=resolved["temperature"],
-            max_new_tokens=resolved["max_new_tokens"],
-            stop_sequences=tuple(resolved["stop_sequences"]),
-            seed=resolved["seed"],
-        )
+        cfg = DecodeConfig(**given)
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
         return
+    resolved = {
+        **dataclasses.asdict(cfg),
+        "cwe_list": list(cwe_list) or list(file_cfg.get("cwe_list", DEFAULT_CWE_ORDER)),
+        "strict": strict or bool(file_cfg.get("strict", False)),
+    }
 
     try:
         if backend_config_path is not None:

@@ -175,15 +175,12 @@ class HttpBackend:
         if not spec.endpoint:
             raise ValueError("HttpBackend needs an endpoint")
         self.spec = spec
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.spec.auth_env:
-            token = os.environ.get(self.spec.auth_env)
+        self.headers = {"Content-Type": "application/json"}
+        if spec.auth_env:
+            token = os.environ.get(spec.auth_env)
             if not token:
-                raise BackendError(f"credential env var {self.spec.auth_env} is not set")
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
+                raise ValueError(f"credential env var {spec.auth_env} is not set")
+            self.headers["Authorization"] = f"Bearer {token}"
 
     def complete(
         self, sample_id: str, prompt: str, cfg: DecodeConfig
@@ -207,7 +204,7 @@ class HttpBackend:
             resp = requests.post(
                 self.spec.endpoint,
                 json=payload,
-                headers=self._headers(),
+                headers=self.headers,
                 timeout=self.spec.timeout_s,
             )
         except requests.Timeout as exc:

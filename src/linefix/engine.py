@@ -10,14 +10,14 @@ from dataclasses import dataclass
 
 from linefix.errors import InvalidPatch
 from linefix.linediff import edit_runs
-from linefix.patchfmt import EditSpan, PatchSet, span_conflicts
-from linefix.source import SourceUnit, to_text
+from linefix.patchfmt import EditSpan, PatchSet
+from linefix.source import SourceUnit
 
 
 @dataclass(frozen=True)
 class Issue:
     span_index: int
-    kind: str  # "OutOfRange" | "Overlap" | "Duplicate"
+    kind: str  # "OutOfRange"
     message: str
 
 
@@ -34,23 +34,18 @@ class ValidationReport:
 
 
 def validate_patch(src: SourceUnit, patch: PatchSet) -> ValidationReport:
-    """Check a patch against a source; reports issues instead of raising."""
+    """Check that every span lies within the source; reports instead of raising.
+
+    ``span_index`` counts in the patch's anchor order.
+    """
     n = len(src.lines)
-    issues: list[Issue] = []
-    for i, s in enumerate(patch.spans):
-        if s.line_af > n:
-            issues.append(
-                Issue(i, "OutOfRange", f"span {s.line_bef}-{s.line_af} outside [-1, {n}]")
-            )
-    for prev, cur, kind in span_conflicts(patch.spans):
-        s, t = patch.spans[prev], patch.spans[cur]
-        if kind == "Duplicate":
-            message = f"span {t.line_bef}-{t.line_af} duplicates span {prev}"
-        else:
-            message = f"span {t.line_bef}-{t.line_af} overlaps span {s.line_bef}-{s.line_af}"
-        issues.append(Issue(cur, kind, message))
+    issues = tuple(
+        Issue(i, "OutOfRange", f"span {s.line_bef}-{s.line_af} outside [-1, {n}]")
+        for i, s in enumerate(patch.spans)
+        if s.line_af > n
+    )
     uses_sentinel = any(s.line_bef == -1 or s.line_af == n for s in patch.spans)
-    return ValidationReport(not issues, tuple(issues), uses_sentinel)
+    return ValidationReport(not issues, issues, uses_sentinel)
 
 
 def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
@@ -63,7 +58,7 @@ def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
     if not report.ok:
         raise InvalidPatch(report.summary())
     out = list(src.lines)
-    for s in reversed(patch.canonical().spans):
+    for s in reversed(patch.spans):
         out[s.line_bef + 1: s.line_af] = s.body
     return SourceUnit(tuple(out), src.had_trailing_newline, src.newline_normalized)
 
@@ -82,11 +77,6 @@ def derive_patch(before: SourceUnit, after: SourceUnit) -> PatchSet:
         for a_start, a_end, b_start, b_end in runs
     )
     return PatchSet(spans)
-
-
-def applied_equivalent(src: SourceUnit, a: PatchSet, b: PatchSet) -> bool:
-    """Whether two patches produce byte-identical results on ``src``."""
-    return to_text(apply_patch(src, a)) == to_text(apply_patch(src, b))
 
 
 def changed_before_lines(patch: PatchSet) -> list[int]:

@@ -17,10 +17,11 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from linefix.client import BatchResult, DecodeConfig, generate_batch
-from linefix.engine import applied_equivalent, validate_patch
-from linefix.errors import EmptyEvaluation, PatchFormatError
-from linefix.patchfmt import parse_patch, serialize_patch
+from linefix.engine import apply_patch
+from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
+from linefix.patchfmt import PatchSet, parse_patch, serialize_patch
 from linefix.prompting import VulnRecord, build_prompt
+from linefix.source import SourceUnit
 
 DEFAULT_CWE_ORDER = (
     "CWE-787",
@@ -137,6 +138,13 @@ def sample_hit(candidates: list[str], reference: str, *, strict: bool = False) -
     return first_hit_index(candidates, reference, strict=strict) is not None
 
 
+def _applies_as(src: SourceUnit, patch: PatchSet, expected: SourceUnit) -> bool:
+    try:
+        return apply_patch(src, patch) == expected
+    except InvalidPatch:
+        return False
+
+
 def evaluate(
     records: list[VulnRecord],
     backend,
@@ -149,11 +157,11 @@ def evaluate(
     """Generate k candidates per record and score them.
 
     Raises EmptyEvaluation on an empty record list and MissingReference when a
-    record has no reference completion to score against.
+    record has no reference patch to score against.
     """
     if not records:
         raise EmptyEvaluation("no records to evaluate")
-    references = [serialize_patch(r.reference()) for r in records]
+    references = [r.reference() for r in records]
     prompts = [(r.id, build_prompt(r)) for r in records]
     batch = generate_batch(prompts, cfg, backend, progress=progress)
     return score_batch(
@@ -163,13 +171,18 @@ def evaluate(
 
 def score_batch(
     records: list[VulnRecord],
-    references: list[str],
+    references: list[PatchSet],
     batch: BatchResult,
     *,
     cwe_order: tuple[str, ...] = DEFAULT_CWE_ORDER,
     strict: bool = False,
 ) -> EvalReport:
-    """Score already-generated outcomes; kept separate for reuse in tests."""
+    """Score already-generated outcomes; kept separate for reuse in tests.
+
+    A candidate hits when its text matches the serialized reference. For a
+    miss, each parsed candidate that applies is compared with the reference's
+    result on the record's source.
+    """
     hits = 0
     format_errors = 0
     applied_misses = 0
@@ -180,7 +193,7 @@ def score_batch(
     cwe_hits: dict[str, int] = {c: 0 for c in [*cwe_order, OTHER_CWE]}
     cwe_totals: dict[str, int] = {c: 0 for c in [*cwe_order, OTHER_CWE]}
 
-    for record, reference, outcome in zip(records, references, batch.outcomes):
+    for record, ref_patch, outcome in zip(records, references, batch.outcomes):
         bucket = record.cwe_id if record.cwe_id in cwe_order else OTHER_CWE
         cwe_totals[bucket] += 1
         total_tokens += sum(outcome.tokens_generated)
@@ -204,22 +217,17 @@ def score_batch(
                 sample_format_errors += 1
         format_errors += sample_format_errors
 
-        idx = first_hit_index(outcome.candidates, reference, strict=strict)
+        idx = first_hit_index(outcome.candidates, serialize_patch(ref_patch), strict=strict)
         hit = idx is not None
         applied_equiv = False
         if hit:
             hits += 1
             cwe_hits[bucket] += 1
         else:
-            ref_patch = parse_patch(reference)
-            for patch in parsed:
-                if patch is None:
-                    continue
-                if not validate_patch(record.source, patch).ok:
-                    continue
-                if applied_equivalent(record.source, patch, ref_patch):
-                    applied_equiv = True
-                    break
+            ref_after = apply_patch(record.source, ref_patch)
+            applied_equiv = any(
+                p is not None and _applies_as(record.source, p, ref_after) for p in parsed
+            )
             if applied_equiv:
                 applied_misses += 1
         sample_results.append(

@@ -11,7 +11,8 @@ them is replaced by the body. ``line_bef = -1`` addresses the position before
 line 0 and ``line_af = len(lines)`` the position after the last line, so edits
 at either boundary stay expressible. The body is carried verbatim: everything
 after ``<MID>`` up to the next ``<sep>`` or end of input, split on LF. One
-trailing LF of the whole input is trimmed before parsing.
+trailing LF of the whole input is trimmed before parsing. A patch's spans are
+held in anchor order and are disjoint by construction.
 
 A body whose last line is empty (and the lone-empty-line body ``[""]``) does
 not survive serialize/parse because the trailing-LF trim and the empty-body
@@ -24,6 +25,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from linefix.errors import (
     BelowSentinel,
@@ -37,6 +39,7 @@ MID = "<MID>"
 SEP = "<sep>"
 
 _HEADER_RE = re.compile(r"(-?\d+)-(-?\d+)<MID>")
+_ANCHORS = attrgetter("line_bef", "line_af")
 
 
 class SpanKind(enum.Enum):
@@ -78,56 +81,31 @@ class EditSpan:
 
 @dataclass(frozen=True)
 class PatchSet:
-    """An ordered collection of edit spans against one source."""
+    """Disjoint edit spans against one source, held in (line_bef, line_af) order.
+
+    Spans may touch (s.line_af == t.line_bef + 1); their replaced ranges are
+    still disjoint, which keeps application order independent.
+    """
 
     spans: tuple[EditSpan, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.spans, tuple):
-            object.__setattr__(self, "spans", tuple(self.spans))
-
-    def canonical(self) -> "PatchSet":
-        """Spans sorted ascending by (line_bef, line_af)."""
-        return PatchSet(tuple(sorted(self.spans, key=_span_key)))
+        spans = tuple(sorted(self.spans, key=_ANCHORS))
+        for s, t in zip(spans, spans[1:]):
+            if _ANCHORS(s) == _ANCHORS(t):
+                raise ConflictingSpans(f"duplicate span {s.line_bef}-{s.line_af}")
+            if s.line_af > t.line_bef + 1:
+                raise ConflictingSpans(
+                    f"span {s.line_bef}-{s.line_af} overlaps {t.line_bef}-{t.line_af}"
+                )
+        object.__setattr__(self, "spans", spans)
 
     def __len__(self) -> int:
         return len(self.spans)
 
 
-def _span_key(span: EditSpan) -> tuple[int, int]:
-    return (span.line_bef, span.line_af)
-
-
-def span_conflicts(spans: tuple[EditSpan, ...]) -> list[tuple[int, int, str]]:
-    """Conflicting neighbours in (line_bef, line_af) order, as index pairs.
-
-    Each entry is ``(earlier, later, kind)`` with indices into ``spans`` and
-    kind ``"Duplicate"`` (same anchors) or ``"Overlap"`` (replaced ranges
-    intersect). Spans may touch (s.line_af == t.line_bef + 1); their replaced
-    ranges are still disjoint, which keeps application order independent.
-    """
-    order = sorted(range(len(spans)), key=lambda i: _span_key(spans[i]))
-    conflicts = []
-    for i, j in zip(order, order[1:]):
-        s, t = spans[i], spans[j]
-        if _span_key(s) == _span_key(t):
-            conflicts.append((i, j, "Duplicate"))
-        elif s.line_af > t.line_bef + 1:
-            conflicts.append((i, j, "Overlap"))
-    return conflicts
-
-
-def check_disjoint(spans: tuple[EditSpan, ...]) -> None:
-    """Raise ConflictingSpans on duplicate anchors or overlapping intervals."""
-    for i, j, kind in span_conflicts(spans):
-        s, t = spans[i], spans[j]
-        if kind == "Duplicate":
-            raise ConflictingSpans(f"duplicate span {s.line_bef}-{s.line_af}")
-        raise ConflictingSpans(f"span {s.line_bef}-{s.line_af} overlaps {t.line_bef}-{t.line_af}")
-
-
 def parse_patch(text: str) -> PatchSet:
-    """Parse patch text into a PatchSet, preserving the as-written span order.
+    """Parse patch text into a PatchSet; its spans come back in anchor order.
 
     Raises MalformedHeader, MalformedBody, NonIncreasingSpan, BelowSentinel,
     or ConflictingSpans. Empty input parses to an empty PatchSet.
@@ -145,16 +123,13 @@ def parse_patch(text: str) -> PatchSet:
         rawbody = fragment[m.end():]
         body = tuple(rawbody.split("\n")) if rawbody else ()
         spans.append(EditSpan(int(m.group(1)), int(m.group(2)), body))
-    check_disjoint(tuple(spans))
     return PatchSet(tuple(spans))
 
 
 def serialize_patch(patch: PatchSet) -> str:
-    """Serialize spans in canonical order, with no trailing LF added."""
-    check_disjoint(patch.spans)
-    ordered = sorted(patch.spans, key=_span_key)
+    """Serialize spans in anchor order, with no trailing LF added."""
     return SEP.join(
-        f"{s.line_bef}-{s.line_af}{MID}" + "\n".join(s.body) for s in ordered
+        f"{s.line_bef}-{s.line_af}{MID}" + "\n".join(s.body) for s in patch.spans
     )
 
 

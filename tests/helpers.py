@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from linefix.patchfmt import EditSpan, PatchSet
@@ -34,6 +35,25 @@ def lcs_length(a: list[str], b: list[str]) -> int:
                 cur[j] = max(prev[j], cur[j - 1])
         prev = cur
     return prev[m]
+
+
+def footprint(span: EditSpan) -> set[int]:
+    """Half-line positions a span rewrites: line i is 2i, the gap after it 2i+1.
+
+    A replacement or deletion owns its lines and the gaps between them; an
+    insertion or no-op owns only the gap it fills.
+    """
+    if span.line_af == span.line_bef + 1:
+        return {2 * span.line_bef + 1}
+    return set(range(2 * span.line_bef + 2, 2 * span.line_af - 1))
+
+
+def spans_conflict(spans: list[EditSpan]) -> bool:
+    """Pairwise oracle: some two spans share anchors or rewrite a common position."""
+    return any(
+        (s.line_bef, s.line_af) == (t.line_bef, t.line_af) or footprint(s) & footprint(t)
+        for s, t in itertools.combinations(spans, 2)
+    )
 
 
 def splice_apply(lines: tuple[str, ...], patch: PatchSet) -> list[str]:

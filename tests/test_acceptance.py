@@ -97,7 +97,7 @@ def _text_representable(patch: PatchSet) -> bool:
     Bodies whose joined text is empty, or a final body ending in an empty
     line, fall into the documented grammar ambiguity and re-parse shorter.
     """
-    spans = patch.canonical().spans
+    spans = patch.spans
     for i, span in enumerate(spans):
         joined = "\n".join(span.body)
         if span.body and joined == "":
@@ -116,10 +116,10 @@ def test_acceptance_roundtrip_sweep():
             assert validate_patch(before, patch).ok
             assert apply_patch(before, patch).lines == after.lines
             if _text_representable(patch):
-                assert parse_patch(serialize_patch(patch)) == patch.canonical()
+                assert parse_patch(serialize_patch(patch)) == patch
         for _ in range(1000):
             patch = random_patchset(rng)
-            assert parse_patch(serialize_patch(patch)) == patch.canonical()
+            assert parse_patch(serialize_patch(patch)) == patch
     print("ACCEPTANCE roundtrip_sweep: PASS")
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from click.testing import CliRunner
@@ -306,6 +308,44 @@ def test_evaluate_bad_backend_config_exits_64(runner, eval_setup, tmp_path):
     result = runner.invoke(main, args)
     assert result.exit_code == 64
     assert "bad backend config" in result.output
+
+
+def test_evaluate_missing_credential_exits_64_before_any_request(
+    runner, eval_setup, tmp_path, monkeypatch
+):
+    monkeypatch.delenv("LINEFIX_TEST_TOKEN", raising=False)
+    seen = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            seen.append(self.path)
+            self.send_response(500)
+            self.end_headers()
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    backend_cfg = tmp_path / "backend.yaml"
+    backend_cfg.write_text(
+        f"backend:\n  endpoint: http://{host}:{port}/gen\n  auth_env: LINEFIX_TEST_TOKEN\n"
+    )
+    args = [
+        "evaluate",
+        "--records", eval_setup["records"],
+        "--backend-config", str(backend_cfg),
+        "--report-dir", str(tmp_path / "r"),
+    ]
+    try:
+        result = runner.invoke(main, args)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert result.exit_code == 64
+    assert "bad backend config: credential env var LINEFIX_TEST_TOKEN is not set" in result.output
+    assert seen == []
 
 
 def test_click_flag_errors_exit_2(runner, corpus):

@@ -323,8 +323,8 @@ def test_http_auth_header_from_env(http_server, monkeypatch):
 def test_http_auth_env_missing(http_server, monkeypatch):
     monkeypatch.delenv("TEST_BACKEND_TOKEN", raising=False)
     spec = _spec(http_server, "/auth", auth_env="TEST_BACKEND_TOKEN")
-    with pytest.raises(BackendError):
-        generate("p", DecodeConfig(k=1), HttpBackend(spec), sample_id="s")
+    with pytest.raises(ValueError, match="TEST_BACKEND_TOKEN is not set"):
+        HttpBackend(spec)
 
 
 def test_http_timeout(http_server):

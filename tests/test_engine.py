@@ -9,12 +9,11 @@ import pytest
 
 from linefix.engine import (
     apply_patch,
-    applied_equivalent,
     changed_before_lines,
     derive_patch,
     validate_patch,
 )
-from linefix.errors import InvalidPatch
+from linefix.errors import ConflictingSpans, InvalidPatch
 from linefix.patchfmt import EditSpan, PatchSet, serialize_patch
 from linefix.source import SourceUnit, to_text
 from tests.conftest import (
@@ -50,10 +49,11 @@ def test_validate_out_of_range():
 
 
 def test_validate_duplicate_and_overlap():
-    dup = PatchSet((EditSpan(1, 3, ("a",)), EditSpan(1, 3, ("b",))))
-    assert [i.kind for i in validate_patch(SRC, dup).issues] == ["Duplicate"]
-    over = PatchSet((EditSpan(1, 5, ("a",)), EditSpan(2, 7, ("b",))))
-    assert [i.kind for i in validate_patch(SRC, over).issues] == ["Overlap"]
+    # conflicting spans never reach validate_patch: the PatchSet cannot be built
+    with pytest.raises(ConflictingSpans, match="duplicate span 1-3"):
+        PatchSet((EditSpan(1, 3, ("a",)), EditSpan(1, 3, ("b",))))
+    with pytest.raises(ConflictingSpans, match="span 1-5 overlaps 2-7"):
+        PatchSet((EditSpan(1, 5, ("a",)), EditSpan(2, 7, ("b",))))
 
 
 def test_validate_sentinel_flag():
@@ -107,8 +107,8 @@ def test_apply_preserves_flags():
 def test_apply_rejects_invalid():
     with pytest.raises(InvalidPatch):
         apply_patch(SRC, PatchSet((EditSpan(8, 12, ("x",)),)))
-    with pytest.raises(InvalidPatch):
-        apply_patch(SRC, PatchSet((EditSpan(1, 4, ("a",)), EditSpan(2, 6, ("b",)))))
+    with pytest.raises(ConflictingSpans):
+        PatchSet((EditSpan(1, 4, ("a",)), EditSpan(2, 6, ("b",))))
 
 
 def test_apply_matches_splice_oracle():
@@ -183,9 +183,9 @@ def test_applied_equivalent_spans_differ():
     # same result expressed two ways: replace line 2, or rewrite lines 2-3
     a = PatchSet((EditSpan(1, 3, ("X",)),))
     b = PatchSet((EditSpan(1, 4, ("X", "line 3")),))
-    assert applied_equivalent(SRC, a, b)
+    assert apply_patch(SRC, a) == apply_patch(SRC, b)
     c = PatchSet((EditSpan(1, 3, ("Y",)),))
-    assert not applied_equivalent(SRC, a, c)
+    assert apply_patch(SRC, a) != apply_patch(SRC, c)
 
 
 def test_changed_before_lines():

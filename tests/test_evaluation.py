@@ -221,7 +221,7 @@ def test_score_batch_reusable_without_backend():
     backend = MockBackend({"samples": samples})
     cfg = DecodeConfig(strategy="beam", k=1)
     batch = generate_batch([("a", "p1"), ("b", "p2")], cfg, backend)
-    rep = score_batch(records, [REFERENCE, REFERENCE], batch)
+    rep = score_batch(records, [r.reference() for r in records], batch)
     assert rep.pp_hits == 1
     assert rep.efficiency.total_time_s == pytest.approx(2.0)
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linefix.engine import validate_patch
 from linefix.errors import (
     BelowSentinel,
     ConflictingSpans,
@@ -20,14 +19,12 @@ from linefix.patchfmt import (
     EditSpan,
     PatchSet,
     SpanKind,
-    check_disjoint,
     classify_span,
     parse_patch,
     serialize_patch,
 )
-from linefix.source import SourceUnit
 from tests.conftest import VPX_REFERENCE_PATCH_TEXT
-from tests.helpers import random_patchset
+from tests.helpers import random_patchset, spans_conflict
 
 BODY_LINE = st.text(
     alphabet=st.characters(blacklist_characters="\n\r<"), max_size=10
@@ -87,9 +84,9 @@ def test_parse_empty_input_is_empty_patch():
     assert parse_patch("\n") == PatchSet(())
 
 
-def test_parse_preserves_written_order():
-    patch = parse_patch("5-6<MID>b<sep>1-2<MID>a")
-    assert [(s.line_bef, s.line_af) for s in patch.spans] == [(5, 6), (1, 2)]
+def test_parse_returns_spans_in_anchor_order():
+    patch = parse_patch("5-6<MID>b<sep>1-4<MID>c<sep>1-2<MID>a")
+    assert [(s.line_bef, s.line_af) for s in patch.spans] == [(1, 2), (1, 4), (5, 6)]
 
 
 @pytest.mark.parametrize(
@@ -182,18 +179,21 @@ def test_serialize_empty_patch():
 
 
 def test_serialize_rejects_conflicts():
-    patch = PatchSet((EditSpan(1, 5, ("a",)), EditSpan(2, 7, ("b",))))
-    with pytest.raises(ConflictingSpans):
-        serialize_patch(patch)
+    # a conflicting patch cannot be built, so it never reaches serialize_patch
+    with pytest.raises(ConflictingSpans, match="span 1-5 overlaps 2-7"):
+        PatchSet((EditSpan(2, 7, ("b",)), EditSpan(1, 5, ("a",))))
+    with pytest.raises(ConflictingSpans, match="duplicate span 1-3"):
+        PatchSet((EditSpan(1, 3, ("a",)), EditSpan(1, 3, ("b",))))
 
 
-def test_canonical_sorts_by_anchor():
+def test_patchset_holds_spans_in_anchor_order():
     patch = PatchSet((EditSpan(5, 6), EditSpan(1, 2), EditSpan(1, 4)))
-    assert [(s.line_bef, s.line_af) for s in patch.canonical().spans] == [
+    assert [(s.line_bef, s.line_af) for s in patch.spans] == [
         (1, 2),
         (1, 4),
         (5, 6),
     ]
+    assert patch == PatchSet((EditSpan(1, 2), EditSpan(1, 4), EditSpan(5, 6)))
 
 
 def test_trailing_empty_body_line_does_not_roundtrip():
@@ -212,14 +212,14 @@ def test_single_span_roundtrip(bef, gap, body):
     if body and body[-1] == "":
         body = body[:-1] + ["eol"]
     patch = PatchSet((EditSpan(bef, bef + gap, tuple(body)),))
-    assert parse_patch(serialize_patch(patch)) == patch.canonical()
+    assert parse_patch(serialize_patch(patch)) == patch
 
 
 def test_patchset_roundtrip_randomized():
     rng = random.Random(0xF0)
     for _ in range(300):
         patch = random_patchset(rng)
-        assert parse_patch(serialize_patch(patch)) == patch.canonical()
+        assert parse_patch(serialize_patch(patch)) == patch
 
 
 SPAN = st.builds(
@@ -231,13 +231,13 @@ SPAN = st.builds(
 
 @settings(deadline=None, max_examples=300)
 @given(st.lists(SPAN, max_size=6))
-def test_check_disjoint_agrees_with_validate_patch(spans):
-    src = SourceUnit(("x",) * 16)  # every span in range: only conflicts can be reported
-    kinds = [i.kind for i in validate_patch(src, PatchSet(tuple(spans))).issues]
-    assert "OutOfRange" not in kinds
+def test_patchset_rejects_exactly_the_conflicting_spans(spans):
     try:
-        check_disjoint(tuple(spans))
+        patch = PatchSet(tuple(spans))
     except ConflictingSpans:
-        assert kinds
-    else:
-        assert not kinds
+        assert spans_conflict(spans)
+        return
+    assert not spans_conflict(spans)
+    anchors = [(s.line_bef, s.line_af) for s in patch.spans]
+    assert anchors == sorted((s.line_bef, s.line_af) for s in spans)
+    assert parse_patch(serialize_patch(patch)) == patch
