@@ -260,29 +260,28 @@ def evaluate_cmd(
             _fail(EXIT_SCHEMA, str(exc))
         except OSError as exc:
             _fail(EXIT_IO, str(exc))
-    decode_cfg = dict(file_cfg.get("decode", {}))
-    backend_cfg = dict(file_cfg.get("backend", {}))
 
     if (backend_config_path is None) == (mock_script_path is None):
         _fail(EXIT_USAGE, "exactly one of --backend-config or --mock-script is required")
 
-    given: dict = {}
-    for name, flag, section, key, cast in (
-        ("strategy", strategy, decode_cfg, "strategy", None),
-        ("k", k, decode_cfg, "k", int),
-        ("temperature", temperature, decode_cfg, "temperature", float),
-        ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens", int),
-        ("stop_sequences", stop_sequences or None, decode_cfg, "stop", tuple),
-        ("seed", seed, file_cfg, "seed", None),
-    ):
-        if flag is not None:
-            given[name] = flag
-        elif key in section:
-            given[name] = cast(section[key]) if cast else section[key]
     try:
+        decode_cfg = dict(file_cfg.get("decode", {}))
+        given: dict = {}
+        for name, flag, section, key, cast in (
+            ("strategy", strategy, decode_cfg, "strategy", None),
+            ("k", k, decode_cfg, "k", int),
+            ("temperature", temperature, decode_cfg, "temperature", float),
+            ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens", int),
+            ("stop_sequences", stop_sequences or None, decode_cfg, "stop", tuple),
+            ("seed", seed, file_cfg, "seed", None),
+        ):
+            if flag is not None:
+                given[name] = flag
+            elif key in section:
+                given[name] = cast(section[key]) if cast else section[key]
         cfg = DecodeConfig(**given)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    except (TypeError, ValueError) as exc:
+        _fail(EXIT_USAGE, f"bad decode config: {exc}")
         return
     resolved = {
         **dataclasses.asdict(cfg),
@@ -291,6 +290,7 @@ def evaluate_cmd(
     }
 
     try:
+        backend_cfg = dict(file_cfg.get("backend", {}))
         if backend_config_path is not None:
             raw = _load_yaml(backend_config_path)
             backend_cfg.update(raw.get("backend", raw))

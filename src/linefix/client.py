@@ -7,19 +7,29 @@ onto common completion-serving APIs via ``BackendSpec.extra_params``.
 ``MockBackend`` replays a deterministic JSON script keyed by sample id, so
 evaluations can run byte-reproducibly with no server; its scripted latencies
 are accounting only, nothing sleeps.
+
+``HttpBackend`` speaks HTTP through the standard library's ``urllib.request``,
+one connection per attempt. Its opener is built with the backend, so it uses
+the ``HTTP(S)_PROXY``/``NO_PROXY`` settings of that moment and verifies HTTPS
+against the system's CA store. ``generate`` retries timeouts, transport
+faults, malformed answers, 5xx, 408 and 429 with exponential backoff, and
+fails at once on any other 4xx and on errors no retry can cure (an unknown
+sample id, an unsupported decoding strategy).
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import ssl
 import threading
 import time
+import urllib.request
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import requests
+from urllib.error import HTTPError, URLError
 
 from linefix.errors import (
     BackendError,
@@ -103,7 +113,11 @@ class BatchResult:
     synthetic_time: bool
 
 
-_RETRYABLE = (GenerationTimeout, TransportError, BackendError, MalformedResponse)
+def _transient(exc: GenerationError) -> bool:
+    """Whether a retry may succeed: a 4xx other than 408 or 429 repeats itself."""
+    if isinstance(exc, BackendError):
+        return not 400 <= exc.status < 500 or exc.status in (408, 429)
+    return isinstance(exc, (GenerationTimeout, TransportError, MalformedResponse))
 
 
 class MockBackend:
@@ -181,6 +195,11 @@ class HttpBackend:
             if not token:
                 raise ValueError(f"credential env var {spec.auth_env} is not set")
             self.headers["Authorization"] = f"Bearer {token}"
+        handlers = []
+        if spec.endpoint.startswith("https:"):
+            # One TLS context for every attempt: each new one reloads the CA store.
+            handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
+        self._opener = urllib.request.build_opener(*handlers)
 
     def complete(
         self, sample_id: str, prompt: str, cfg: DecodeConfig
@@ -200,21 +219,32 @@ class HttpBackend:
         if cfg.seed is not None:
             payload["seed"] = cfg.seed
         payload.update(self.spec.extra_params)
+        request = urllib.request.Request(
+            self.spec.endpoint,
+            data=json.dumps(payload).encode("utf-8"),
+            headers=self.headers,
+            method="POST",
+        )
         try:
-            resp = requests.post(
-                self.spec.endpoint,
-                json=payload,
-                headers=self.headers,
-                timeout=self.spec.timeout_s,
-            )
-        except requests.Timeout as exc:
+            try:
+                response = self._opener.open(request, timeout=self.spec.timeout_s)
+            except HTTPError as exc:
+                response = exc  # an error status; its body is still unread
+            with response:
+                status, body = response.status, response.read()
+        except URLError as exc:
+            if isinstance(exc.reason, TimeoutError):
+                raise GenerationTimeout(str(exc.reason))
+            raise TransportError(str(exc.reason))
+        except TimeoutError as exc:
             raise GenerationTimeout(str(exc))
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(str(exc))
-        if resp.status_code >= 300:
-            raise BackendError(f"HTTP {resp.status_code}: {resp.text[:300]}")
+        if status >= 300:
+            text = body.decode("utf-8", "replace")
+            raise BackendError(f"HTTP {status}: {text[:300]}", status)
         try:
-            data = resp.json()
+            data = json.loads(body)
         except ValueError as exc:
             raise MalformedResponse(f"response is not JSON: {exc}")
         choices = data.get("choices") if isinstance(data, dict) else None
@@ -245,36 +275,40 @@ def generate(
     *,
     sample_id: str = "",
 ) -> CandidateSet:
-    """One request with the backend's retry policy; raises after the last attempt."""
+    """One request with the backend's retry policy.
+
+    Raises the last error once ``max_attempts`` are spent, or the first error
+    that a retry cannot cure, with the attempts made in its ``attempts``.
+    """
     spec: BackendSpec = backend.spec
     start = time.perf_counter()
-    last: GenerationError | None = None
-    for attempt in range(1, spec.max_attempts + 1):
+    attempt = 0
+    while True:
+        attempt += 1
         try:
             candidates, tokens, latency = backend.complete(sample_id, prompt, cfg)
-        except _RETRYABLE as exc:
-            last = exc
-            if attempt < spec.max_attempts:
-                delay = spec.backoff_s * (2 ** (attempt - 1))
-                if delay > 0 and not backend.synthetic:
-                    time.sleep(delay)
-            continue
-        wall = latency if latency is not None else time.perf_counter() - start
-        if tokens is None:
-            tokens = [_approx_tokens(c) for c in candidates]
-            reported = False
-        else:
-            reported = True
-        return CandidateSet(
-            sample_id=sample_id,
-            candidates=candidates,
-            tokens_generated=tokens,
-            wall_time_s=wall,
-            backend_reported=reported,
-            attempts=attempt,
-        )
-    assert last is not None
-    raise last
+            break
+        except GenerationError as exc:
+            if attempt == spec.max_attempts or not _transient(exc):
+                exc.attempts = attempt
+                raise
+        delay = spec.backoff_s * (2 ** (attempt - 1))
+        if delay > 0 and not backend.synthetic:
+            time.sleep(delay)
+    wall = latency if latency is not None else time.perf_counter() - start
+    if tokens is None:
+        tokens = [_approx_tokens(c) for c in candidates]
+        reported = False
+    else:
+        reported = True
+    return CandidateSet(
+        sample_id=sample_id,
+        candidates=candidates,
+        tokens_generated=tokens,
+        wall_time_s=wall,
+        backend_reported=reported,
+        attempts=attempt,
+    )
 
 
 def generate_batch(
@@ -308,7 +342,7 @@ def generate_batch(
                 tokens_generated=[],
                 wall_time_s=0.0,
                 backend_reported=False,
-                attempts=backend.spec.max_attempts,
+                attempts=exc.attempts,
                 error=f"{type(exc).__name__}: {exc}",
             )
         if progress is not None:

@@ -81,7 +81,13 @@ class SchemaError(LinefixError):
 
 
 class GenerationError(LinefixError):
-    """Base class for completion-backend failures."""
+    """Base class for completion-backend failures.
+
+    ``attempts`` counts the requests ``client.generate`` made for the sample,
+    the failing one included.
+    """
+
+    attempts: int = 1
 
 
 class GenerationTimeout(GenerationError):
@@ -93,7 +99,11 @@ class TransportError(GenerationError):
 
 
 class BackendError(GenerationError):
-    """Backend answered with a non-success status."""
+    """Backend answered with a non-success HTTP ``status``."""
+
+    def __init__(self, message: str, status: int):
+        super().__init__(message)
+        self.status = status
 
 
 class MalformedResponse(GenerationError):

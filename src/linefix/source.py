@@ -27,6 +27,9 @@ class SourceUnit:
     def __post_init__(self) -> None:
         if not isinstance(self.lines, tuple):
             object.__setattr__(self, "lines", tuple(self.lines))
+        if not self.lines:
+            # Empty text has no line to end, as from_text("") reads it.
+            object.__setattr__(self, "had_trailing_newline", False)
         for line in self.lines:
             if "\n" in line:
                 raise ValueError("source lines must not contain newline characters")

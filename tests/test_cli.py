@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -168,6 +172,16 @@ def test_apply_invalid_patch_exits_1(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_apply_deleting_every_line_prints_nothing(runner, tmp_path):
+    src = tmp_path / "s.c"
+    src.write_text("a\nb\n")
+    patch = tmp_path / "p.patch"
+    patch.write_text("-1-2<MID>")
+    result = runner.invoke(main, ["apply", "--source", str(src), "--patch", str(patch)])
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
+
+
 def test_derive_golden(runner, tmp_path, vpx_source, vpx_record):
     before = tmp_path / "before.c"
     before.write_text(to_text(vpx_source))
@@ -296,6 +310,22 @@ def test_evaluate_config_file_and_flag_precedence(runner, eval_setup, tmp_path):
     assert resolved["config"]["seed"] == 5
 
 
+@pytest.mark.parametrize("value", ["abc", "null"])
+def test_evaluate_bad_decode_value_exits_64(runner, eval_setup, tmp_path, value):
+    cfg = tmp_path / "eval.yaml"
+    cfg.write_text(f"decode:\n  k: {value}\n")
+    args = [
+        "evaluate",
+        "--records", eval_setup["records"],
+        "--mock-script", eval_setup["script"],
+        "--config", str(cfg),
+        "--report-dir", str(tmp_path / "r"),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64
+    assert "error: bad decode config:" in result.output
+
+
 def test_evaluate_bad_backend_config_exits_64(runner, eval_setup, tmp_path):
     backend_cfg = tmp_path / "backend.yaml"
     backend_cfg.write_text("backend:\n  endpoint: http://localhost:1\n  bogus_knob: 3\n")
@@ -346,6 +376,20 @@ def test_evaluate_missing_credential_exits_64_before_any_request(
     assert result.exit_code == 64
     assert "bad backend config: credential env var LINEFIX_TEST_TOKEN is not set" in result.output
     assert seen == []
+
+
+def test_cli_import_loads_no_http_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, linefix.cli; "
+        "print(sorted({'requests', 'urllib3', 'charset_normalizer'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_click_flag_errors_exit_2(runner, corpus):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -175,6 +177,14 @@ def test_batch_embeds_per_sample_failures():
     assert result.total_time_s == pytest.approx(1.0)  # failed samples add no time
 
 
+def test_batch_counts_one_attempt_for_errors_no_retry_cures():
+    spec = BackendSpec(endpoint="mock:", max_attempts=3, backoff_s=0.0)
+    result = generate_batch([("missing", "p")], CFG, mock_backend({}, spec))
+    (outcome,) = result.outcomes
+    assert outcome.error.startswith("UnknownSampleId")
+    assert outcome.attempts == 1
+
+
 def test_batch_concurrency_does_not_change_results():
     samples = {f"s{i}": {"candidates": [f"c{i}"], "latency_s": 0.1} for i in range(12)}
     prompts = [(f"s{i}", f"p{i}") for i in range(12)]
@@ -215,26 +225,29 @@ class _Handler(BaseHTTPRequestHandler):
         n = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(n) or b"{}")
         self.server.requests.append((self.path, dict(self.headers), payload))
-        if self.path == "/ok":
+        path = urlsplit(self.path).path  # a proxied request names the whole URL
+        if path == "/ok":
             self._send(200, json.dumps(
                 {"choices": [{"text": "fix A", "tokens": 3}, {"text": "fix B", "tokens": 4}]}
             ).encode())
-        elif self.path == "/no-tokens":
+        elif path == "/no-tokens":
             self._send(200, json.dumps({"choices": [{"text": "one two three"}]}).encode())
-        elif self.path == "/bad-json":
+        elif path == "/bad-json":
             self._send(200, b"not json at all")
-        elif self.path == "/no-choices":
+        elif path == "/no-choices":
             self._send(200, json.dumps({"result": "nope"}).encode())
-        elif self.path == "/boom":
+        elif path == "/boom":
             self._send(503, b"overloaded", "text/plain")
-        elif self.path == "/auth":
+        elif path == "/auth":
             if self.headers.get("Authorization") == "Bearer tok-123":
                 self._send(200, json.dumps({"choices": [{"text": "ok", "tokens": 1}]}).encode())
             else:
                 self._send(401, b"who are you")
-        elif self.path == "/slow":
+        elif path == "/slow":
             time.sleep(0.5)
             self._send(200, json.dumps({"choices": [{"text": "late", "tokens": 1}]}).encode())
+        elif path.startswith("/status/"):
+            self._send(int(path.rsplit("/", 1)[1]), b"status as asked", "text/plain")
         else:
             self._send(404, b"no such route")
 
@@ -247,6 +260,7 @@ def http_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -302,8 +316,39 @@ def test_http_tokens_estimated_when_missing(http_server):
 
 
 def test_http_error_status(http_server):
-    with pytest.raises(BackendError):
+    with pytest.raises(BackendError) as info:
         generate("p", CFG, HttpBackend(_spec(http_server, "/boom")), sample_id="s")
+    assert str(info.value) == "HTTP 503: overloaded"
+    assert info.value.status == 503
+
+
+@pytest.mark.parametrize(
+    "path, attempts",
+    [
+        ("/boom", 3),  # 503
+        ("/status/500", 3),
+        ("/status/408", 3),
+        ("/status/429", 3),
+        ("/status/400", 1),
+        ("/status/404", 1),
+        ("/auth", 1),  # 401 without a token
+    ],
+)
+def test_http_retries_transient_statuses_only(http_server, path, attempts):
+    http_server.requests.clear()
+    backend = HttpBackend(_spec(http_server, path, max_attempts=3))
+    with pytest.raises(BackendError) as info:
+        generate("p", CFG, backend, sample_id="s")
+    assert info.value.attempts == attempts
+    assert [p for p, _, _ in http_server.requests] == [path] * attempts
+
+
+def test_batch_records_attempts_made(http_server):
+    backend = HttpBackend(_spec(http_server, "/status/400", max_attempts=3))
+    result = generate_batch([("s", "p")], CFG, backend)
+    (outcome,) = result.outcomes
+    assert outcome.error == "BackendError: HTTP 400: status as asked"
+    assert outcome.attempts == 1
 
 
 def test_http_malformed_response(http_server):
@@ -325,6 +370,29 @@ def test_http_auth_env_missing(http_server, monkeypatch):
     spec = _spec(http_server, "/auth", auth_env="TEST_BACKEND_TOKEN")
     with pytest.raises(ValueError, match="TEST_BACKEND_TOKEN is not set"):
         HttpBackend(spec)
+
+
+def test_http_connection_refused_is_transport_error():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    spec = BackendSpec(endpoint=f"http://127.0.0.1:{port}/gen", max_attempts=1)
+    with pytest.raises(TransportError):
+        generate("p", CFG, HttpBackend(spec), sample_id="s")
+
+
+def test_http_uses_env_proxy_read_at_construction(http_server, monkeypatch):
+    host, port = http_server.server_address
+    for name in ("http_proxy", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", f"http://{host}:{port}")
+    spec = BackendSpec(endpoint="http://completions.example/ok", max_attempts=1)
+    backend = HttpBackend(spec)
+    monkeypatch.delenv("HTTP_PROXY")
+    http_server.requests.clear()
+    out = generate("p", CFG, backend, sample_id="s")
+    assert out.candidates == ["fix A", "fix B"]
+    assert [p for p, _, _ in http_server.requests] == ["http://completions.example/ok"]
 
 
 def test_http_timeout(http_server):

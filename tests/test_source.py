@@ -69,13 +69,20 @@ def test_number_lines_empty():
     assert number_lines(SourceUnit(())) == ""
 
 
+def test_empty_unit_has_no_trailing_newline():
+    unit = SourceUnit((), had_trailing_newline=True)
+    assert not unit.had_trailing_newline
+    assert unit == from_text("")
+    assert to_text(unit) == ""
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(LINE, max_size=8), st.booleans())
 def test_roundtrip_from_lines(lines, trailing):
     unit = SourceUnit(tuple(lines), had_trailing_newline=trailing)
     text = to_text(unit)
     back = from_text(text)
-    # "" with a trailing flag and ("",) without flatten to the same text;
+    # ("",) without a trailing flag writes the same empty text as ();
     # equality holds at the text level, and lines survive whenever text does
     assert to_text(back) == text
 
