@@ -3,7 +3,7 @@
 Synthesizes function-sized line sequences, mutates a few runs the way real
 fixes do, and times edit_runs over each workload.
 
-Run:  python benchmarks/bench_diff.py
+Run from the repository root:  PYTHONPATH=src python3 benchmarks/bench_diff.py
 """
 
 from __future__ import annotations

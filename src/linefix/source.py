@@ -30,9 +30,8 @@ class SourceUnit:
         if not self.lines:
             # Empty text has no line to end, as from_text("") reads it.
             object.__setattr__(self, "had_trailing_newline", False)
-        for line in self.lines:
-            if "\n" in line:
-                raise ValueError("source lines must not contain newline characters")
+        if "\n" in "".join(self.lines):
+            raise ValueError("source lines must not contain newline characters")
 
 
 def from_text(text: str) -> SourceUnit:

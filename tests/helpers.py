@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 
 from linefix.patchfmt import EditSpan, PatchSet
 from linefix.source import SourceUnit
@@ -35,6 +36,84 @@ def lcs_length(a: list[str], b: list[str]) -> int:
                 cur[j] = max(prev[j], cur[j - 1])
         prev = cur
     return prev[m]
+
+
+def lcs_pairs(a: list[int], b: list[int]) -> list[tuple[int, int]]:
+    """Matched index pairs of the greedy forward Myers search, one pair per matched line.
+
+    Where a path can be reached by a deletion or an insertion, the deletion
+    (consuming ``a``) wins unless the insertion comes from a strictly longer
+    prefix. Walks every snake one line at a time.
+    """
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
+        return []
+    max_d = n + m
+    offset = max_d
+    v = [0] * (2 * max_d + 1)
+    trace: list[list[int]] = []
+    end_d = -1
+    for d in range(max_d + 1):
+        trace.append(v[offset - d: offset + d + 1])
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v[offset + k - 1] < v[offset + k + 1]):
+                x = v[offset + k + 1]
+            else:
+                x = v[offset + k - 1] + 1
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[offset + k] = x
+            if x >= n and y >= m:
+                end_d = d
+                break
+        if end_d >= 0:
+            break
+    pairs: list[tuple[int, int]] = []
+    x, y = n, m
+    for d in range(end_d, -1, -1):
+        if d == 0:
+            prev_x = prev_y = 0
+        else:
+            snap = trace[d]
+            k = x - y
+            if k == -d or (k != d and snap[k - 1 + d] < snap[k + 1 + d]):
+                prev_k = k + 1
+            else:
+                prev_k = k - 1
+            prev_x = snap[prev_k + d]
+            prev_y = prev_x - prev_k
+        while x > prev_x and y > prev_y:
+            x -= 1
+            y -= 1
+            pairs.append((x, y))
+        x, y = prev_x, prev_y
+    pairs.reverse()
+    return pairs
+
+
+def reference_edit_runs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int, int, int]]:
+    """Oracle for the exact output of ``linediff.edit_runs``.
+
+    Interns lines to ints, runs ``lcs_pairs`` over the reversed sequences
+    (so changes land at their earliest position), maps the pairs back and
+    assembles the maximal changed runs between them.
+    """
+    table: dict[str, int] = {}
+    a_ids = [table.setdefault(line, len(table)) for line in a]
+    b_ids = [table.setdefault(line, len(table)) for line in b]
+    n, m = len(a_ids), len(b_ids)
+    rev_pairs = lcs_pairs(a_ids[::-1], b_ids[::-1])
+    pairs = [(n - 1 - x, m - 1 - y) for x, y in rev_pairs]
+    pairs.reverse()
+    runs = []
+    ai = bi = 0
+    for x, y in [*pairs, (n, m)]:
+        if x > ai or y > bi:
+            runs.append((ai, x, bi, y))
+        ai, bi = x + 1, y + 1
+    return runs
 
 
 def footprint(span: EditSpan) -> set[int]:

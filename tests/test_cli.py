@@ -326,6 +326,50 @@ def test_evaluate_bad_decode_value_exits_64(runner, eval_setup, tmp_path, value)
     assert "error: bad decode config:" in result.output
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('stop: "[/INST]"', "stop: expected a list of strings, got '[/INST]'"),
+        ("stop: [1, 2]", "stop: expected a list of strings, got [1, 2]"),
+        ("k: 1.9", "k: expected an integer, got 1.9"),
+        ("k: true", "k: expected an integer, got True"),
+        ("max_new_tokens: 2.5", "max_new_tokens: expected an integer, got 2.5"),
+    ],
+)
+def test_evaluate_decode_value_not_coerced(runner, eval_setup, tmp_path, line, message):
+    cfg = tmp_path / "eval.yaml"
+    cfg.write_text(f"decode:\n  {line}\n")
+    args = [
+        "evaluate",
+        "--records", eval_setup["records"],
+        "--mock-script", eval_setup["script"],
+        "--config", str(cfg),
+        "--report-dir", str(tmp_path / "r"),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64
+    assert f"error: bad decode config: {message}" in result.output
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_decode_config_values_pass_through(runner, eval_setup, tmp_path):
+    cfg = tmp_path / "eval.yaml"
+    cfg.write_text('decode:\n  k: 2\n  max_new_tokens: 64.0\n  stop: ["[/INST]", "\\n\\n"]\n')
+    report_dir = tmp_path / "r"
+    args = [
+        "evaluate",
+        "--records", eval_setup["records"],
+        "--mock-script", eval_setup["script"],
+        "--config", str(cfg),
+        "--report-dir", str(report_dir),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    resolved = json.loads((report_dir / "resolved_config.json").read_text())["config"]
+    assert (resolved["k"], resolved["max_new_tokens"]) == (2, 64)
+    assert resolved["stop_sequences"] == ["[/INST]", "\n\n"]
+
+
 def test_evaluate_bad_backend_config_exits_64(runner, eval_setup, tmp_path):
     backend_cfg = tmp_path / "backend.yaml"
     backend_cfg.write_text("backend:\n  endpoint: http://localhost:1\n  bogus_knob: 3\n")

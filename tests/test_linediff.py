@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linefix.linediff import edit_runs
-from tests.helpers import lcs_length, random_pair
+from tests.helpers import lcs_length, random_pair, reference_edit_runs
 
 
 def _changed_counts(runs):
@@ -88,3 +90,54 @@ def test_run_shape_invariants():
             assert a_start > prev_a and b_start > prev_b
             prev_a, prev_b = a_end, b_end
 
+
+# Exact agreement with the per-line reference kernel, not just minimality.
+ALPHABETS = (("a", "b"), ("", "{", "}", "a"))
+
+
+@st.composite
+def line_pairs(draw):
+    alphabet = st.sampled_from(draw(st.sampled_from(ALPHABETS)))
+    a = draw(st.lists(alphabet, max_size=40))
+    if draw(st.booleans()):
+        return a, draw(st.lists(alphabet, max_size=40))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(b)))
+        stop = draw(st.integers(start, min(len(b), start + 4)))
+        b[start:stop] = draw(st.lists(alphabet, max_size=4))
+    return a, b
+
+
+@settings(deadline=None, max_examples=400)
+@given(line_pairs(), st.booleans(), st.booleans())
+def test_matches_reference_kernel(pair, a_as_tuple, b_as_tuple):
+    a, b = pair
+    a = tuple(a) if a_as_tuple else a
+    b = tuple(b) if b_as_tuple else b
+    assert edit_runs(a, b) == reference_edit_runs(a, b)
+
+
+SNAKE_LENGTHS = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65)
+
+
+def _snake_cases(n):
+    """(a, b, expected runs) around an unchanged stretch of ``n`` lines."""
+    common = [f"line {i}" for i in range(n)]
+    return [
+        (common, list(common), []),
+        (["old", *common], ["new", *common], [(0, 1, 0, 1)]),
+        ([*common, "old"], [*common, "new"], [(n, n + 1, n, n + 1)]),
+        (["old", *common, "old"], ["new", *common, "new"], [(0, 1, 0, 1), (n + 1, n + 2, n + 1, n + 2)]),
+        (common, [*common, "new"], [(n, n, n, n + 1)]),
+        (["old", *common], common, [(0, 1, 0, 0)]),
+        ([""] * (n + 1), [""] * n, [(0, 1, 0, 0)]),
+        (["{", *[""] * n, "}"], ["{", *[""] * (n + 1), "}"], [(1, 1, 1, 2)]),
+    ]
+
+
+@pytest.mark.parametrize("n", SNAKE_LENGTHS)
+def test_snakes_across_galloping_widths(n):
+    for a, b, expected in _snake_cases(n):
+        assert edit_runs(a, b) == expected, (n, a, b)
+        assert edit_runs(tuple(a), b) == reference_edit_runs(a, b), (n, a, b)
