@@ -284,7 +284,7 @@ def evaluate_cmd(
         for name, flag, section, key, cast in (
             ("strategy", strategy, decode_cfg, "strategy", None),
             ("k", k, decode_cfg, "k", _exact_int),
-            ("temperature", temperature, decode_cfg, "temperature", float),
+            ("temperature", temperature, decode_cfg, "temperature", None),
             ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens", _exact_int),
             ("stop_sequences", stop_sequences or None, decode_cfg, "stop", _string_list),
             ("seed", seed, file_cfg, "seed", None),

@@ -63,6 +63,11 @@ class DecodeConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if isinstance(self.temperature, bool) or not isinstance(self.temperature, (int, float)):
+            raise ValueError(f"temperature: expected a number, got {self.temperature!r}")
+        object.__setattr__(self, "temperature", float(self.temperature))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, type(None))):
+            raise ValueError(f"seed: expected an integer or null, got {self.seed!r}")
         if self.strategy == "sample" and self.temperature <= 0:
             raise ValueError("sampling requires temperature > 0")
         if not isinstance(self.stop_sequences, tuple):

@@ -4,11 +4,21 @@ Two on-disk schemas are understood and auto-detected per file:
 
 raw schema (JSONL or CSV)
     ``id, cve_id?, cwe_id, cwe_description, vuln_lines?, source_before,
-    source_after, split``. ``vuln_lines`` falls back to the before-side
-    changed lines of the derived reference patch. Sources carrying the
+    source_after, reference_patch?, split``. ``vuln_lines`` falls back to the
+    before-side changed lines of the reference patch. Sources carrying the
     upstream bug markers (``<S2SV_StartBug>`` / ``<S2SV_EndBug>``) are
     accepted: the markers are stripped and the marked lines become
     ``vuln_lines``.
+
+    Without ``reference_patch`` (every upstream file) the reference patch is
+    derived by diffing the two sources. write_records_jsonl stores the
+    serialized patch in that field whenever its text round-trips, so a file
+    linefix wrote is not diffed again when it is read: the stored patch is
+    parsed, applied to ``source_before`` and must reproduce ``source_after``
+    (CR-LF folded). A stored patch that does not parse, does not validate or
+    does not reproduce ``source_after`` quarantines the record; it is never
+    re-derived. In CSV an empty ``reference_patch`` cell means the field is
+    absent.
 
 training schema (JSONL)
     ``id, prompt, completion, cwe_id, split`` as written by export_jsonl;
@@ -25,16 +35,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from linefix.engine import changed_before_lines, derive_patch
+from linefix.engine import apply_patch, changed_before_lines, derive_patch
 from linefix.errors import (
+    InvalidPatch,
     InvalidRecord,
     LinefixError,
     MissingReference,
+    PatchFormatError,
     SchemaError,
 )
 from linefix.prompting import (
@@ -43,8 +54,8 @@ from linefix.prompting import (
     parse_prompt,
     render_training_example,
 )
-from linefix.patchfmt import parse_patch, serialize_patch
-from linefix.source import from_text, to_text
+from linefix.patchfmt import PatchSet, parse_patch, round_trips, serialize_patch
+from linefix.source import SourceUnit, from_text, to_text
 
 SPLITS = ("train", "validation", "test")
 FINGERPRINT_MODES = ("exact", "ws_normalized")
@@ -120,12 +131,6 @@ class ExportResult:
     quarantined: list[QuarantineEntry] = field(default_factory=list)
 
 
-@dataclass
-class CorpusStats:
-    per_cwe: dict[str, int]
-    total: int
-
-
 # --- reading ----------------------------------------------------------------
 
 
@@ -168,6 +173,8 @@ def _read_csv(path: str) -> list[tuple[int, dict]]:
                         )
             if row.get("cve_id") == "":
                 row["cve_id"] = None
+            if row.get("reference_patch") == "":
+                row.pop("reference_patch")
             rows.append((reader.line_num, row))
     return rows
 
@@ -205,12 +212,33 @@ def strip_bug_markers(text: str) -> tuple[str, list[int]]:
     return out, marked
 
 
+def _stored_reference(src: SourceUnit, patch_text: str, raw_after: str) -> PatchSet:
+    """The stored reference patch, checked to turn ``src`` into ``raw_after``."""
+    try:
+        patch = parse_patch(patch_text)
+        fixed = apply_patch(src, patch)
+    except PatchFormatError as exc:
+        raise InvalidRecord(f"reference_patch does not parse: {exc}") from None
+    except InvalidPatch as exc:
+        raise InvalidRecord(f"reference_patch does not validate: {exc}") from None
+    if to_text(fixed) != raw_after.replace("\r\n", "\n"):
+        raise InvalidRecord("reference_patch does not reproduce source_after")
+    return patch
+
+
 def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
     _require(row, _RAW_REQUIRED, path, line_no)
     split = row["split"]
     if split not in SPLITS:
         raise SchemaError(f"unknown split {split!r}", path=path, line_no=line_no)
     raw_before, raw_after = row["source_before"], row["source_after"]
+    patch_text = row.get("reference_patch")
+    if patch_text is not None and not isinstance(patch_text, str):
+        raise SchemaError(
+            f"field 'reference_patch' must be a string, got {type(patch_text).__name__}",
+            path=path,
+            line_no=line_no,
+        )
 
     marker_lines: list[int] | None = None
     if BUG_START in raw_before or BUG_END in raw_before:
@@ -223,8 +251,10 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
         raise InvalidRecord("cwe_description contains a line feed")
 
     src = from_text(raw_before)
-    after = from_text(raw_after)
-    patch = derive_patch(src, after)
+    if patch_text is None:
+        patch = derive_patch(src, from_text(raw_after))
+    else:
+        patch = _stored_reference(src, patch_text, raw_after)
 
     vuln_lines = row.get("vuln_lines")
     if vuln_lines is not None:
@@ -245,7 +275,7 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
         cve_id=row.get("cve_id"),
         reference_patch=patch,
     )
-    if src.had_trailing_newline != after.had_trailing_newline:
+    if src.had_trailing_newline != raw_after.endswith("\n"):
         # the fixed source is rebuilt from the patch, which keeps before's flag
         raise InvalidRecord("source_before and source_after differ in their trailing newline")
     return DatasetRecord(split, vuln)
@@ -291,9 +321,14 @@ def ingest(path: str, fmt: str = "jsonl") -> IngestResult:
 
 
 def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
-    """Write records back out in the raw schema (UTF-8, LF line ends)."""
+    """Write records back out in the raw schema (UTF-8, LF line ends).
+
+    ``reference_patch`` is written only when its text round-trips; without it
+    the record is diffed again when the file is read.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
+            patch = r.vuln.reference()
             obj = {
                 "id": r.vuln.id,
                 "cve_id": r.vuln.cve_id,
@@ -302,8 +337,10 @@ def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
                 "vuln_lines": list(r.vuln.vuln_lines),
                 "source_before": to_text(r.vuln.source),
                 "source_after": to_text(r.vuln.reference_after),
-                "split": r.split,
             }
+            if round_trips(patch):
+                obj["reference_patch"] = serialize_patch(patch)
+            obj["split"] = r.split
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
@@ -414,35 +451,3 @@ def refine(
         mode=mode,
     )
     return kept, manifest
-
-
-def split_validation(
-    train: list[DatasetRecord], fraction: float, seed: int
-) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
-    """Carve a validation set of round(fraction * len(train)) records.
-
-    Selection is a seeded uniform draw without replacement; both outputs keep
-    the original record order, and chosen records are retagged ``validation``.
-
-    The size rule here is exactly ``round(fraction * len(train))`` — e.g.
-    6,429 records at 5% yields 321.  The upstream corpus ships 338 validation
-    records for a train split of that size; its rounding base is not
-    recoverable from the published splits, so this function documents its own
-    deterministic rule instead of claiming to reproduce that count.
-    """
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1)")
-    k = round(fraction * len(train))
-    chosen = set(random.Random(seed).sample(range(len(train)), k))
-    kept = [r for i, r in enumerate(train) if i not in chosen]
-    validation = [
-        replace(r, split="validation") for i, r in enumerate(train) if i in chosen
-    ]
-    return kept, validation
-
-
-def stats(records: list[DatasetRecord]) -> CorpusStats:
-    """Record counts keyed by CWE id, most frequent first."""
-    counts = Counter(r.vuln.cwe_id for r in records)
-    ordered = dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    return CorpusStats(per_cwe=ordered, total=len(records))

@@ -14,10 +14,11 @@ after ``<MID>`` up to the next ``<sep>`` or end of input, split on LF. One
 trailing LF of the whole input is trimmed before parsing. A patch's spans are
 held in anchor order and are disjoint by construction.
 
-A body whose last line is empty (and the lone-empty-line body ``[""]``) does
-not survive serialize/parse because the trailing-LF trim and the empty-body
-deletion encoding claim the same bytes; such bodies are valid but their
-serialization re-parses without the trailing empty line.
+A lone-empty-line body ``("",)`` anywhere, and a final span whose body ends
+with an empty line, do not survive serialize/parse: the empty-body deletion
+encoding and the trailing-LF trim claim the same bytes. Such bodies are valid
+but re-parse without that empty line. ``round_trips`` is the one statement of
+this rule; callers that store patch text check it instead of restating it.
 """
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ def serialize_patch(patch: PatchSet) -> str:
     return SEP.join(
         f"{s.line_bef}-{s.line_af}{MID}" + "\n".join(s.body) for s in patch.spans
     )
+
+
+def round_trips(patch: PatchSet) -> bool:
+    """Whether ``parse_patch(serialize_patch(patch)) == patch``."""
+    spans = patch.spans
+    return all(s.body != ("",) for s in spans) and not (spans and spans[-1].body[-1:] == ("",))
 
 
 def classify_span(span: EditSpan) -> SpanKind:

@@ -352,6 +352,32 @@ def test_evaluate_decode_value_not_coerced(runner, eval_setup, tmp_path, line, m
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('seed: "abc"\n', "seed: expected an integer or null, got 'abc'"),
+        ("seed: true\n", "seed: expected an integer or null, got True"),
+        ("seed: 1.5\n", "seed: expected an integer or null, got 1.5"),
+        ('decode:\n  temperature: "0.5"\n', "temperature: expected a number, got '0.5'"),
+        ("decode:\n  temperature: true\n", "temperature: expected a number, got True"),
+    ],
+)
+def test_evaluate_bad_seed_or_temperature_exits_64(runner, eval_setup, tmp_path, text, message):
+    cfg = tmp_path / "eval.yaml"
+    cfg.write_text(text)
+    args = [
+        "evaluate",
+        "--records", eval_setup["records"],
+        "--mock-script", eval_setup["script"],
+        "--config", str(cfg),
+        "--report-dir", str(tmp_path / "r"),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64
+    assert f"error: bad decode config: {message}" in result.output
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_decode_config_values_pass_through(runner, eval_setup, tmp_path):
     cfg = tmp_path / "eval.yaml"
     cfg.write_text('decode:\n  k: 2\n  max_new_tokens: 64.0\n  stop: ["[/INST]", "\\n\\n"]\n')
@@ -368,6 +394,24 @@ def test_evaluate_decode_config_values_pass_through(runner, eval_setup, tmp_path
     resolved = json.loads((report_dir / "resolved_config.json").read_text())["config"]
     assert (resolved["k"], resolved["max_new_tokens"]) == (2, 64)
     assert resolved["stop_sequences"] == ["[/INST]", "\n\n"]
+
+
+def test_evaluate_integer_temperature_is_stored_as_float(runner, eval_setup, tmp_path):
+    cfg = tmp_path / "eval.yaml"
+    cfg.write_text("seed: 7\ndecode:\n  temperature: 1\n")
+    report_dir = tmp_path / "r"
+    args = [
+        "evaluate",
+        "--records", eval_setup["records"],
+        "--mock-script", eval_setup["script"],
+        "--config", str(cfg),
+        "--report-dir", str(report_dir),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    text = (report_dir / "resolved_config.json").read_text()
+    assert '"temperature": 1.0,' in text
+    assert '"seed": 7' in text
 
 
 def test_evaluate_bad_backend_config_exits_64(runner, eval_setup, tmp_path):

@@ -16,13 +16,13 @@ from linefix.dataset import (
     export_jsonl,
     ingest,
     refine,
-    split_validation,
-    stats,
     strip_bug_markers,
     write_records_jsonl,
 )
+from linefix import dataset
 from linefix.engine import changed_before_lines, derive_patch
 from linefix.errors import SchemaError
+from linefix.patchfmt import serialize_patch
 from linefix.prompting import VulnRecord
 from linefix.source import from_text, to_text
 
@@ -257,6 +257,152 @@ def test_write_then_ingest_is_fixed_point(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# --- stored reference patches --------------------------------------------------------
+
+
+def count_derives(monkeypatch) -> list:
+    """Record every derive_patch call ingest makes."""
+    calls = []
+
+    def counting(before, after):
+        calls.append(before)
+        return derive_patch(before, after)
+
+    monkeypatch.setattr(dataset, "derive_patch", counting)
+    return calls
+
+
+def blank_line_row(i: int) -> dict:
+    # the fix inserts one blank line: its patch body ("",) has no text form
+    return raw_row(i, source_before="int g()\n{\n  x;\n}\n",
+                   source_after="int g()\n{\n\n  x;\n}\n")
+
+
+def written_rows(tmp_path, rows) -> list[dict]:
+    out = tmp_path / "written.jsonl"
+    write_records_jsonl(ingest(write_jsonl(tmp_path / "in.jsonl", rows)).records, str(out))
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def test_written_file_reingests_without_diffing(tmp_path, monkeypatch):
+    rows = written_rows(tmp_path, [raw_row(0), blank_line_row(1), raw_row(2, split="test")])
+    assert [list(r) for r in rows][0] == [
+        "id", "cve_id", "cwe_id", "cwe_description", "vuln_lines",
+        "source_before", "source_after", "reference_patch", "split",
+    ]
+    assert rows[0]["reference_patch"] == "1-3<MID>  if (n < LEN) buf[n] = 0;"
+    assert ["reference_patch" in r for r in rows] == [True, False, True]
+    calls = count_derives(monkeypatch)
+    result = ingest(write_jsonl(tmp_path / "again.jsonl", rows))
+    assert result.quarantined == []
+    assert [r.vuln.id for r in result.records] == ["rec-0", "rec-1", "rec-2"]
+    assert len(calls) == 1  # only the blank-line record is diffed again
+    assert serialize_patch(result.records[0].vuln.reference()) == rows[0]["reference_patch"]
+
+
+def test_ingest_write_ingest_write_is_byte_identical(tmp_path):
+    crlf = raw_row(3, source_before="a()\r\n{\r\n  b;\r\n}\r\n",
+                   source_after="a()\r\n{\r\n  c;\r\n}\r\n")
+    marked = raw_row(4, source_before=f"int f()\n{{\n{BUG_START} x;\n}}\n")
+    same = raw_row(5, source_after=raw_row(5)["source_before"])
+    path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0), blank_line_row(1), crlf, marked, same])
+    out1, out2 = tmp_path / "out1.jsonl", tmp_path / "out2.jsonl"
+    write_records_jsonl(ingest(path).records, str(out1))
+    second = ingest(str(out1))
+    assert second.quarantined == []
+    write_records_jsonl(second.records, str(out2))
+    assert out1.read_bytes() == out2.read_bytes()
+    assert [json.loads(line).get("reference_patch") for line in out1.read_text().splitlines()][4] == ""
+
+
+def test_stored_reference_is_checked_against_crlf_folded_after(tmp_path, monkeypatch):
+    rows = written_rows(tmp_path, [raw_row(0)])
+    for key in ("source_before", "source_after"):
+        rows[0][key] = rows[0][key].replace("\n", "\r\n")
+    calls = count_derives(monkeypatch)
+    result = ingest(write_jsonl(tmp_path / "crlf.jsonl", rows))
+    assert result.quarantined == []
+    assert calls == []
+    assert texts(result.records[0])[1] == raw_row(0)["source_after"]
+
+
+@pytest.mark.parametrize(
+    "field,value,reason",
+    [
+        ("source_after", "int f0(int n)\n{\n  if (n < 9) buf[n] = 0;\n  return n;\n}\n",
+         "reference_patch does not reproduce source_after"),
+        ("source_after", "int f0(int n)\n{\n  if (n < LEN) buf[n] = 0;\n  return n;\n}",
+         "reference_patch does not reproduce source_after"),
+        ("reference_patch", "1-3<MID>  if (n < 9) buf[n] = 0;",
+         "reference_patch does not reproduce source_after"),
+        ("reference_patch", "1:3<MID>x", "reference_patch does not parse: expected INT-INT<MID>"),
+        ("reference_patch", "3-1<MID>x", "reference_patch does not parse: span 3-1"),
+        ("reference_patch", "1-99<MID>x",
+         "reference_patch does not validate: span 0: span 1-99 outside [-1, 5]"),
+    ],
+)
+def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value, reason):
+    rows = written_rows(tmp_path, [raw_row(0), raw_row(1)])
+    rows[0][field] = value
+    calls = count_derives(monkeypatch)
+    result = ingest(write_jsonl(tmp_path / "bad.jsonl", rows))
+    assert [r.vuln.id for r in result.records] == ["rec-1"]
+    assert [q.record_id for q in result.quarantined] == ["rec-0"]
+    assert result.quarantined[0].reason.startswith(reason)
+    assert calls == []  # never re-derived
+
+
+@pytest.mark.parametrize("value", [5, ["1-3<MID>x"], {"a": 1}])
+def test_non_string_stored_reference_is_schema_error(tmp_path, value):
+    path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, reference_patch=value)])
+    with pytest.raises(SchemaError, match="'reference_patch' must be a string"):
+        ingest(path)
+
+
+def test_raw_rows_without_the_field_are_diffed(tmp_path, monkeypatch):
+    before = f"int f()\n{{\n{BUG_START}   buf[i] = 1;\n{BUG_END}   return 0;\n}}\n"
+    after = "int f()\n{\n  if (i < n) buf[i] = 1;\n  return 1;\n}\n"
+    rows = [
+        raw_row(0, source_before=before, source_after=after),
+        raw_row(1, source_before="x\ny\n", source_after="x\nz"),
+        raw_row(2),
+    ]
+    calls = count_derives(monkeypatch)
+    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert len(calls) == 3
+    assert [r.vuln.id for r in result.records] == ["rec-0", "rec-2"]
+    assert "trailing newline" in result.quarantined[0].reason
+    marked = result.records[0].vuln
+    assert marked.vuln_lines == (2, 3)
+    assert marked.source.lines[2] == "  buf[i] = 1;"
+    out = tmp_path / "out.jsonl"
+    write_records_jsonl(result.records, str(out))
+    again = ingest(str(out))
+    assert len(calls) == 3
+    assert again.records[0].vuln == marked
+
+
+def test_csv_reference_patch_cell(tmp_path, monkeypatch):
+    path = tmp_path / "r.csv"
+    fields = ["id", "cwe_id", "cwe_description", "source_before", "source_after",
+              "reference_patch", "split"]
+    stored = "1-3<MID>  if (n < LEN) buf[n] = 0;"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerow(raw_row(0, reference_patch=stored))
+        writer.writerow(raw_row(1, reference_patch=""))  # empty cell: absent
+        writer.writerow(raw_row(2, reference_patch=stored))  # does not fit row 2
+    calls = count_derives(monkeypatch)
+    result = ingest(str(path), fmt="csv")
+    assert len(calls) == 1
+    assert [r.vuln.id for r in result.records] == ["rec-0", "rec-1"]
+    assert serialize_patch(result.records[0].vuln.reference()) == stored
+    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+        ("rec-2", "reference_patch does not reproduce source_after")
+    ]
+
+
 def test_export_then_reingest_is_fixed_point(tmp_path):
     records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(0), raw_row(1)])).records
     out1 = tmp_path / "train1.jsonl"
@@ -388,52 +534,3 @@ def test_refine_ws_normalized_catches_indentation_variants():
     assert [r.vuln.id for r in kept_exact] == ["b"]
     kept_ws, _ = refine([a, spaced], test, "ws_normalized")
     assert kept_ws == []
-
-
-# --- validation split and stats ---------------------------------------------------------
-
-
-def test_split_validation_basic():
-    train = [simple_record(i) for i in range(20)]
-    kept, val = split_validation(train, 0.25, seed=7)
-    assert len(val) == 5
-    assert len(kept) == 15
-    assert all(r.split == "validation" for r in val)
-    assert all(r.split == "train" for r in kept)
-    # both halves keep the original relative order
-    ids = [r.vuln.id for r in train]
-    assert [r.vuln.id for r in kept] == [i for i in ids if i in {r.vuln.id for r in kept}]
-    assert [r.vuln.id for r in val] == [i for i in ids if i in {r.vuln.id for r in val}]
-
-
-def test_split_validation_seeded():
-    train = [simple_record(i) for i in range(30)]
-    _, val_a = split_validation(train, 0.2, seed=1)
-    _, val_b = split_validation(train, 0.2, seed=1)
-    _, val_c = split_validation(train, 0.2, seed=2)
-    assert [r.vuln.id for r in val_a] == [r.vuln.id for r in val_b]
-    assert [r.vuln.id for r in val_a] != [r.vuln.id for r in val_c]
-
-
-def test_split_validation_rounds_half_to_even():
-    train = [simple_record(i) for i in range(10)]
-    _, val = split_validation(train, 0.25, seed=0)
-    assert len(val) == 2  # round(2.5) == 2
-
-
-def test_split_validation_fraction_bounds():
-    train = [simple_record(0)]
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            split_validation(train, bad, seed=0)
-
-
-def test_stats_sorted_by_count_then_id():
-    records = (
-        [simple_record(i, cwe="CWE-79") for i in range(3)]
-        + [simple_record(i + 10, cwe="CWE-787") for i in range(3)]
-        + [simple_record(20, cwe="CWE-20")]
-    )
-    result = stats(records)
-    assert result.total == 7
-    assert list(result.per_cwe.items()) == [("CWE-787", 3), ("CWE-79", 3), ("CWE-20", 1)]

@@ -21,6 +21,7 @@ from linefix.patchfmt import (
     SpanKind,
     classify_span,
     parse_patch,
+    round_trips,
     serialize_patch,
 )
 from tests.conftest import VPX_REFERENCE_PATCH_TEXT
@@ -241,3 +242,41 @@ def test_patchset_rejects_exactly_the_conflicting_spans(spans):
     anchors = [(s.line_bef, s.line_af) for s in patch.spans]
     assert anchors == sorted((s.line_bef, s.line_af) for s in spans)
     assert parse_patch(serialize_patch(patch)) == patch
+
+
+@st.composite
+def blank_heavy_patchsets(draw):
+    """Disjoint spans, touching ones included, with bodies rich in empty lines."""
+    spans: list[EditSpan] = []
+    bef = -1
+    body_line = st.one_of(st.just(""), BODY_LINE)
+    for gap, width, body in draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, 3), st.lists(body_line, max_size=3)),
+        max_size=5,
+    )):
+        bef += gap
+        if spans and (bef, bef + width) == (spans[-1].line_bef, spans[-1].line_af):
+            width += 1
+        spans.append(EditSpan(bef, bef + width, tuple(body)))
+        bef += width - 1
+    return PatchSet(tuple(spans))
+
+
+@settings(deadline=None, max_examples=500)
+@given(blank_heavy_patchsets())
+def test_round_trips_predicts_the_text_round_trip(patch):
+    assert round_trips(patch) == (parse_patch(serialize_patch(patch)) == patch)
+
+
+@pytest.mark.parametrize(
+    "spans,expected",
+    [
+        ((), True),
+        ((EditSpan(1, 2, ("x", "")), EditSpan(4, 5, ("y",))), True),
+        ((EditSpan(1, 2, ("",)), EditSpan(4, 5, ("y",))), False),
+        ((EditSpan(1, 2, ("y",)), EditSpan(4, 5, ("x", ""))), False),
+        ((EditSpan(1, 3),), True),
+    ],
+)
+def test_round_trips_cases(spans, expected):
+    assert round_trips(PatchSet(spans)) is expected
