@@ -26,7 +26,7 @@ import ssl
 import threading
 import time
 import urllib.request
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from urllib.error import HTTPError, URLError
@@ -42,6 +42,13 @@ from linefix.errors import (
 )
 
 STRATEGIES = ("beam", "sample")
+
+
+def _check_type(config: object, name: str, types: tuple[type, ...], expected: str) -> None:
+    """Raise ValueError unless the field is an instance of ``types``; bools never pass."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,11 +70,9 @@ class DecodeConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if isinstance(self.temperature, bool) or not isinstance(self.temperature, (int, float)):
-            raise ValueError(f"temperature: expected a number, got {self.temperature!r}")
+        _check_type(self, "temperature", (int, float), "a number")
         object.__setattr__(self, "temperature", float(self.temperature))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, type(None))):
-            raise ValueError(f"seed: expected an integer or null, got {self.seed!r}")
+        _check_type(self, "seed", (int, type(None)), "an integer or null")
         if self.strategy == "sample" and self.temperature <= 0:
             raise ValueError("sampling requires temperature > 0")
         if not isinstance(self.stop_sequences, tuple):
@@ -88,6 +93,14 @@ class BackendSpec:
     extra_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_type(self, "endpoint", (str,), "a string")
+        _check_type(self, "model", (str,), "a string")
+        _check_type(self, "auth_env", (str, type(None)), "a string or null")
+        _check_type(self, "timeout_s", (int, float), "a number")
+        _check_type(self, "max_attempts", (int,), "an integer")
+        _check_type(self, "backoff_s", (int, float), "a number")
+        _check_type(self, "max_in_flight", (int,), "an integer")
+        _check_type(self, "extra_params", (Mapping,), "a mapping")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.max_in_flight < 1:

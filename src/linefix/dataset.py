@@ -4,21 +4,30 @@ Two on-disk schemas are understood and auto-detected per file:
 
 raw schema (JSONL or CSV)
     ``id, cve_id?, cwe_id, cwe_description, vuln_lines?, source_before,
-    source_after, reference_patch?, split``. ``vuln_lines`` falls back to the
+    source_after?, reference_patch?, split`` with at least one of
+    ``source_after`` and ``reference_patch``. ``vuln_lines`` falls back to the
     before-side changed lines of the reference patch. Sources carrying the
     upstream bug markers (``<S2SV_StartBug>`` / ``<S2SV_EndBug>``) are
     accepted: the markers are stripped and the marked lines become
     ``vuln_lines``.
 
-    Without ``reference_patch`` (every upstream file) the reference patch is
-    derived by diffing the two sources. write_records_jsonl stores the
-    serialized patch in that field whenever its text round-trips, so a file
-    linefix wrote is not diffed again when it is read: the stored patch is
-    parsed, applied to ``source_before`` and must reproduce ``source_after``
-    (CR-LF folded). A stored patch that does not parse, does not validate or
-    does not reproduce ``source_after`` quarantines the record; it is never
-    re-derived. In CSV an empty ``reference_patch`` cell means the field is
-    absent.
+    The fix is read in one of three ways:
+
+    * ``source_after`` only (every upstream file): the reference patch is
+      derived by diffing the two sources.
+    * ``reference_patch`` only: the patch is parsed and validated against
+      ``source_before``; the fixed source is the patch applied to it, so it
+      keeps ``source_before``'s trailing newline. write_records_jsonl writes
+      this form whenever the patch text round-trips, so a file linefix wrote
+      carries each fix once and is not diffed again when it is read.
+    * both: the stored patch is applied to ``source_before`` and must
+      reproduce ``source_after`` (CR-LF folded).
+
+    A stored patch that does not parse, does not validate, or does not
+    reproduce a given ``source_after`` quarantines the record; it is never
+    re-derived. A patch whose text would not round-trip is written as
+    ``source_after`` instead. In CSV an empty ``reference_patch`` cell means
+    the field is absent.
 
 training schema (JSONL)
     ``id, prompt, completion, cwe_id, split`` as written by export_jsonl;
@@ -49,6 +58,8 @@ from linefix.errors import (
     SchemaError,
 )
 from linefix.prompting import (
+    INST_CLOSE,
+    INST_OPEN,
     RESERVED_TOKENS,
     VulnRecord,
     parse_prompt,
@@ -63,7 +74,7 @@ FINGERPRINT_MODES = ("exact", "ws_normalized")
 BUG_START = "<S2SV_StartBug>"
 BUG_END = "<S2SV_EndBug>"
 
-_RAW_REQUIRED = ("id", "cwe_id", "cwe_description", "source_before", "source_after", "split")
+_RAW_REQUIRED = ("id", "cwe_id", "cwe_description", "source_before", "split")
 _TRAINING_REQUIRED = ("id", "cwe_id", "prompt", "completion", "split")
 
 _WS_RUN = re.compile(r"\s+")
@@ -227,32 +238,39 @@ def _stored_reference(src: SourceUnit, patch_text: str, raw_after: str) -> Patch
 
 
 def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
-    _require(row, _RAW_REQUIRED, path, line_no)
+    # the fix is source_after, reference_patch or both; each one given is type-checked
+    fix_fields = tuple(f for f in ("source_after", "reference_patch") if row.get(f) is not None)
+    _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)), path, line_no)
     split = row["split"]
     if split not in SPLITS:
         raise SchemaError(f"unknown split {split!r}", path=path, line_no=line_no)
-    raw_before, raw_after = row["source_before"], row["source_after"]
+    raw_before = row["source_before"]
+    raw_after = row.get("source_after")
     patch_text = row.get("reference_patch")
-    if patch_text is not None and not isinstance(patch_text, str):
-        raise SchemaError(
-            f"field 'reference_patch' must be a string, got {type(patch_text).__name__}",
-            path=path,
-            line_no=line_no,
-        )
 
     marker_lines: list[int] | None = None
     if BUG_START in raw_before or BUG_END in raw_before:
         raw_before, marker_lines = strip_bug_markers(raw_before)
 
     for token in RESERVED_TOKENS + (BUG_START, BUG_END):
-        if token in raw_before or token in raw_after:
+        if token in raw_before or (raw_after is not None and token in raw_after):
             raise InvalidRecord(f"source contains reserved token {token}")
+    if raw_after is None:
+        # <MID> and <sep> are the patch's own syntax; EditSpan rejects them in a body
+        for token in (INST_OPEN, INST_CLOSE, BUG_START, BUG_END):
+            if token in patch_text:
+                raise InvalidRecord(f"reference_patch contains reserved token {token}")
     if "\n" in row["cwe_description"]:
         raise InvalidRecord("cwe_description contains a line feed")
 
     src = from_text(raw_before)
     if patch_text is None:
         patch = derive_patch(src, from_text(raw_after))
+    elif raw_after is None:
+        try:
+            patch = parse_patch(patch_text)  # VulnRecord validates it against src
+        except PatchFormatError as exc:
+            raise InvalidRecord(f"reference_patch does not parse: {exc}") from None
     else:
         patch = _stored_reference(src, patch_text, raw_after)
 
@@ -275,7 +293,7 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
         cve_id=row.get("cve_id"),
         reference_patch=patch,
     )
-    if src.had_trailing_newline != raw_after.endswith("\n"):
+    if raw_after is not None and src.had_trailing_newline != raw_after.endswith("\n"):
         # the fixed source is rebuilt from the patch, which keeps before's flag
         raise InvalidRecord("source_before and source_after differ in their trailing newline")
     return DatasetRecord(split, vuln)
@@ -323,8 +341,9 @@ def ingest(path: str, fmt: str = "jsonl") -> IngestResult:
 def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
     """Write records back out in the raw schema (UTF-8, LF line ends).
 
-    ``reference_patch`` is written only when its text round-trips; without it
-    the record is diffed again when the file is read.
+    Each fix is written once: as ``reference_patch`` when its text
+    round-trips, otherwise as ``source_after``, which is diffed again when
+    the file is read.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
@@ -336,10 +355,11 @@ def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
                 "cwe_description": r.vuln.cwe_description,
                 "vuln_lines": list(r.vuln.vuln_lines),
                 "source_before": to_text(r.vuln.source),
-                "source_after": to_text(r.vuln.reference_after),
             }
             if round_trips(patch):
                 obj["reference_patch"] = serialize_patch(patch)
+            else:
+                obj["source_after"] = to_text(r.vuln.reference_after)
             obj["split"] = r.split
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 

@@ -25,7 +25,6 @@ class Issue:
 class ValidationReport:
     ok: bool
     issues: tuple[Issue, ...]
-    uses_sentinel: bool
 
     def summary(self) -> str:
         if self.ok:
@@ -44,8 +43,7 @@ def validate_patch(src: SourceUnit, patch: PatchSet) -> ValidationReport:
         for i, s in enumerate(patch.spans)
         if s.line_af > n
     )
-    uses_sentinel = any(s.line_bef == -1 or s.line_af == n for s in patch.spans)
-    return ValidationReport(not issues, issues, uses_sentinel)
+    return ValidationReport(not issues, issues)
 
 
 def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
@@ -60,7 +58,7 @@ def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
     out = list(src.lines)
     for s in reversed(patch.spans):
         out[s.line_bef + 1: s.line_af] = s.body
-    return SourceUnit(tuple(out), src.had_trailing_newline, src.newline_normalized)
+    return SourceUnit(tuple(out), src.had_trailing_newline)
 
 
 def derive_patch(before: SourceUnit, after: SourceUnit) -> PatchSet:

@@ -60,6 +60,12 @@ class VulnRecord:
         """Raise InvalidRecord on any invariant violation."""
         if not _CWE_RE.fullmatch(self.cwe_id):
             raise InvalidRecord(f"record {self.id!r}: bad cwe_id {self.cwe_id!r}")
+        if self.reference_patch is not None:
+            report = validate_patch(self.source, self.reference_patch)
+            if not report.ok:
+                raise InvalidRecord(
+                    f"record {self.id!r}: reference patch does not validate: {report.summary()}"
+                )
         n = len(self.source.lines)
         for ln in self.vuln_lines:
             if not 0 <= ln < n:
@@ -68,12 +74,6 @@ class VulnRecord:
                 )
         if any(a >= b for a, b in zip(self.vuln_lines, self.vuln_lines[1:])):
             raise InvalidRecord(f"record {self.id!r}: vuln_lines not strictly ascending")
-        if self.reference_patch is not None:
-            report = validate_patch(self.source, self.reference_patch)
-            if not report.ok:
-                raise InvalidRecord(
-                    f"record {self.id!r}: reference patch does not validate: {report.summary()}"
-                )
 
     def reference(self) -> PatchSet:
         """The reference patch; raises MissingReference when the record has none."""

@@ -1,8 +1,8 @@
 """Line-oriented source text with lossless round-tripping.
 
 Functions are line addressed: a source is a dense 0-based sequence of lines.
-CR-LF pairs are folded to LF once at ingestion and the fold is recorded, so
-everything downstream can assume LF-only text.
+CR-LF pairs are folded to LF once at ingestion, so everything downstream can
+assume LF-only text; ``to_text`` always writes LF.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ class SourceUnit:
     Attributes:
         lines: the text lines, without line terminators.
         had_trailing_newline: whether the original text ended with LF.
-        newline_normalized: whether CR-LF pairs were folded during ingestion.
     """
 
     lines: tuple[str, ...]
     had_trailing_newline: bool = False
-    newline_normalized: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.lines, tuple):
@@ -36,16 +34,13 @@ class SourceUnit:
 
 def from_text(text: str) -> SourceUnit:
     """Split text into a SourceUnit, folding CR-LF to LF."""
-    normalized = False
-    if "\r\n" in text:
-        text = text.replace("\r\n", "\n")
-        normalized = True
+    text = text.replace("\r\n", "\n")
     if text == "":
-        return SourceUnit((), had_trailing_newline=False, newline_normalized=normalized)
+        return SourceUnit(())
     trailing = text.endswith("\n")
     if trailing:
         text = text[:-1]
-    return SourceUnit(tuple(text.split("\n")), trailing, normalized)
+    return SourceUnit(tuple(text.split("\n")), trailing)
 
 
 def to_text(unit: SourceUnit) -> str:

@@ -84,6 +84,15 @@ def test_ingest_schema_error_exits_2(runner, tmp_path):
     assert "split" in result.output
 
 
+def test_ingest_row_without_a_fix_exits_2(runner, tmp_path):
+    row = raw_row(0)
+    del row["source_after"]
+    path = write_jsonl(tmp_path / "bad.jsonl", [row])
+    result = runner.invoke(main, ["ingest", "--input", path, "--out", str(tmp_path / "o.jsonl")])
+    assert result.exit_code == 2
+    assert "missing required field 'source_after'" in result.output
+
+
 def test_ingest_missing_file_exits_1(runner, tmp_path):
     result = runner.invoke(
         main, ["ingest", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]
@@ -426,6 +435,34 @@ def test_evaluate_bad_backend_config_exits_64(runner, eval_setup, tmp_path):
     result = runner.invoke(main, args)
     assert result.exit_code == 64
     assert "bad backend config" in result.output
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("endpoint: 5", "endpoint: expected a string, got 5"),
+        ("model: [a]", "model: expected a string, got ['a']"),
+        ("auth_env: 3", "auth_env: expected a string or null, got 3"),
+        ("timeout_s: abc", "timeout_s: expected a number, got 'abc'"),
+        ("max_attempts: 2.5", "max_attempts: expected an integer, got 2.5"),
+        ("backoff_s: true", "backoff_s: expected a number, got True"),
+        ("max_in_flight: 1.0", "max_in_flight: expected an integer, got 1.0"),
+        ("extra_params: [1]", "extra_params: expected a mapping, got [1]"),
+    ],
+)
+def test_evaluate_bad_backend_value_exits_64_before_ingest(runner, tmp_path, line, message):
+    backend_cfg = tmp_path / "backend.yaml"
+    backend_cfg.write_text(f"backend:\n  {line}\n")
+    args = [
+        "evaluate",
+        "--records", str(tmp_path / "absent.jsonl"),  # reading it would exit 1
+        "--backend-config", str(backend_cfg),
+        "--report-dir", str(tmp_path / "r"),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64
+    assert f"error: bad backend config: {message}" in result.output
+    assert not (tmp_path / "r").exists()
 
 
 def test_evaluate_missing_credential_exits_64_before_any_request(

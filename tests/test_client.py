@@ -66,6 +66,19 @@ def test_backend_spec_validation():
         BackendSpec(max_attempts=0)
     with pytest.raises(ValueError):
         BackendSpec(max_in_flight=0)
+    for bad in (
+        {"endpoint": None},
+        {"auth_env": b"TOKEN"},
+        {"timeout_s": "60"},
+        {"timeout_s": False},
+        {"max_attempts": True},
+        {"backoff_s": None},
+        {"max_in_flight": 2.0},
+        {"extra_params": [("k", 1)]},
+    ):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))}: expected"):
+            BackendSpec(**bad)
+    BackendSpec(timeout_s=5, backoff_s=0, auth_env="TOKEN", extra_params={"n": 1})
 
 
 # --- mock backend ----------------------------------------------------------------

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linefix.dataset import (
     BUG_END,
@@ -284,20 +288,28 @@ def written_rows(tmp_path, rows) -> list[dict]:
     return [json.loads(line) for line in out.read_text().splitlines()]
 
 
+def both_fields_row(i: int, **extra) -> dict:
+    """raw_row(i) that also carries its stored patch, as files once written held both."""
+    return raw_row(i, reference_patch=f"1-3<MID>  if (n < LEN) buf[n] = {i};", **extra)
+
+
 def test_written_file_reingests_without_diffing(tmp_path, monkeypatch):
     rows = written_rows(tmp_path, [raw_row(0), blank_line_row(1), raw_row(2, split="test")])
-    assert [list(r) for r in rows][0] == [
-        "id", "cve_id", "cwe_id", "cwe_description", "vuln_lines",
-        "source_before", "source_after", "reference_patch", "split",
+    head = ["id", "cve_id", "cwe_id", "cwe_description", "vuln_lines", "source_before"]
+    assert [list(r) for r in rows] == [
+        head + ["reference_patch", "split"],
+        head + ["source_after", "split"],  # its patch text would not round-trip
+        head + ["reference_patch", "split"],
     ]
     assert rows[0]["reference_patch"] == "1-3<MID>  if (n < LEN) buf[n] = 0;"
-    assert ["reference_patch" in r for r in rows] == [True, False, True]
+    assert rows[1]["source_after"] == blank_line_row(1)["source_after"]
     calls = count_derives(monkeypatch)
     result = ingest(write_jsonl(tmp_path / "again.jsonl", rows))
     assert result.quarantined == []
     assert [r.vuln.id for r in result.records] == ["rec-0", "rec-1", "rec-2"]
     assert len(calls) == 1  # only the blank-line record is diffed again
     assert serialize_patch(result.records[0].vuln.reference()) == rows[0]["reference_patch"]
+    assert texts(result.records[0])[1] == raw_row(0)["source_after"]
 
 
 def test_ingest_write_ingest_write_is_byte_identical(tmp_path):
@@ -316,14 +328,17 @@ def test_ingest_write_ingest_write_is_byte_identical(tmp_path):
 
 
 def test_stored_reference_is_checked_against_crlf_folded_after(tmp_path, monkeypatch):
-    rows = written_rows(tmp_path, [raw_row(0)])
+    row = both_fields_row(0)
     for key in ("source_before", "source_after"):
-        rows[0][key] = rows[0][key].replace("\n", "\r\n")
+        row[key] = row[key].replace("\n", "\r\n")
+    patch_only = both_fields_row(1, source_before=row["source_before"].replace("f0", "f1"))
+    del patch_only["source_after"]
     calls = count_derives(monkeypatch)
-    result = ingest(write_jsonl(tmp_path / "crlf.jsonl", rows))
+    result = ingest(write_jsonl(tmp_path / "crlf.jsonl", [row, patch_only]))
     assert result.quarantined == []
     assert calls == []
     assert texts(result.records[0])[1] == raw_row(0)["source_after"]
+    assert texts(result.records[1])[1] == raw_row(1)["source_after"]
 
 
 @pytest.mark.parametrize(
@@ -342,7 +357,7 @@ def test_stored_reference_is_checked_against_crlf_folded_after(tmp_path, monkeyp
     ],
 )
 def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value, reason):
-    rows = written_rows(tmp_path, [raw_row(0), raw_row(1)])
+    rows = [both_fields_row(0), both_fields_row(1)]
     rows[0][field] = value
     calls = count_derives(monkeypatch)
     result = ingest(write_jsonl(tmp_path / "bad.jsonl", rows))
@@ -352,11 +367,80 @@ def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value
     assert calls == []  # never re-derived
 
 
+@pytest.mark.parametrize(
+    "patch,reason",
+    [
+        ("1:3<MID>x", "reference_patch does not parse: expected INT-INT<MID>"),
+        ("3-1<MID>x", "reference_patch does not parse: span 3-1"),
+        ("1-4<MID>a<sep>2-5<MID>b", "reference_patch does not parse: span 1-4 overlaps 2-5"),
+        ("1-3<MID>x <MID> y", "reference_patch does not parse: body lines must not contain"),
+        ("1-99<MID>x", "record 'rec-0': reference patch does not validate: "
+                       "span 0: span 1-99 outside [-1, 5]"),
+        ("1-3<MID>  [INST] x;", "reference_patch contains reserved token [INST]"),
+        ("1-3<MID>  x;\n[/INST]", "reference_patch contains reserved token [/INST]"),
+        (f"1-3<MID>{BUG_START} x;", f"reference_patch contains reserved token {BUG_START}"),
+        (f"0-1<MID>a<sep>1-3<MID>x; {BUG_END}",
+         f"reference_patch contains reserved token {BUG_END}"),
+    ],
+)
+def test_bad_patch_only_row_is_quarantined(tmp_path, monkeypatch, patch, reason):
+    rows = [raw_row(0, reference_patch=patch), both_fields_row(1)]
+    for row in rows:
+        del row["source_after"]
+    calls = count_derives(monkeypatch)
+    result = ingest(write_jsonl(tmp_path / "bad.jsonl", rows))
+    assert [r.vuln.id for r in result.records] == ["rec-1"]
+    assert [q.record_id for q in result.quarantined] == ["rec-0"]
+    assert result.quarantined[0].reason.startswith(reason)
+    assert calls == []
+
+
 @pytest.mark.parametrize("value", [5, ["1-3<MID>x"], {"a": 1}])
 def test_non_string_stored_reference_is_schema_error(tmp_path, value):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, reference_patch=value)])
     with pytest.raises(SchemaError, match="'reference_patch' must be a string"):
         ingest(path)
+
+
+def test_fix_fields_are_type_checked_and_one_is_required(tmp_path):
+    row = both_fields_row(0, source_after=5)
+    with pytest.raises(SchemaError, match="'source_after' must be a string"):
+        ingest(write_jsonl(tmp_path / "typed.jsonl", [row]))
+    row = raw_row(0, source_after=None)
+    with pytest.raises(SchemaError, match="missing required field 'source_after'") as err:
+        ingest(write_jsonl(tmp_path / "neither.jsonl", [raw_row(1), row]))
+    assert err.value.line_no == 2
+
+
+# lines rich in blanks: a lone inserted blank line is the patch text cannot carry
+BLANKISH_LINE = st.sampled_from(["", "", "", " ", "x;", "}"])
+
+
+@st.composite
+def blank_heavy_text(draw) -> str:
+    lines = draw(st.lists(BLANKISH_LINE, max_size=7))
+    return "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(blank_heavy_text(), blank_heavy_text()), min_size=1, max_size=4))
+def test_written_records_are_a_fixed_point(pairs):
+    rows = [raw_row(i, source_before=b, source_after=a) for i, (b, a) in enumerate(pairs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        first = ingest(write_jsonl(d / "in.jsonl", rows))
+        write_records_jsonl(first.records, str(d / "out1.jsonl"))
+        second = ingest(str(d / "out1.jsonl"))
+        write_records_jsonl(second.records, str(d / "out2.jsonl"))
+        out1 = (d / "out1.jsonl").read_bytes()
+        assert out1 == (d / "out2.jsonl").read_bytes()
+    assert second.quarantined == []
+    assert second.records == first.records
+    written = [json.loads(line) for line in out1.decode("utf-8").splitlines()]
+    after = {row["id"]: row["source_after"] for row in rows}
+    for record, row in zip(first.records, written):
+        assert ("source_after" in row) != ("reference_patch" in row)
+        assert texts(record)[1] == after[record.vuln.id]
 
 
 def test_raw_rows_without_the_field_are_diffed(tmp_path, monkeypatch):

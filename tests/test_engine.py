@@ -38,7 +38,6 @@ def test_validate_ok_patch():
     report = validate_patch(SRC, PatchSet((EditSpan(2, 4, ("x",)),)))
     assert report.ok
     assert report.issues == ()
-    assert not report.uses_sentinel
     assert report.summary() == "ok"
 
 
@@ -54,13 +53,6 @@ def test_validate_duplicate_and_overlap():
         PatchSet((EditSpan(1, 3, ("a",)), EditSpan(1, 3, ("b",))))
     with pytest.raises(ConflictingSpans, match="span 1-5 overlaps 2-7"):
         PatchSet((EditSpan(1, 5, ("a",)), EditSpan(2, 7, ("b",))))
-
-
-def test_validate_sentinel_flag():
-    assert validate_patch(SRC, PatchSet((EditSpan(-1, 1, ("top",)),))).uses_sentinel
-    n = len(SRC.lines)
-    assert validate_patch(SRC, PatchSet((EditSpan(n - 1, n, ("end",)),))).uses_sentinel
-    assert not validate_patch(SRC, PatchSet((EditSpan(0, 2, ("x",)),))).uses_sentinel
 
 
 # --- application ----------------------------------------------------------------
@@ -98,10 +90,10 @@ def test_apply_empty_patch_is_identity():
 
 
 def test_apply_preserves_flags():
-    src = SourceUnit(("a", "b"), had_trailing_newline=False, newline_normalized=True)
-    out = apply_patch(src, PatchSet((EditSpan(0, 1, ("x",)),)))
-    assert not out.had_trailing_newline
-    assert out.newline_normalized
+    for flag in (False, True):
+        src = SourceUnit(("a", "b"), had_trailing_newline=flag)
+        out = apply_patch(src, PatchSet((EditSpan(0, 1, ("x",)),)))
+        assert out == SourceUnit(("a", "x", "b"), had_trailing_newline=flag)
 
 
 def test_apply_rejects_invalid():

@@ -41,13 +41,10 @@ def test_lone_newline_is_one_empty_line():
 def test_crlf_folded_once_and_flagged():
     unit = from_text("a\r\nb\r\n")
     assert unit.lines == ("a", "b")
-    assert unit.newline_normalized
     assert unit.had_trailing_newline
     assert to_text(unit) == "a\nb\n"
-
-
-def test_lf_only_text_not_flagged_as_normalized():
-    assert not from_text("a\nb").newline_normalized
+    # the fold leaves no trace: equal lines make equal units
+    assert unit == from_text("a\nb\n")
 
 
 def test_lines_reject_embedded_newline():
