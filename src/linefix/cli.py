@@ -61,20 +61,6 @@ def _write_manifest(path: str, command: str, inputs: dict, config: dict, **extra
     _write_json(path, {"command": command, "inputs": inputs, "config": config, **extra})
 
 
-def _exact_int(value: object) -> int:
-    """``value`` if it is an integer as written; ``1.9`` or ``true`` is an error, not a cast."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _string_list(value: object) -> tuple[str, ...]:
-    """``value`` as a tuple if it is a list of strings; a bare string is an error."""
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ValueError(f"expected a list of strings, got {value!r}")
-    return tuple(value)
-
-
 def _ingest_or_die(path: str, fmt: str = "jsonl") -> ds.IngestResult:
     try:
         return ds.ingest(path, fmt)
@@ -281,21 +267,18 @@ def evaluate_cmd(
     try:
         decode_cfg = dict(file_cfg.get("decode", {}))
         given: dict = {}
-        for name, flag, section, key, cast in (
-            ("strategy", strategy, decode_cfg, "strategy", None),
-            ("k", k, decode_cfg, "k", _exact_int),
-            ("temperature", temperature, decode_cfg, "temperature", None),
-            ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens", _exact_int),
-            ("stop_sequences", stop_sequences or None, decode_cfg, "stop", _string_list),
-            ("seed", seed, file_cfg, "seed", None),
+        for name, flag, section, key in (
+            ("strategy", strategy, decode_cfg, "strategy"),
+            ("k", k, decode_cfg, "k"),
+            ("temperature", temperature, decode_cfg, "temperature"),
+            ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens"),
+            ("stop_sequences", stop_sequences or None, decode_cfg, "stop"),
+            ("seed", seed, file_cfg, "seed"),
         ):
             if flag is not None:
                 given[name] = flag
             elif key in section:
-                try:
-                    given[name] = cast(section[key]) if cast else section[key]
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{key}: {exc}") from None
+                given[name] = section[key]
         cfg = DecodeConfig(**given)
     except (TypeError, ValueError) as exc:
         _fail(EXIT_USAGE, f"bad decode config: {exc}")

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import ssl
 import threading
 import time
 import urllib.request
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from urllib.error import HTTPError, URLError
@@ -51,6 +52,14 @@ def _check_type(config: object, name: str, types: tuple[type, ...], expected: st
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
+def _check_int(config: object, name: str) -> None:
+    """``_check_type`` for an int field that also takes an integral float, stored as an int."""
+    value = getattr(config, name)
+    if isinstance(value, float) and value.is_integer():
+        object.__setattr__(config, name, int(value))
+    _check_type(config, name, (int,), "an integer")
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
     """How candidates are decoded; temperature only applies to sampling.
@@ -68,15 +77,21 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        _check_int(self, "k")
+        _check_int(self, "max_new_tokens")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         _check_type(self, "temperature", (int, float), "a number")
         object.__setattr__(self, "temperature", float(self.temperature))
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature: expected a finite number, got {self.temperature!r}")
         _check_type(self, "seed", (int, type(None)), "an integer or null")
         if self.strategy == "sample" and self.temperature <= 0:
             raise ValueError("sampling requires temperature > 0")
-        if not isinstance(self.stop_sequences, tuple):
-            object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
+        stops = self.stop_sequences
+        if not isinstance(stops, (list, tuple)) or not all(isinstance(s, str) for s in stops):
+            raise ValueError(f"stop_sequences: expected a list of strings, got {stops!r}")
+        object.__setattr__(self, "stop_sequences", tuple(stops))
 
 
 @dataclass
@@ -333,7 +348,6 @@ def generate_batch(
     prompts: Sequence[tuple[str, str]],
     cfg: DecodeConfig,
     backend,
-    progress: Callable[[int, int], None] | None = None,
 ) -> BatchResult:
     """Generate for (sample_id, prompt) pairs with bounded concurrency.
 
@@ -345,16 +359,13 @@ def generate_batch(
     ids = [sid for sid, _ in prompts]
     if len(set(ids)) != len(ids):
         raise ValueError("sample ids must be unique within a batch")
-    total = len(prompts)
-    done = 0
-    done_lock = threading.Lock()
 
     def one(item: tuple[str, str]) -> CandidateSet:
         sid, prompt = item
         try:
-            outcome = generate(prompt, cfg, backend, sample_id=sid)
+            return generate(prompt, cfg, backend, sample_id=sid)
         except GenerationError as exc:
-            outcome = CandidateSet(
+            return CandidateSet(
                 sample_id=sid,
                 candidates=[],
                 tokens_generated=[],
@@ -363,12 +374,6 @@ def generate_batch(
                 attempts=exc.attempts,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        if progress is not None:
-            nonlocal done
-            with done_lock:
-                done += 1
-                progress(done, total)
-        return outcome
 
     start = time.perf_counter()
     max_workers = max(1, backend.spec.max_in_flight)

@@ -84,26 +84,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(
-            pp_hits=data["pp_hits"],
-            pp_total=data["pp_total"],
-            pp_rate=data["pp_rate"],
-            per_cwe=[CweRow(**row) for row in data["per_cwe"]],
-            efficiency=EfficiencyStats(**data["efficiency"]),
-            format_error_count=data["format_error_count"],
-            applied_equivalent_misses=data["applied_equivalent_misses"],
-            backend_error_count=data["backend_error_count"],
-            tokens_estimated=data["tokens_estimated"],
-            time_synthetic=data["time_synthetic"],
-            samples=[SampleResult(**s) for s in data["samples"]],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_dict(json.loads(text))
-
 
 def efficiency(samples: int, total_time_s: float, total_tokens: int = 0) -> EfficiencyStats:
     """Throughput as evaluated samples per second of total wall time."""
@@ -127,15 +107,11 @@ def is_perfect(candidate: str, reference: str, *, strict: bool = False) -> bool:
 
 
 def first_hit_index(candidates: list[str], reference: str, *, strict: bool = False) -> int | None:
+    """Index of the first perfect candidate, or None; an empty list never hits."""
     for i, c in enumerate(candidates):
         if is_perfect(c, reference, strict=strict):
             return i
     return None
-
-
-def sample_hit(candidates: list[str], reference: str, *, strict: bool = False) -> bool:
-    """Whether any candidate is perfect; an empty candidate list never hits."""
-    return first_hit_index(candidates, reference, strict=strict) is not None
 
 
 def _applies_as(src: SourceUnit, patch: PatchSet, expected: SourceUnit) -> bool:
@@ -152,7 +128,6 @@ def evaluate(
     *,
     cwe_order: tuple[str, ...] = DEFAULT_CWE_ORDER,
     strict: bool = False,
-    progress=None,
 ) -> EvalReport:
     """Generate k candidates per record and score them.
 
@@ -163,7 +138,7 @@ def evaluate(
         raise EmptyEvaluation("no records to evaluate")
     references = [r.reference() for r in records]
     prompts = [(r.id, build_prompt(r)) for r in records]
-    batch = generate_batch(prompts, cfg, backend, progress=progress)
+    batch = generate_batch(prompts, cfg, backend)
     return score_batch(
         records, references, batch, cwe_order=cwe_order, strict=strict
     )

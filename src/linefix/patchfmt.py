@@ -23,7 +23,6 @@ this rule; callers that store patch text check it instead of restating it.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -41,13 +40,6 @@ SEP = "<sep>"
 
 _HEADER_RE = re.compile(r"(-?\d+)-(-?\d+)<MID>")
 _ANCHORS = attrgetter("line_bef", "line_af")
-
-
-class SpanKind(enum.Enum):
-    INSERTION = "insertion"
-    REPLACEMENT = "replacement"
-    DELETION = "deletion"
-    NOOP = "noop"
 
 
 @dataclass(frozen=True)
@@ -138,11 +130,3 @@ def round_trips(patch: PatchSet) -> bool:
     """Whether ``parse_patch(serialize_patch(patch)) == patch``."""
     spans = patch.spans
     return all(s.body != ("",) for s in spans) and not (spans and spans[-1].body[-1:] == ("",))
-
-
-def classify_span(span: EditSpan) -> SpanKind:
-    """Classify a span; total over all valid spans."""
-    consecutive = span.line_af == span.line_bef + 1
-    if span.body:
-        return SpanKind.INSERTION if consecutive else SpanKind.REPLACEMENT
-    return SpanKind.NOOP if consecutive else SpanKind.DELETION

@@ -338,9 +338,10 @@ def test_evaluate_bad_decode_value_exits_64(runner, eval_setup, tmp_path, value)
 @pytest.mark.parametrize(
     "line,message",
     [
-        ('stop: "[/INST]"', "stop: expected a list of strings, got '[/INST]'"),
-        ("stop: [1, 2]", "stop: expected a list of strings, got [1, 2]"),
+        ('stop: "[/INST]"', "stop_sequences: expected a list of strings, got '[/INST]'"),
+        ("stop: [1, 2]", "stop_sequences: expected a list of strings, got [1, 2]"),
         ("k: 1.9", "k: expected an integer, got 1.9"),
+        ("k: .inf", "k: expected an integer, got inf"),
         ("k: true", "k: expected an integer, got True"),
         ("max_new_tokens: 2.5", "max_new_tokens: expected an integer, got 2.5"),
     ],
@@ -369,6 +370,7 @@ def test_evaluate_decode_value_not_coerced(runner, eval_setup, tmp_path, line, m
         ("seed: 1.5\n", "seed: expected an integer or null, got 1.5"),
         ('decode:\n  temperature: "0.5"\n', "temperature: expected a number, got '0.5'"),
         ("decode:\n  temperature: true\n", "temperature: expected a number, got True"),
+        ("decode:\n  temperature: .nan\n", "temperature: expected a finite number, got nan"),
     ],
 )
 def test_evaluate_bad_seed_or_temperature_exits_64(runner, eval_setup, tmp_path, text, message):

@@ -61,6 +61,26 @@ def test_decode_config_coerces_stop_tuple():
     assert DecodeConfig(stop_sequences=["[/INST]"]).stop_sequences == ("[/INST]",)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("k", 2.5),
+        ("k", True),
+        ("k", "3"),
+        ("k", float("inf")),
+        ("max_new_tokens", "9"),
+        ("max_new_tokens", 2.5),
+        ("stop_sequences", "ab"),
+        ("stop_sequences", [1]),
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+    ],
+)
+def test_decode_config_rejects_bad_value(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: expected"):
+        DecodeConfig(**{field: value})
+
+
 def test_backend_spec_validation():
     with pytest.raises(ValueError):
         BackendSpec(max_attempts=0)
@@ -206,18 +226,6 @@ def test_batch_concurrency_does_not_change_results():
     threaded = generate_batch(prompts, CFG, mock_backend(samples, spec))
     assert serial.outcomes == threaded.outcomes
     assert serial.total_time_s == threaded.total_time_s
-
-
-def test_batch_progress_callback():
-    samples = {f"s{i}": {"candidates": ["a"]} for i in range(5)}
-    calls: list[tuple[int, int]] = []
-    generate_batch(
-        [(f"s{i}", "p") for i in range(5)],
-        CFG,
-        mock_backend(samples),
-        progress=lambda done, total: calls.append((done, total)),
-    )
-    assert calls == [(i, 5) for i in range(1, 6)]
 
 
 # --- HTTP backend -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Patch grammar: parsing, serialization, span validation, classification."""
+"""Patch grammar: parsing, serialization, span validation."""
 
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from linefix.errors import (
 from linefix.patchfmt import (
     EditSpan,
     PatchSet,
-    SpanKind,
-    classify_span,
     parse_patch,
     round_trips,
     serialize_patch,
@@ -68,7 +66,6 @@ def test_parse_multi_span():
 def test_parse_empty_body_is_deletion():
     patch = parse_patch("4-7<MID>")
     assert patch.spans[0].body == ()
-    assert classify_span(patch.spans[0]) is SpanKind.DELETION
 
 
 def test_parse_sentinel_header():
@@ -149,13 +146,6 @@ def test_span_rejects_reserved_tokens_in_body():
 def test_span_replaced_range():
     assert list(EditSpan(2, 5).replaced_range()) == [3, 4]
     assert list(EditSpan(2, 3).replaced_range()) == []
-
-
-def test_classify_is_total():
-    assert classify_span(EditSpan(2, 3, ("x",))) is SpanKind.INSERTION
-    assert classify_span(EditSpan(2, 5, ("x",))) is SpanKind.REPLACEMENT
-    assert classify_span(EditSpan(2, 5, ())) is SpanKind.DELETION
-    assert classify_span(EditSpan(2, 3, ())) is SpanKind.NOOP
 
 
 # --- serialization ----------------------------------------------------------
