@@ -15,6 +15,10 @@ against the system's CA store. ``generate`` retries timeouts, transport
 faults, malformed answers, 5xx, 408 and 429 with exponential backoff, and
 fails at once on any other 4xx and on errors no retry can cure (an unknown
 sample id, an unsupported decoding strategy).
+
+``generate_batch`` runs up to ``BackendSpec.max_in_flight`` requests at once
+on a thread pool. With one in-flight slot it needs no pool: it generates on
+the caller's thread, one sample after the other.
 """
 
 from __future__ import annotations
@@ -52,6 +56,22 @@ def _check_type(config: object, name: str, types: tuple[type, ...], expected: st
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
+def _check_finite(config: object, name: str) -> float:
+    """``_check_type`` for a real number a float can hold; returns it as a float.
+
+    nan, the infinities and ints too large for a float raise ValueError.
+    """
+    _check_type(config, name, (int, float), "a number")
+    value = getattr(config, name)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: expected a finite number, got an int too large for a float")
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: expected a finite number, got {number!r}")
+    return number
+
+
 def _check_int(config: object, name: str) -> None:
     """``_check_type`` for an int field that also takes an integral float, stored as an int."""
     value = getattr(config, name)
@@ -81,10 +101,7 @@ class DecodeConfig:
         _check_int(self, "max_new_tokens")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        _check_type(self, "temperature", (int, float), "a number")
-        object.__setattr__(self, "temperature", float(self.temperature))
-        if not math.isfinite(self.temperature):
-            raise ValueError(f"temperature: expected a finite number, got {self.temperature!r}")
+        object.__setattr__(self, "temperature", _check_finite(self, "temperature"))
         _check_type(self, "seed", (int, type(None)), "an integer or null")
         if self.strategy == "sample" and self.temperature <= 0:
             raise ValueError("sampling requires temperature > 0")
@@ -111,9 +128,11 @@ class BackendSpec:
         _check_type(self, "endpoint", (str,), "a string")
         _check_type(self, "model", (str,), "a string")
         _check_type(self, "auth_env", (str, type(None)), "a string or null")
-        _check_type(self, "timeout_s", (int, float), "a number")
+        if _check_finite(self, "timeout_s") <= 0:
+            raise ValueError(f"timeout_s: expected a number > 0, got {self.timeout_s!r}")
         _check_type(self, "max_attempts", (int,), "an integer")
-        _check_type(self, "backoff_s", (int, float), "a number")
+        if _check_finite(self, "backoff_s") < 0:
+            raise ValueError(f"backoff_s: expected a number >= 0, got {self.backoff_s!r}")
         _check_type(self, "max_in_flight", (int,), "an integer")
         _check_type(self, "extra_params", (Mapping,), "a mapping")
         if self.max_attempts < 1:
@@ -351,10 +370,12 @@ def generate_batch(
 ) -> BatchResult:
     """Generate for (sample_id, prompt) pairs with bounded concurrency.
 
-    Outcomes come back in input order; a failed sample becomes an error-bearing
-    CandidateSet rather than aborting the batch. Total time is measured once
-    around the whole batch, or summed from scripted latencies for a synthetic
-    backend so reports stay reproducible.
+    Up to ``backend.spec.max_in_flight`` samples run at once on a thread pool;
+    with one slot they run in order on the caller's thread. Outcomes come back
+    in input order; a failed sample becomes an error-bearing CandidateSet
+    rather than aborting the batch. Total time is measured once around the
+    whole batch, or summed from scripted latencies for a synthetic backend so
+    reports stay reproducible.
     """
     ids = [sid for sid, _ in prompts]
     if len(set(ids)) != len(ids):
@@ -376,9 +397,12 @@ def generate_batch(
             )
 
     start = time.perf_counter()
-    max_workers = max(1, backend.spec.max_in_flight)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        outcomes = list(pool.map(one, prompts))
+    in_flight = backend.spec.max_in_flight
+    if in_flight <= 1:
+        outcomes = list(map(one, prompts))
+    else:
+        with ThreadPoolExecutor(max_workers=in_flight) as pool:
+            outcomes = list(pool.map(one, prompts))
     elapsed = time.perf_counter() - start
     synthetic = bool(getattr(backend, "synthetic", False))
     if synthetic:

@@ -46,7 +46,7 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from linefix.engine import apply_patch, changed_before_lines, derive_patch
 from linefix.errors import (
@@ -304,12 +304,9 @@ def _record_from_training(row: dict, path: str, line_no: int) -> DatasetRecord:
     split = row["split"]
     if split not in SPLITS:
         raise SchemaError(f"unknown split {split!r}", path=path, line_no=line_no)
-    parsed = parse_prompt(row["prompt"])
-    if parsed.cwe_id != row["cwe_id"]:
-        raise InvalidRecord(
-            f"cwe_id field {row['cwe_id']!r} disagrees with prompt {parsed.cwe_id!r}"
-        )
-    vuln = replace(parsed, id=row["id"], reference_patch=parse_patch(row["completion"]))
+    vuln = parse_prompt(
+        row["prompt"], id=row["id"], cwe_id=row["cwe_id"], completion=row["completion"]
+    )
     return DatasetRecord(split, vuln)
 
 

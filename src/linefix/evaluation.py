@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from linefix.client import BatchResult, DecodeConfig, generate_batch
 from linefix.engine import apply_patch
@@ -78,11 +78,8 @@ class EvalReport:
     time_synthetic: bool
     samples: list[SampleResult] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(self, default=vars, indent=2, ensure_ascii=False) + "\n"
 
 
 def efficiency(samples: int, total_time_s: float, total_tokens: int = 0) -> EfficiencyStats:

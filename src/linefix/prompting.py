@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from linefix.engine import apply_patch, validate_patch
 from linefix.errors import InvalidRecord, MalformedPrompt, MissingReference
-from linefix.patchfmt import MID, SEP, PatchSet, serialize_patch
-from linefix.source import SourceUnit, number_lines
+from linefix.patchfmt import MID, SEP, PatchSet, parse_patch, serialize_patch
+from linefix.source import SourceUnit, line_prefixes, number_lines
 
 logger = logging.getLogger(__name__)
 
@@ -100,12 +100,19 @@ def build_prompt(record: VulnRecord) -> str:
     return f"{header}\n{number_lines(record.source)}\n{INST_CLOSE}"
 
 
-def parse_prompt(text: str) -> VulnRecord:
+def parse_prompt(
+    text: str, *, id: str = "", cwe_id: str | None = None, completion: str | None = None
+) -> VulnRecord:
     """Recover the record from a prompt built by build_prompt.
 
-    The returned record has an empty id and no reference. Raises
-    MalformedPrompt when the layout does not match and InvalidRecord when the
-    recovered fields break a record invariant.
+    With the prompt alone the record has an empty id and no reference. A
+    training row also passes its ``id``, its ``cwe_id`` field, which must
+    agree with the prompt's, and its ``completion``, parsed as the reference
+    patch; the record is then built and validated once.
+
+    Errors are reported in this order: MalformedPrompt for the layout,
+    InvalidRecord for a disagreeing ``cwe_id``, PatchFormatError for the
+    completion, then InvalidRecord for a broken record invariant.
     """
     if not text.startswith(INST_OPEN):
         raise MalformedPrompt(f"prompt must start with {INST_OPEN}")
@@ -118,20 +125,24 @@ def parse_prompt(text: str) -> VulnRecord:
     m = _HEADER_RE.fullmatch(header)
     if m is None:
         raise MalformedPrompt(f"bad prompt header: {header[:60]!r}")
-    vuln_lines = tuple(int(t) for t in m.group(1).split())
-    lines = []
+    lines: tuple[str, ...] = ()
     if numbered:
-        for i, line in enumerate(numbered.split("\n")):
-            prefix = f"{i} "
-            if not line.startswith(prefix):
-                raise MalformedPrompt(f"source line {i} not numbered as {prefix!r}")
-            lines.append(line[len(prefix):])
+        numbered_lines = numbered.split("\n")
+        prefixes = line_prefixes(len(numbered_lines))
+        if not all(map(str.startswith, numbered_lines, prefixes)):
+            for i, (line, prefix) in enumerate(zip(numbered_lines, prefixes)):
+                if not line.startswith(prefix):
+                    raise MalformedPrompt(f"source line {i} not numbered as {prefix!r}")
+        lines = tuple(map(str.removeprefix, numbered_lines, prefixes))
+    if cwe_id is not None and cwe_id != m.group(2):
+        raise InvalidRecord(f"cwe_id field {cwe_id!r} disagrees with prompt {m.group(2)!r}")
     return VulnRecord(
-        id="",
+        id=id,
         cwe_id=m.group(2),
         cwe_description=m.group(3),
-        vuln_lines=vuln_lines,
-        source=SourceUnit(tuple(lines)),
+        vuln_lines=tuple(int(t) for t in m.group(1).split()),
+        source=SourceUnit(lines),
+        reference_patch=None if completion is None else parse_patch(completion),
     )
 
 

@@ -3,11 +3,22 @@
 Functions are line addressed: a source is a dense 0-based sequence of lines.
 CR-LF pairs are folded to LF once at ingestion, so everything downstream can
 assume LF-only text; ``to_text`` always writes LF.
+
+Prompts number their lines ``"0 "``, ``"1 "``, ... (``number_lines``, and
+``prompting.parse_prompt`` on the way back). Both take those prefixes from
+one shared table, ``line_prefixes``, instead of formatting an integer per
+line. The table starts empty and grows on demand, never at import. Growing
+builds a new, longer tuple and rebinds the module name; the old tuple is
+never changed. A thread that reads the name while another grows it therefore
+sees either the old or the new table, each complete, and needs no lock.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+_PREFIXES: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,17 @@ def to_text(unit: SourceUnit) -> str:
     return text
 
 
+def line_prefixes(n: int) -> tuple[str, ...]:
+    """The numbering prefixes ``"0 "``, ``"1 "``, ...: at least ``n`` of them."""
+    global _PREFIXES
+    table = _PREFIXES
+    if len(table) < n:
+        table += tuple(f"{i} " for i in range(len(table), max(n, 2 * len(table), 256)))
+        _PREFIXES = table
+    return table
+
+
 def number_lines(unit: SourceUnit) -> str:
     """Render each line as ``<decimal index><one space><line>``, LF separated."""
-    return "\n".join(f"{i} {line}" for i, line in enumerate(unit.lines))
+    lines = unit.lines
+    return "\n".join(map(operator.add, line_prefixes(len(lines)), lines))

@@ -116,6 +116,11 @@ def reference_edit_runs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, i
     return runs
 
 
+def reference_number_lines(unit: SourceUnit) -> str:
+    """``source.number_lines`` as one f-string per line; oracle for the prefix table."""
+    return "\n".join(f"{i} {line}" for i, line in enumerate(unit.lines))
+
+
 def footprint(span: EditSpan) -> set[int]:
     """Half-line positions a span rewrites: line i is 2i, the gap after it 2i+1.
 

@@ -371,6 +371,11 @@ def test_evaluate_decode_value_not_coerced(runner, eval_setup, tmp_path, line, m
         ('decode:\n  temperature: "0.5"\n', "temperature: expected a number, got '0.5'"),
         ("decode:\n  temperature: true\n", "temperature: expected a number, got True"),
         ("decode:\n  temperature: .nan\n", "temperature: expected a finite number, got nan"),
+        pytest.param(
+            f"decode:\n  temperature: 1{'0' * 400}\n",
+            "temperature: expected a finite number, got an int too large for a float",
+            id="temperature: 401-digit int",
+        ),
     ],
 )
 def test_evaluate_bad_seed_or_temperature_exits_64(runner, eval_setup, tmp_path, text, message):
@@ -450,6 +455,16 @@ def test_evaluate_bad_backend_config_exits_64(runner, eval_setup, tmp_path):
         ("backoff_s: true", "backoff_s: expected a number, got True"),
         ("max_in_flight: 1.0", "max_in_flight: expected an integer, got 1.0"),
         ("extra_params: [1]", "extra_params: expected a mapping, got [1]"),
+        ("timeout_s: -1", "timeout_s: expected a number > 0, got -1"),
+        ("timeout_s: 0", "timeout_s: expected a number > 0, got 0"),
+        ("timeout_s: .nan", "timeout_s: expected a finite number, got nan"),
+        pytest.param(
+            f"timeout_s: 1{'0' * 400}",
+            "timeout_s: expected a finite number, got an int too large for a float",
+            id="timeout_s: 401-digit int",
+        ),
+        ("backoff_s: -0.5", "backoff_s: expected a number >= 0, got -0.5"),
+        ("backoff_s: .inf", "backoff_s: expected a finite number, got inf"),
     ],
 )
 def test_evaluate_bad_backend_value_exits_64_before_ingest(runner, tmp_path, line, message):

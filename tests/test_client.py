@@ -74,6 +74,7 @@ def test_decode_config_coerces_stop_tuple():
         ("stop_sequences", [1]),
         ("temperature", float("nan")),
         ("temperature", float("inf")),
+        pytest.param("temperature", 10**400, id="temperature-401-digit int"),
     ],
 )
 def test_decode_config_rejects_bad_value(field, value):
@@ -95,6 +96,12 @@ def test_backend_spec_validation():
         {"backoff_s": None},
         {"max_in_flight": 2.0},
         {"extra_params": [("k", 1)]},
+        {"timeout_s": -1},
+        {"timeout_s": 0},
+        {"timeout_s": float("nan")},
+        {"timeout_s": 10**400},
+        {"backoff_s": -0.5},
+        {"backoff_s": float("inf")},
     ):
         with pytest.raises(ValueError, match=f"{next(iter(bad))}: expected"):
             BackendSpec(**bad)
@@ -228,6 +235,20 @@ def test_batch_concurrency_does_not_change_results():
     assert serial.total_time_s == threaded.total_time_s
 
 
+@pytest.mark.parametrize("in_flight,on_caller", [(1, True), (3, False)])
+def test_batch_single_slot_runs_on_caller_thread(in_flight, on_caller):
+    samples = {f"s{i}": {"candidates": [f"c{i}"]} for i in range(6)}
+    backend = mock_backend(samples, BackendSpec(endpoint="mock:", max_in_flight=in_flight))
+    threads = []
+    complete = backend.complete
+    backend.complete = lambda *a: threads.append(threading.get_ident()) or complete(*a)
+    result = generate_batch([(f"s{i}", f"p{i}") for i in range(6)], CFG, backend)
+    assert [o.candidates[0] for o in result.outcomes] == [f"c{i}" for i in range(6)]
+    assert len(threads) == 6
+    caller = threading.get_ident()
+    assert [t == caller for t in threads] == [on_caller] * 6
+
+
 # --- HTTP backend -------------------------------------------------------------------
 
 
@@ -236,11 +257,14 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _send(self, code: int, body: bytes, ctype: str = "application/json"):
-        self.send_response(code)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(code)
+            self.send_header("Content-Type", ctype)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # /slow answers after the client has timed out on purpose
 
     def do_POST(self):
         n = int(self.headers.get("Content-Length", 0))

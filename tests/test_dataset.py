@@ -532,6 +532,36 @@ def test_training_rows_cwe_mismatch_quarantined(tmp_path):
     assert len(result.quarantined) == 1
 
 
+def test_training_rows_validate_each_record_once(tmp_path, monkeypatch):
+    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(i) for i in range(3)])).records
+    out = tmp_path / "t.jsonl"
+    export_jsonl(records, str(out))
+    calls = []
+    validate = VulnRecord.validate
+    monkeypatch.setattr(
+        VulnRecord, "validate", lambda self: calls.append(self.id) or validate(self)
+    )
+    result = ingest(str(out))
+    assert [r.vuln.reference_patch for r in result.records] == [
+        r.vuln.reference_patch for r in records
+    ]
+    assert calls == ["rec-0", "rec-1", "rec-2"]
+
+
+def test_training_row_invariant_reason_names_the_row(tmp_path):
+    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)])).records
+    out = tmp_path / "t.jsonl"
+    export_jsonl(records, str(out))
+    row = json.loads(out.read_text().splitlines()[0])
+    assert row["prompt"].startswith("[INST]2 CWE-787 ")
+    row["prompt"] = row["prompt"].replace("[INST]2 ", "[INST]9 ", 1)
+    result = ingest(write_jsonl(tmp_path / "bad.jsonl", [row]))
+    assert result.records == []
+    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+        ("rec-0", "record 'rec-0': vuln line 9 outside [0, 5)")
+    ]
+
+
 # --- fingerprints -------------------------------------------------------------------
 
 

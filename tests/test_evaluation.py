@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from linefix.client import BackendSpec, DecodeConfig, MockBackend, generate_batch
@@ -229,6 +232,12 @@ def test_score_batch_reusable_without_backend():
 
 def test_render_json_matches_to_json(mixed_report):
     assert render_report(mixed_report, "json") == mixed_report.to_json()
+
+
+def test_to_json_matches_asdict_rendering(mixed_report):
+    """Serializing through ``vars`` writes the bytes a deep ``asdict`` copy would."""
+    expected = json.dumps(dataclasses.asdict(mixed_report), indent=2, ensure_ascii=False)
+    assert mixed_report.to_json() == expected + "\n"
 
 
 def test_render_csv(mixed_report):

@@ -9,8 +9,8 @@ import random
 import pytest
 
 from linefix.engine import derive_patch
-from linefix.errors import InvalidRecord, MalformedPrompt, MissingReference
-from linefix.patchfmt import EditSpan, PatchSet
+from linefix.errors import InvalidRecord, MalformedHeader, MalformedPrompt, MissingReference
+from linefix.patchfmt import EditSpan, PatchSet, serialize_patch
 from linefix.prompting import (
     VulnRecord,
     build_prompt,
@@ -160,6 +160,59 @@ def test_parse_empty_source_block():
     record = _record(source=SourceUnit(()), vuln_lines=())
     parsed = parse_prompt(build_prompt(record))
     assert parsed.source.lines == ()
+
+
+def test_parse_roundtrip_long_sources():
+    """Sources longer than the prefix table's first size make it grow."""
+    rng = random.Random(0x10C)
+    for n in (300, 1_000, *(rng.randint(300, 1_000) for _ in range(6))):
+        lines = tuple(rng.choice(LINE_POOL) for _ in range(n))
+        fix = rng.randrange(n)
+        record = _record(
+            id=f"long-{n}",
+            vuln_lines=tuple(sorted(rng.sample(range(n), 3))),
+            source=SourceUnit(lines),
+            reference_patch=PatchSet((EditSpan(fix - 1, fix + 1, ("    fixed();",)),)),
+        )
+        prompt = build_prompt(record)
+        parsed = parse_prompt(prompt)
+        assert parsed == dataclasses.replace(record, id="", reference_patch=None)
+        assert parse_prompt(
+            prompt,
+            id=record.id,
+            cwe_id=record.cwe_id,
+            completion=serialize_patch(record.reference_patch),
+        ) == record
+
+
+@pytest.mark.parametrize("bad", [0, 1, 255, 256, 299])
+def test_parse_names_first_misnumbered_line(bad):
+    lines = [f"{i} x" for i in range(300)]
+    lines[bad] = f"{bad}x"
+    lines[-1] = "7 later damage is not reported"
+    text = "[INST]CWE-20 d\n" + "\n".join(lines) + "\n[/INST]"
+    with pytest.raises(MalformedPrompt, match=f"^source line {bad} not numbered as '{bad} '$"):
+        parse_prompt(text)
+
+
+@pytest.mark.parametrize(
+    "prompt,cwe_id,completion,error,message",
+    [
+        # layout first, even when every later check would fail too
+        ("[INST]7 CWE-20 d\n0a\n[/INST]", "CWE-1", "x", MalformedPrompt, "source line 0"),
+        # then the cwe_id field, before the completion is parsed
+        ("[INST]7 CWE-20 d\n0 a\n[/INST]", "CWE-1", "x", InvalidRecord, "disagrees"),
+        # then the completion, before the record invariants
+        ("[INST]7 CWE-20 d\n0 a\n[/INST]", "CWE-20", "x", MalformedHeader, None),
+        # the invariants name the row's id
+        ("[INST]7 CWE-20 d\n0 a\n[/INST]", "CWE-20", "-1-1<MID>b", InvalidRecord,
+         "^record 'row-9': vuln line 7 outside"),
+    ],
+    ids=["layout", "cwe_id", "completion", "invariants"],
+)
+def test_parse_training_fields_error_order(prompt, cwe_id, completion, error, message):
+    with pytest.raises(error, match=message):
+        parse_prompt(prompt, id="row-9", cwe_id=cwe_id, completion=completion)
 
 
 # --- training examples --------------------------------------------------------

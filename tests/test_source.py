@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import random
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linefix import source
 from linefix.source import SourceUnit, from_text, number_lines, to_text
+from tests.helpers import LINE_POOL, reference_number_lines
 
 LINE = st.text(alphabet=st.characters(blacklist_characters="\n\r"), max_size=12)
 
@@ -64,6 +72,53 @@ def test_number_lines_layout():
 
 def test_number_lines_empty():
     assert number_lines(SourceUnit(())) == ""
+
+
+def test_number_lines_matches_reference():
+    rng = random.Random(0x5EED)
+    # sizes past the prefix table's first size make it grow, twice
+    for n in (0, 1, 2, 9, 10, 11, 255, 256, 257, 600, 1_500, 3):
+        unit = SourceUnit(tuple(rng.choice(LINE_POOL) for _ in range(n)))
+        assert number_lines(unit) == reference_number_lines(unit)
+
+
+def test_number_lines_under_concurrent_table_growth(monkeypatch):
+    """Threads numbering sources while the table grows never see a partial table."""
+    monkeypatch.setattr(source, "_PREFIXES", ())
+    rng = random.Random(7)
+    units = [SourceUnit(tuple(rng.choice(LINE_POOL) for _ in range(n)))
+             for n in (3, 120, 300, 700, 1_300, 2_600)]
+    expected = [reference_number_lines(u) for u in units]
+    workers = min(64, len(os.sched_getaffinity(0)) + 4)  # more threads than cores
+    deadline = time.monotonic() + 1.0
+    mismatches: list[int] = []
+    rounds = [0] * workers
+
+    def work(w: int) -> None:
+        order = list(range(len(units)))
+        random.Random(w).shuffle(order)
+        while time.monotonic() < deadline:
+            for i in order:
+                if number_lines(units[i]) != expected[i]:
+                    mismatches.append(len(units[i].lines))
+            rounds[w] += 1
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        while time.monotonic() < deadline:
+            source._PREFIXES = ()  # start the growth race again
+            time.sleep(0.001)
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(rounds)
+    assert mismatches == []
 
 
 def test_empty_unit_has_no_trailing_newline():
