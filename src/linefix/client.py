@@ -17,8 +17,7 @@ fails at once on any other 4xx and on errors no retry can cure (an unknown
 sample id, an unsupported decoding strategy).
 
 ``generate_batch`` runs up to ``BackendSpec.max_in_flight`` requests at once
-on a thread pool. With one in-flight slot it needs no pool: it generates on
-the caller's thread, one sample after the other.
+on a thread pool, one worker per slot, also when there is only one slot.
 """
 
 from __future__ import annotations
@@ -370,12 +369,13 @@ def generate_batch(
 ) -> BatchResult:
     """Generate for (sample_id, prompt) pairs with bounded concurrency.
 
-    Up to ``backend.spec.max_in_flight`` samples run at once on a thread pool;
-    with one slot they run in order on the caller's thread. Outcomes come back
-    in input order; a failed sample becomes an error-bearing CandidateSet
-    rather than aborting the batch. Total time is measured once around the
-    whole batch, or summed from scripted latencies for a synthetic backend so
-    reports stay reproducible.
+    Up to ``backend.spec.max_in_flight`` samples run at once on a thread
+    pool, also with one slot: generating on the caller's thread instead made
+    mock evaluations swing between two speeds from run to run on a shared
+    2-vCPU host. Outcomes come back in input order; a failed sample becomes
+    an error-bearing CandidateSet rather than aborting the batch. Total time
+    is measured once around the whole batch, or summed from scripted
+    latencies for a synthetic backend so reports stay reproducible.
     """
     ids = [sid for sid, _ in prompts]
     if len(set(ids)) != len(ids):
@@ -397,12 +397,9 @@ def generate_batch(
             )
 
     start = time.perf_counter()
-    in_flight = backend.spec.max_in_flight
-    if in_flight <= 1:
-        outcomes = list(map(one, prompts))
-    else:
-        with ThreadPoolExecutor(max_workers=in_flight) as pool:
-            outcomes = list(pool.map(one, prompts))
+    max_workers = max(1, backend.spec.max_in_flight)
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        outcomes = list(pool.map(one, prompts))
     elapsed = time.perf_counter() - start
     synthetic = bool(getattr(backend, "synthetic", False))
     if synthetic:

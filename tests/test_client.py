@@ -235,20 +235,6 @@ def test_batch_concurrency_does_not_change_results():
     assert serial.total_time_s == threaded.total_time_s
 
 
-@pytest.mark.parametrize("in_flight,on_caller", [(1, True), (3, False)])
-def test_batch_single_slot_runs_on_caller_thread(in_flight, on_caller):
-    samples = {f"s{i}": {"candidates": [f"c{i}"]} for i in range(6)}
-    backend = mock_backend(samples, BackendSpec(endpoint="mock:", max_in_flight=in_flight))
-    threads = []
-    complete = backend.complete
-    backend.complete = lambda *a: threads.append(threading.get_ident()) or complete(*a)
-    result = generate_batch([(f"s{i}", f"p{i}") for i in range(6)], CFG, backend)
-    assert [o.candidates[0] for o in result.outcomes] == [f"c{i}" for i in range(6)]
-    assert len(threads) == 6
-    caller = threading.get_ident()
-    assert [t == caller for t in threads] == [on_caller] * 6
-
-
 # --- HTTP backend -------------------------------------------------------------------
 
 
