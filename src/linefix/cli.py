@@ -164,22 +164,23 @@ def export_train(records_path: str, out_path: str) -> None:
     """Write prompt/completion pairs for training."""
     result = _ingest_or_die(records_path)
     try:
-        export = ds.export_jsonl(result.records, out_path)
+        written = ds.export_jsonl(result.records, out_path)
+        # every ingested record is exported; only the input's ingest quarantines
         _write_json(
             out_path + ".quarantine.json",
-            {"quarantined": [q.to_dict() for q in export.quarantined]},
+            {"quarantined": [q.to_dict() for q in result.quarantined]},
         )
         _write_manifest(
             out_path + ".manifest.json",
             "export-train",
             {"records": records_path},
             {},
-            written=export.written,
-            quarantined=len(export.quarantined) + len(result.quarantined),
+            written=written,
+            quarantined=len(result.quarantined),
         )
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
-    click.echo(f"wrote {export.written} examples -> {out_path}", err=True)
+    click.echo(f"wrote {written} examples -> {out_path}", err=True)
 
 
 @main.command("apply")
@@ -193,10 +194,7 @@ def apply_cmd(source_path: str, patch_path: str) -> None:
         with open(patch_path, encoding="utf-8") as fh:
             patch = parse_patch(fh.read())
         result = apply_patch(src, patch)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-        return
-    except LinefixError as exc:
+    except (OSError, LinefixError) as exc:
         _fail(EXIT_IO, str(exc))
         return
     sys.stdout.write(to_text(result))

@@ -36,7 +36,8 @@ training schema (JSONL)
 
 Structural problems (missing fields, undecodable rows) raise SchemaError.
 Records that decode but violate an invariant are quarantined with a reason,
-never silently dropped.
+never silently dropped. Every record that is kept carries its reference
+patch, so export_jsonl writes one training row for each.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from linefix.errors import (
     InvalidPatch,
     InvalidRecord,
     LinefixError,
-    MissingReference,
     PatchFormatError,
     SchemaError,
 )
@@ -86,12 +86,6 @@ class DatasetRecord:
 
     split: str
     vuln: VulnRecord
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    digest: str  # sha256 hex, 256 bits
-    mode: str
 
 
 @dataclass
@@ -134,12 +128,6 @@ class SplitManifest:
             "mode": self.mode,
             "seed": self.seed,
         }
-
-
-@dataclass
-class ExportResult:
-    written: int
-    quarantined: list[QuarantineEntry] = field(default_factory=list)
 
 
 # --- reading ----------------------------------------------------------------
@@ -344,7 +332,7 @@ def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
-            patch = r.vuln.reference()
+            patch = r.vuln.reference_patch
             obj = {
                 "id": r.vuln.id,
                 "cve_id": r.vuln.cve_id,
@@ -361,17 +349,11 @@ def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def export_jsonl(records: list[DatasetRecord], path: str) -> ExportResult:
-    """Write the training schema; records without a reference are quarantined."""
-    written = 0
-    quarantined: list[QuarantineEntry] = []
+def export_jsonl(records: list[DatasetRecord], path: str) -> int:
+    """Write the training schema, one row per record; returns the rows written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
-            try:
-                example = render_training_example(r.vuln)
-            except MissingReference as exc:
-                quarantined.append(QuarantineEntry(reason=str(exc), record_id=r.vuln.id))
-                continue
+            example = render_training_example(r.vuln)
             obj = {
                 "id": r.vuln.id,
                 "prompt": example.prompt,
@@ -380,8 +362,7 @@ def export_jsonl(records: list[DatasetRecord], path: str) -> ExportResult:
                 "split": r.split,
             }
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-            written += 1
-    return ExportResult(written, quarantined)
+    return len(records)
 
 
 # --- fingerprinting and refinement -------------------------------------------
@@ -391,8 +372,8 @@ def _squash_ws(text: str) -> str:
     return _WS_RUN.sub(" ", text).strip()
 
 
-def compute_fingerprint(record: DatasetRecord, mode: str = "exact") -> Fingerprint:
-    """Content hash over the before-source and the serialized reference patch.
+def compute_fingerprint(record: DatasetRecord, mode: str = "exact") -> str:
+    """Sha256 hex digest over the before-source and the serialized reference patch.
 
     ``exact`` hashes bytes as-is; ``ws_normalized`` first collapses every
     whitespace run to one space and trims the ends, so indentation-only
@@ -401,18 +382,17 @@ def compute_fingerprint(record: DatasetRecord, mode: str = "exact") -> Fingerpri
     if mode not in FINGERPRINT_MODES:
         raise ValueError(f"unknown fingerprint mode {mode!r}")
     src_text = "\n".join(record.vuln.source.lines)
-    patch_text = serialize_patch(record.vuln.reference())
+    patch_text = serialize_patch(record.vuln.reference_patch)
     if mode == "ws_normalized":
         src_text = _squash_ws(src_text)
         patch_text = _squash_ws(patch_text)
-    digest = hashlib.sha256(
+    return hashlib.sha256(
         src_text.encode("utf-8") + b"\x00" + patch_text.encode("utf-8")
     ).hexdigest()
-    return Fingerprint(digest, mode)
 
 
 def _digests(records: list[DatasetRecord], mode: str) -> list[str]:
-    return [compute_fingerprint(r, mode).digest for r in records]
+    return [compute_fingerprint(r, mode) for r in records]
 
 
 def detect_overlap(

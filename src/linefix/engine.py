@@ -6,44 +6,25 @@ the input source carries through to the result unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from linefix.errors import InvalidPatch
 from linefix.linediff import edit_runs
 from linefix.patchfmt import EditSpan, PatchSet
 from linefix.source import SourceUnit
 
 
-@dataclass(frozen=True)
-class Issue:
-    span_index: int
-    kind: str  # "OutOfRange"
-    message: str
+def validate_patch(src: SourceUnit, patch: PatchSet) -> None:
+    """Raise InvalidPatch unless every span lies within the source.
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    issues: tuple[Issue, ...]
-
-    def summary(self) -> str:
-        if self.ok:
-            return "ok"
-        return "; ".join(f"span {i.span_index}: {i.message}" for i in self.issues)
-
-
-def validate_patch(src: SourceUnit, patch: PatchSet) -> ValidationReport:
-    """Check that every span lies within the source; reports instead of raising.
-
-    ``span_index`` counts in the patch's anchor order.
+    The message names each out-of-range span by its index in anchor order.
     """
     n = len(src.lines)
-    issues = tuple(
-        Issue(i, "OutOfRange", f"span {s.line_bef}-{s.line_af} outside [-1, {n}]")
+    issues = [
+        f"span {i}: span {s.line_bef}-{s.line_af} outside [-1, {n}]"
         for i, s in enumerate(patch.spans)
         if s.line_af > n
-    )
-    return ValidationReport(not issues, issues)
+    ]
+    if issues:
+        raise InvalidPatch("; ".join(issues))
 
 
 def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
@@ -52,9 +33,7 @@ def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
     Spans are spliced in descending (line_bef, line_af) order, so every span
     addresses original line numbers.
     """
-    report = validate_patch(src, patch)
-    if not report.ok:
-        raise InvalidPatch(report.summary())
+    validate_patch(src, patch)
     out = list(src.lines)
     for s in reversed(patch.spans):
         out[s.line_bef + 1: s.line_af] = s.body

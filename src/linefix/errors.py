@@ -56,10 +56,6 @@ class InvalidRecord(LinefixError):
     """
 
 
-class MissingReference(LinefixError):
-    """Record carries no reference patch."""
-
-
 # --- dataset ---------------------------------------------------------------
 
 

@@ -1,12 +1,13 @@
 """Exact-match scoring, per-CWE breakdown, and throughput reporting.
 
-A candidate is perfect when it is byte-identical to the reference after
-trimming at most one trailing LF from each side; every interior byte,
-indentation included, is significant. A sample counts as a hit when any of
-its k candidates is perfect. Malformed candidates and backend failures score
-as misses and are tallied separately; patches that parse, validate, and apply
-to the same result as the reference without matching byte-wise are surfaced
-as a diagnostic only and never folded into the headline rate.
+Every record carries its reference patch. A candidate is perfect when it is
+byte-identical to that patch's serialized text after trimming at most one
+trailing LF from each side; every interior byte, indentation included, is
+significant. A sample counts as a hit when any of its k candidates is
+perfect. Malformed candidates and backend failures score as misses and are
+tallied separately; patches that parse, validate, and apply to the same
+result as the reference without matching byte-wise are surfaced as a
+diagnostic only and never folded into the headline rate.
 """
 
 from __future__ import annotations
@@ -126,24 +127,19 @@ def evaluate(
     cwe_order: tuple[str, ...] = DEFAULT_CWE_ORDER,
     strict: bool = False,
 ) -> EvalReport:
-    """Generate k candidates per record and score them.
+    """Generate k candidates per record and score them against its reference patch.
 
-    Raises EmptyEvaluation on an empty record list and MissingReference when a
-    record has no reference patch to score against.
+    Raises EmptyEvaluation on an empty record list.
     """
     if not records:
         raise EmptyEvaluation("no records to evaluate")
-    references = [r.reference() for r in records]
     prompts = [(r.id, build_prompt(r)) for r in records]
     batch = generate_batch(prompts, cfg, backend)
-    return score_batch(
-        records, references, batch, cwe_order=cwe_order, strict=strict
-    )
+    return score_batch(records, batch, cwe_order=cwe_order, strict=strict)
 
 
 def score_batch(
     records: list[VulnRecord],
-    references: list[PatchSet],
     batch: BatchResult,
     *,
     cwe_order: tuple[str, ...] = DEFAULT_CWE_ORDER,
@@ -151,9 +147,9 @@ def score_batch(
 ) -> EvalReport:
     """Score already-generated outcomes; kept separate for reuse in tests.
 
-    A candidate hits when its text matches the serialized reference. For a
-    miss, each parsed candidate that applies is compared with the reference's
-    result on the record's source.
+    A candidate hits when its text matches the record's serialized reference
+    patch. For a miss, each parsed candidate that applies is compared with the
+    reference's result on the record's source.
     """
     hits = 0
     format_errors = 0
@@ -165,7 +161,7 @@ def score_batch(
     cwe_hits: dict[str, int] = {c: 0 for c in [*cwe_order, OTHER_CWE]}
     cwe_totals: dict[str, int] = {c: 0 for c in [*cwe_order, OTHER_CWE]}
 
-    for record, ref_patch, outcome in zip(records, references, batch.outcomes):
+    for record, outcome in zip(records, batch.outcomes):
         bucket = record.cwe_id if record.cwe_id in cwe_order else OTHER_CWE
         cwe_totals[bucket] += 1
         total_tokens += sum(outcome.tokens_generated)
@@ -189,14 +185,15 @@ def score_batch(
                 sample_format_errors += 1
         format_errors += sample_format_errors
 
-        idx = first_hit_index(outcome.candidates, serialize_patch(ref_patch), strict=strict)
+        reference = serialize_patch(record.reference_patch)
+        idx = first_hit_index(outcome.candidates, reference, strict=strict)
         hit = idx is not None
         applied_equiv = False
         if hit:
             hits += 1
             cwe_hits[bucket] += 1
         else:
-            ref_after = apply_patch(record.source, ref_patch)
+            ref_after = record.reference_after
             applied_equiv = any(
                 p is not None and _applies_as(record.source, p, ref_after) for p in parsed
             )

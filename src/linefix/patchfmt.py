@@ -38,7 +38,7 @@ from linefix.errors import (
 MID = "<MID>"
 SEP = "<sep>"
 
-_HEADER_RE = re.compile(r"(-?\d+)-(-?\d+)<MID>")
+_HEADER_RE = re.compile(r"(-?[0-9]+)-(-?[0-9]+)<MID>")
 _ANCHORS = attrgetter("line_bef", "line_af")
 
 

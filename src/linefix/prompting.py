@@ -7,8 +7,10 @@ Layout, byte for byte::
     [/INST]
 
 The numbered block is ``number_lines(source)``; with an LF-free description
-the prompt is exactly ``2 + len(source.lines)`` lines. ``parse_prompt``
-recovers the record fields so exported prompts can be audited mechanically.
+the prompt is exactly ``2 + len(source.lines)`` lines. Every record carries
+its reference patch. ``parse_prompt`` takes a prompt and its training
+completion back to the record, so it inverts ``render_training_example`` and
+exported rows can be audited mechanically.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from linefix.engine import apply_patch, validate_patch
-from linefix.errors import InvalidRecord, MalformedPrompt, MissingReference
+from linefix.errors import InvalidPatch, InvalidRecord, MalformedPrompt
 from linefix.patchfmt import MID, SEP, PatchSet, parse_patch, serialize_patch
 from linefix.source import SourceUnit, line_prefixes, number_lines
 
@@ -29,9 +31,10 @@ INST_CLOSE = "[/INST]"
 
 RESERVED_TOKENS = (INST_OPEN, INST_CLOSE, MID, SEP)
 
-_CWE_RE = re.compile(r"CWE-\d+")
-# optional leading space covers the empty vuln_lines case
-_HEADER_RE = re.compile(r" ?((?:\d+ )*)(CWE-\d+) (.*)")
+_CWE_RE = re.compile(r"CWE-[0-9]+")
+# exactly what build_prompt writes: canonical line numbers, each followed by a
+# space, or a lone space when there are none
+_HEADER_RE = re.compile(r"((?:(?:0|[1-9][0-9]*) )+| )(CWE-[0-9]+) (.*)")
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class VulnRecord:
     cwe_description: str
     vuln_lines: tuple[int, ...]
     source: SourceUnit
+    reference_patch: PatchSet
     cve_id: str | None = None
-    reference_patch: PatchSet | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.vuln_lines, tuple):
@@ -60,12 +63,12 @@ class VulnRecord:
         """Raise InvalidRecord on any invariant violation."""
         if not _CWE_RE.fullmatch(self.cwe_id):
             raise InvalidRecord(f"record {self.id!r}: bad cwe_id {self.cwe_id!r}")
-        if self.reference_patch is not None:
-            report = validate_patch(self.source, self.reference_patch)
-            if not report.ok:
-                raise InvalidRecord(
-                    f"record {self.id!r}: reference patch does not validate: {report.summary()}"
-                )
+        try:
+            validate_patch(self.source, self.reference_patch)
+        except InvalidPatch as exc:
+            raise InvalidRecord(
+                f"record {self.id!r}: reference patch does not validate: {exc}"
+            ) from None
         n = len(self.source.lines)
         for ln in self.vuln_lines:
             if not 0 <= ln < n:
@@ -75,16 +78,10 @@ class VulnRecord:
         if any(a >= b for a, b in zip(self.vuln_lines, self.vuln_lines[1:])):
             raise InvalidRecord(f"record {self.id!r}: vuln_lines not strictly ascending")
 
-    def reference(self) -> PatchSet:
-        """The reference patch; raises MissingReference when the record has none."""
-        if self.reference_patch is None:
-            raise MissingReference(f"record {self.id!r} has no reference fix")
-        return self.reference_patch
-
     @property
     def reference_after(self) -> SourceUnit:
         """The fixed source: the reference patch applied to ``source``."""
-        return apply_patch(self.source, self.reference())
+        return apply_patch(self.source, self.reference_patch)
 
 
 @dataclass(frozen=True)
@@ -101,14 +98,14 @@ def build_prompt(record: VulnRecord) -> str:
 
 
 def parse_prompt(
-    text: str, *, id: str = "", cwe_id: str | None = None, completion: str | None = None
+    text: str, *, completion: str, id: str = "", cwe_id: str | None = None
 ) -> VulnRecord:
-    """Recover the record from a prompt built by build_prompt.
+    """Recover the record from a training example; inverse of render_training_example.
 
-    With the prompt alone the record has an empty id and no reference. A
-    training row also passes its ``id``, its ``cwe_id`` field, which must
-    agree with the prompt's, and its ``completion``, parsed as the reference
-    patch; the record is then built and validated once.
+    ``completion`` is parsed as the reference patch. A training row also
+    passes its ``id`` and its ``cwe_id`` field, which must agree with the
+    prompt's; the record is built and validated once. The header must be
+    exactly what build_prompt writes.
 
     Errors are reported in this order: MalformedPrompt for the layout,
     InvalidRecord for a disagreeing ``cwe_id``, PatchFormatError for the
@@ -142,16 +139,13 @@ def parse_prompt(
         cwe_description=m.group(3),
         vuln_lines=tuple(int(t) for t in m.group(1).split()),
         source=SourceUnit(lines),
-        reference_patch=None if completion is None else parse_patch(completion),
+        reference_patch=parse_patch(completion),
     )
 
 
 def render_training_example(record: VulnRecord) -> TrainingExample:
-    """Prompt plus serialized reference patch.
-
-    Raises MissingReference when the record carries no reference patch.
-    """
-    patch = record.reference()
+    """Prompt plus serialized reference patch."""
+    patch = record.reference_patch
     if not patch.spans:
         logger.warning("record %s: reference fix is an empty patch", record.id)
     return TrainingExample(build_prompt(record), serialize_patch(patch))

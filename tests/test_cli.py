@@ -159,6 +159,23 @@ def test_export_train(runner, corpus):
     assert manifest["written"] == 8
 
 
+def test_export_train_quarantine_file_lists_ingest_quarantines(runner, tmp_path):
+    records = write_jsonl(
+        tmp_path / "records.jsonl", [raw_row(0), raw_row(1, cwe="CWE-XX"), raw_row(2)]
+    )
+    out = tmp_path / "examples.jsonl"
+    result = runner.invoke(main, ["export-train", "--records", records, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(out.read_text().splitlines()) == 2
+    quarantined = json.loads((tmp_path / "examples.jsonl.quarantine.json").read_text())["quarantined"]
+    assert quarantined == [
+        {"record_id": "rec-1", "line_no": 2, "reason": "record 'rec-1': bad cwe_id 'CWE-XX'"}
+    ]
+    manifest = json.loads((tmp_path / "examples.jsonl.manifest.json").read_text())
+    assert manifest["written"] == 2
+    assert manifest["quarantined"] == len(quarantined)
+
+
 # --- apply / derive ---------------------------------------------------------------------
 
 

@@ -308,7 +308,7 @@ def test_written_file_reingests_without_diffing(tmp_path, monkeypatch):
     assert result.quarantined == []
     assert [r.vuln.id for r in result.records] == ["rec-0", "rec-1", "rec-2"]
     assert len(calls) == 1  # only the blank-line record is diffed again
-    assert serialize_patch(result.records[0].vuln.reference()) == rows[0]["reference_patch"]
+    assert serialize_patch(result.records[0].vuln.reference_patch) == rows[0]["reference_patch"]
     assert texts(result.records[0])[1] == raw_row(0)["source_after"]
 
 
@@ -481,7 +481,7 @@ def test_csv_reference_patch_cell(tmp_path, monkeypatch):
     result = ingest(str(path), fmt="csv")
     assert len(calls) == 1
     assert [r.vuln.id for r in result.records] == ["rec-0", "rec-1"]
-    assert serialize_patch(result.records[0].vuln.reference()) == stored
+    assert serialize_patch(result.records[0].vuln.reference_patch) == stored
     assert [(q.record_id, q.reason) for q in result.quarantined] == [
         ("rec-2", "reference_patch does not reproduce source_after")
     ]
@@ -490,9 +490,7 @@ def test_csv_reference_patch_cell(tmp_path, monkeypatch):
 def test_export_then_reingest_is_fixed_point(tmp_path):
     records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(0), raw_row(1)])).records
     out1 = tmp_path / "train1.jsonl"
-    export = export_jsonl(records, str(out1))
-    assert export.written == 2
-    assert export.quarantined == []
+    assert export_jsonl(records, str(out1)) == 2
     back = ingest(str(out1))
     assert back.quarantined == []
     assert [r.vuln.id for r in back.records] == ["rec-0", "rec-1"]
@@ -500,24 +498,6 @@ def test_export_then_reingest_is_fixed_point(tmp_path):
     out2 = tmp_path / "train2.jsonl"
     export_jsonl(back.records, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_export_quarantines_missing_reference(tmp_path):
-    rec = simple_record(0)
-    bare = DatasetRecord(
-        rec.split,
-        VulnRecord(
-            id="no-ref",
-            cwe_id="CWE-20",
-            cwe_description="d.",
-            vuln_lines=(),
-            source=rec.vuln.source,
-        ),
-    )
-    out = tmp_path / "t.jsonl"
-    export = export_jsonl([rec, bare], str(out))
-    assert export.written == 1
-    assert [q.record_id for q in export.quarantined] == ["no-ref"]
 
 
 def test_training_rows_cwe_mismatch_quarantined(tmp_path):
@@ -573,15 +553,15 @@ def test_fingerprint_stable_and_content_sensitive():
         "int f0()\n{\n  return 0;\n}\n",
         "int f0()\n{\n  return 0 + 2;\n}\n",
     )
-    assert compute_fingerprint(a).digest != compute_fingerprint(different_fix).digest
-    assert len(compute_fingerprint(a).digest) == 64
+    assert compute_fingerprint(a) != compute_fingerprint(different_fix)
+    assert len(compute_fingerprint(a)) == 64
 
 
 def test_fingerprint_ignores_trailing_newline_and_crlf():
     a = mem_record("x", "a()\n{\n  b;\n}\n", "a()\n{\n  c;\n}\n")
     b = mem_record("x", "a()\n{\n  b;\n}", "a()\n{\n  c;\n}")
     c = mem_record("x", "a()\r\n{\r\n  b;\r\n}\r\n", "a()\r\n{\r\n  c;\r\n}\r\n")
-    digests = {compute_fingerprint(r).digest for r in (a, b, c)}
+    digests = {compute_fingerprint(r) for r in (a, b, c)}
     assert len(digests) == 1
 
 

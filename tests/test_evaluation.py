@@ -8,7 +8,7 @@ import json
 import pytest
 
 from linefix.client import BackendSpec, DecodeConfig, MockBackend, generate_batch
-from linefix.errors import EmptyEvaluation, MissingReference
+from linefix.errors import EmptyEvaluation
 from linefix.evaluation import (
     DEFAULT_CWE_ORDER,
     EvalReport,
@@ -182,19 +182,6 @@ def test_evaluate_empty_records():
         evaluate([], backend, DecodeConfig())
 
 
-def test_evaluate_needs_reference():
-    bare = VulnRecord(
-        id="x",
-        cwe_id="CWE-20",
-        cwe_description="d.",
-        vuln_lines=(),
-        source=SourceUnit(("a",)),
-    )
-    backend = MockBackend({"samples": {}})
-    with pytest.raises(MissingReference):
-        evaluate([bare], backend, DecodeConfig())
-
-
 def test_evaluate_is_deterministic():
     records = [record(f"r{i}", "CWE-79") for i in range(6)]
     samples = {
@@ -222,7 +209,7 @@ def test_score_batch_reusable_without_backend():
     backend = MockBackend({"samples": samples})
     cfg = DecodeConfig(strategy="beam", k=1)
     batch = generate_batch([("a", "p1"), ("b", "p2")], cfg, backend)
-    rep = score_batch(records, [r.reference() for r in records], batch)
+    rep = score_batch(records, batch)
     assert rep.pp_hits == 1
     assert rep.efficiency.total_time_s == pytest.approx(2.0)
 

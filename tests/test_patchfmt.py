@@ -97,6 +97,7 @@ def test_parse_returns_spans_in_anchor_order():
         "10.5-13<MID>body",
         " 10-13<MID>body",
         "<sep>",
+        "\u0660-\u0662<MID>x",  # Arabic-Indic digits are not ASCII
     ],
 )
 def test_parse_rejects_bad_header(text):

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from linefix.engine import derive_patch
-from linefix.errors import InvalidRecord, MalformedHeader, MalformedPrompt, MissingReference
+from linefix.errors import InvalidRecord, MalformedHeader, MalformedPrompt
 from linefix.patchfmt import EditSpan, PatchSet, serialize_patch
 from linefix.prompting import (
     VulnRecord,
@@ -36,6 +36,7 @@ def _record(**kw) -> VulnRecord:
         cwe_description="Improper input validation.",
         vuln_lines=(1,),
         source=SourceUnit(("int f()", "{", "}")),
+        reference_patch=PatchSet(()),
     )
     base.update(kw)
     return VulnRecord(**base)
@@ -72,8 +73,9 @@ def test_prompt_is_deterministic():
 
 
 def test_build_validates_record():
-    with pytest.raises(InvalidRecord):
-        build_prompt(_record(cwe_id="CWE-XX"))
+    for cwe_id in ("CWE-XX", "CWE-\u0662\u0660"):  # Arabic-Indic digits are not ASCII
+        with pytest.raises(InvalidRecord, match="bad cwe_id"):
+            build_prompt(_record(cwe_id=cwe_id))
     with pytest.raises(InvalidRecord):
         build_prompt(_record(vuln_lines=(7,)))  # outside the 3-line source
     with pytest.raises(InvalidRecord):
@@ -93,18 +95,30 @@ def test_record_validated_at_construction():
         record.vuln_lines = (7,)
 
 
+def test_record_requires_reference_patch():
+    with pytest.raises(TypeError, match="reference_patch"):
+        VulnRecord(
+            id="r1",
+            cwe_id="CWE-20",
+            cwe_description="d.",
+            vuln_lines=(),
+            source=SourceUnit(("a",)),
+        )
+
+
 # --- parsing ----------------------------------------------------------------
 
 
 def test_parse_inverts_build():
-    record = _record()
-    parsed = parse_prompt(build_prompt(record))
+    record = _record(reference_patch=PatchSet((EditSpan(0, 2, ("{ return 0;",)),)))
+    example = render_training_example(record)
+    parsed = parse_prompt(example.prompt, completion=example.completion)
     assert parsed.cwe_id == record.cwe_id
     assert parsed.cwe_description == record.cwe_description
     assert parsed.vuln_lines == record.vuln_lines
     assert parsed.source.lines == record.source.lines
     assert parsed.id == ""
-    assert parsed.reference_patch is None
+    assert parsed.reference_patch == record.reference_patch
 
 
 def test_parse_roundtrip_randomized():
@@ -121,20 +135,12 @@ def test_parse_roundtrip_randomized():
             source=SourceUnit(lines),
         )
         prompt = build_prompt(record)
-        parsed = parse_prompt(prompt)
+        parsed = parse_prompt(prompt, completion="")
         assert parsed.cwe_id == record.cwe_id
         assert parsed.cwe_description == record.cwe_description
         assert parsed.vuln_lines == record.vuln_lines
         assert parsed.source.lines == record.source.lines
-        assert build_prompt(
-            VulnRecord(
-                id=record.id,
-                cwe_id=parsed.cwe_id,
-                cwe_description=parsed.cwe_description,
-                vuln_lines=parsed.vuln_lines,
-                source=parsed.source,
-            )
-        ) == prompt
+        assert build_prompt(parsed) == prompt
 
 
 @pytest.mark.parametrize(
@@ -149,16 +155,22 @@ def test_parse_roundtrip_randomized():
         "[INST]1 CWE-20 x\n0 a\n2 b\n[/INST]",  # and be dense
         "[INST]1 CWE-20 x\n0a\n[/INST]",  # missing space after number
         "[INST]CWE-20 x",
+        # headers build_prompt never writes, though their fields would be valid
+        "[INST]01 CWE-20 d\n0 a\n1 b\n[/INST]",  # leading zero
+        "[INST] 1 CWE-20 d\n0 a\n1 b\n[/INST]",  # leading space before line numbers
+        "[INST]CWE-20 d\n0 a\n1 b\n[/INST]",  # no vuln lines: the space is written
+        "[INST]\u0661 CWE-20 d\n0 a\n1 b\n[/INST]",  # non-ASCII digit
+        "[INST]1 CWE-\u0662\u0660 d\n0 a\n1 b\n[/INST]",
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(MalformedPrompt):
-        parse_prompt(text)
+        parse_prompt(text, completion="")
 
 
 def test_parse_empty_source_block():
     record = _record(source=SourceUnit(()), vuln_lines=())
-    parsed = parse_prompt(build_prompt(record))
+    parsed = parse_prompt(build_prompt(record), completion="")
     assert parsed.source.lines == ()
 
 
@@ -175,13 +187,10 @@ def test_parse_roundtrip_long_sources():
             reference_patch=PatchSet((EditSpan(fix - 1, fix + 1, ("    fixed();",)),)),
         )
         prompt = build_prompt(record)
-        parsed = parse_prompt(prompt)
-        assert parsed == dataclasses.replace(record, id="", reference_patch=None)
+        completion = serialize_patch(record.reference_patch)
+        assert parse_prompt(prompt, completion=completion) == dataclasses.replace(record, id="")
         assert parse_prompt(
-            prompt,
-            id=record.id,
-            cwe_id=record.cwe_id,
-            completion=serialize_patch(record.reference_patch),
+            prompt, id=record.id, cwe_id=record.cwe_id, completion=completion
         ) == record
 
 
@@ -190,9 +199,9 @@ def test_parse_names_first_misnumbered_line(bad):
     lines = [f"{i} x" for i in range(300)]
     lines[bad] = f"{bad}x"
     lines[-1] = "7 later damage is not reported"
-    text = "[INST]CWE-20 d\n" + "\n".join(lines) + "\n[/INST]"
+    text = "[INST] CWE-20 d\n" + "\n".join(lines) + "\n[/INST]"
     with pytest.raises(MalformedPrompt, match=f"^source line {bad} not numbered as '{bad} '$"):
-        parse_prompt(text)
+        parse_prompt(text, completion="")
 
 
 @pytest.mark.parametrize(
@@ -232,11 +241,6 @@ def test_render_derives_when_patch_missing(stb_before, stb_after):
     )
     example = render_training_example(record)
     assert example.completion == "5-6<MID>   if (w == NULL) return 0;"
-
-
-def test_render_without_reference_raises():
-    with pytest.raises(MissingReference):
-        render_training_example(_record())
 
 
 def test_render_empty_patch_warns(caplog):
