@@ -18,7 +18,6 @@ import os
 import sys
 
 import click
-import yaml
 
 from linefix import dataset as ds
 from linefix.client import DecodeConfig, BackendSpec, HttpBackend, MockBackend
@@ -27,8 +26,6 @@ from linefix.errors import LinefixError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.source import from_text, to_text
-
-logger = logging.getLogger("linefix")
 
 EXIT_IO = 1
 EXIT_SCHEMA = 2
@@ -43,8 +40,13 @@ def _fail(code: int, message: str) -> None:
 
 
 def _load_yaml(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    import yaml  # deferred: only evaluate's config flags read YAML
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"config file is not valid UTF-8 YAML: {exc}", path=path)
     if data is None:
         return {}
     if not isinstance(data, dict):

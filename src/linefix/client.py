@@ -14,7 +14,8 @@ the ``HTTP(S)_PROXY``/``NO_PROXY`` settings of that moment and verifies HTTPS
 against the system's CA store. ``generate`` retries timeouts, transport
 faults, malformed answers, 5xx, 408 and 429 with exponential backoff, and
 fails at once on any other 4xx and on errors no retry can cure (an unknown
-sample id, an unsupported decoding strategy).
+sample id, an unsupported decoding strategy). The HTTP and TLS modules load
+only when an ``HttpBackend`` is built, so importing this module stays cheap.
 
 ``generate_batch`` runs up to ``BackendSpec.max_in_flight`` requests at once
 on a thread pool, one worker per slot, also when there is only one slot.
@@ -22,18 +23,14 @@ on a thread pool, one worker per slot, also when there is only one slot.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
-import ssl
 import threading
 import time
-import urllib.request
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from urllib.error import HTTPError, URLError
 
 from linefix.errors import (
     BackendError,
@@ -246,6 +243,9 @@ class HttpBackend:
             if not token:
                 raise ValueError(f"credential env var {spec.auth_env} is not set")
             self.headers["Authorization"] = f"Bearer {token}"
+        import ssl
+        import urllib.request
+
         handlers = []
         if spec.endpoint.startswith("https:"):
             # One TLS context for every attempt: each new one reloads the CA store.
@@ -255,6 +255,10 @@ class HttpBackend:
     def complete(
         self, sample_id: str, prompt: str, cfg: DecodeConfig
     ) -> tuple[list[str], list[int] | None, float | None]:
+        import http.client
+        import urllib.request
+        from urllib.error import HTTPError, URLError
+
         payload: dict = {
             "prompt": prompt,
             "n": cfg.k,

@@ -461,6 +461,30 @@ def test_evaluate_bad_backend_config_exits_64(runner, eval_setup, tmp_path):
     assert "bad backend config" in result.output
 
 
+@pytest.mark.parametrize("flag", ["--config", "--backend-config"])
+@pytest.mark.parametrize(
+    "content",
+    [b"decode: [unclosed\n", b"backend:\n  model: caf\xe9\n"],
+    ids=["malformed-yaml", "not-utf8"],
+)
+def test_evaluate_unreadable_config_file_exits_2(runner, eval_setup, tmp_path, flag, content):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(content)
+    args = [
+        "evaluate",
+        "--records", eval_setup["records"],
+        flag, str(cfg),
+        "--report-dir", str(tmp_path / "r"),
+    ]
+    if flag == "--config":
+        args += ["--mock-script", eval_setup["script"]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {cfg}: config file is not valid UTF-8 YAML")
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize(
     "line,message",
     [
@@ -539,16 +563,18 @@ def test_evaluate_missing_credential_exits_64_before_any_request(
 
 def test_cli_import_loads_no_http_library():
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys, linefix.cli; "
-        "print(sorted({'requests', 'urllib3', 'charset_normalizer'} & set(sys.modules)))"
-    )
+    code = "import sys, linefix.cli; print('\\n'.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    loaded = set(done.stdout.split())
+    assert {"requests", "urllib3", "charset_normalizer"} & loaded == set()
+    # PyYAML and the stdlib HTTP/TLS stack load only when a command needs them.
+    assert {"yaml", "ssl", "http.client", "urllib.request", "urllib.error"} & loaded == set()
+    # Callers that time the first command expect these to be loaded already.
+    assert {"linefix.client", "linefix.dataset", "linefix.evaluation"} <= loaded
 
 
 def test_click_flag_errors_exit_2(runner, corpus):

@@ -6,6 +6,7 @@ import json
 import socket
 import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -430,6 +431,11 @@ def test_http_timeout(http_server):
     spec = _spec(http_server, "/slow", timeout_s=0.05)
     with pytest.raises(GenerationTimeout):
         generate("p", DecodeConfig(k=1), HttpBackend(spec), sample_id="s")
+
+
+def test_https_backend_builds_tls_opener_without_network():
+    backend = HttpBackend(BackendSpec(endpoint="https://127.0.0.1:9/v1/completions"))
+    assert any(isinstance(h, urllib.request.HTTPSHandler) for h in backend._opener.handlers)
 
 
 def test_http_requires_endpoint():
