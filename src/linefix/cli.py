@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import os
 import sys
 
@@ -22,7 +21,7 @@ import click
 from linefix import dataset as ds
 from linefix.client import DecodeConfig, BackendSpec, HttpBackend, MockBackend
 from linefix.engine import apply_patch, derive_patch
-from linefix.errors import LinefixError, SchemaError
+from linefix.errors import LinefixError, PatchFormatError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.source import from_text, to_text
@@ -76,9 +75,6 @@ def _ingest_or_die(path: str, fmt: str = "jsonl") -> ds.IngestResult:
 @click.group()
 def main() -> None:
     """Tools for the line-addressed code-fix format."""
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-    )
 
 
 @main.command()
@@ -206,16 +202,17 @@ def apply_cmd(source_path: str, patch_path: str) -> None:
 @click.option("--before", "before_path", required=True, type=click.Path())
 @click.option("--after", "after_path", required=True, type=click.Path())
 def derive_cmd(before_path: str, after_path: str) -> None:
-    """Derive the minimal patch between two source files; DSL goes to stdout."""
+    """Derive the patch between two source files; DSL goes to stdout."""
     try:
         with open(before_path, encoding="utf-8") as fh:
             before = from_text(fh.read())
         with open(after_path, encoding="utf-8") as fh:
             after = from_text(fh.read())
-    except OSError as exc:
+        text = serialize_patch(derive_patch(before, after))
+    except (OSError, PatchFormatError) as exc:
         _fail(EXIT_IO, str(exc))
         return
-    sys.stdout.write(serialize_patch(derive_patch(before, after)) + "\n")
+    sys.stdout.write(text + "\n")
 
 
 @main.command("evaluate")
@@ -280,13 +277,19 @@ def evaluate_cmd(
             elif key in section:
                 given[name] = section[key]
         cfg = DecodeConfig(**given)
+        file_cwes = file_cfg.get("cwe_list", list(DEFAULT_CWE_ORDER))
+        if not isinstance(file_cwes, list) or not all(isinstance(c, str) for c in file_cwes):
+            raise ValueError(f"cwe_list: expected a list of strings, got {file_cwes!r}")
+        file_strict = file_cfg.get("strict", False)
+        if not isinstance(file_strict, bool):
+            raise ValueError(f"strict: expected true or false, got {file_strict!r}")
     except (TypeError, ValueError) as exc:
         _fail(EXIT_USAGE, f"bad decode config: {exc}")
         return
     resolved = {
         **dataclasses.asdict(cfg),
-        "cwe_list": list(cwe_list) or list(file_cfg.get("cwe_list", DEFAULT_CWE_ORDER)),
-        "strict": strict or bool(file_cfg.get("strict", False)),
+        "cwe_list": list(cwe_list) or file_cwes,
+        "strict": strict or file_strict,
     }
 
     try:

@@ -4,30 +4,21 @@ Two on-disk schemas are understood and auto-detected per file:
 
 raw schema (JSONL or CSV)
     ``id, cve_id?, cwe_id, cwe_description, vuln_lines?, source_before,
-    source_after?, reference_patch?, split`` with at least one of
+    source_after?, reference_patch?, split`` with exactly one of
     ``source_after`` and ``reference_patch``. ``vuln_lines`` falls back to the
     before-side changed lines of the reference patch. Sources carrying the
     upstream bug markers (``<S2SV_StartBug>`` / ``<S2SV_EndBug>``) are
     accepted: the markers are stripped and the marked lines become
     ``vuln_lines``.
 
-    The fix is read in one of three ways:
-
-    * ``source_after`` only (every upstream file): the reference patch is
-      derived by diffing the two sources.
-    * ``reference_patch`` only: the patch is parsed and validated against
-      ``source_before``; the fixed source is the patch applied to it, so it
-      keeps ``source_before``'s trailing newline. write_records_jsonl writes
-      this form whenever the patch text round-trips, so a file linefix wrote
-      carries each fix once and is not diffed again when it is read.
-    * both: the stored patch is applied to ``source_before`` and must
-      reproduce ``source_after`` (CR-LF folded).
-
-    A stored patch that does not parse, does not validate, or does not
-    reproduce a given ``source_after`` quarantines the record; it is never
-    re-derived. A patch whose text would not round-trip is written as
-    ``source_after`` instead. In CSV an empty ``reference_patch`` cell means
-    the field is absent.
+    The fix is read in one of two ways: ``source_after`` (upstream files) is
+    diffed against ``source_before``; ``reference_patch`` (files linefix
+    writes) is parsed and validated against ``source_before``, and the fixed
+    source is the patch applied to it, so nothing is diffed. A row with both
+    is a SchemaError. A stored patch that does not parse or validate
+    quarantines the record and is never re-derived; so does a fix that is
+    empty or has no lossless text form. In CSV an empty ``reference_patch``
+    cell means the field is absent.
 
 training schema (JSONL)
     ``id, prompt, completion, cwe_id, split`` as written by export_jsonl;
@@ -49,9 +40,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from linefix.engine import apply_patch, changed_before_lines, derive_patch
+from linefix.engine import changed_before_lines, derive_patch
 from linefix.errors import (
-    InvalidPatch,
     InvalidRecord,
     LinefixError,
     PatchFormatError,
@@ -65,8 +55,8 @@ from linefix.prompting import (
     parse_prompt,
     render_training_example,
 )
-from linefix.patchfmt import PatchSet, parse_patch, round_trips, serialize_patch
-from linefix.source import SourceUnit, from_text, to_text
+from linefix.patchfmt import parse_patch, serialize_patch
+from linefix.source import from_text, to_text
 
 SPLITS = ("train", "validation", "test")
 FINGERPRINT_MODES = ("exact", "ws_normalized")
@@ -211,23 +201,12 @@ def strip_bug_markers(text: str) -> tuple[str, list[int]]:
     return out, marked
 
 
-def _stored_reference(src: SourceUnit, patch_text: str, raw_after: str) -> PatchSet:
-    """The stored reference patch, checked to turn ``src`` into ``raw_after``."""
-    try:
-        patch = parse_patch(patch_text)
-        fixed = apply_patch(src, patch)
-    except PatchFormatError as exc:
-        raise InvalidRecord(f"reference_patch does not parse: {exc}") from None
-    except InvalidPatch as exc:
-        raise InvalidRecord(f"reference_patch does not validate: {exc}") from None
-    if to_text(fixed) != raw_after.replace("\r\n", "\n"):
-        raise InvalidRecord("reference_patch does not reproduce source_after")
-    return patch
-
-
 def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
-    # the fix is source_after, reference_patch or both; each one given is type-checked
+    # the fix is source_after or reference_patch, never both
     fix_fields = tuple(f for f in ("source_after", "reference_patch") if row.get(f) is not None)
+    if len(fix_fields) == 2:
+        raise SchemaError("row has both 'source_after' and 'reference_patch'; give one",
+                          path=path, line_no=line_no)
     _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)), path, line_no)
     split = row["split"]
     if split not in SPLITS:
@@ -243,7 +222,7 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
     for token in RESERVED_TOKENS + (BUG_START, BUG_END):
         if token in raw_before or (raw_after is not None and token in raw_after):
             raise InvalidRecord(f"source contains reserved token {token}")
-    if raw_after is None:
+    if patch_text is not None:
         # <MID> and <sep> are the patch's own syntax; EditSpan rejects them in a body
         for token in (INST_OPEN, INST_CLOSE, BUG_START, BUG_END):
             if token in patch_text:
@@ -254,13 +233,11 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
     src = from_text(raw_before)
     if patch_text is None:
         patch = derive_patch(src, from_text(raw_after))
-    elif raw_after is None:
+    else:
         try:
             patch = parse_patch(patch_text)  # VulnRecord validates it against src
         except PatchFormatError as exc:
             raise InvalidRecord(f"reference_patch does not parse: {exc}") from None
-    else:
-        patch = _stored_reference(src, patch_text, raw_after)
 
     vuln_lines = row.get("vuln_lines")
     if vuln_lines is not None:
@@ -272,6 +249,9 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
     else:
         vuln_lines = changed_before_lines(patch)
 
+    if raw_after is not None and src.had_trailing_newline != raw_after.endswith("\n"):
+        # the fixed source is rebuilt from the patch, which keeps before's flag
+        raise InvalidRecord("source_before and source_after differ in their trailing newline")
     vuln = VulnRecord(
         id=row["id"],
         cwe_id=row["cwe_id"],
@@ -281,9 +261,6 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
         cve_id=row.get("cve_id"),
         reference_patch=patch,
     )
-    if raw_after is not None and src.had_trailing_newline != raw_after.endswith("\n"):
-        # the fixed source is rebuilt from the patch, which keeps before's flag
-        raise InvalidRecord("source_before and source_after differ in their trailing newline")
     return DatasetRecord(split, vuln)
 
 
@@ -326,13 +303,10 @@ def ingest(path: str, fmt: str = "jsonl") -> IngestResult:
 def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
     """Write records back out in the raw schema (UTF-8, LF line ends).
 
-    Each fix is written once: as ``reference_patch`` when its text
-    round-trips, otherwise as ``source_after``, which is diffed again when
-    the file is read.
+    Each fix is written once, as ``reference_patch``.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
-            patch = r.vuln.reference_patch
             obj = {
                 "id": r.vuln.id,
                 "cve_id": r.vuln.cve_id,
@@ -340,12 +314,9 @@ def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
                 "cwe_description": r.vuln.cwe_description,
                 "vuln_lines": list(r.vuln.vuln_lines),
                 "source_before": to_text(r.vuln.source),
+                "reference_patch": serialize_patch(r.vuln.reference_patch),
+                "split": r.split,
             }
-            if round_trips(patch):
-                obj["reference_patch"] = serialize_patch(patch)
-            else:
-                obj["source_after"] = to_text(r.vuln.reference_after)
-            obj["split"] = r.split
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 

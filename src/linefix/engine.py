@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from linefix.errors import InvalidPatch
 from linefix.linediff import edit_runs
-from linefix.patchfmt import EditSpan, PatchSet
+from linefix.patchfmt import EditSpan, PatchSet, round_trips
 from linefix.source import SourceUnit
 
 
@@ -41,19 +41,39 @@ def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
 
 
 def derive_patch(before: SourceUnit, after: SourceUnit) -> PatchSet:
-    """Minimal patch turning ``before`` into ``after``.
+    """Patch turning ``before`` into ``after``, derived as ``patchfmt`` states.
 
-    Each maximal changed run of the line diff becomes one span; runs separated
-    by an unchanged line are never merged. Identical inputs yield an empty
-    patch, and apply_patch(before, derive_patch(before, after)) reproduces
-    ``after`` line for line.
+    Each maximal changed run of the line diff becomes one span, widened only
+    where its text would not round-trip; a pair with no text form keeps the
+    minimal patch. Identical inputs yield an empty patch, and
+    apply_patch(before, derive_patch(before, after)) reproduces ``after``.
     """
-    runs = edit_runs(before.lines, after.lines)
-    spans = tuple(
+    lines = before.lines
+    spans = [
         EditSpan(a_start - 1, a_end, after.lines[b_start:b_end])
-        for a_start, a_end, b_start, b_end in runs
-    )
-    return PatchSet(spans)
+        for a_start, a_end, b_start, b_end in edit_runs(lines, after.lines)
+    ]
+    patch = PatchSet(tuple(spans))
+    if round_trips(patch):
+        return patch
+    out = [EditSpan(s.line_bef, s.line_af + 1, ("", lines[s.line_af])) if s.body == ("",) else s
+           for s in spans[:-1]]
+    bef, af, body = spans[-1].line_bef, spans[-1].line_af, spans[-1].body
+    while body[-1:] == ("",) and af < len(lines):
+        body += (lines[af],)
+        af += 1
+    if body[-1:] == ("",):  # at EOF: insert the body, then delete in a last, empty span
+        if af == bef + 1 or body == ("",):
+            if bef < 0:
+                return patch  # no text form
+            bef -= 1
+            body = (lines[bef + 1],) + body
+            if out and out[-1].line_af > bef:  # touches or overlaps the previous span
+                prev = out.pop()
+                bef, body = prev.line_bef, prev.body + body[prev.line_af - bef - 1:]
+        out.append(EditSpan(bef, bef + 1, body))
+        body = ()
+    return PatchSet((*out, EditSpan(bef, af, body)))
 
 
 def changed_before_lines(patch: PatchSet) -> list[int]:

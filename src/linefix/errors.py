@@ -49,8 +49,8 @@ class InvalidRecord(LinefixError):
     """Record violates an invariant.
 
     Raised when a record is constructed: bad CWE id shape, vuln lines out of
-    range or not strictly ascending, or a reference patch that does not
-    validate against the source. Ingest also raises it for a raw pair whose
+    range or not strictly ascending, or a reference patch that is empty, has
+    no lossless text form or does not validate against the source. Ingest also raises it for a raw pair whose
     before and after differ in their trailing newline, which a line-addressed
     patch cannot carry.
     """

@@ -16,9 +16,14 @@ held in anchor order and are disjoint by construction.
 
 A lone-empty-line body ``("",)`` anywhere, and a final span whose body ends
 with an empty line, do not survive serialize/parse: the empty-body deletion
-encoding and the trailing-LF trim claim the same bytes. Such bodies are valid
-but re-parse without that empty line. ``round_trips`` is the one statement of
-this rule; callers that store patch text check it instead of restating it.
+encoding and the trailing-LF trim claim the same bytes. ``round_trips`` states
+this rule; ``serialize_patch`` refuses such a patch, and ``engine.derive_patch``
+widens the Myers spans that break it forwards over unchanged lines: a lone
+``("",)`` by one line, the final span until its body ends non-empty. At EOF it
+becomes an insertion, first widened back one line (and merged with a span it
+then touches) if it replaces nothing or is ``("",)``, then a last, empty
+deletion. No text form exists for an empty before whose after ends empty, or
+for an after of one empty line where before has none.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from linefix.errors import (
     MalformedBody,
     MalformedHeader,
     NonIncreasingSpan,
+    PatchFormatError,
 )
 
 MID = "<MID>"
@@ -120,7 +126,9 @@ def parse_patch(text: str) -> PatchSet:
 
 
 def serialize_patch(patch: PatchSet) -> str:
-    """Serialize spans in anchor order, with no trailing LF added."""
+    """Serialize spans in anchor order, with no trailing LF added; lossy text raises."""
+    if not round_trips(patch):
+        raise PatchFormatError("patch has no lossless text form: an empty body line would be lost")
     return SEP.join(
         f"{s.line_bef}-{s.line_af}{MID}" + "\n".join(s.body) for s in patch.spans
     )

@@ -15,16 +15,13 @@ exported rows can be audited mechanically.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 
 from linefix.engine import apply_patch, validate_patch
 from linefix.errors import InvalidPatch, InvalidRecord, MalformedPrompt
-from linefix.patchfmt import MID, SEP, PatchSet, parse_patch, serialize_patch
+from linefix.patchfmt import MID, SEP, PatchSet, parse_patch, round_trips, serialize_patch
 from linefix.source import SourceUnit, line_prefixes, number_lines
-
-logger = logging.getLogger(__name__)
 
 INST_OPEN = "[INST]"
 INST_CLOSE = "[/INST]"
@@ -41,9 +38,10 @@ _HEADER_RE = re.compile(r"((?:(?:0|[1-9][0-9]*) )+| )(CWE-[0-9]+) (.*)")
 class VulnRecord:
     """One vulnerable function, the metadata the prompt carries, and its fix.
 
-    The fix is one line-addressed reference patch against ``source``; the
-    fixed source is derived from it. A record is validated once, when it is
-    constructed, and is immutable afterwards.
+    The fix is one non-empty line-addressed reference patch against
+    ``source`` whose text round-trips; the fixed source is derived from it.
+    A record is validated once, when it is constructed, and is immutable
+    afterwards.
     """
 
     id: str
@@ -63,6 +61,10 @@ class VulnRecord:
         """Raise InvalidRecord on any invariant violation."""
         if not _CWE_RE.fullmatch(self.cwe_id):
             raise InvalidRecord(f"record {self.id!r}: bad cwe_id {self.cwe_id!r}")
+        if not self.reference_patch.spans:
+            raise InvalidRecord(f"record {self.id!r}: reference patch is empty")
+        if not round_trips(self.reference_patch):
+            raise InvalidRecord(f"record {self.id!r}: reference patch has no lossless text form")
         try:
             validate_patch(self.source, self.reference_patch)
         except InvalidPatch as exc:
@@ -145,7 +147,4 @@ def parse_prompt(
 
 def render_training_example(record: VulnRecord) -> TrainingExample:
     """Prompt plus serialized reference patch."""
-    patch = record.reference_patch
-    if not patch.spans:
-        logger.warning("record %s: reference fix is an empty patch", record.id)
-    return TrainingExample(build_prompt(record), serialize_patch(patch))
+    return TrainingExample(build_prompt(record), serialize_patch(record.reference_patch))

@@ -174,6 +174,12 @@ def shifted_sequential_apply(
     return work
 
 
+def no_text_form(before: Sequence[str], after: Sequence[str]) -> bool:
+    """The two (before, after) line pairs whose fix the patch text cannot carry."""
+    after = tuple(after)
+    return (not before and after[-1:] == ("",)) or (after == ("",) and "" not in before)
+
+
 def random_lines(rng: random.Random, max_len: int = 30) -> list[str]:
     n = rng.randrange(max_len + 1)
     return [rng.choice(LINE_POOL) for _ in range(n)]

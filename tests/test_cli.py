@@ -218,6 +218,18 @@ def test_derive_golden(runner, tmp_path, vpx_source, vpx_record):
     assert result.output == VPX_REFERENCE_PATCH_TEXT + "\n"
 
 
+@pytest.mark.parametrize("before,after", [("", "\n"), ("x\n", "\n")])
+def test_derive_without_text_form_exits_1(runner, tmp_path, before, after):
+    # an empty before whose after ends with an empty line; an after that is one empty line
+    (tmp_path / "b.c").write_text(before)
+    (tmp_path / "a.c").write_text(after)
+    args = ["derive", "--before", str(tmp_path / "b.c"), "--after", str(tmp_path / "a.c")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "error: patch has no lossless text form" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
 def test_derive_apply_pipeline(runner, tmp_path):
     before = tmp_path / "b.c"
     before.write_text("int f()\n{\n  return 1;\n}\n")
@@ -393,6 +405,9 @@ def test_evaluate_decode_value_not_coerced(runner, eval_setup, tmp_path, line, m
             "temperature: expected a finite number, got an int too large for a float",
             id="temperature: 401-digit int",
         ),
+        ("cwe_list: 5\n", "cwe_list: expected a list of strings, got 5"),
+        ("cwe_list: abc\n", "cwe_list: expected a list of strings, got 'abc'"),
+        ('strict: "no"\n', "strict: expected true or false, got 'no'"),
     ],
 )
 def test_evaluate_bad_seed_or_temperature_exits_64(runner, eval_setup, tmp_path, text, message):

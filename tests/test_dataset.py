@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linefix.dataset import (
@@ -26,9 +26,10 @@ from linefix.dataset import (
 from linefix import dataset
 from linefix.engine import changed_before_lines, derive_patch
 from linefix.errors import SchemaError
-from linefix.patchfmt import serialize_patch
+from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.prompting import VulnRecord
 from linefix.source import from_text, to_text
+from tests.helpers import no_text_form
 
 
 def raw_row(i: int, split: str = "train", cwe: str = "CWE-787", **extra) -> dict:
@@ -277,7 +278,7 @@ def count_derives(monkeypatch) -> list:
 
 
 def blank_line_row(i: int) -> dict:
-    # the fix inserts one blank line: its patch body ("",) has no text form
+    # the fix inserts one blank line: its minimal patch body ("",) has no text form
     return raw_row(i, source_before="int g()\n{\n  x;\n}\n",
                    source_after="int g()\n{\n\n  x;\n}\n")
 
@@ -288,53 +289,54 @@ def written_rows(tmp_path, rows) -> list[dict]:
     return [json.loads(line) for line in out.read_text().splitlines()]
 
 
-def both_fields_row(i: int, **extra) -> dict:
-    """raw_row(i) that also carries its stored patch, as files once written held both."""
-    return raw_row(i, reference_patch=f"1-3<MID>  if (n < LEN) buf[n] = {i};", **extra)
+def patch_row(i: int, **extra) -> dict:
+    """raw_row(i) with its fix stored as a patch instead, as write_records_jsonl writes it."""
+    row = raw_row(i, reference_patch=f"1-3<MID>  if (n < LEN) buf[n] = {i};")
+    del row["source_after"]
+    row.update(extra)
+    return row
 
 
 def test_written_file_reingests_without_diffing(tmp_path, monkeypatch):
     rows = written_rows(tmp_path, [raw_row(0), blank_line_row(1), raw_row(2, split="test")])
     head = ["id", "cve_id", "cwe_id", "cwe_description", "vuln_lines", "source_before"]
-    assert [list(r) for r in rows] == [
-        head + ["reference_patch", "split"],
-        head + ["source_after", "split"],  # its patch text would not round-trip
-        head + ["reference_patch", "split"],
-    ]
+    assert [list(r) for r in rows] == [head + ["reference_patch", "split"]] * 3
     assert rows[0]["reference_patch"] == "1-3<MID>  if (n < LEN) buf[n] = 0;"
-    assert rows[1]["source_after"] == blank_line_row(1)["source_after"]
+    assert rows[1]["reference_patch"] == "1-3<MID>\n  x;"  # widened over the next line
     calls = count_derives(monkeypatch)
     result = ingest(write_jsonl(tmp_path / "again.jsonl", rows))
     assert result.quarantined == []
     assert [r.vuln.id for r in result.records] == ["rec-0", "rec-1", "rec-2"]
-    assert len(calls) == 1  # only the blank-line record is diffed again
+    assert calls == []
     assert serialize_patch(result.records[0].vuln.reference_patch) == rows[0]["reference_patch"]
     assert texts(result.records[0])[1] == raw_row(0)["source_after"]
+    assert texts(result.records[1])[1] == blank_line_row(1)["source_after"]
 
 
 def test_ingest_write_ingest_write_is_byte_identical(tmp_path):
     crlf = raw_row(3, source_before="a()\r\n{\r\n  b;\r\n}\r\n",
                    source_after="a()\r\n{\r\n  c;\r\n}\r\n")
     marked = raw_row(4, source_before=f"int f()\n{{\n{BUG_START} x;\n}}\n")
-    same = raw_row(5, source_after=raw_row(5)["source_before"])
+    same = raw_row(5, source_after=raw_row(5)["source_before"])  # no fix: quarantined
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0), blank_line_row(1), crlf, marked, same])
     out1, out2 = tmp_path / "out1.jsonl", tmp_path / "out2.jsonl"
-    write_records_jsonl(ingest(path).records, str(out1))
+    first = ingest(path)
+    assert [(q.record_id, q.reason) for q in first.quarantined] == [
+        ("rec-5", "record 'rec-5': reference patch is empty")
+    ]
+    write_records_jsonl(first.records, str(out1))
     second = ingest(str(out1))
     assert second.quarantined == []
     write_records_jsonl(second.records, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
-    assert [json.loads(line).get("reference_patch") for line in out1.read_text().splitlines()][4] == ""
 
 
 def test_stored_reference_is_checked_against_crlf_folded_after(tmp_path, monkeypatch):
-    row = both_fields_row(0)
-    for key in ("source_before", "source_after"):
-        row[key] = row[key].replace("\n", "\r\n")
-    patch_only = both_fields_row(1, source_before=row["source_before"].replace("f0", "f1"))
-    del patch_only["source_after"]
+    # the stored patch applies to the CR-LF-folded before and gives the folded after
+    row = patch_row(0)
+    row["source_before"] = row["source_before"].replace("\n", "\r\n")
     calls = count_derives(monkeypatch)
-    result = ingest(write_jsonl(tmp_path / "crlf.jsonl", [row, patch_only]))
+    result = ingest(write_jsonl(tmp_path / "crlf.jsonl", [row, patch_row(1)]))
     assert result.quarantined == []
     assert calls == []
     assert texts(result.records[0])[1] == raw_row(0)["source_after"]
@@ -344,20 +346,21 @@ def test_stored_reference_is_checked_against_crlf_folded_after(tmp_path, monkeyp
 @pytest.mark.parametrize(
     "field,value,reason",
     [
-        ("source_after", "int f0(int n)\n{\n  if (n < 9) buf[n] = 0;\n  return n;\n}\n",
-         "reference_patch does not reproduce source_after"),
-        ("source_after", "int f0(int n)\n{\n  if (n < LEN) buf[n] = 0;\n  return n;\n}",
-         "reference_patch does not reproduce source_after"),
-        ("reference_patch", "1-3<MID>  if (n < 9) buf[n] = 0;",
-         "reference_patch does not reproduce source_after"),
         ("reference_patch", "1:3<MID>x", "reference_patch does not parse: expected INT-INT<MID>"),
         ("reference_patch", "3-1<MID>x", "reference_patch does not parse: span 3-1"),
-        ("reference_patch", "1-99<MID>x",
-         "reference_patch does not validate: span 0: span 1-99 outside [-1, 5]"),
+        ("reference_patch", "1-99<MID>x", "record 'rec-0': reference patch does not validate: "
+                                          "span 0: span 1-99 outside [-1, 5]"),
+        ("reference_patch", "", "record 'rec-0': reference patch is empty"),
+        # the text's trailing LF is trimmed: the body ends empty and cannot be written back
+        ("reference_patch", "1-2<MID>x\n\n",
+         "record 'rec-0': reference patch has no lossless text form"),
+        ("source_before", "x;\n", "record 'rec-0': reference patch does not validate: "
+                                   "span 0: span 1-3 outside [-1, 1]"),
     ],
 )
 def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value, reason):
-    rows = [both_fields_row(0), both_fields_row(1)]
+    # a file linefix wrote, edited afterwards
+    rows = written_rows(tmp_path, [raw_row(0), raw_row(1)])
     rows[0][field] = value
     calls = count_derives(monkeypatch)
     result = ingest(write_jsonl(tmp_path / "bad.jsonl", rows))
@@ -384,9 +387,7 @@ def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value
     ],
 )
 def test_bad_patch_only_row_is_quarantined(tmp_path, monkeypatch, patch, reason):
-    rows = [raw_row(0, reference_patch=patch), both_fields_row(1)]
-    for row in rows:
-        del row["source_after"]
+    rows = [patch_row(0, reference_patch=patch), patch_row(1)]
     calls = count_derives(monkeypatch)
     result = ingest(write_jsonl(tmp_path / "bad.jsonl", rows))
     assert [r.vuln.id for r in result.records] == ["rec-1"]
@@ -397,22 +398,27 @@ def test_bad_patch_only_row_is_quarantined(tmp_path, monkeypatch, patch, reason)
 
 @pytest.mark.parametrize("value", [5, ["1-3<MID>x"], {"a": 1}])
 def test_non_string_stored_reference_is_schema_error(tmp_path, value):
-    path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, reference_patch=value)])
+    path = write_jsonl(tmp_path / "r.jsonl", [patch_row(0, reference_patch=value)])
     with pytest.raises(SchemaError, match="'reference_patch' must be a string"):
         ingest(path)
 
 
 def test_fix_fields_are_type_checked_and_one_is_required(tmp_path):
-    row = both_fields_row(0, source_after=5)
     with pytest.raises(SchemaError, match="'source_after' must be a string"):
-        ingest(write_jsonl(tmp_path / "typed.jsonl", [row]))
+        ingest(write_jsonl(tmp_path / "typed.jsonl", [raw_row(0, source_after=5)]))
+    both = dict(patch_row(0), source_after=raw_row(0)["source_after"])
+    with pytest.raises(
+        SchemaError, match="row has both 'source_after' and 'reference_patch'; give one"
+    ) as err:
+        ingest(write_jsonl(tmp_path / "both.jsonl", [patch_row(1), both]))
+    assert err.value.line_no == 2
     row = raw_row(0, source_after=None)
     with pytest.raises(SchemaError, match="missing required field 'source_after'") as err:
         ingest(write_jsonl(tmp_path / "neither.jsonl", [raw_row(1), row]))
     assert err.value.line_no == 2
 
 
-# lines rich in blanks: a lone inserted blank line is the patch text cannot carry
+# lines rich in blanks: a lone inserted blank line is what the minimal patch text cannot carry
 BLANKISH_LINE = st.sampled_from(["", "", "", " ", "x;", "}"])
 
 
@@ -422,25 +428,47 @@ def blank_heavy_text(draw) -> str:
     return "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
 
 
+def expected_quarantine(before: str, after: str) -> str | None:
+    """Why ingest must refuse a raw pair, or None when it must keep it."""
+    b, a = from_text(before), from_text(after)
+    if b.had_trailing_newline != after.endswith("\n"):
+        return "differ in their trailing newline"
+    if b.lines == a.lines:
+        return "reference patch is empty"
+    if no_text_form(b.lines, a.lines):
+        return "reference patch has no lossless text form"
+    return None
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(blank_heavy_text(), blank_heavy_text()), min_size=1, max_size=4))
+@example([("x\n", "\n"), ("", "\n"), ("x", "x"), ("x\n", "x\n\n"), ("x\n", "\nx\n")])
 def test_written_records_are_a_fixed_point(pairs):
+    # raw -> ingest -> records file -> ingest -> export -> ingest -> export
     rows = [raw_row(i, source_before=b, source_after=a) for i, (b, a) in enumerate(pairs)]
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        first = ingest(write_jsonl(d / "in.jsonl", rows))
-        write_records_jsonl(first.records, str(d / "out1.jsonl"))
-        second = ingest(str(d / "out1.jsonl"))
-        write_records_jsonl(second.records, str(d / "out2.jsonl"))
-        out1 = (d / "out1.jsonl").read_bytes()
-        assert out1 == (d / "out2.jsonl").read_bytes()
-    assert second.quarantined == []
-    assert second.records == first.records
-    written = [json.loads(line) for line in out1.decode("utf-8").splitlines()]
-    after = {row["id"]: row["source_after"] for row in rows}
-    for record, row in zip(first.records, written):
-        assert ("source_after" in row) != ("reference_patch" in row)
-        assert texts(record)[1] == after[record.vuln.id]
+        first = ingest(write_jsonl(d / "raw.jsonl", rows))
+        write_records_jsonl(first.records, str(d / "records1.jsonl"))
+        stored = ingest(str(d / "records1.jsonl"))
+        write_records_jsonl(stored.records, str(d / "records2.jsonl"))
+        export_jsonl(stored.records, str(d / "train1.jsonl"))
+        trained = ingest(str(d / "train1.jsonl"))
+        export_jsonl(trained.records, str(d / "train2.jsonl"))
+        written = (d / "records1.jsonl").read_bytes()
+        assert written == (d / "records2.jsonl").read_bytes()
+        assert (d / "train1.jsonl").read_bytes() == (d / "train2.jsonl").read_bytes()
+    assert stored.records == first.records
+    assert stored.quarantined == trained.quarantined == []
+    reasons = {q.record_id: q.reason for q in first.quarantined}
+    for i, (before, after) in enumerate(pairs):
+        expected = expected_quarantine(before, after)
+        assert (expected is None) == (f"rec-{i}" not in reasons)
+        assert expected is None or expected in reasons[f"rec-{i}"]
+    for record, row in zip(first.records, map(json.loads, written.decode("utf-8").splitlines())):
+        assert "source_after" not in row
+        assert parse_patch(row["reference_patch"]) == record.vuln.reference_patch
+        assert texts(record)[1] == pairs[int(record.vuln.id.removeprefix("rec-"))][1]
 
 
 def test_raw_rows_without_the_field_are_diffed(tmp_path, monkeypatch):
@@ -466,25 +494,35 @@ def test_raw_rows_without_the_field_are_diffed(tmp_path, monkeypatch):
     assert again.records[0].vuln == marked
 
 
-def test_csv_reference_patch_cell(tmp_path, monkeypatch):
-    path = tmp_path / "r.csv"
-    fields = ["id", "cwe_id", "cwe_description", "source_before", "source_after",
-              "reference_patch", "split"]
-    stored = "1-3<MID>  if (n < LEN) buf[n] = 0;"
+def write_csv(path, fields: list[str], rows: list[dict]) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        writer.writerow(raw_row(0, reference_patch=stored))
-        writer.writerow(raw_row(1, reference_patch=""))  # empty cell: absent
-        writer.writerow(raw_row(2, reference_patch=stored))  # does not fit row 2
+        writer.writerows(rows)
+    return str(path)
+
+
+def test_csv_reference_patch_cell(tmp_path, monkeypatch):
+    fields = ["id", "cwe_id", "cwe_description", "source_before", "reference_patch", "split"]
+    stored = patch_row(0)["reference_patch"]
+    rows = [patch_row(0), patch_row(1, reference_patch="1-99<MID>x")]
     calls = count_derives(monkeypatch)
-    result = ingest(str(path), fmt="csv")
-    assert len(calls) == 1
-    assert [r.vuln.id for r in result.records] == ["rec-0", "rec-1"]
+    result = ingest(write_csv(tmp_path / "patch.csv", fields, rows), fmt="csv")
+    assert calls == []
+    assert [r.vuln.id for r in result.records] == ["rec-0"]
     assert serialize_patch(result.records[0].vuln.reference_patch) == stored
     assert [(q.record_id, q.reason) for q in result.quarantined] == [
-        ("rec-2", "reference_patch does not reproduce source_after")
+        ("rec-1", "record 'rec-1': reference patch does not validate: "
+                  "span 0: span 1-99 outside [-1, 5]")
     ]
+    # next to a source_after column, an empty reference_patch cell means the field is absent
+    fields.insert(4, "source_after")
+    path = write_csv(tmp_path / "both.csv", fields, [raw_row(2, reference_patch="")])
+    assert [r.vuln.id for r in ingest(path, fmt="csv").records] == ["rec-2"]
+    assert len(calls) == 1
+    path = write_csv(tmp_path / "bad.csv", fields, [raw_row(3, reference_patch=stored)])
+    with pytest.raises(SchemaError, match="row has both"):
+        ingest(path, fmt="csv")
 
 
 def test_export_then_reingest_is_fixed_point(tmp_path):
@@ -534,11 +572,13 @@ def test_training_row_invariant_reason_names_the_row(tmp_path):
     export_jsonl(records, str(out))
     row = json.loads(out.read_text().splitlines()[0])
     assert row["prompt"].startswith("[INST]2 CWE-787 ")
+    no_fix = dict(row, id="rec-1", completion="")
     row["prompt"] = row["prompt"].replace("[INST]2 ", "[INST]9 ", 1)
-    result = ingest(write_jsonl(tmp_path / "bad.jsonl", [row]))
+    result = ingest(write_jsonl(tmp_path / "bad.jsonl", [row, no_fix]))
     assert result.records == []
     assert [(q.record_id, q.reason) for q in result.quarantined] == [
-        ("rec-0", "record 'rec-0': vuln line 9 outside [0, 5)")
+        ("rec-0", "record 'rec-0': vuln line 9 outside [0, 5)"),
+        ("rec-1", "record 'rec-1': reference patch is empty"),
     ]
 
 

@@ -14,8 +14,8 @@ from linefix.engine import (
     derive_patch,
     validate_patch,
 )
-from linefix.errors import ConflictingSpans, InvalidPatch
-from linefix.patchfmt import EditSpan, PatchSet, serialize_patch
+from linefix.errors import ConflictingSpans, InvalidPatch, PatchFormatError
+from linefix.patchfmt import EditSpan, PatchSet, parse_patch, round_trips, serialize_patch
 from linefix.source import SourceUnit, to_text
 from tests.conftest import (
     STB_INSERT_AFTER,
@@ -23,6 +23,7 @@ from tests.conftest import (
     VPX_REFERENCE_PATCH_TEXT,
 )
 from tests.helpers import (
+    no_text_form,
     random_pair,
     random_patchset,
     shifted_sequential_apply,
@@ -157,6 +158,43 @@ def test_derive_apply_inversion_randomized():
         patch = derive_patch(before, after)
         assert apply_patch(before, patch).lines == after.lines
         validate_patch(before, patch)
+        assert round_trips(patch) != no_text_form(before.lines, after.lines)
+
+
+@pytest.mark.parametrize(
+    "before,after,text",
+    [
+        # interior lone blank: widened over the next line
+        ("abcd", ("a", "", "b", "c", "D"), "0-2<MID>\nb<sep>2-4<MID>D"),
+        # final span: widened until its body ends in a non-empty line
+        ("ab", ("a", "", "b"), "0-2<MID>\nb"),
+        (("a", "b", "", "c"), ("a", "X", "", "", "c"), "0-4<MID>X\n\n\nc"),
+        # final span reaching EOF: an insertion, then an empty-bodied deletion
+        ("ab", ("a", "X", ""), "0-1<MID>X\n<sep>0-2<MID>"),
+        # pure insertion at EOF: first widened back over one line
+        ("ab", ("a", "b", "x", ""), "0-1<MID>b\nx\n<sep>0-2<MID>"),
+        ("ab", ("a", "b", ""), "0-1<MID>b\n<sep>0-2<MID>"),
+        # EOF merge with the previous span, overlapping and touching
+        ("ab", ("a", "", "b", ""), "0-1<MID>\nb\n<sep>0-2<MID>"),
+        ("x", ("x", "x", ""), "-1-0<MID>x\nx\n<sep>-1-1<MID>"),
+    ],
+)
+def test_derive_widens_lossy_spans(before, after, text):
+    before, after = SourceUnit(tuple(before)), SourceUnit(tuple(after))
+    patch = derive_patch(before, after)
+    assert serialize_patch(patch) == text
+    assert parse_patch(text) == patch
+    assert apply_patch(before, patch).lines == after.lines
+
+
+@pytest.mark.parametrize("before,after", [((), ("",)), ((), ("x", "")), (("x",), ("",))])
+def test_derive_without_text_form_keeps_the_minimal_patch(before, after):
+    patch = derive_patch(SourceUnit(before), SourceUnit(after))
+    assert no_text_form(before, after)
+    assert apply_patch(SourceUnit(before), patch).lines == after
+    assert not round_trips(patch)
+    with pytest.raises(PatchFormatError, match="no lossless text form"):
+        serialize_patch(patch)
 
 
 def test_derive_trailing_flag_comes_from_before():

@@ -14,8 +14,11 @@ from linefix.errors import (
     MalformedBody,
     MalformedHeader,
     NonIncreasingSpan,
+    PatchFormatError,
 )
 from linefix.patchfmt import (
+    MID,
+    SEP,
     EditSpan,
     PatchSet,
     parse_patch,
@@ -189,9 +192,11 @@ def test_patchset_holds_spans_in_anchor_order():
 
 
 def test_trailing_empty_body_line_does_not_roundtrip():
-    # documented grammar ambiguity: the serialized trailing LF is trimmed
-    patch = PatchSet((EditSpan(1, 2, ("x", "")),))
-    assert parse_patch(serialize_patch(patch)).spans[0].body == ("x",)
+    # documented grammar ambiguity: the text's trailing LF is trimmed, so
+    # serialize_patch refuses the patch rather than write that text
+    assert parse_patch("1-2<MID>x\n").spans[0].body == ("x",)
+    with pytest.raises(PatchFormatError, match="no lossless text form"):
+        serialize_patch(PatchSet((EditSpan(1, 2, ("x", "")),)))
 
 
 @settings(deadline=None, max_examples=300)
@@ -256,7 +261,13 @@ def blank_heavy_patchsets(draw):
 @settings(deadline=None, max_examples=500)
 @given(blank_heavy_patchsets())
 def test_round_trips_predicts_the_text_round_trip(patch):
-    assert round_trips(patch) == (parse_patch(serialize_patch(patch)) == patch)
+    text = SEP.join(f"{s.line_bef}-{s.line_af}{MID}" + "\n".join(s.body) for s in patch.spans)
+    assert round_trips(patch) == (parse_patch(text) == patch)
+    if round_trips(patch):
+        assert serialize_patch(patch) == text
+    else:
+        with pytest.raises(PatchFormatError):
+            serialize_patch(patch)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import logging
 import random
 
 import pytest
@@ -29,6 +28,10 @@ DESCRIPTIONS = (
 )
 
 
+INSERT_TOP = PatchSet((EditSpan(-1, 0, ("x",)),))  # applies to any source, even an empty one
+INSERT_TOP_TEXT = "-1-0<MID>x"
+
+
 def _record(**kw) -> VulnRecord:
     base = dict(
         id="r1",
@@ -36,7 +39,7 @@ def _record(**kw) -> VulnRecord:
         cwe_description="Improper input validation.",
         vuln_lines=(1,),
         source=SourceUnit(("int f()", "{", "}")),
-        reference_patch=PatchSet(()),
+        reference_patch=INSERT_TOP,
     )
     base.update(kw)
     return VulnRecord(**base)
@@ -89,6 +92,11 @@ def test_record_validated_at_construction():
         _record(vuln_lines=(3,))
     with pytest.raises(InvalidRecord, match="ascending"):
         _record(vuln_lines=(1, 1))
+    # a no-op fix, and a fix whose text would drop its final empty line
+    with pytest.raises(InvalidRecord, match="^record 'r1': reference patch is empty$"):
+        _record(reference_patch=PatchSet(()))
+    with pytest.raises(InvalidRecord, match="reference patch has no lossless text form"):
+        _record(reference_patch=PatchSet((EditSpan(0, 1, ("",)),)))
     record = _record(reference_patch=PatchSet((EditSpan(0, 2, ("{ return 0;",)),)))
     assert record.reference_after.lines == ("int f()", "{ return 0;", "}")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -135,7 +143,7 @@ def test_parse_roundtrip_randomized():
             source=SourceUnit(lines),
         )
         prompt = build_prompt(record)
-        parsed = parse_prompt(prompt, completion="")
+        parsed = parse_prompt(prompt, completion=INSERT_TOP_TEXT)
         assert parsed.cwe_id == record.cwe_id
         assert parsed.cwe_description == record.cwe_description
         assert parsed.vuln_lines == record.vuln_lines
@@ -170,7 +178,7 @@ def test_parse_rejects_malformed(text):
 
 def test_parse_empty_source_block():
     record = _record(source=SourceUnit(()), vuln_lines=())
-    parsed = parse_prompt(build_prompt(record), completion="")
+    parsed = parse_prompt(build_prompt(record), completion=INSERT_TOP_TEXT)
     assert parsed.source.lines == ()
 
 
@@ -241,12 +249,3 @@ def test_render_derives_when_patch_missing(stb_before, stb_after):
     )
     example = render_training_example(record)
     assert example.completion == "5-6<MID>   if (w == NULL) return 0;"
-
-
-def test_render_empty_patch_warns(caplog):
-    src = SourceUnit(("a", "b"))
-    record = _record(source=src, vuln_lines=(0,), reference_patch=PatchSet(()))
-    with caplog.at_level(logging.WARNING, logger="linefix.prompting"):
-        example = render_training_example(record)
-    assert example.completion == ""
-    assert any("empty patch" in m for m in caplog.messages)
