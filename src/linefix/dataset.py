@@ -6,10 +6,11 @@ raw schema (JSONL or CSV)
     ``id, cve_id?, cwe_id, cwe_description, vuln_lines?, source_before,
     source_after?, reference_patch?, split`` with exactly one of
     ``source_after`` and ``reference_patch``. ``vuln_lines`` falls back to the
-    before-side changed lines of the reference patch. Sources carrying the
-    upstream bug markers (``<S2SV_StartBug>`` / ``<S2SV_EndBug>``) are
+    before-side lines the reference patch changes
+    (``engine.changed_before_lines``). A ``source_before`` carrying the
+    upstream bug markers (``<S2SV_StartBug>`` / ``<S2SV_EndBug>``) is
     accepted: the markers are stripped and the marked lines become
-    ``vuln_lines``.
+    ``vuln_lines``. Anywhere else a marker is a reserved token.
 
     The fix is read in one of two ways: ``source_after`` (upstream files) is
     diffed against ``source_before``; ``reference_patch`` (files linefix
@@ -18,7 +19,9 @@ raw schema (JSONL or CSV)
     is a SchemaError. A stored patch that does not parse or validate
     quarantines the record and is never re-derived; so does a fix that is
     empty or has no lossless text form. In CSV an empty ``reference_patch``
-    cell means the field is absent.
+    cell means the field is absent, and so does an empty ``source_after``
+    cell next to a filled ``reference_patch`` one, so a file can mix both
+    kinds of row.
 
 training schema (JSONL)
     ``id, prompt, completion, cwe_id, split`` as written by export_jsonl;
@@ -26,9 +29,11 @@ training schema (JSONL)
     ingest -> export -> ingest is a fixed point.
 
 Structural problems (missing fields, undecodable rows) raise SchemaError.
-Records that decode but violate an invariant are quarantined with a reason,
-never silently dropped. Every record that is kept carries its reference
-patch, so export_jsonl writes one training row for each.
+Records from both schemas keep the one rule set of ``VulnRecord.validate``;
+ingest adds only the raw pair's trailing-newline rule. Records that decode
+but violate an invariant are quarantined with a reason, never silently
+dropped. Every record that is kept carries its reference patch, so
+export_jsonl writes one training row for each.
 """
 
 from __future__ import annotations
@@ -48,9 +53,8 @@ from linefix.errors import (
     SchemaError,
 )
 from linefix.prompting import (
-    INST_CLOSE,
-    INST_OPEN,
-    RESERVED_TOKENS,
+    BUG_END,
+    BUG_START,
     VulnRecord,
     parse_prompt,
     render_training_example,
@@ -60,9 +64,6 @@ from linefix.source import from_text, to_text
 
 SPLITS = ("train", "validation", "test")
 FINGERPRINT_MODES = ("exact", "ws_normalized")
-
-BUG_START = "<S2SV_StartBug>"
-BUG_END = "<S2SV_EndBug>"
 
 _RAW_REQUIRED = ("id", "cwe_id", "cwe_description", "source_before", "split")
 _TRAINING_REQUIRED = ("id", "cwe_id", "prompt", "completion", "split")
@@ -107,7 +108,6 @@ class SplitManifest:
     overlap_count: int
     overlap_fraction: float
     mode: str
-    seed: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -116,7 +116,6 @@ class SplitManifest:
             "overlap_count": self.overlap_count,
             "overlap_fraction": self.overlap_fraction,
             "mode": self.mode,
-            "seed": self.seed,
         }
 
 
@@ -162,8 +161,12 @@ def _read_csv(path: str) -> list[tuple[int, dict]]:
                         )
             if row.get("cve_id") == "":
                 row["cve_id"] = None
+            # an empty source_after cell next to a filled reference_patch one is
+            # absent too, so one file can mix both kinds of row
             if row.get("reference_patch") == "":
                 row.pop("reference_patch")
+            elif row.get("source_after") == "" and row.get("reference_patch") is not None:
+                row.pop("source_after")
             rows.append((reader.line_num, row))
     return rows
 
@@ -219,17 +222,6 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
     if BUG_START in raw_before or BUG_END in raw_before:
         raw_before, marker_lines = strip_bug_markers(raw_before)
 
-    for token in RESERVED_TOKENS + (BUG_START, BUG_END):
-        if token in raw_before or (raw_after is not None and token in raw_after):
-            raise InvalidRecord(f"source contains reserved token {token}")
-    if patch_text is not None:
-        # <MID> and <sep> are the patch's own syntax; EditSpan rejects them in a body
-        for token in (INST_OPEN, INST_CLOSE, BUG_START, BUG_END):
-            if token in patch_text:
-                raise InvalidRecord(f"reference_patch contains reserved token {token}")
-    if "\n" in row["cwe_description"]:
-        raise InvalidRecord("cwe_description contains a line feed")
-
     src = from_text(raw_before)
     if patch_text is None:
         patch = derive_patch(src, from_text(raw_after))
@@ -247,7 +239,7 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
     elif marker_lines:
         vuln_lines = marker_lines
     else:
-        vuln_lines = changed_before_lines(patch)
+        vuln_lines = changed_before_lines(src, patch)
 
     if raw_after is not None and src.had_trailing_newline != raw_after.endswith("\n"):
         # the fixed source is rebuilt from the patch, which keeps before's flag

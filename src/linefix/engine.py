@@ -76,9 +76,25 @@ def derive_patch(before: SourceUnit, after: SourceUnit) -> PatchSet:
     return PatchSet((*out, EditSpan(bef, af, body)))
 
 
-def changed_before_lines(patch: PatchSet) -> list[int]:
-    """Sorted 0-based indices of the before-side lines any span replaces."""
-    seen: set[int] = set()
+def changed_before_lines(src: SourceUnit, patch: PatchSet) -> list[int]:
+    """Sorted 0-based indices of the ``src`` lines the patch changes.
+
+    A span marks the lines it replaces, less the leading and trailing ones its
+    body repeats unchanged, so a span derive_patch widened over an unchanged
+    line does not mark that line. Lines past the end of ``src`` are never
+    marked. The EOF split keeps a residual: ``x`` -> ``x``, ``""`` derives an
+    insertion of both lines and an empty-bodied deletion of line 0, which
+    still marks line 0.
+    """
+    marked: list[int] = []
     for s in patch.spans:
-        seen.update(s.replaced_range())
-    return sorted(seen)
+        replaced = s.replaced_range()
+        old = src.lines[replaced.start: replaced.stop]
+        lead = _common_prefix(old, s.body)
+        trail = _common_prefix(old[lead:][::-1], s.body[lead:][::-1])
+        marked.extend(replaced[lead: len(old) - trail])
+    return marked
+
+
+def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))

@@ -48,11 +48,20 @@ class MalformedPrompt(LinefixError):
 class InvalidRecord(LinefixError):
     """Record violates an invariant.
 
-    Raised when a record is constructed: bad CWE id shape, vuln lines out of
-    range or not strictly ascending, or a reference patch that is empty, has
-    no lossless text form or does not validate against the source. Ingest also raises it for a raw pair whose
-    before and after differ in their trailing newline, which a line-addressed
-    patch cannot carry.
+    ``prompting.VulnRecord.validate`` raises it when a record is constructed,
+    whatever built it, for:
+
+    - a CWE id not of the form ``CWE-<digits>``;
+    - an LF in the CWE description;
+    - a reserved token (``[INST]``, ``[/INST]``, ``<MID>``, ``<sep>``,
+      ``<S2SV_StartBug>``, ``<S2SV_EndBug>``) in the description, in a source
+      line or in a reference-patch body line;
+    - a reference patch that is empty, has no lossless text form or does
+      not validate against the source;
+    - vuln lines out of range or not strictly ascending.
+
+    Ingest also raises it for a raw pair whose before and after differ in
+    their trailing newline, which a line-addressed patch cannot carry.
     """
 
 

@@ -6,11 +6,12 @@ Layout, byte for byte::
     <numbered source lines>
     [/INST]
 
-The numbered block is ``number_lines(source)``; with an LF-free description
-the prompt is exactly ``2 + len(source.lines)`` lines. Every record carries
-its reference patch. ``parse_prompt`` takes a prompt and its training
-completion back to the record, so it inverts ``render_training_example`` and
-exported rows can be audited mechanically.
+The numbered block is ``number_lines(source)``, and the prompt is exactly
+``2 + len(source.lines)`` lines: ``VulnRecord.validate``, the one rule set for
+every record, refuses an LF in the description and a ``RESERVED_TOKENS``
+entry in any of the record's texts. ``parse_prompt`` takes a prompt and its
+training completion back to the record, so it inverts
+``render_training_example`` and exported rows can be audited mechanically.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from linefix.source import SourceUnit, line_prefixes, number_lines
 INST_OPEN = "[INST]"
 INST_CLOSE = "[/INST]"
 
-RESERVED_TOKENS = (INST_OPEN, INST_CLOSE, MID, SEP)
+BUG_START = "<S2SV_StartBug>"
+BUG_END = "<S2SV_EndBug>"
+
+RESERVED_TOKENS = (INST_OPEN, INST_CLOSE, MID, SEP, BUG_START, BUG_END)
 
 _CWE_RE = re.compile(r"CWE-[0-9]+")
 # exactly what build_prompt writes: canonical line numbers, each followed by a
@@ -41,7 +45,7 @@ class VulnRecord:
     The fix is one non-empty line-addressed reference patch against
     ``source`` whose text round-trips; the fixed source is derived from it.
     A record is validated once, when it is constructed, and is immutable
-    afterwards.
+    afterwards; ``errors.InvalidRecord`` lists the invariants.
     """
 
     id: str
@@ -61,6 +65,16 @@ class VulnRecord:
         """Raise InvalidRecord on any invariant violation."""
         if not _CWE_RE.fullmatch(self.cwe_id):
             raise InvalidRecord(f"record {self.id!r}: bad cwe_id {self.cwe_id!r}")
+        if "\n" in self.cwe_description:
+            raise InvalidRecord(f"record {self.id!r}: cwe_description contains a line feed")
+        bodies = "\n".join(line for s in self.reference_patch.spans for line in s.body)
+        for name, text in (("cwe_description", self.cwe_description),
+                           ("source", "\n".join(self.source.lines)), ("reference patch", bodies)):
+            for token in RESERVED_TOKENS:
+                if token in text:
+                    raise InvalidRecord(
+                        f"record {self.id!r}: {name} contains reserved token {token}"
+                    )
         if not self.reference_patch.spans:
             raise InvalidRecord(f"record {self.id!r}: reference patch is empty")
         if not round_trips(self.reference_patch):

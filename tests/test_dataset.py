@@ -66,7 +66,7 @@ def mem_record(
         id=rid,
         cwe_id=cwe,
         cwe_description="d.",
-        vuln_lines=tuple(changed_before_lines(patch)),
+        vuln_lines=tuple(changed_before_lines(src, patch)),
         source=src,
         reference_patch=patch,
     )
@@ -156,8 +156,13 @@ def test_ingest_quarantines_invariant_violations(tmp_path):
     ]
     result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
     assert [r.vuln.id for r in result.records] == ["rec-4"]
-    assert len(result.quarantined) == 4
-    assert {q.record_id for q in result.quarantined} == {f"rec-{i}" for i in range(4)}
+    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+        ("rec-0", "record 'rec-0': bad cwe_id 'bad-cwe'"),
+        ("rec-1", "record 'rec-1': cwe_description contains a line feed"),
+        ("rec-2", "record 'rec-2': vuln line 99 outside [0, 5)"),
+        # the changed line is a patch body, and EditSpan refuses <MID> there
+        ("rec-3", "body lines must not contain <MID> or <sep>"),
+    ]
     assert all(q.line_no is not None for q in result.quarantined)
 
 
@@ -379,11 +384,13 @@ def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value
         ("1-3<MID>x <MID> y", "reference_patch does not parse: body lines must not contain"),
         ("1-99<MID>x", "record 'rec-0': reference patch does not validate: "
                        "span 0: span 1-99 outside [-1, 5]"),
-        ("1-3<MID>  [INST] x;", "reference_patch contains reserved token [INST]"),
-        ("1-3<MID>  x;\n[/INST]", "reference_patch contains reserved token [/INST]"),
-        (f"1-3<MID>{BUG_START} x;", f"reference_patch contains reserved token {BUG_START}"),
+        ("1-3<MID>  [INST] x;", "record 'rec-0': reference patch contains reserved token [INST]"),
+        ("1-3<MID>  x;\n[/INST]",
+         "record 'rec-0': reference patch contains reserved token [/INST]"),
+        (f"1-3<MID>{BUG_START} x;",
+         f"record 'rec-0': reference patch contains reserved token {BUG_START}"),
         (f"0-1<MID>a<sep>1-3<MID>x; {BUG_END}",
-         f"reference_patch contains reserved token {BUG_END}"),
+         f"record 'rec-0': reference patch contains reserved token {BUG_END}"),
     ],
 )
 def test_bad_patch_only_row_is_quarantined(tmp_path, monkeypatch, patch, reason):
@@ -520,7 +527,13 @@ def test_csv_reference_patch_cell(tmp_path, monkeypatch):
     path = write_csv(tmp_path / "both.csv", fields, [raw_row(2, reference_patch="")])
     assert [r.vuln.id for r in ingest(path, fmt="csv").records] == ["rec-2"]
     assert len(calls) == 1
-    path = write_csv(tmp_path / "bad.csv", fields, [raw_row(3, reference_patch=stored)])
+    # and an empty source_after cell next to a filled reference_patch one, so rows can mix
+    mixed = [raw_row(3, reference_patch=""), patch_row(4, source_after="")]
+    result = ingest(write_csv(tmp_path / "mixed.csv", fields, mixed), fmt="csv")
+    assert result.quarantined == []
+    assert [texts(r)[1] for r in result.records] == [raw_row(i)["source_after"] for i in (3, 4)]
+    assert len(calls) == 2
+    path = write_csv(tmp_path / "bad.csv", fields, [raw_row(5, reference_patch=stored)])
     with pytest.raises(SchemaError, match="row has both"):
         ingest(path, fmt="csv")
 
@@ -548,6 +561,30 @@ def test_training_rows_cwe_mismatch_quarantined(tmp_path):
     result = ingest(path)
     assert result.records == []
     assert len(result.quarantined) == 1
+
+
+def test_training_rows_follow_the_raw_rules(tmp_path):
+    # training ingest -> records file -> ingest: a row no records file could
+    # carry is quarantined at the first ingest, not at the second
+    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(i) for i in range(4)])).records
+    export_jsonl(records, str(tmp_path / "t.jsonl"))
+    rows = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+    rows[0]["prompt"] = rows[0]["prompt"].replace("  return n;", "  return n; [INST]")
+    rows[1]["prompt"] = rows[1]["prompt"].replace("  return n;", f"{BUG_START}  return n;")
+    rows[2]["completion"] += " [/INST]"
+    first = ingest(write_jsonl(tmp_path / "tampered.jsonl", rows))
+    assert [(q.record_id, q.reason) for q in first.quarantined] == [
+        ("rec-0", "record 'rec-0': source contains reserved token [INST]"),
+        ("rec-1", f"record 'rec-1': source contains reserved token {BUG_START}"),
+        ("rec-2", "record 'rec-2': reference patch contains reserved token [/INST]"),
+    ]
+    write_records_jsonl(first.records, str(tmp_path / "records1.jsonl"))
+    second = ingest(str(tmp_path / "records1.jsonl"))
+    assert second.quarantined == []
+    assert second.records == first.records
+    assert [r.vuln.id for r in first.records] == ["rec-3"]
+    write_records_jsonl(second.records, str(tmp_path / "records2.jsonl"))
+    assert (tmp_path / "records1.jsonl").read_bytes() == (tmp_path / "records2.jsonl").read_bytes()
 
 
 def test_training_rows_validate_each_record_once(tmp_path, monkeypatch):

@@ -219,7 +219,28 @@ def test_applied_equivalent_spans_differ():
 
 def test_changed_before_lines():
     patch = PatchSet((EditSpan(1, 4, ("x",)), EditSpan(6, 7, ("y",))))
-    assert changed_before_lines(patch) == [2, 3]
+    assert changed_before_lines(SRC, patch) == [2, 3]
+    # lines a span's body repeats unchanged at either end are not marked
+    kept_ends = PatchSet((EditSpan(1, 6, ("line 2", "x", "line 4", "line 5")),))
+    assert changed_before_lines(SRC, kept_ends) == [3]
+    assert changed_before_lines(SRC, PatchSet((EditSpan(1, 3, ("line 2",)),))) == []
+
+
+@pytest.mark.parametrize(
+    "before,after,text,marked",
+    [
+        # widened over "b", which the body carries unchanged
+        (("a", "b", "c"), ("a", "", "b", "c"), "0-2<MID>\nb", []),
+        # the EOF split inserts "x", "" and deletes line 0 in an empty span:
+        # line 0 is still marked
+        (("x",), ("x", ""), "-1-0<MID>x\n<sep>-1-1<MID>", [0]),
+    ],
+)
+def test_changed_before_lines_of_widened_spans(before, after, text, marked):
+    src = SourceUnit(before)
+    patch = derive_patch(src, SourceUnit(after))
+    assert serialize_patch(patch) == text
+    assert changed_before_lines(src, patch) == marked
 
 
 def test_to_text_of_applied(vpx_source, vpx_reference_patch):

@@ -1,8 +1,11 @@
-"""The names the benchmark's tracer wraps still exist in linefix.
+"""The names the benchmark's tracer and sample timer wrap still exist in linefix.
 
 ``perfbench/layers.py`` wraps each entry of ``TARGETS`` by name and reads a
 name it cannot find as 0 calls, so a rename would silently zero a traced
-layer. ``TARGETS`` is read with ``ast`` so perfbench is not imported.
+layer. ``perfbench/runner.py`` times each workload's ``SAMPLE_CALLS`` entry
+by patching that module attribute, so a name the module stopped exposing
+would leave the sample latency with no samples. Both tables are read with
+``ast`` so perfbench is not imported.
 """
 
 from __future__ import annotations
@@ -14,20 +17,27 @@ from pathlib import Path
 
 from linefix import client
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+RUNNER = PERFBENCH / "runner.py"
 
 # engine.applied_equivalent was deleted (score_batch compares applied results
 # itself); perfbench still lists it and reports it as not traced
 KNOWN_MISSING = {"engine.applied_equivalent"}
 
 
-def _targets() -> list[tuple[str, str]]:
-    for node in ast.parse(LAYERS.read_text(encoding="utf-8")).body:
+def _literal(path: Path, name: str):
+    """The literal value a module-level assignment binds to ``name``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
-    raise AssertionError(f"no TARGETS in {LAYERS}")
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} in {path}")
+
+
+def _targets() -> list[tuple[str, str]]:
+    return [(module, attr) for module, attr, _ in _literal(LAYERS, "TARGETS")]
 
 
 def _resolves(module_name: str, attr: str) -> bool:
@@ -43,6 +53,14 @@ def test_every_traced_target_resolves():
     missing = {f"{m}.{a}" for m, a in targets if not _resolves(m, a)}
     assert missing == KNOWN_MISSING
     assert len(targets) > len(KNOWN_MISSING)
+
+
+def test_every_sample_call_resolves():
+    calls = _literal(RUNNER, "SAMPLE_CALLS")
+    assert calls
+    for module, attr in calls.values():
+        assert module.startswith("linefix.")
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
 def test_generate_batch_takes_backend_third():

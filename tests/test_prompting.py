@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linefix.engine import derive_patch
-from linefix.errors import InvalidRecord, MalformedHeader, MalformedPrompt
+from linefix.errors import InvalidRecord, LinefixError, MalformedHeader, MalformedPrompt
 from linefix.patchfmt import EditSpan, PatchSet, serialize_patch
 from linefix.prompting import (
+    BUG_END,
+    BUG_START,
+    INST_CLOSE,
+    INST_OPEN,
+    RESERVED_TOKENS,
     VulnRecord,
     build_prompt,
     parse_prompt,
@@ -114,6 +122,31 @@ def test_record_requires_reference_patch():
         )
 
 
+@pytest.mark.parametrize("token", RESERVED_TOKENS)
+def test_record_refuses_reserved_tokens(token):
+    with pytest.raises(InvalidRecord, match=f"^record 'r1': cwe_description contains "
+                                            f"reserved token {re.escape(token)}$"):
+        _record(cwe_description=f"a {token} b")
+    with pytest.raises(InvalidRecord, match=f"^record 'r1': source contains "
+                                            f"reserved token {re.escape(token)}$"):
+        _record(source=SourceUnit(("int f()", f"{{ {token}", "}")))
+
+
+@pytest.mark.parametrize("token", [INST_OPEN, INST_CLOSE, BUG_START, BUG_END])
+def test_record_refuses_reserved_tokens_in_patch_body(token):
+    # <MID> and <sep> never get this far: EditSpan refuses them in a body
+    patch = PatchSet((EditSpan(-1, 0, ("x",)), EditSpan(0, 2, ("ok", f"y; {token}"))))
+    with pytest.raises(InvalidRecord, match=f"^record 'r1': reference patch contains "
+                                            f"reserved token {re.escape(token)}$"):
+        _record(reference_patch=patch)
+
+
+def test_record_refuses_line_feed_in_description():
+    with pytest.raises(InvalidRecord, match="^record 'r1': cwe_description contains a line feed$"):
+        _record(cwe_description="two\nlines")
+    assert _record(cwe_description="carriage\rreturn").cwe_description == "carriage\rreturn"
+
+
 # --- parsing ----------------------------------------------------------------
 
 
@@ -200,6 +233,53 @@ def test_parse_roundtrip_long_sources():
         assert parse_prompt(
             prompt, id=record.id, cwe_id=record.cwe_id, completion=completion
         ) == record
+
+
+PLAIN = ("a", "b;", " ", "0 ", "{", "}", "CWE-7 ")
+
+
+@st.composite
+def record_fields(draw) -> dict:
+    """A record's fields; one text field may also hold reserved tokens, LF and CR."""
+    dirty = draw(st.sampled_from(("", "cwe_description", "source", "reference_patch")))
+
+    def text(field: str) -> str:
+        pieces = PLAIN + RESERVED_TOKENS + ("\r", "\n") if field == dirty else PLAIN
+        return "".join(draw(st.lists(st.sampled_from(pieces), max_size=3)))
+
+    lines = tuple(text("source") for _ in range(draw(st.integers(0, 4))))
+    n = len(lines)
+    bodies = [[text("reference_patch") for _ in range(draw(st.integers(1, 2)))]]
+    if n:  # rewrite or delete the last line too
+        bodies.append([text("reference_patch") for _ in range(draw(st.integers(0, 2)))])
+    return dict(
+        cwe_description=text("cwe_description"),
+        vuln_lines=tuple(i for i in range(n) if draw(st.booleans())),
+        # no trailing newline: a prompt does not carry the flag
+        source=lines,
+        spans=list(zip((-1, n - 2), (0, n), bodies)),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(record_fields())
+@example(dict(cwe_description="two\n0 lines", vuln_lines=(0,), source=("a",),
+              spans=[(-1, 0, ["x"])]))
+def test_every_record_parses_back_from_its_training_example(fields):
+    try:
+        record = VulnRecord(
+            id="r9",
+            cwe_id="CWE-20",
+            cwe_description=fields["cwe_description"],
+            vuln_lines=fields["vuln_lines"],
+            source=SourceUnit(fields["source"]),
+            reference_patch=PatchSet(tuple(EditSpan(*span) for span in fields["spans"])),
+        )
+    except (ValueError, LinefixError):
+        return  # no record carries these fields
+    completion = serialize_patch(record.reference_patch)
+    prompt = build_prompt(record)
+    assert parse_prompt(prompt, completion=completion, id=record.id, cwe_id=record.cwe_id) == record
 
 
 @pytest.mark.parametrize("bad", [0, 1, 255, 256, 299])
