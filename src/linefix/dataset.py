@@ -28,7 +28,9 @@ training schema (JSONL)
     records are reconstructed by parsing the prompt and completion, so
     ingest -> export -> ingest is a fixed point.
 
-Structural problems (missing fields, undecodable rows) raise SchemaError.
+Ingest reads one row at a time and builds its record before decoding the
+next, so no raw row is held beside the records. Structural problems (missing
+fields, undecodable rows) raise SchemaError for the first one in file order.
 Records from both schemas keep the one rule set of ``VulnRecord.validate``;
 ingest adds only the raw pair's trailing-newline rule. Records that decode
 but violate an invariant are quarantined with a reason, never silently
@@ -43,6 +45,8 @@ import hashlib
 import json
 import re
 from collections import Counter
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from linefix.engine import changed_before_lines, derive_patch
@@ -122,8 +126,7 @@ class SplitManifest:
 # --- reading ----------------------------------------------------------------
 
 
-def _read_jsonl(path: str) -> list[tuple[int, dict]]:
-    rows = []
+def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -134,12 +137,10 @@ def _read_jsonl(path: str) -> list[tuple[int, dict]]:
                 raise SchemaError(f"undecodable JSON: {exc}", path=path, line_no=line_no)
             if not isinstance(obj, dict):
                 raise SchemaError("row is not an object", path=path, line_no=line_no)
-            rows.append((line_no, obj))
-    return rows
+            yield line_no, obj
 
 
-def _read_csv(path: str) -> list[tuple[int, dict]]:
-    rows = []
+def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for obj in reader:
@@ -167,8 +168,7 @@ def _read_csv(path: str) -> list[tuple[int, dict]]:
                 row.pop("reference_patch")
             elif row.get("source_after") == "" and row.get("reference_patch") is not None:
                 row.pop("source_after")
-            rows.append((reader.line_num, row))
-    return rows
+            yield reader.line_num, row
 
 
 def _require(row: dict, fields: tuple[str, ...], path: str, line_no: int) -> None:
@@ -276,16 +276,17 @@ def ingest(path: str, fmt: str = "jsonl") -> IngestResult:
     else:
         raise ValueError(f"unknown format {fmt!r}")
     result = IngestResult(records=[])
-    for line_no, row in rows:
-        builder = _record_from_training if "prompt" in row else _record_from_raw
-        try:
-            result.records.append(builder(row, path, line_no))
-        except SchemaError:
-            raise
-        except LinefixError as exc:
-            result.quarantined.append(
-                QuarantineEntry(reason=str(exc), record_id=row.get("id"), line_no=line_no)
-            )
+    with closing(rows):  # a SchemaError closes the file now, not when rows is collected
+        for line_no, row in rows:
+            builder = _record_from_training if "prompt" in row else _record_from_raw
+            try:
+                result.records.append(builder(row, path, line_no))
+            except SchemaError:
+                raise
+            except LinefixError as exc:
+                result.quarantined.append(
+                    QuarantineEntry(reason=str(exc), record_id=row.get("id"), line_no=line_no)
+                )
     return result
 
 

@@ -82,16 +82,21 @@ def changed_before_lines(src: SourceUnit, patch: PatchSet) -> list[int]:
     A span marks the lines it replaces, less the leading and trailing ones its
     body repeats unchanged, so a span derive_patch widened over an unchanged
     line does not mark that line. Lines past the end of ``src`` are never
-    marked. The EOF split keeps a residual: ``x`` -> ``x``, ``""`` derives an
-    insertion of both lines and an empty-bodied deletion of line 0, which
-    still marks line 0.
+    marked. An empty-bodied span right after an insertion with the same
+    ``line_bef`` is derive_patch's EOF split, so its lines are compared with
+    that insertion's body: ``x`` -> ``x``, ``""`` inserts both lines and
+    deletes line 0, and marks nothing.
     """
     marked: list[int] = []
-    for s in patch.spans:
+    spans = patch.spans
+    for prev, s in zip((None, *spans), spans):
         replaced = s.replaced_range()
         old = src.lines[replaced.start: replaced.stop]
-        lead = _common_prefix(old, s.body)
-        trail = _common_prefix(old[lead:][::-1], s.body[lead:][::-1])
+        body = s.body
+        if not body and prev and prev.line_bef == s.line_bef and not prev.replaced_range():
+            body = prev.body
+        lead = _common_prefix(old, body)
+        trail = _common_prefix(old[lead:][::-1], body[lead:][::-1])
         marked.extend(replaced[lead: len(old) - trail])
     return marked
 

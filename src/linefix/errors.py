@@ -53,6 +53,8 @@ class InvalidRecord(LinefixError):
 
     - a CWE id not of the form ``CWE-<digits>``;
     - an LF in the CWE description;
+    - a CR in a source line, which no patch body may carry, so no fix could
+      rewrite that line;
     - a reserved token (``[INST]``, ``[/INST]``, ``<MID>``, ``<sep>``,
       ``<S2SV_StartBug>``, ``<S2SV_EndBug>``) in the description, in a source
       line or in a reference-patch body line;

@@ -8,9 +8,9 @@ Layout, byte for byte::
 
 The numbered block is ``number_lines(source)``, and the prompt is exactly
 ``2 + len(source.lines)`` lines: ``VulnRecord.validate``, the one rule set for
-every record, refuses an LF in the description and a ``RESERVED_TOKENS``
-entry in any of the record's texts. ``parse_prompt`` takes a prompt and its
-training completion back to the record, so it inverts
+every record, refuses an LF in the description, a CR in a source line and a
+``RESERVED_TOKENS`` entry in any of the record's texts. ``parse_prompt`` takes
+a prompt and its training completion back to the record, so it inverts
 ``render_training_example`` and exported rows can be audited mechanically.
 """
 
@@ -67,9 +67,12 @@ class VulnRecord:
             raise InvalidRecord(f"record {self.id!r}: bad cwe_id {self.cwe_id!r}")
         if "\n" in self.cwe_description:
             raise InvalidRecord(f"record {self.id!r}: cwe_description contains a line feed")
+        source = "\n".join(self.source.lines)
+        if "\r" in source:  # no patch body may hold one, so no fix could rewrite the line
+            raise InvalidRecord(f"record {self.id!r}: source contains a carriage return")
         bodies = "\n".join(line for s in self.reference_patch.spans for line in s.body)
         for name, text in (("cwe_description", self.cwe_description),
-                           ("source", "\n".join(self.source.lines)), ("reference patch", bodies)):
+                           ("source", source), ("reference patch", bodies)):
             for token in RESERVED_TOKENS:
                 if token in text:
                     raise InvalidRecord(

@@ -78,10 +78,13 @@ def test_ingest_is_byte_stable(runner, corpus, tmp_path):
 def test_ingest_schema_error_exits_2(runner, tmp_path):
     row = raw_row(0)
     del row["split"]
-    path = write_jsonl(tmp_path / "bad.jsonl", [row])
-    result = runner.invoke(main, ["ingest", "--input", path, "--out", str(tmp_path / "o.jsonl")])
+    path = tmp_path / "bad.jsonl"
+    # an undecodable line further down does not hide the first row's error
+    path.write_text(json.dumps(row) + "\n" + json.dumps(raw_row(1)) + "\n{broken\n")
+    argv = ["ingest", "--input", str(path), "--out", str(tmp_path / "o.jsonl")]
+    result = runner.invoke(main, argv)
     assert result.exit_code == 2
-    assert "split" in result.output
+    assert f"{path}:1: missing required field 'split'" in result.output
 
 
 def test_ingest_row_without_a_fix_exits_2(runner, tmp_path):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -166,6 +168,22 @@ def test_ingest_quarantines_invariant_violations(tmp_path):
     assert all(q.line_no is not None for q in result.quarantined)
 
 
+def test_ingest_quarantines_a_lone_cr_in_a_source_line(tmp_path):
+    # no patch body may hold a CR, so a fix could never rewrite such a line,
+    # whether it changes it or keeps it
+    rows = [
+        raw_row(0, source_before="x\r\ny\rz\nw\n", source_after="x\nq\rz\nw\n"),
+        raw_row(1, source_before="x\ny\rz\nw\n", source_after="x\ny\rz\nv\n"),
+        raw_row(2, source_before="x\r\ny\r\n", source_after="x\r\nz\r\n"),  # CR-LF folds
+    ]
+    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert [r.vuln.id for r in result.records] == ["rec-2"]
+    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+        ("rec-0", "body lines must not contain CR"),
+        ("rec-1", "record 'rec-1': source contains a carriage return"),
+    ]
+
+
 @pytest.mark.parametrize(
     "before,after",
     [
@@ -221,6 +239,57 @@ def test_ingest_csv_bad_vuln_lines_cell(tmp_path):
 def test_ingest_unknown_format():
     with pytest.raises(ValueError):
         ingest("whatever.xml", fmt="xml")
+
+
+def test_ingest_holds_one_raw_row_at_a_time(tmp_path):
+    # each raw row carries two 400-line sources; a reader that decodes the
+    # whole file before building records holds every row beside the records
+    lines = [f"  v[{j}] = w[{j}] + {j};" for j in range(400)]
+
+    def source(i: int, body: list[str]) -> str:
+        return "\n".join([f"void f{i}(int *v, int *w)", *body]) + "\n"
+
+    rows = [
+        raw_row(i, source_before=source(i, lines),
+                source_after=source(i, [*lines[:-1], "  v[0] = 0;"]))
+        for i in range(300)
+    ]
+    path = write_jsonl(tmp_path / "big.jsonl", rows)
+    size = os.path.getsize(path)
+    assert size > 5_000_000
+    tracemalloc.start()
+    try:
+        result = ingest(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 300
+    assert (peak - retained) / size < 0.25
+
+
+def test_ingest_jsonl_reports_the_first_structural_error_in_file_order(tmp_path):
+    first = raw_row(0)
+    del first["cwe_id"]
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps(first) + "\n" + json.dumps(raw_row(1)) + "\n{broken\n")
+    with pytest.raises(SchemaError) as err:
+        ingest(str(path))
+    assert err.value.line_no == 1
+    assert "missing required field 'cwe_id'" in str(err.value)
+
+
+def test_ingest_csv_reports_the_first_structural_error_in_file_order(tmp_path):
+    # one physical line per row, so row n sits on line n + 1 after the header
+    fields = ["id", "cwe_description", "source_before", "source_after", "split", "cwe_id"]
+    good = ["rec-1", "d.", "int f() { return 0; }", "int f() { return 1; }", "train", "CWE-20"]
+    path = tmp_path / "r.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerows([fields, good[:-1], good, good + ["extra"]])
+    with pytest.raises(SchemaError) as err:
+        ingest(str(path), fmt="csv")
+    assert err.value.line_no == 2
+    assert "missing required field 'cwe_id'" in str(err.value)
 
 
 # --- bug markers -----------------------------------------------------------------
@@ -585,6 +654,18 @@ def test_training_rows_follow_the_raw_rules(tmp_path):
     assert [r.vuln.id for r in first.records] == ["rec-3"]
     write_records_jsonl(second.records, str(tmp_path / "records2.jsonl"))
     assert (tmp_path / "records1.jsonl").read_bytes() == (tmp_path / "records2.jsonl").read_bytes()
+
+
+def test_training_row_with_a_lone_cr_is_quarantined(tmp_path):
+    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)])).records
+    export_jsonl(records, str(tmp_path / "t.jsonl"))
+    row = json.loads((tmp_path / "t.jsonl").read_text())
+    row["prompt"] = row["prompt"].replace("  return n;", "  return\rn;")
+    result = ingest(write_jsonl(tmp_path / "cr.jsonl", [row]))
+    assert result.records == []
+    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+        ("rec-0", "record 'rec-0': source contains a carriage return")
+    ]
 
 
 def test_training_rows_validate_each_record_once(tmp_path, monkeypatch):

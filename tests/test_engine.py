@@ -231,9 +231,13 @@ def test_changed_before_lines():
     [
         # widened over "b", which the body carries unchanged
         (("a", "b", "c"), ("a", "", "b", "c"), "0-2<MID>\nb", []),
-        # the EOF split inserts "x", "" and deletes line 0 in an empty span:
-        # line 0 is still marked
-        (("x",), ("x", ""), "-1-0<MID>x\n<sep>-1-1<MID>", [0]),
+        # the EOF split inserts "x", "" and deletes line 0 in an empty span;
+        # the insertion carries line 0 unchanged, so nothing is marked
+        (("x",), ("x", ""), "-1-0<MID>x\n<sep>-1-1<MID>", []),
+        # the same split after two appended empty lines
+        (("a", "b"), ("a", "b", "", ""), "0-1<MID>b\n\n<sep>0-2<MID>", []),
+        # the EOF split over a changed line marks only that line
+        (("a", "b"), ("a", "c", ""), "0-1<MID>c\n<sep>0-2<MID>", [1]),
     ],
 )
 def test_changed_before_lines_of_widened_spans(before, after, text, marked):

@@ -105,6 +105,9 @@ def test_record_validated_at_construction():
         _record(reference_patch=PatchSet(()))
     with pytest.raises(InvalidRecord, match="reference patch has no lossless text form"):
         _record(reference_patch=PatchSet((EditSpan(0, 1, ("",)),)))
+    # no patch body may hold a CR, so no fix could rewrite a line holding one
+    with pytest.raises(InvalidRecord, match="^record 'r1': source contains a carriage return$"):
+        _record(source=SourceUnit(("int f()", "{\r", "}")))
     record = _record(reference_patch=PatchSet((EditSpan(0, 2, ("{ return 0;",)),)))
     assert record.reference_after.lines == ("int f()", "{ return 0;", "}")
     with pytest.raises(dataclasses.FrozenInstanceError):
