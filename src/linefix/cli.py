@@ -7,6 +7,10 @@ errors raised by this tool's own checks (click reports flag misuse as 2).
 Data goes to stdout, diagnostics to stderr, and every file-writing run drops
 a resolved-config manifest next to its outputs. Outputs carry no timestamps:
 identical inputs, flags, and seed produce byte-identical files.
+
+The corpus commands stream their records from reader to writer. Each
+records or export file is written next to ``--out`` and replaces it only on
+success, so a failed run leaves an existing ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -62,14 +67,36 @@ def _write_manifest(path: str, command: str, inputs: dict, config: dict, **extra
     _write_json(path, {"command": command, "inputs": inputs, "config": config, **extra})
 
 
-def _ingest_or_die(path: str, fmt: str = "jsonl") -> ds.IngestResult:
+@contextmanager
+def _exit_codes():
+    """Exit 2 on a SchemaError, 1 on an OSError and 64 on a ValueError raised in the block."""
     try:
-        return ds.ingest(path, fmt)
+        yield
     except SchemaError as exc:
         _fail(EXIT_SCHEMA, str(exc))
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
-    raise AssertionError("unreachable")
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc))
+
+
+@contextmanager
+def _replacing(out_path: str):
+    """Yield a sibling temporary path that replaces ``out_path`` when the block succeeds.
+
+    On any error the temporary file is deleted and ``out_path`` keeps its
+    bytes. It also lets ``out_path`` name a file the block is still reading.
+    """
+    tmp = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, out_path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @click.group()
@@ -84,26 +111,25 @@ def main() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path())
 def ingest(input_path: str, fmt: str, out_path: str) -> None:
     """Read raw or training records, normalize them, and write them back out."""
-    result = _ingest_or_die(input_path, fmt)
-    try:
-        ds.write_records_jsonl(result.records, out_path)
+    quarantined: list[ds.QuarantineEntry] = []
+    with _exit_codes():
+        with _replacing(out_path) as tmp:
+            counts = ds.write_records_jsonl(ds.stream(input_path, fmt, quarantined), tmp)
         _write_json(
             out_path + ".quarantine.json",
-            {"quarantined": [q.to_dict() for q in result.quarantined]},
+            {"quarantined": [q.to_dict() for q in quarantined]},
         )
         _write_manifest(
             out_path + ".manifest.json",
             "ingest",
             {"input": input_path, "format": fmt},
             {},
-            counts=result.split_counts(),
-            records=len(result.records),
-            quarantined=len(result.quarantined),
+            counts=counts,
+            records=sum(counts.values()),
+            quarantined=len(quarantined),
         )
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    click.echo(f"ingested {len(result.records)} records"
-               f" ({len(result.quarantined)} quarantined) -> {out_path}", err=True)
+    click.echo(f"ingested {sum(counts.values())} records"
+               f" ({len(quarantined)} quarantined) -> {out_path}", err=True)
 
 
 @main.command("audit-overlap")
@@ -114,13 +140,10 @@ def ingest(input_path: str, fmt: str, out_path: str) -> None:
 @click.option("--fail-on-leak", is_flag=True, help="Exit 3 when any overlap is found.")
 def audit_overlap(train_path: str, test_path: str, mode: str, fail_on_leak: bool) -> None:
     """Measure test-into-train leakage between two record files."""
-    train = _ingest_or_die(train_path).records
-    test = _ingest_or_die(test_path).records
-    try:
-        manifest = ds.detect_overlap(train, test, mode)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-        return
+    with _exit_codes():
+        manifest = ds.detect_overlap(
+            ds.stream(train_path, "jsonl", []), ds.stream(test_path, "jsonl", []), mode
+        )
     click.echo(json.dumps(manifest.to_dict(), indent=2))
     if fail_on_leak and manifest.overlap_count > 0:
         _fail(EXIT_LEAK, f"{manifest.overlap_count} overlapping records")
@@ -134,15 +157,12 @@ def audit_overlap(train_path: str, test_path: str, mode: str, fail_on_leak: bool
 @click.option("--out", "out_path", required=True, type=click.Path())
 def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
     """Drop train records that leak into test, then dedupe train."""
-    train = _ingest_or_die(train_path).records
-    test = _ingest_or_die(test_path).records
-    try:
-        refined, manifest = ds.refine(train, test, mode)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-        return
-    try:
-        ds.write_records_jsonl(refined, out_path)
+    with _exit_codes():
+        leak = ds.LeakFilter(ds.stream(test_path, "jsonl", []), mode)
+        with _replacing(out_path) as tmp:
+            train = ds.stream(train_path, "jsonl", [])
+            ds.write_records_jsonl(filter(leak.keep, train), tmp)
+            manifest = leak.manifest()
         _write_manifest(
             out_path + ".manifest.json",
             "refine",
@@ -150,9 +170,8 @@ def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
             {"mode": mode},
             result=manifest.to_dict(),
         )
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    click.echo(f"kept {len(refined)}/{len(train)} train records -> {out_path}", err=True)
+    click.echo(f"kept {manifest.counts['train']}/{leak.read} train records -> {out_path}",
+               err=True)
 
 
 @main.command("export-train")
@@ -160,13 +179,14 @@ def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path())
 def export_train(records_path: str, out_path: str) -> None:
     """Write prompt/completion pairs for training."""
-    result = _ingest_or_die(records_path)
-    try:
-        written = ds.export_jsonl(result.records, out_path)
-        # every ingested record is exported; only the input's ingest quarantines
+    quarantined: list[ds.QuarantineEntry] = []
+    with _exit_codes():
+        with _replacing(out_path) as tmp:
+            written = ds.export_jsonl(ds.stream(records_path, "jsonl", quarantined), tmp)
+        # every record read is exported; only the input's ingest quarantines
         _write_json(
             out_path + ".quarantine.json",
-            {"quarantined": [q.to_dict() for q in result.quarantined]},
+            {"quarantined": [q.to_dict() for q in quarantined]},
         )
         _write_manifest(
             out_path + ".manifest.json",
@@ -174,10 +194,8 @@ def export_train(records_path: str, out_path: str) -> None:
             {"records": records_path},
             {},
             written=written,
-            quarantined=len(result.quarantined),
+            quarantined=len(quarantined),
         )
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
     click.echo(f"wrote {written} examples -> {out_path}", err=True)
 
 
@@ -314,7 +332,8 @@ def evaluate_cmd(
         _fail(EXIT_IO, str(exc))
         return
 
-    result = _ingest_or_die(records_path)
+    with _exit_codes():
+        result = ds.ingest(records_path)
     if result.quarantined:
         click.echo(f"{len(result.quarantined)} records quarantined at ingest", err=True)
     records = [r.vuln for r in result.records]

@@ -28,14 +28,20 @@ training schema (JSONL)
     records are reconstructed by parsing the prompt and completion, so
     ingest -> export -> ingest is a fixed point.
 
-Ingest reads one row at a time and builds its record before decoding the
-next, so no raw row is held beside the records. Structural problems (missing
-fields, undecodable rows) raise SchemaError for the first one in file order.
-Records from both schemas keep the one rule set of ``VulnRecord.validate``;
-ingest adds only the raw pair's trailing-newline rule. Records that decode
-but violate an invariant are quarantined with a reason, never silently
-dropped. Every record that is kept carries its reference patch, so
-export_jsonl writes one training row for each.
+``stream`` is the one reader: it yields each record as its row is decoded,
+so a caller that writes as it reads holds one record at a time; ``ingest``
+collects the stream into a list for callers that need every record.
+Structural problems (missing fields, undecodable rows) raise SchemaError for
+the first one in file order. Records from both schemas keep the one rule set
+of ``VulnRecord.validate``; the reader adds only the raw pair's
+trailing-newline rule and one rule across rows, that ids are unique within a
+file. Records that decode but violate an invariant are quarantined with a
+reason, never silently dropped. Every record that is kept carries its
+reference patch, so export_jsonl writes one training row for each.
+
+The writers and ``detect_overlap`` take any iterable of records.
+``LeakFilter`` holds the test side of refinement as fingerprint counts and
+filters train records as they pass; ``refine`` wraps it for lists.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import hashlib
 import json
 import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -97,10 +103,6 @@ class QuarantineEntry:
 class IngestResult:
     records: list[DatasetRecord]
     quarantined: list[QuarantineEntry] = field(default_factory=list)
-
-    def split_counts(self) -> dict[str, int]:
-        counts = Counter(r.split for r in self.records)
-        return {s: counts[s] for s in SPLITS if s in counts}
 
 
 @dataclass
@@ -267,37 +269,61 @@ def _record_from_training(row: dict, path: str, line_no: int) -> DatasetRecord:
     return DatasetRecord(split, vuln)
 
 
-def ingest(path: str, fmt: str = "jsonl") -> IngestResult:
-    """Read a records file; invariant violations land in the quarantine list."""
+def stream(path: str, fmt: str, quarantined: list[QuarantineEntry]) -> Iterator[DatasetRecord]:
+    """Yield the records of a records file in file order, building each as its row is read.
+
+    Rows that violate an invariant are appended to ``quarantined`` instead;
+    so is a row whose id an earlier record of the file already has. A
+    structural problem raises SchemaError when its row is reached.
+    """
     if fmt == "jsonl":
         rows = _read_jsonl(path)
     elif fmt == "csv":
         rows = _read_csv(path)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    result = IngestResult(records=[])
+    first_line: dict[str, int] = {}  # id -> line of the record that has it
     with closing(rows):  # a SchemaError closes the file now, not when rows is collected
         for line_no, row in rows:
             builder = _record_from_training if "prompt" in row else _record_from_raw
             try:
-                result.records.append(builder(row, path, line_no))
+                record = builder(row, path, line_no)
             except SchemaError:
                 raise
             except LinefixError as exc:
-                result.quarantined.append(
+                quarantined.append(
                     QuarantineEntry(reason=str(exc), record_id=row.get("id"), line_no=line_no)
                 )
-    return result
+                continue
+            rid = record.vuln.id
+            if rid in first_line:
+                # samples, scripted candidates and report rows are keyed by id
+                quarantined.append(QuarantineEntry(
+                    reason=f"duplicate id {rid!r} (first at line {first_line[rid]})",
+                    record_id=rid,
+                    line_no=line_no,
+                ))
+                continue
+            first_line[rid] = line_no
+            yield record
+
+
+def ingest(path: str, fmt: str = "jsonl") -> IngestResult:
+    """Read a whole records file; invariant violations land in the quarantine list."""
+    quarantined: list[QuarantineEntry] = []
+    return IngestResult(list(stream(path, fmt, quarantined)), quarantined)
 
 
 # --- writing ----------------------------------------------------------------
 
 
-def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
+def write_records_jsonl(records: Iterable[DatasetRecord], path: str) -> dict[str, int]:
     """Write records back out in the raw schema (UTF-8, LF line ends).
 
-    Each fix is written once, as ``reference_patch``.
+    Each fix is written once, as ``reference_patch``. Returns the rows
+    written per split, in ``SPLITS`` order.
     """
+    counts: Counter[str] = Counter()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
             obj = {
@@ -311,10 +337,13 @@ def write_records_jsonl(records: list[DatasetRecord], path: str) -> None:
                 "split": r.split,
             }
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            counts[r.split] += 1
+    return {s: counts[s] for s in SPLITS if s in counts}
 
 
-def export_jsonl(records: list[DatasetRecord], path: str) -> int:
+def export_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
     """Write the training schema, one row per record; returns the rows written."""
+    written = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in records:
             example = render_training_example(r.vuln)
@@ -326,7 +355,8 @@ def export_jsonl(records: list[DatasetRecord], path: str) -> int:
                 "split": r.split,
             }
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    return len(records)
+            written += 1
+    return written
 
 
 # --- fingerprinting and refinement -------------------------------------------
@@ -355,60 +385,85 @@ def compute_fingerprint(record: DatasetRecord, mode: str = "exact") -> str:
     ).hexdigest()
 
 
-def _digests(records: list[DatasetRecord], mode: str) -> list[str]:
-    return [compute_fingerprint(r, mode) for r in records]
-
-
 def detect_overlap(
-    train: list[DatasetRecord], test: list[DatasetRecord], mode: str = "exact"
+    train: Iterable[DatasetRecord], test: Iterable[DatasetRecord], mode: str = "exact"
 ) -> SplitManifest:
-    """Measure test-side leakage: the fraction of test records seen in train."""
-    if not train or not test:
+    """Measure test-side leakage: the fraction of test records seen in train.
+
+    Reads ``train`` to the end, then ``test``, holding fingerprints only.
+    """
+    train_digests = Counter(compute_fingerprint(r, mode) for r in train)
+    n_test = overlap = 0
+    for r in test:
+        n_test += 1
+        overlap += compute_fingerprint(r, mode) in train_digests
+    n_train = sum(train_digests.values())
+    if not n_train or not n_test:
         raise ValueError("detect_overlap needs non-empty train and test")
-    train_digests = _digests(train, mode)
-    train_set = set(train_digests)
-    overlap = sum(1 for d in _digests(test, mode) if d in train_set)
     return SplitManifest(
-        counts={"train": len(train), "test": len(test)},
-        train_duplicates=len(train_digests) - len(train_set),
+        counts={"train": n_train, "test": n_test},
+        train_duplicates=n_train - len(train_digests),
         overlap_count=overlap,
-        overlap_fraction=overlap / len(test),
+        overlap_fraction=overlap / n_test,
         mode=mode,
     )
 
 
+class LeakFilter:
+    """Refinement as a filter over train records that stream past.
+
+    Built from the test records, of which it keeps only fingerprint counts.
+    ``keep`` drops a train record fingerprinted in test, then one whose
+    fingerprint an earlier kept record has (keep-first dedupe), so at most
+    one train fingerprint per kept record is held.
+    """
+
+    def __init__(self, test: Iterable[DatasetRecord], mode: str = "exact"):
+        self.mode = mode
+        self.read = 0  # train records offered to keep
+        self._test = Counter(compute_fingerprint(r, mode) for r in test)
+        self._kept: set[str] = set()
+        self._leaked: set[str] = set()
+        self._duplicates = 0
+
+    def keep(self, record: DatasetRecord) -> bool:
+        self.read += 1
+        digest = compute_fingerprint(record, self.mode)
+        if digest in self._test:
+            self._leaked.add(digest)
+            return False
+        if digest in self._kept:
+            self._duplicates += 1
+            return False
+        self._kept.add(digest)
+        return True
+
+    def manifest(self) -> SplitManifest:
+        """What was found and removed; overlap_count is the input train set's test-side leakage.
+
+        Raises ValueError when no train or no test record was read.
+        """
+        n_test = sum(self._test.values())
+        if not self.read or not n_test:
+            raise ValueError("refine needs non-empty train and test")
+        overlap = sum(self._test[d] for d in self._leaked)
+        return SplitManifest(
+            counts={"train": len(self._kept), "test": n_test},
+            train_duplicates=self._duplicates,
+            overlap_count=overlap,
+            overlap_fraction=overlap / n_test,
+            mode=self.mode,
+        )
+
+
 def refine(
-    train: list[DatasetRecord], test: list[DatasetRecord], mode: str = "exact"
+    train: Iterable[DatasetRecord], test: Iterable[DatasetRecord], mode: str = "exact"
 ) -> tuple[list[DatasetRecord], SplitManifest]:
     """Drop train records fingerprinted in test, then dedupe train keeping first.
 
     detect_overlap on the result is exactly zero and running refine again is a
-    no-op. The manifest reports what was found and removed: overlap_count is
-    the test-side leakage of the input train set.
+    no-op. See LeakFilter, which this reads ``test`` into first.
     """
-    if not train or not test:
-        raise ValueError("refine needs non-empty train and test")
-    test_digests = _digests(test, mode)
-    test_set = set(test_digests)
-    train_digests = _digests(train, mode)
-    train_set = set(train_digests)
-    overlap = sum(1 for d in test_digests if d in train_set)
-    kept: list[DatasetRecord] = []
-    seen: set[str] = set()
-    dropped_dup = 0
-    for record, digest in zip(train, train_digests):
-        if digest in test_set:
-            continue
-        if digest in seen:
-            dropped_dup += 1
-            continue
-        seen.add(digest)
-        kept.append(record)
-    manifest = SplitManifest(
-        counts={"train": len(kept), "test": len(test)},
-        train_duplicates=dropped_dup,
-        overlap_count=overlap,
-        overlap_fraction=overlap / len(test),
-        mode=mode,
-    )
-    return kept, manifest
+    leak = LeakFilter(test, mode)
+    kept = [r for r in train if leak.keep(r)]
+    return kept, leak.manifest()

@@ -79,13 +79,16 @@ def derive_patch(before: SourceUnit, after: SourceUnit) -> PatchSet:
 def changed_before_lines(src: SourceUnit, patch: PatchSet) -> list[int]:
     """Sorted 0-based indices of the ``src`` lines the patch changes.
 
-    A span marks the lines it replaces, less the leading and trailing ones its
-    body repeats unchanged, so a span derive_patch widened over an unchanged
-    line does not mark that line. Lines past the end of ``src`` are never
-    marked. An empty-bodied span right after an insertion with the same
-    ``line_bef`` is derive_patch's EOF split, so its lines are compared with
-    that insertion's body: ``x`` -> ``x``, ``""`` inserts both lines and
-    deletes line 0, and marks nothing.
+    A span marks the lines it replaces, less the trailing and then the
+    leading ones its body repeats unchanged, so a span derive_patch widened
+    over an unchanged line does not mark that line. Lines past the end of
+    ``src`` are never marked. An empty-bodied span right after an insertion
+    with the same ``line_bef`` is derive_patch's EOF split: its lines are
+    compared with that insertion's body, which may append lines past the end
+    of ``src``, so the trailing lines are matched against the body cut where
+    most of them match. ``x`` -> ``x``, ``""`` inserts both lines and deletes
+    line 0, and marks nothing; ``a``, ``b``, ``c`` -> ``a``, ``z``, ``c``,
+    ``""`` marks line 1 only.
     """
     marked: list[int] = []
     spans = patch.spans
@@ -93,10 +96,13 @@ def changed_before_lines(src: SourceUnit, patch: PatchSet) -> list[int]:
         replaced = s.replaced_range()
         old = src.lines[replaced.start: replaced.stop]
         body = s.body
+        ends = (len(body),)
         if not body and prev and prev.line_bef == s.line_bef and not prev.replaced_range():
             body = prev.body
-        lead = _common_prefix(old, body)
-        trail = _common_prefix(old[lead:][::-1], body[lead:][::-1])
+            ends = range(len(body) + 1)
+        # on a tie the longest cut wins, so no more of the body counts as appended
+        trail, end = max((_common_prefix(old[::-1], body[:end][::-1]), end) for end in ends)
+        lead = _common_prefix(old[:len(old) - trail], body[:end - trail])
         marked.extend(replaced[lead: len(old) - trail])
     return marked
 

@@ -7,19 +7,21 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from linefix import dataset as ds
 from linefix.cli import main
 from linefix.source import to_text
 from tests.conftest import (
     VPX_BEFORE_LINES,
     VPX_REFERENCE_PATCH_TEXT,
 )
-from tests.test_dataset import raw_row, write_jsonl
+from tests.test_dataset import big_raw_rows, raw_row, write_jsonl
 
 
 @pytest.fixture
@@ -177,6 +179,96 @@ def test_export_train_quarantine_file_lists_ingest_quarantines(runner, tmp_path)
     manifest = json.loads((tmp_path / "examples.jsonl.manifest.json").read_text())
     assert manifest["written"] == 2
     assert manifest["quarantined"] == len(quarantined)
+
+
+# --- streaming and atomic outputs ----------------------------------------------------------
+
+
+def corpus_argv(command: str, d: Path, out: Path) -> list[str]:
+    """argv of one corpus command reading the files in ``d``: raw.jsonl, train.jsonl, test.jsonl."""
+    if command == "ingest":
+        return ["ingest", "--input", str(d / "raw.jsonl"), "--out", str(out)]
+    if command == "refine":
+        return ["refine", "--train", str(d / "train.jsonl"), "--test", str(d / "test.jsonl"),
+                "--out", str(out)]
+    return ["export-train", "--records", str(d / "train.jsonl"), "--out", str(out)]
+
+
+def test_corpus_commands_hold_one_record_at_a_time(runner, tmp_path):
+    # 300 records with 400-line sources; a command that builds a list of
+    # records holds about as much as it reads
+    write_jsonl(tmp_path / "raw.jsonl", big_raw_rows(300))
+    write_jsonl(tmp_path / "raw_test.jsonl", big_raw_rows(30, "test"))
+    for raw, records in (("raw.jsonl", "train.jsonl"), ("raw_test.jsonl", "test.jsonl")):
+        argv = ["ingest", "--input", str(tmp_path / raw), "--out", str(tmp_path / records)]
+        assert runner.invoke(main, argv).exit_code == 0
+    for command in ("ingest", "refine", "export-train"):
+        argv = corpus_argv(command, tmp_path, tmp_path / "out.jsonl")
+        size = sum(os.path.getsize(p) for p in argv[2:-2:2])  # every input file
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, argv)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert (peak - retained) / size < 0.25, command
+
+
+@pytest.mark.parametrize("command", ["ingest", "refine", "export-train"])
+def test_schema_error_on_the_last_row_keeps_out(runner, tmp_path, command):
+    bad = raw_row(3)
+    del bad["split"]
+    write_jsonl(tmp_path / "raw.jsonl", [raw_row(i) for i in range(3)] + [bad])
+    write_jsonl(tmp_path / "test.jsonl", [raw_row(9, "test")])
+    # refine and export-train read records files; a raw row is one too
+    (tmp_path / "train.jsonl").write_bytes((tmp_path / "raw.jsonl").read_bytes())
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"earlier output\n")
+    before = sorted(os.listdir(tmp_path))
+    result = runner.invoke(main, corpus_argv(command, tmp_path, out))
+    assert result.exit_code == 2
+    assert ":4: missing required field 'split'" in result.output
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == before  # no temporary file left behind
+
+
+def test_refine_out_may_be_the_train_file(runner, corpus, tmp_path):
+    separate = tmp_path / "refined.jsonl"
+    argv = ["refine", "--train", corpus["train"], "--test", corpus["test"], "--out"]
+    assert runner.invoke(main, argv + [str(separate)]).exit_code == 0
+    result = runner.invoke(main, argv + [corpus["train"]])
+    assert result.exit_code == 0, result.output
+    assert Path(corpus["train"]).read_bytes() == separate.read_bytes()
+
+
+def test_refine_reports_the_test_file_error_first(runner, tmp_path):
+    rows = []
+    for name in ("train", "test"):
+        row = raw_row(0, name)
+        del row["cwe_id"]
+        rows.append(write_jsonl(tmp_path / f"{name}.jsonl", [row]))
+    argv = ["refine", "--train", rows[0], "--test", rows[1], "--out", str(tmp_path / "o.jsonl")]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert f"{rows[1]}:1: missing required field 'cwe_id'" in result.output
+
+
+@pytest.mark.parametrize("command", ["ingest", "export-train"])
+def test_cli_output_equals_library_ingest_and_writer(runner, tmp_path, command):
+    rows = [raw_row(0), raw_row(1, cwe="CWE-XX"), raw_row(2), raw_row(3, id="rec-0")]
+    for name in ("raw.jsonl", "train.jsonl"):
+        write_jsonl(tmp_path / name, rows)
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, corpus_argv(command, tmp_path, out))
+    assert result.exit_code == 0, result.output
+    library = ds.ingest(str(tmp_path / "raw.jsonl"))
+    writer = ds.write_records_jsonl if command == "ingest" else ds.export_jsonl
+    writer(library.records, str(tmp_path / "library.jsonl"))
+    assert out.read_bytes() == (tmp_path / "library.jsonl").read_bytes()
+    quarantine = json.loads((tmp_path / "out.jsonl.quarantine.json").read_text())
+    assert quarantine == {"quarantined": [q.to_dict() for q in library.quarantined]}
+    assert len(library.quarantined) == 2
 
 
 # --- apply / derive ---------------------------------------------------------------------

@@ -98,7 +98,9 @@ def test_ingest_raw_jsonl(tmp_path):
     result = ingest(path)
     assert len(result.records) == 2
     assert result.quarantined == []
-    assert result.split_counts() == {"train": 1, "test": 1}
+    # the writer counts rows per split, in SPLITS order whatever the file order
+    counts = write_records_jsonl(reversed(result.records), str(tmp_path / "out.jsonl"))
+    assert list(counts.items()) == [("train", 1), ("test", 1)]
     rec = result.records[0]
     assert rec.vuln.id == "rec-0"
     # vuln_lines default to the before-side lines the reference fix touches
@@ -241,20 +243,24 @@ def test_ingest_unknown_format():
         ingest("whatever.xml", fmt="xml")
 
 
-def test_ingest_holds_one_raw_row_at_a_time(tmp_path):
-    # each raw row carries two 400-line sources; a reader that decodes the
-    # whole file before building records holds every row beside the records
+def big_raw_rows(n: int, split: str = "train") -> list[dict]:
+    """``n`` raw rows, each carrying two 400-line sources (about 20 KB a row)."""
     lines = [f"  v[{j}] = w[{j}] + {j};" for j in range(400)]
 
     def source(i: int, body: list[str]) -> str:
         return "\n".join([f"void f{i}(int *v, int *w)", *body]) + "\n"
 
-    rows = [
-        raw_row(i, source_before=source(i, lines),
+    return [
+        raw_row(i, split, source_before=source(i, lines),
                 source_after=source(i, [*lines[:-1], "  v[0] = 0;"]))
-        for i in range(300)
+        for i in range(n)
     ]
-    path = write_jsonl(tmp_path / "big.jsonl", rows)
+
+
+def test_ingest_holds_one_raw_row_at_a_time(tmp_path):
+    # a reader that decodes the whole file before building records holds
+    # every row beside the records
+    path = write_jsonl(tmp_path / "big.jsonl", big_raw_rows(300))
     size = os.path.getsize(path)
     assert size > 5_000_000
     tracemalloc.start()
@@ -265,6 +271,23 @@ def test_ingest_holds_one_raw_row_at_a_time(tmp_path):
         tracemalloc.stop()
     assert len(result.records) == 300
     assert (peak - retained) / size < 0.25
+
+
+def test_ingest_quarantines_repeated_ids(tmp_path):
+    # samples, scripted candidates and report rows are keyed by id, so a
+    # record whose id an earlier kept record has is quarantined; an id whose
+    # first row was quarantined for another reason stays free
+    rows = [raw_row(0, id=""), raw_row(1, id=""), raw_row(2, id="a"), raw_row(3, id="a"),
+            raw_row(4, id="b", cwe="CWE-XX"), raw_row(5, id="b")]
+    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert [r.vuln.id for r in result.records] == ["", "a", "b"]
+    assert [r.vuln.source.lines[0] for r in result.records] == [
+        "int f0(int n)", "int f2(int n)", "int f5(int n)"]
+    assert [q.to_dict() for q in result.quarantined] == [
+        {"record_id": "", "line_no": 2, "reason": "duplicate id '' (first at line 1)"},
+        {"record_id": "a", "line_no": 4, "reason": "duplicate id 'a' (first at line 3)"},
+        {"record_id": "b", "line_no": 5, "reason": "record 'b': bad cwe_id 'CWE-XX'"},
+    ]
 
 
 def test_ingest_jsonl_reports_the_first_structural_error_in_file_order(tmp_path):
@@ -776,6 +799,25 @@ def test_refine_drops_leaks_and_duplicates():
     assert [r.vuln.id for r in again] == [r.vuln.id for r in kept]
     assert manifest2.overlap_count == 0
     assert manifest2.train_duplicates == 0
+
+
+def test_refine_and_detect_overlap_read_iterators_once():
+    # streams from dataset.stream are one-shot iterators: a truth test or a
+    # second pass over one would see nothing
+    leak = simple_record(0)
+    train = [leak, simple_record(1), mem_record("copy-of-1", *texts(simple_record(1)))]
+    test = [mem_record("t0", *texts(leak), "test"), simple_record(9, "test")]
+    kept, manifest = refine(iter(train), iter(test))
+    assert [r.vuln.id for r in kept] == ["m1"]
+    assert manifest == refine(train, test)[1]
+    assert manifest.to_dict() == {"counts": {"train": 1, "test": 2}, "train_duplicates": 1,
+                                  "overlap_count": 1, "overlap_fraction": 0.5, "mode": "exact"}
+    assert detect_overlap(iter(train), iter(test)) == detect_overlap(train, test)
+    for train_in, test_in in ((iter([]), iter(test)), (iter(train), iter([]))):
+        with pytest.raises(ValueError, match="refine needs non-empty train and test"):
+            refine(train_in, test_in)
+    with pytest.raises(ValueError, match="detect_overlap needs non-empty train and test"):
+        detect_overlap(iter([]), iter(test))
 
 
 def test_refine_ws_normalized_catches_indentation_variants():

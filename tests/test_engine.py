@@ -238,6 +238,8 @@ def test_changed_before_lines():
         (("a", "b"), ("a", "b", "", ""), "0-1<MID>b\n\n<sep>0-2<MID>", []),
         # the EOF split over a changed line marks only that line
         (("a", "b"), ("a", "c", ""), "0-1<MID>c\n<sep>0-2<MID>", [1]),
+        # the split's body carries "c" unchanged, then appends two empty lines
+        (("a", "b", "c"), ("a", "z", "c", "", ""), "0-1<MID>z\nc\n\n<sep>0-3<MID>", [1]),
     ],
 )
 def test_changed_before_lines_of_widened_spans(before, after, text, marked):
