@@ -10,7 +10,9 @@ identical inputs, flags, and seed produce byte-identical files.
 
 The corpus commands stream their records from reader to writer. Each
 records or export file is written next to ``--out`` and replaces it only on
-success, so a failed run leaves an existing ``--out`` as it was.
+success, so a failed run leaves an existing ``--out`` as it was. ``evaluate``
+streams its records too, one fixed window at a time (``evaluation.WINDOW``),
+and writes its reports only once every record is scored.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import click
 
@@ -65,6 +67,13 @@ def _write_json(path: str, obj: dict) -> None:
 
 def _write_manifest(path: str, command: str, inputs: dict, config: dict, **extra) -> None:
     _write_json(path, {"command": command, "inputs": inputs, "config": config, **extra})
+
+
+def _echo_quarantined(quarantined: dict[str, list[ds.QuarantineEntry]]) -> None:
+    """Say on stderr how many rows of each input were quarantined, if any were."""
+    if any(quarantined.values()):
+        counts = ", ".join(f"{len(q)} {name}" for name, q in quarantined.items())
+        click.echo(f"records quarantined at ingest: {counts}", err=True)
 
 
 @contextmanager
@@ -140,10 +149,14 @@ def ingest(input_path: str, fmt: str, out_path: str) -> None:
 @click.option("--fail-on-leak", is_flag=True, help="Exit 3 when any overlap is found.")
 def audit_overlap(train_path: str, test_path: str, mode: str, fail_on_leak: bool) -> None:
     """Measure test-into-train leakage between two record files."""
+    quarantined: dict[str, list[ds.QuarantineEntry]] = {"train": [], "test": []}
     with _exit_codes():
         manifest = ds.detect_overlap(
-            ds.stream(train_path, "jsonl", []), ds.stream(test_path, "jsonl", []), mode
+            ds.stream(train_path, "jsonl", quarantined["train"]),
+            ds.stream(test_path, "jsonl", quarantined["test"]),
+            mode,
         )
+    _echo_quarantined(quarantined)
     click.echo(json.dumps(manifest.to_dict(), indent=2))
     if fail_on_leak and manifest.overlap_count > 0:
         _fail(EXIT_LEAK, f"{manifest.overlap_count} overlapping records")
@@ -157,19 +170,26 @@ def audit_overlap(train_path: str, test_path: str, mode: str, fail_on_leak: bool
 @click.option("--out", "out_path", required=True, type=click.Path())
 def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
     """Drop train records that leak into test, then dedupe train."""
+    quarantined: dict[str, list[ds.QuarantineEntry]] = {"train": [], "test": []}
     with _exit_codes():
-        leak = ds.LeakFilter(ds.stream(test_path, "jsonl", []), mode)
+        leak = ds.LeakFilter(ds.stream(test_path, "jsonl", quarantined["test"]), mode)
         with _replacing(out_path) as tmp:
-            train = ds.stream(train_path, "jsonl", [])
+            train = ds.stream(train_path, "jsonl", quarantined["train"])
             ds.write_records_jsonl(filter(leak.keep, train), tmp)
             manifest = leak.manifest()
+        _write_json(
+            out_path + ".quarantine.json",
+            {"quarantined": {k: [q.to_dict() for q in v] for k, v in quarantined.items()}},
+        )
         _write_manifest(
             out_path + ".manifest.json",
             "refine",
             {"train": train_path, "test": test_path},
             {"mode": mode},
             result=manifest.to_dict(),
+            quarantined={k: len(v) for k, v in quarantined.items()},
         )
+    _echo_quarantined(quarantined)
     click.echo(f"kept {manifest.counts['train']}/{leak.read} train records -> {out_path}",
                err=True)
 
@@ -332,22 +352,23 @@ def evaluate_cmd(
         _fail(EXIT_IO, str(exc))
         return
 
-    with _exit_codes():
-        result = ds.ingest(records_path)
-    if result.quarantined:
-        click.echo(f"{len(result.quarantined)} records quarantined at ingest", err=True)
-    records = [r.vuln for r in result.records]
-
+    quarantined: list[ds.QuarantineEntry] = []
+    failure: LinefixError | None = None
     try:
-        report = evaluate(
-            records,
-            backend,
-            cfg,
-            cwe_order=tuple(resolved["cwe_list"]),
-            strict=resolved["strict"],
-        )
-    except LinefixError as exc:
-        _fail(EXIT_USAGE, str(exc))
+        with _exit_codes(), closing(ds.stream(records_path, "jsonl", quarantined)) as rows:
+            report = evaluate(
+                (r.vuln for r in rows),
+                backend,
+                cfg,
+                cwe_order=tuple(resolved["cwe_list"]),
+                strict=resolved["strict"],
+            )
+    except LinefixError as exc:  # EmptyEvaluation; a SchemaError has already exited 2
+        failure = exc
+    if quarantined:
+        click.echo(f"{len(quarantined)} records quarantined at ingest", err=True)
+    if failure is not None:
+        _fail(EXIT_USAGE, str(failure))
         return
 
     try:

@@ -29,8 +29,9 @@ training schema (JSONL)
     ingest -> export -> ingest is a fixed point.
 
 ``stream`` is the one reader: it yields each record as its row is decoded,
-so a caller that writes as it reads holds one record at a time; ``ingest``
-collects the stream into a list for callers that need every record.
+so a caller that writes as it reads holds one record at a time. Every command
+reads through it; ``ingest``, which collects the stream into a list, stays
+only for tests and the benchmark's traced run.
 Structural problems (missing fields, undecodable rows) raise SchemaError for
 the first one in file order. Records from both schemas keep the one rule set
 of ``VulnRecord.validate``; the reader adds only the raw pair's
@@ -375,7 +376,7 @@ def compute_fingerprint(record: DatasetRecord, mode: str = "exact") -> str:
     """
     if mode not in FINGERPRINT_MODES:
         raise ValueError(f"unknown fingerprint mode {mode!r}")
-    src_text = "\n".join(record.vuln.source.lines)
+    src_text = record.vuln.source.text
     patch_text = serialize_patch(record.vuln.reference_patch)
     if mode == "ws_normalized":
         src_text = _squash_ws(src_text)

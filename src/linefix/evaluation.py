@@ -15,9 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
-from linefix.client import BatchResult, DecodeConfig, generate_batch
+from linefix.client import BatchResult, DecodeConfig, batch_pool, generate_batch
 from linefix.engine import apply_patch
 from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
 from linefix.patchfmt import PatchSet, parse_patch, serialize_patch
@@ -38,6 +40,10 @@ DEFAULT_CWE_ORDER = (
 )
 
 OTHER_CWE = "other"
+
+# evaluate generates and scores this many records at a time, so its memory is
+# bounded by the window rather than by the test set
+WINDOW = 128
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ def _applies_as(src: SourceUnit, patch: PatchSet, expected: SourceUnit) -> bool:
 
 
 def evaluate(
-    records: list[VulnRecord],
+    records: Iterable[VulnRecord],
     backend,
     cfg: DecodeConfig,
     *,
@@ -129,13 +135,40 @@ def evaluate(
 ) -> EvalReport:
     """Generate k candidates per record and score them against its reference patch.
 
-    Raises EmptyEvaluation on an empty record list.
+    Records are read ``WINDOW`` at a time. Each window's prompts are generated
+    as one batch, which is scored once it is complete; then the window's
+    records, prompts and outcomes are dropped, and only its sample results are
+    kept. The report is the one a single batch of every record would give.
+
+    Raises ValueError when a sample id repeats, once its window is reached,
+    and EmptyEvaluation when there is no record.
     """
-    if not records:
+    samples: list[SampleResult] = []
+    walls: list[float] = []  # a synthetic run's time sums these in one pass
+    elapsed = 0.0
+    total_tokens = 0
+    tokens_estimated = False
+    seen: set[str] = set()
+    it = iter(records)
+    with batch_pool(backend) as pool:  # one pool for every window
+        while window := list(islice(it, WINDOW)):
+            seen.update(r.id for r in window)
+            if len(seen) != len(samples) + len(window):
+                raise ValueError("sample ids must be unique within an evaluation")
+            prompts = [(r.id, build_prompt(r)) for r in window]
+            batch = generate_batch(prompts, cfg, backend, pool=pool)
+            part = score_batch(window, batch, cwe_order=cwe_order, strict=strict)
+            samples += part.samples
+            walls += (o.wall_time_s for o in batch.outcomes)
+            elapsed += batch.total_time_s
+            synthetic = batch.synthetic_time
+            total_tokens += part.efficiency.total_tokens
+            tokens_estimated |= part.tokens_estimated
+            del window, prompts, batch, part  # before the next window is read
+    if not samples:
         raise EmptyEvaluation("no records to evaluate")
-    prompts = [(r.id, build_prompt(r)) for r in records]
-    batch = generate_batch(prompts, cfg, backend)
-    return score_batch(records, batch, cwe_order=cwe_order, strict=strict)
+    total_time = sum(walls) if synthetic else elapsed
+    return _report(samples, total_tokens, tokens_estimated, total_time, synthetic, cwe_order)
 
 
 def score_batch(
@@ -145,31 +178,22 @@ def score_batch(
     cwe_order: tuple[str, ...] = DEFAULT_CWE_ORDER,
     strict: bool = False,
 ) -> EvalReport:
-    """Score already-generated outcomes; kept separate for reuse in tests.
+    """Score already-generated outcomes; evaluate calls it once per window.
 
     A candidate hits when its text matches the record's serialized reference
     patch. For a miss, each parsed candidate that applies is compared with the
     reference's result on the record's source.
     """
-    hits = 0
-    format_errors = 0
-    applied_misses = 0
-    backend_errors = 0
     tokens_estimated = False
     total_tokens = 0
     sample_results: list[SampleResult] = []
-    cwe_hits: dict[str, int] = {c: 0 for c in [*cwe_order, OTHER_CWE]}
-    cwe_totals: dict[str, int] = {c: 0 for c in [*cwe_order, OTHER_CWE]}
 
     for record, outcome in zip(records, batch.outcomes):
-        bucket = record.cwe_id if record.cwe_id in cwe_order else OTHER_CWE
-        cwe_totals[bucket] += 1
         total_tokens += sum(outcome.tokens_generated)
         if outcome.ok and not outcome.backend_reported:
             tokens_estimated = True
 
         if not outcome.ok:
-            backend_errors += 1
             sample_results.append(
                 SampleResult(record.id, record.cwe_id, False, None, 0, outcome.error, False)
             )
@@ -183,46 +207,58 @@ def score_batch(
             except PatchFormatError:
                 parsed.append(None)
                 sample_format_errors += 1
-        format_errors += sample_format_errors
 
         reference = serialize_patch(record.reference_patch)
         idx = first_hit_index(outcome.candidates, reference, strict=strict)
-        hit = idx is not None
         applied_equiv = False
-        if hit:
-            hits += 1
-            cwe_hits[bucket] += 1
-        else:
+        if idx is None:
             ref_after = record.reference_after
             applied_equiv = any(
                 p is not None and _applies_as(record.source, p, ref_after) for p in parsed
             )
-            if applied_equiv:
-                applied_misses += 1
         sample_results.append(
-            SampleResult(
-                record.id, record.cwe_id, hit, idx, sample_format_errors, None, applied_equiv
-            )
+            SampleResult(record.id, record.cwe_id, idx is not None, idx, sample_format_errors,
+                         None, applied_equiv)
         )
 
-    total = len(records)
-    per_cwe = [CweRow(c, cwe_hits[c], cwe_totals[c]) for c in [*cwe_order, OTHER_CWE]]
-    if batch.total_time_s > 0:
-        stats = efficiency(total, batch.total_time_s, total_tokens)
+    return _report(sample_results, total_tokens, tokens_estimated, batch.total_time_s,
+                   batch.synthetic_time, cwe_order)
+
+
+def _report(
+    samples: list[SampleResult],
+    total_tokens: int,
+    tokens_estimated: bool,
+    total_time_s: float,
+    synthetic: bool,
+    cwe_order: tuple[str, ...],
+) -> EvalReport:
+    """The report over scored samples: every count is read off their results."""
+    buckets = [*cwe_order, OTHER_CWE]
+    cwe_hits: dict[str, int] = dict.fromkeys(buckets, 0)
+    cwe_totals: dict[str, int] = dict.fromkeys(buckets, 0)
+    for s in samples:
+        bucket = s.cwe_id if s.cwe_id in cwe_order else OTHER_CWE
+        cwe_totals[bucket] += 1
+        cwe_hits[bucket] += s.hit
+    hits = sum(cwe_hits.values())
+    total = len(samples)
+    if total_time_s > 0:
+        stats = efficiency(total, total_time_s, total_tokens)
     else:
         stats = EfficiencyStats(0.0, total_tokens, 0.0)
     return EvalReport(
         pp_hits=hits,
         pp_total=total,
         pp_rate=hits / total,
-        per_cwe=per_cwe,
+        per_cwe=[CweRow(c, cwe_hits[c], cwe_totals[c]) for c in buckets],
         efficiency=stats,
-        format_error_count=format_errors,
-        applied_equivalent_misses=applied_misses,
-        backend_error_count=backend_errors,
+        format_error_count=sum(s.format_errors for s in samples),
+        applied_equivalent_misses=sum(s.applied_equivalent for s in samples),
+        backend_error_count=sum(s.backend_error is not None for s in samples),
         tokens_estimated=tokens_estimated,
-        time_synthetic=batch.synthetic_time,
-        samples=sample_results,
+        time_synthetic=synthetic,
+        samples=samples,
     )
 
 

@@ -67,7 +67,7 @@ class VulnRecord:
             raise InvalidRecord(f"record {self.id!r}: bad cwe_id {self.cwe_id!r}")
         if "\n" in self.cwe_description:
             raise InvalidRecord(f"record {self.id!r}: cwe_description contains a line feed")
-        source = "\n".join(self.source.lines)
+        source = self.source.text
         if "\r" in source:  # no patch body may hold one, so no fix could rewrite the line
             raise InvalidRecord(f"record {self.id!r}: source contains a carriage return")
         bodies = "\n".join(line for s in self.reference_patch.spans for line in s.body)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 _PREFIXES: tuple[str, ...] = ()
 
@@ -42,10 +43,22 @@ class SourceUnit:
         if "\n" in "".join(self.lines):
             raise ValueError("source lines must not contain newline characters")
 
+    @cached_property
+    def text(self) -> str:
+        """The lines joined with LF, without the trailing one.
+
+        Joined on first use and kept, so a record's validation, fingerprint
+        and writer share one join. It is not a field: equality, hash and repr
+        ignore it. Units that are only compared, such as the results of
+        ``apply_patch`` during scoring, never join.
+        """
+        return "\n".join(self.lines)
+
 
 def from_text(text: str) -> SourceUnit:
     """Split text into a SourceUnit, folding CR-LF to LF."""
-    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     if text == "":
         return SourceUnit(())
     trailing = text.endswith("\n")
@@ -56,10 +69,7 @@ def from_text(text: str) -> SourceUnit:
 
 def to_text(unit: SourceUnit) -> str:
     """Join lines back into text, restoring the trailing newline if present."""
-    text = "\n".join(unit.lines)
-    if unit.had_trailing_newline:
-        text += "\n"
-    return text
+    return unit.text + "\n" if unit.had_trailing_newline else unit.text
 
 
 def line_prefixes(n: int) -> tuple[str, ...]:

@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from linefix import dataset as ds
+from linefix import evaluation
 from linefix.cli import main
 from linefix.source import to_text
 from tests.conftest import (
@@ -147,6 +148,57 @@ def test_refine_then_audit_is_clean(runner, corpus):
     )
     assert audit.exit_code == 0, audit.output
     assert json.loads(audit.output)["overlap_count"] == 0
+
+
+def quarantine_corpus(d: Path) -> dict:
+    """A 3-row train file with one bad cwe_id, and a 2-row test file with one."""
+    train = [raw_row(0), raw_row(1, cwe="XYZ"), raw_row(2)]
+    test = [raw_row(9, "test"), raw_row(8, "test", cwe="CWE-X")]
+    return {"train": write_jsonl(d / "train.jsonl", train),
+            "test": write_jsonl(d / "test.jsonl", test)}
+
+
+def test_refine_reports_its_quarantines(runner, tmp_path):
+    files = quarantine_corpus(tmp_path)
+    out = tmp_path / "refined.jsonl"
+    result = runner.invoke(
+        main, ["refine", "--train", files["train"], "--test", files["test"], "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert "kept 2/2 train records" in result.stderr
+    assert "records quarantined at ingest: 1 train, 1 test" in result.stderr
+    quarantined = json.loads((tmp_path / "refined.jsonl.quarantine.json").read_text())
+    assert quarantined == {"quarantined": {
+        "train": [{"record_id": "rec-1", "line_no": 2, "reason": "record 'rec-1': bad cwe_id 'XYZ'"}],
+        "test": [{"record_id": "rec-8", "line_no": 2,
+                  "reason": "record 'rec-8': bad cwe_id 'CWE-X'"}],
+    }}
+    manifest = json.loads((tmp_path / "refined.jsonl.manifest.json").read_text())
+    assert manifest["quarantined"] == {"train": 1, "test": 1}
+
+
+def test_refine_with_nothing_quarantined_writes_empty_lists(runner, corpus):
+    out = corpus["dir"] / "refined.jsonl"
+    argv = ["refine", "--train", corpus["train"], "--test", corpus["test"], "--out", str(out)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert "quarantined" not in result.stderr
+    quarantined = json.loads((corpus["dir"] / "refined.jsonl.quarantine.json").read_text())
+    assert quarantined == {"quarantined": {"train": [], "test": []}}
+
+
+def test_audit_overlap_reports_its_quarantines_on_stderr(runner, tmp_path):
+    files = quarantine_corpus(tmp_path)
+    result = runner.invoke(main, ["audit-overlap", "--train", files["train"], "--test", files["test"]])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == "records quarantined at ingest: 1 train, 1 test\n"
+    assert json.loads(result.stdout) == {
+        "counts": {"train": 2, "test": 1},
+        "train_duplicates": 0,
+        "overlap_count": 0,
+        "overlap_fraction": 0.0,
+        "mode": "exact",
+    }
 
 
 # --- export-train ----------------------------------------------------------------------
@@ -422,6 +474,67 @@ def test_evaluate_all_backend_failures_exit_4(runner, eval_setup, tmp_path):
     assert result.exit_code == 4
     report = json.loads((report_dir / "report.json").read_text())
     assert report["backend_error_count"] == 3
+
+
+def write_mock_script(path: Path, ids) -> str:
+    path.write_text(json.dumps({"samples": {i: {"candidates": [completion(0)]} for i in ids}}))
+    return str(path)
+
+
+def test_evaluate_holds_one_window_at_a_time(runner, tmp_path, monkeypatch):
+    # records with 400-line sources; a run that holds every record, prompt or
+    # outcome peaks with the test set instead of with the window
+    monkeypatch.setattr(evaluation, "WINDOW", 10)
+    peaks = {}
+    for windows in (2, 8):
+        rows = big_raw_rows(10 * windows, "test")
+        records = write_jsonl(tmp_path / f"test{windows}.jsonl", rows)
+        script = write_mock_script(tmp_path / f"mock{windows}.json", [r["id"] for r in rows])
+        setup = {"records": records, "script": script}
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, evaluate_args(setup, tmp_path / f"r{windows}"))
+            peaks[windows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert f"pp 0/{10 * windows}" in result.output
+    assert peaks[8] < 1.25 * peaks[2], peaks
+
+
+@pytest.mark.parametrize("rows", [[], [raw_row(0, "test", cwe="CWE-XX")]], ids=["empty", "all-quarantined"])
+def test_evaluate_with_no_record_exits_64(runner, eval_setup, tmp_path, rows):
+    setup = dict(eval_setup, records=write_jsonl(tmp_path / "none.jsonl", rows))
+    result = runner.invoke(main, evaluate_args(setup, tmp_path / "r"))
+    assert result.exit_code == 64
+    assert result.stderr.endswith("error: no records to evaluate\n")
+    quarantine_line = f"{len(rows)} records quarantined at ingest\n"
+    assert (quarantine_line in result.stderr) == bool(rows)
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_prints_quarantines_after_scoring(runner, eval_setup, tmp_path):
+    rows = [raw_row(i, "test") for i in range(3)] + [raw_row(3, "test", cwe="CWE-XX")]
+    setup = dict(eval_setup, records=write_jsonl(tmp_path / "some.jsonl", rows))
+    result = runner.invoke(main, evaluate_args(setup, tmp_path / "r"))
+    assert result.exit_code == 0, result.output
+    assert result.stderr == "1 records quarantined at ingest\n"
+    assert "pp 1/3" in result.stdout
+
+
+def test_evaluate_schema_error_after_the_first_window_writes_no_report(
+    runner, eval_setup, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(evaluation, "WINDOW", 2)
+    bad = raw_row(4, "test")
+    del bad["split"]
+    rows = [raw_row(i, "test") for i in range(4)] + [bad]
+    setup = dict(eval_setup, records=write_jsonl(tmp_path / "bad.jsonl", rows),
+                 script=write_mock_script(tmp_path / "m.json", [f"rec-{i}" for i in range(5)]))
+    result = runner.invoke(main, evaluate_args(setup, tmp_path / "r"))
+    assert result.exit_code == 2
+    assert ":5: missing required field 'split'" in result.stderr
+    assert not (tmp_path / "r").exists()
 
 
 def test_evaluate_config_file_and_flag_precedence(runner, eval_setup, tmp_path):

@@ -17,6 +17,7 @@ from linefix.client import (
     DecodeConfig,
     HttpBackend,
     MockBackend,
+    batch_pool,
     generate,
     generate_batch,
 )
@@ -234,6 +235,20 @@ def test_batch_concurrency_does_not_change_results():
     threaded = generate_batch(prompts, CFG, mock_backend(samples, spec))
     assert serial.outcomes == threaded.outcomes
     assert serial.total_time_s == threaded.total_time_s
+
+
+def test_batches_share_a_pool_the_caller_keeps_open():
+    samples = {f"s{i}": {"candidates": [f"c{i}"], "latency_s": 0.1} for i in range(12)}
+    prompts = [(f"s{i}", f"p{i}") for i in range(12)]
+    spec = BackendSpec(endpoint="mock:", max_in_flight=3)
+    alone = generate_batch(prompts, CFG, mock_backend(samples, spec))
+    backend = mock_backend(samples, spec)
+    with batch_pool(backend) as pool:
+        assert pool._max_workers == 3
+        halves = [generate_batch(prompts[:6], CFG, backend, pool=pool),
+                  generate_batch(prompts[6:], CFG, backend, pool=pool)]
+        assert pool.submit(len, "open").result() == 4  # the batches left it open
+    assert halves[0].outcomes + halves[1].outcomes == alone.outcomes
 
 
 # --- HTTP backend -------------------------------------------------------------------

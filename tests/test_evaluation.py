@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from linefix import client, evaluation
 from linefix.client import BackendSpec, DecodeConfig, MockBackend, generate_batch
 from linefix.errors import EmptyEvaluation
 from linefix.evaluation import (
@@ -180,6 +181,63 @@ def test_evaluate_empty_records():
     backend = MockBackend({"samples": {}})
     with pytest.raises(EmptyEvaluation):
         evaluate([], backend, DecodeConfig())
+
+
+def windowed_samples(n: int) -> dict:
+    """Scripts for records r0..r{n-1}: mixed hits, misses, format errors, backend failures."""
+    candidates = (REFERENCE, "1-3<MID>  return 7;", "not a patch", "1-3<MID>  return 6;\n")
+    samples = {
+        f"r{i}": {"candidates": [candidates[i % 4], candidates[(i + 1) % 4]],
+                  "latency_s": 0.1 + 0.01 * i, "tokens": [i, 2]}
+        for i in range(n)
+    }
+    samples["r5"]["fail_times"] = 9  # every attempt fails
+    return samples
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7])
+def test_windows_give_the_one_batch_report(monkeypatch, window):
+    records = [record(f"r{i}", ("CWE-787", "CWE-79", "CWE-9999")[i % 3]) for i in range(20)]
+    samples = windowed_samples(20)
+    whole = run_eval(records, samples, k=2).to_json()
+    monkeypatch.setattr(evaluation, "WINDOW", window)
+    # a generator is read window by window, never listed whole
+    assert run_eval((r for r in records), samples, k=2).to_json() == whole
+
+
+def test_windows_take_the_batch_time_sum_of_every_sample(monkeypatch):
+    records = [record(f"r{i}") for i in range(20)]
+    samples = windowed_samples(20)
+    monkeypatch.setattr(evaluation, "WINDOW", 3)
+    report = run_eval(records, samples, k=2)
+    # the same float sum one batch of all twenty makes, not a sum of window sums
+    backend = MockBackend({"samples": samples}, BackendSpec(max_attempts=2, backoff_s=0.0))
+    batch = generate_batch([(r.id, "p") for r in records], DecodeConfig(k=2), backend)
+    assert report.efficiency.total_time_s == batch.total_time_s
+
+
+def test_every_window_runs_on_one_pool(monkeypatch):
+    # a pool per window made the caller wait on almost every mock sample
+    made = []
+
+    class CountedPool(client.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(client, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(evaluation, "WINDOW", 2)
+    records = [record(f"r{i}") for i in range(7)]
+    assert run_eval(records, windowed_samples(7), k=2).pp_total == 7
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "c", "a"], ["a", "b", "b"], ["a", "a"]])
+def test_repeated_sample_id_raises_in_any_window(monkeypatch, ids):
+    monkeypatch.setattr(evaluation, "WINDOW", 2)
+    samples = {i: {"candidates": [REFERENCE]} for i in ids}
+    with pytest.raises(ValueError, match="sample ids must be unique"):
+        run_eval([record(i) for i in ids], samples)
 
 
 def test_evaluate_is_deterministic():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import sys
@@ -13,7 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linefix import source
+from linefix.engine import apply_patch
+from linefix.patchfmt import EditSpan, PatchSet
+from linefix.prompting import build_prompt, parse_prompt
 from linefix.source import SourceUnit, from_text, number_lines, to_text
+from tests.conftest import VPX_REFERENCE_PATCH_TEXT
 from tests.helpers import LINE_POOL, reference_number_lines
 
 LINE = st.text(alphabet=st.characters(blacklist_characters="\n\r"), max_size=12)
@@ -58,6 +63,47 @@ def test_crlf_folded_once_and_flagged():
 def test_lines_reject_embedded_newline():
     with pytest.raises(ValueError):
         SourceUnit(("a\nb",))
+
+
+@pytest.mark.parametrize("lines", [("a\nb",), ("\n",), ("", "\n"), ("a", "b\n", "c"), ["x\n"]])
+def test_lf_in_a_line_raises_the_same_error(lines):
+    with pytest.raises(ValueError, match="^source lines must not contain newline characters$"):
+        SourceUnit(lines)
+
+
+def test_text_is_the_lf_joined_lines_on_every_construction_path(vpx_record):
+    units = [
+        SourceUnit(()),
+        SourceUnit(("",)),
+        SourceUnit(("a", "", "b"), had_trailing_newline=True),
+        SourceUnit(["a", "b"]),
+        from_text(""),
+        from_text("\n"),
+        from_text("a\r\nb\r\n"),
+        from_text("a\rb\nc"),  # a lone CR stays in its line
+        dataclasses.replace(SourceUnit(("a",)), lines=("x", "y")),
+        apply_patch(SourceUnit(("a", "b")), PatchSet((EditSpan(0, 2, ("c",)),))),
+        parse_prompt(build_prompt(vpx_record), completion=VPX_REFERENCE_PATCH_TEXT).source,
+    ]
+    for unit in units:
+        assert unit.text == "\n".join(unit.lines), unit
+
+
+def test_text_is_left_out_of_equality_hash_and_repr():
+    unit = from_text("a\nb\n")
+    assert unit.text == "a\nb"  # joined and kept on the unit from here on
+    other = SourceUnit(("a", "b"), True)  # never joined
+    assert unit == other
+    assert hash(unit) == hash(other)
+    assert repr(unit) == repr(other) == "SourceUnit(lines=('a', 'b'), had_trailing_newline=True)"
+    assert [f.name for f in dataclasses.fields(unit)] == ["lines", "had_trailing_newline"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(LINE, max_size=8), st.booleans())
+def test_text_matches_the_lines(lines, trailing):
+    unit = SourceUnit(lines, had_trailing_newline=trailing)
+    assert unit.text == "\n".join(lines)
 
 
 def test_lines_coerced_to_tuple():
