@@ -11,8 +11,9 @@ identical inputs, flags, and seed produce byte-identical files.
 The corpus commands stream their records from reader to writer. Each
 records or export file is written next to ``--out`` and replaces it only on
 success, so a failed run leaves an existing ``--out`` as it was. ``evaluate``
-streams its records too, one fixed window at a time (``evaluation.WINDOW``),
-and writes its reports only once every record is scored.
+streams its records too, one window at a time (``evaluation.WINDOW`` records,
+more for a backend with many in-flight slots), and writes its reports only
+once every record is scored.
 """
 
 from __future__ import annotations

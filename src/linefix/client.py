@@ -28,9 +28,8 @@ import math
 import os
 import threading
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from linefix.errors import (
@@ -377,7 +376,7 @@ def generate_batch(
     cfg: DecodeConfig,
     backend,
     *,
-    pool: ThreadPoolExecutor | None = None,
+    pool: ThreadPoolExecutor,
 ) -> BatchResult:
     """Generate for (sample_id, prompt) pairs with bounded concurrency.
 
@@ -389,11 +388,10 @@ def generate_batch(
     is measured once around the whole batch, or summed from scripted
     latencies for a synthetic backend so reports stay reproducible.
 
-    The batch runs on ``pool`` when one is given (a ``batch_pool`` the caller
-    keeps open across several batches) and on a pool of its own otherwise.
-    A fresh pool per batch of 128 mock samples made the caller wait on
-    almost every sample in turn, where one pool kept open waited on about
-    one in seven.
+    The batch runs on ``pool``, a ``batch_pool`` the caller keeps open across
+    its batches and shuts down itself. A fresh pool per batch of 128 mock
+    samples made the caller wait on almost every sample in turn, where one
+    pool kept open waited on about one in seven.
     """
     ids = [sid for sid, _ in prompts]
     if len(set(ids)) != len(ids):
@@ -415,12 +413,15 @@ def generate_batch(
             )
 
     start = time.perf_counter()
-    with nullcontext(pool) if pool is not None else batch_pool(backend) as workers:
-        outcomes = list(workers.map(one, prompts))
+    outcomes = list(pool.map(one, prompts))
     elapsed = time.perf_counter() - start
     synthetic = bool(getattr(backend, "synthetic", False))
-    if synthetic:
-        total_time = sum(o.wall_time_s for o in outcomes)
-    else:
-        total_time = elapsed
-    return BatchResult(outcomes, total_time, synthetic)
+    walls = (o.wall_time_s for o in outcomes)
+    return BatchResult(outcomes, batch_time(walls, elapsed, synthetic), synthetic)
+
+
+def batch_time(walls: Iterable[float], elapsed: float, synthetic: bool) -> float:
+    """The time a batch reports: the sum of its samples' wall times, in input
+    order, for a synthetic backend, so reports stay reproducible; otherwise
+    the ``elapsed`` time measured around it."""
+    return sum(walls) if synthetic else elapsed

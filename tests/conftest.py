@@ -1,9 +1,11 @@
-"""Shared fixtures: two real C-function samples with known reference fixes."""
+"""Shared fixtures: two real C-function samples with known reference fixes, and a
+setter for evaluate's window."""
 
 from __future__ import annotations
 
 import pytest
 
+from linefix import evaluation
 from linefix.patchfmt import EditSpan, PatchSet
 from linefix.prompting import VulnRecord
 from linefix.source import SourceUnit
@@ -127,3 +129,14 @@ def stb_after(stb_before) -> SourceUnit:
     lines = list(stb_before.lines)
     lines.insert(STB_INSERT_AFTER + 1, STB_INSERTED_LINE)
     return SourceUnit(tuple(lines), had_trailing_newline=True)
+
+
+@pytest.fixture
+def window(monkeypatch):
+    """Sets evaluate's window to ``n`` records, whatever the backend's max_in_flight."""
+
+    def set_window(n: int) -> None:
+        monkeypatch.setattr(evaluation, "WINDOW", n)
+        monkeypatch.setattr(evaluation, "ROUNDS", 0)
+
+    return set_window

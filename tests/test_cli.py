@@ -15,7 +15,6 @@ import pytest
 from click.testing import CliRunner
 
 from linefix import dataset as ds
-from linefix import evaluation
 from linefix.cli import main
 from linefix.source import to_text
 from tests.conftest import (
@@ -481,10 +480,10 @@ def write_mock_script(path: Path, ids) -> str:
     return str(path)
 
 
-def test_evaluate_holds_one_window_at_a_time(runner, tmp_path, monkeypatch):
+def test_evaluate_holds_one_window_at_a_time(runner, tmp_path, window):
     # records with 400-line sources; a run that holds every record, prompt or
     # outcome peaks with the test set instead of with the window
-    monkeypatch.setattr(evaluation, "WINDOW", 10)
+    window(10)
     peaks = {}
     for windows in (2, 8):
         rows = big_raw_rows(10 * windows, "test")
@@ -523,9 +522,9 @@ def test_evaluate_prints_quarantines_after_scoring(runner, eval_setup, tmp_path)
 
 
 def test_evaluate_schema_error_after_the_first_window_writes_no_report(
-    runner, eval_setup, tmp_path, monkeypatch
+    runner, eval_setup, tmp_path, window
 ):
-    monkeypatch.setattr(evaluation, "WINDOW", 2)
+    window(2)
     bad = raw_row(4, "test")
     del bad["split"]
     rows = [raw_row(i, "test") for i in range(4)] + [bad]

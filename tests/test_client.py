@@ -37,6 +37,11 @@ def mock_backend(samples: dict, spec: BackendSpec | None = None, **script) -> Mo
     return MockBackend({"samples": samples, **script}, spec)
 
 
+def run_batch(prompts, backend):
+    with batch_pool(backend) as pool:
+        return generate_batch(prompts, CFG, backend, pool=pool)
+
+
 # --- configs ------------------------------------------------------------------
 
 
@@ -187,7 +192,7 @@ def test_mock_determinism():
 def test_batch_preserves_order_and_times():
     samples = {f"s{i}": {"candidates": [f"c{i}"], "latency_s": 0.25} for i in range(8)}
     backend = mock_backend(samples)
-    result = generate_batch([(f"s{i}", f"p{i}") for i in range(8)], CFG, backend)
+    result = run_batch([(f"s{i}", f"p{i}") for i in range(8)], backend)
     assert [o.sample_id for o in result.outcomes] == [f"s{i}" for i in range(8)]
     assert [o.candidates[0] for o in result.outcomes] == [f"c{i}" for i in range(8)]
     assert result.synthetic_time
@@ -197,7 +202,7 @@ def test_batch_preserves_order_and_times():
 def test_batch_requires_unique_ids():
     backend = mock_backend({"s": {"candidates": ["a"]}})
     with pytest.raises(ValueError):
-        generate_batch([("s", "p"), ("s", "q")], CFG, backend)
+        run_batch([("s", "p"), ("s", "q")], backend)
 
 
 def test_batch_embeds_per_sample_failures():
@@ -209,7 +214,7 @@ def test_batch_embeds_per_sample_failures():
         },
         spec,
     )
-    result = generate_batch([("good", "p"), ("bad", "q")], CFG, backend)
+    result = run_batch([("good", "p"), ("bad", "q")], backend)
     good, bad = result.outcomes
     assert good.ok
     assert not bad.ok
@@ -221,7 +226,7 @@ def test_batch_embeds_per_sample_failures():
 
 def test_batch_counts_one_attempt_for_errors_no_retry_cures():
     spec = BackendSpec(endpoint="mock:", max_attempts=3, backoff_s=0.0)
-    result = generate_batch([("missing", "p")], CFG, mock_backend({}, spec))
+    result = run_batch([("missing", "p")], mock_backend({}, spec))
     (outcome,) = result.outcomes
     assert outcome.error.startswith("UnknownSampleId")
     assert outcome.attempts == 1
@@ -230,9 +235,9 @@ def test_batch_counts_one_attempt_for_errors_no_retry_cures():
 def test_batch_concurrency_does_not_change_results():
     samples = {f"s{i}": {"candidates": [f"c{i}"], "latency_s": 0.1} for i in range(12)}
     prompts = [(f"s{i}", f"p{i}") for i in range(12)]
-    serial = generate_batch(prompts, CFG, mock_backend(samples))
+    serial = run_batch(prompts, mock_backend(samples))
     spec = BackendSpec(endpoint="mock:", max_in_flight=4)
-    threaded = generate_batch(prompts, CFG, mock_backend(samples, spec))
+    threaded = run_batch(prompts, mock_backend(samples, spec))
     assert serial.outcomes == threaded.outcomes
     assert serial.total_time_s == threaded.total_time_s
 
@@ -240,15 +245,14 @@ def test_batch_concurrency_does_not_change_results():
 def test_batches_share_a_pool_the_caller_keeps_open():
     samples = {f"s{i}": {"candidates": [f"c{i}"], "latency_s": 0.1} for i in range(12)}
     prompts = [(f"s{i}", f"p{i}") for i in range(12)]
-    spec = BackendSpec(endpoint="mock:", max_in_flight=3)
-    alone = generate_batch(prompts, CFG, mock_backend(samples, spec))
-    backend = mock_backend(samples, spec)
+    backend = mock_backend(samples, BackendSpec(endpoint="mock:", max_in_flight=3))
     with batch_pool(backend) as pool:
         assert pool._max_workers == 3
         halves = [generate_batch(prompts[:6], CFG, backend, pool=pool),
                   generate_batch(prompts[6:], CFG, backend, pool=pool)]
         assert pool.submit(len, "open").result() == 4  # the batches left it open
-    assert halves[0].outcomes + halves[1].outcomes == alone.outcomes
+    outcomes = halves[0].outcomes + halves[1].outcomes
+    assert [o.candidates[0] for o in outcomes] == [f"c{i}" for i in range(12)]
 
 
 # --- HTTP backend -------------------------------------------------------------------
@@ -392,7 +396,7 @@ def test_http_retries_transient_statuses_only(http_server, path, attempts):
 
 def test_batch_records_attempts_made(http_server):
     backend = HttpBackend(_spec(http_server, "/status/400", max_attempts=3))
-    result = generate_batch([("s", "p")], CFG, backend)
+    result = run_batch([("s", "p")], backend)
     (outcome,) = result.outcomes
     assert outcome.error == "BackendError: HTTP 400: status as asked"
     assert outcome.attempts == 1

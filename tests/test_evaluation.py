@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
 from linefix import client, evaluation
-from linefix.client import BackendSpec, DecodeConfig, MockBackend, generate_batch
+from linefix.client import BackendSpec, DecodeConfig, MockBackend, batch_pool, generate_batch
 from linefix.errors import EmptyEvaluation
 from linefix.evaluation import (
     DEFAULT_CWE_ORDER,
@@ -195,28 +196,30 @@ def windowed_samples(n: int) -> dict:
     return samples
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 7])
-def test_windows_give_the_one_batch_report(monkeypatch, window):
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_windows_give_the_one_batch_report(window, size):
     records = [record(f"r{i}", ("CWE-787", "CWE-79", "CWE-9999")[i % 3]) for i in range(20)]
     samples = windowed_samples(20)
     whole = run_eval(records, samples, k=2).to_json()
-    monkeypatch.setattr(evaluation, "WINDOW", window)
+    window(size)
     # a generator is read window by window, never listed whole
     assert run_eval((r for r in records), samples, k=2).to_json() == whole
 
 
-def test_windows_take_the_batch_time_sum_of_every_sample(monkeypatch):
+def test_windows_take_the_batch_time_sum_of_every_sample(window):
     records = [record(f"r{i}") for i in range(20)]
     samples = windowed_samples(20)
-    monkeypatch.setattr(evaluation, "WINDOW", 3)
+    window(3)
     report = run_eval(records, samples, k=2)
     # the same float sum one batch of all twenty makes, not a sum of window sums
     backend = MockBackend({"samples": samples}, BackendSpec(max_attempts=2, backoff_s=0.0))
-    batch = generate_batch([(r.id, "p") for r in records], DecodeConfig(k=2), backend)
+    with batch_pool(backend) as pool:
+        batch = generate_batch([(r.id, "p") for r in records], DecodeConfig(k=2), backend,
+                               pool=pool)
     assert report.efficiency.total_time_s == batch.total_time_s
 
 
-def test_every_window_runs_on_one_pool(monkeypatch):
+def test_every_window_runs_on_one_pool(monkeypatch, window):
     # a pool per window made the caller wait on almost every mock sample
     made = []
 
@@ -226,15 +229,32 @@ def test_every_window_runs_on_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(client, "ThreadPoolExecutor", CountedPool)
-    monkeypatch.setattr(evaluation, "WINDOW", 2)
+    window(2)
     records = [record(f"r{i}") for i in range(7)]
     assert run_eval(records, windowed_samples(7), k=2).pp_total == 7
     assert len(made) == 1
 
 
-@pytest.mark.parametrize("ids", [["a", "b", "c", "a"], ["a", "b", "b"], ["a", "a"]])
-def test_repeated_sample_id_raises_in_any_window(monkeypatch, ids):
+def test_a_window_keeps_every_in_flight_slot_busy(monkeypatch):
+    # with more slots than WINDOW records, a window of WINDOW would leave slots idle
+    slots = 6
     monkeypatch.setattr(evaluation, "WINDOW", 2)
+    gathered = threading.Barrier(slots, timeout=5)
+
+    class Gathering(MockBackend):
+        def complete(self, sample_id, prompt, cfg):
+            gathered.wait()  # passes only while every slot is generating
+            return super().complete(sample_id, prompt, cfg)
+
+    records = [record(f"r{i}") for i in range(2 * slots)]
+    script = {"samples": {r.id: {"candidates": [REFERENCE]} for r in records}}
+    backend = Gathering(script, BackendSpec(endpoint="mock:", max_in_flight=slots))
+    assert evaluate(records, backend, DecodeConfig(k=1)).pp_hits == 2 * slots
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "c", "a"], ["a", "b", "b"], ["a", "a"]])
+def test_repeated_sample_id_raises_in_any_window(window, ids):
+    window(2)
     samples = {i: {"candidates": [REFERENCE]} for i in ids}
     with pytest.raises(ValueError, match="sample ids must be unique"):
         run_eval([record(i) for i in ids], samples)
@@ -266,7 +286,8 @@ def test_score_batch_reusable_without_backend():
     }
     backend = MockBackend({"samples": samples})
     cfg = DecodeConfig(strategy="beam", k=1)
-    batch = generate_batch([("a", "p1"), ("b", "p2")], cfg, backend)
+    with batch_pool(backend) as pool:
+        batch = generate_batch([("a", "p1"), ("b", "p2")], cfg, backend, pool=pool)
     rep = score_batch(records, batch)
     assert rep.pp_hits == 1
     assert rep.efficiency.total_time_s == pytest.approx(2.0)
