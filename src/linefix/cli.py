@@ -46,6 +46,15 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; one that does not decode raises OSError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not valid UTF-8: {exc}") from None
+
+
 def _load_yaml(path: str) -> dict:
     import yaml  # deferred: only evaluate's config flags read YAML
 
@@ -226,11 +235,8 @@ def export_train(records_path: str, out_path: str) -> None:
 def apply_cmd(source_path: str, patch_path: str) -> None:
     """Apply a patch file to a source file; patched text goes to stdout."""
     try:
-        with open(source_path, encoding="utf-8") as fh:
-            src = from_text(fh.read())
-        with open(patch_path, encoding="utf-8") as fh:
-            patch = parse_patch(fh.read())
-        result = apply_patch(src, patch)
+        src = from_text(_read_text(source_path))
+        result = apply_patch(src, parse_patch(_read_text(patch_path)))
     except (OSError, LinefixError) as exc:
         _fail(EXIT_IO, str(exc))
         return
@@ -243,11 +249,8 @@ def apply_cmd(source_path: str, patch_path: str) -> None:
 def derive_cmd(before_path: str, after_path: str) -> None:
     """Derive the patch between two source files; DSL goes to stdout."""
     try:
-        with open(before_path, encoding="utf-8") as fh:
-            before = from_text(fh.read())
-        with open(after_path, encoding="utf-8") as fh:
-            after = from_text(fh.read())
-        text = serialize_patch(derive_patch(before, after))
+        before, after = from_text(_read_text(before_path)), from_text(_read_text(after_path))
+        text = serialize_patch(derive_patch(before, after)[0])
     except (OSError, PatchFormatError) as exc:
         _fail(EXIT_IO, str(exc))
         return

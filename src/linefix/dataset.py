@@ -6,22 +6,21 @@ raw schema (JSONL or CSV)
     ``id, cve_id?, cwe_id, cwe_description, vuln_lines?, source_before,
     source_after?, reference_patch?, split`` with exactly one of
     ``source_after`` and ``reference_patch``. ``vuln_lines`` falls back to the
-    before-side lines the reference patch changes
-    (``engine.changed_before_lines``). A ``source_before`` carrying the
-    upstream bug markers (``<S2SV_StartBug>`` / ``<S2SV_EndBug>``) is
-    accepted: the markers are stripped and the marked lines become
-    ``vuln_lines``. Anywhere else a marker is a reserved token.
+    ``source_before`` lines the line diff of the fix replaces or deletes. A
+    ``source_before`` carrying the upstream bug markers (``<S2SV_StartBug>`` /
+    ``<S2SV_EndBug>``) is accepted: the markers are stripped and the marked
+    lines become ``vuln_lines``. Anywhere else a marker is a reserved token.
 
     The fix is read in one of two ways: ``source_after`` (upstream files) is
     diffed against ``source_before``; ``reference_patch`` (files linefix
     writes) is parsed and validated against ``source_before``, and the fixed
-    source is the patch applied to it, so nothing is diffed. A row with both
-    is a SchemaError. A stored patch that does not parse or validate
-    quarantines the record and is never re-derived; so does a fix that is
-    empty or has no lossless text form. In CSV an empty ``reference_patch``
-    cell means the field is absent, and so does an empty ``source_after``
-    cell next to a filled ``reference_patch`` one, so a file can mix both
-    kinds of row.
+    source is the patch applied to it, so nothing is diffed unless the row
+    has neither ``vuln_lines`` nor markers. A row with both is a SchemaError.
+    A stored patch that does not parse or validate quarantines the record and
+    is never re-derived; so does a fix that is empty or has no lossless text
+    form. In CSV an empty ``reference_patch`` cell means the field is absent,
+    and so does an empty ``source_after`` cell next to a filled
+    ``reference_patch`` one, so a file can mix both kinds of row.
 
 training schema (JSONL)
     ``id, prompt, completion, cwe_id, split`` as written by export_jsonl;
@@ -32,13 +31,13 @@ training schema (JSONL)
 so a caller that writes as it reads holds one record at a time. Every command
 reads through it; ``ingest``, which collects the stream into a list, stays
 only for tests and the benchmark's traced run.
-Structural problems (missing fields, undecodable rows) raise SchemaError for
-the first one in file order. Records from both schemas keep the one rule set
-of ``VulnRecord.validate``; the reader adds only the raw pair's
-trailing-newline rule and one rule across rows, that ids are unique within a
-file. Records that decode but violate an invariant are quarantined with a
-reason, never silently dropped. Every record that is kept carries its
-reference patch, so export_jsonl writes one training row for each.
+Structural problems (missing fields, undecodable rows, bytes that are not
+UTF-8) raise SchemaError for the first one in file order. Records from both
+schemas keep the one rule set of ``VulnRecord.validate``; the reader adds only
+the raw pair's trailing-newline rule and one rule across rows, that ids are
+unique within a file. Records that decode but violate an invariant are
+quarantined with a reason, never silently dropped. Every record that is kept
+carries its reference patch, so export_jsonl writes one training row for each.
 
 The writers and ``detect_overlap`` take any iterable of records.
 ``LeakFilter`` holds the test side of refinement as fingerprint counts and
@@ -56,8 +55,10 @@ from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from linefix.engine import changed_before_lines, derive_patch
+from linefix import engine
+from linefix.engine import derive_patch
 from linefix.errors import (
+    InvalidPatch,
     InvalidRecord,
     LinefixError,
     PatchFormatError,
@@ -129,9 +130,17 @@ class SplitManifest:
 # --- reading ----------------------------------------------------------------
 
 
+def _decoded(fh: Iterable[str], path: str) -> Iterator[str]:
+    """The lines of ``fh``, opened from ``path``; bytes that are not UTF-8 raise SchemaError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}", path=path) from None
+
+
 def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(_decoded(fh, path), start=1):
             if not line.strip():
                 continue
             try:
@@ -145,7 +154,7 @@ def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
 
 def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_decoded(fh, path))
         for obj in reader:
             if None in obj:
                 raise SchemaError("row has more cells than header", path=path, line_no=reader.line_num)
@@ -227,7 +236,7 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
 
     src = from_text(raw_before)
     if patch_text is None:
-        patch = derive_patch(src, from_text(raw_after))
+        patch, changed = derive_patch(src, from_text(raw_after))
     else:
         try:
             patch = parse_patch(patch_text)  # VulnRecord validates it against src
@@ -241,8 +250,15 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
         vuln_lines = sorted(set(vuln_lines))
     elif marker_lines:
         vuln_lines = marker_lines
-    else:
-        vuln_lines = changed_before_lines(src, patch)
+    elif patch_text is None:
+        vuln_lines = changed
+    else:  # a hand-written patch-only row: diff the fixed source it gives
+        try:
+            after = engine.apply_patch(src, patch)
+        except InvalidPatch:
+            vuln_lines = []  # VulnRecord quarantines the row with its own reason
+        else:
+            vuln_lines = engine.changed_lines(engine.edit_runs(src.lines, after.lines))
 
     if raw_after is not None and src.had_trailing_newline != raw_after.endswith("\n"):
         # the fixed source is rebuilt from the patch, which keeps before's flag

@@ -7,7 +7,7 @@ the input source carries through to the result unchanged.
 from __future__ import annotations
 
 from linefix.errors import InvalidPatch
-from linefix.linediff import edit_runs
+from linefix.linediff import Run, edit_runs
 from linefix.patchfmt import EditSpan, PatchSet, round_trips
 from linefix.source import SourceUnit
 
@@ -40,22 +40,25 @@ def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
     return SourceUnit(tuple(out), src.had_trailing_newline)
 
 
-def derive_patch(before: SourceUnit, after: SourceUnit) -> PatchSet:
-    """Patch turning ``before`` into ``after``, derived as ``patchfmt`` states.
+def derive_patch(before: SourceUnit, after: SourceUnit) -> tuple[PatchSet, list[int]]:
+    """Patch turning ``before`` into ``after``, and the ``before`` lines it changes.
 
     Each maximal changed run of the line diff becomes one span, widened only
-    where its text would not round-trip; a pair with no text form keeps the
-    minimal patch. Identical inputs yield an empty patch, and
-    apply_patch(before, derive_patch(before, after)) reproduces ``after``.
+    where its text would not round-trip, as ``patchfmt`` states; a pair with
+    no text form keeps the minimal patch. Identical inputs yield an empty
+    patch, and the patch applied to ``before`` reproduces ``after``. The
+    changed lines are ``changed_lines`` of that diff: widening adds none.
     """
     lines = before.lines
+    runs = edit_runs(lines, after.lines)
+    changed = changed_lines(runs)
     spans = [
         EditSpan(a_start - 1, a_end, after.lines[b_start:b_end])
-        for a_start, a_end, b_start, b_end in edit_runs(lines, after.lines)
+        for a_start, a_end, b_start, b_end in runs
     ]
     patch = PatchSet(tuple(spans))
     if round_trips(patch):
-        return patch
+        return patch, changed
     out = [EditSpan(s.line_bef, s.line_af + 1, ("", lines[s.line_af])) if s.body == ("",) else s
            for s in spans[:-1]]
     bef, af, body = spans[-1].line_bef, spans[-1].line_af, spans[-1].body
@@ -65,7 +68,7 @@ def derive_patch(before: SourceUnit, after: SourceUnit) -> PatchSet:
     if body[-1:] == ("",):  # at EOF: insert the body, then delete in a last, empty span
         if af == bef + 1 or body == ("",):
             if bef < 0:
-                return patch  # no text form
+                return patch, changed  # no text form
             bef -= 1
             body = (lines[bef + 1],) + body
             if out and out[-1].line_af > bef:  # touches or overlaps the previous span
@@ -73,39 +76,9 @@ def derive_patch(before: SourceUnit, after: SourceUnit) -> PatchSet:
                 bef, body = prev.line_bef, prev.body + body[prev.line_af - bef - 1:]
         out.append(EditSpan(bef, bef + 1, body))
         body = ()
-    return PatchSet((*out, EditSpan(bef, af, body)))
+    return PatchSet((*out, EditSpan(bef, af, body))), changed
 
 
-def changed_before_lines(src: SourceUnit, patch: PatchSet) -> list[int]:
-    """Sorted 0-based indices of the ``src`` lines the patch changes.
-
-    A span marks the lines it replaces, less the trailing and then the
-    leading ones its body repeats unchanged, so a span derive_patch widened
-    over an unchanged line does not mark that line. Lines past the end of
-    ``src`` are never marked. An empty-bodied span right after an insertion
-    with the same ``line_bef`` is derive_patch's EOF split: its lines are
-    compared with that insertion's body, which may append lines past the end
-    of ``src``, so the trailing lines are matched against the body cut where
-    most of them match. ``x`` -> ``x``, ``""`` inserts both lines and deletes
-    line 0, and marks nothing; ``a``, ``b``, ``c`` -> ``a``, ``z``, ``c``,
-    ``""`` marks line 1 only.
-    """
-    marked: list[int] = []
-    spans = patch.spans
-    for prev, s in zip((None, *spans), spans):
-        replaced = s.replaced_range()
-        old = src.lines[replaced.start: replaced.stop]
-        body = s.body
-        ends = (len(body),)
-        if not body and prev and prev.line_bef == s.line_bef and not prev.replaced_range():
-            body = prev.body
-            ends = range(len(body) + 1)
-        # on a tie the longest cut wins, so no more of the body counts as appended
-        trail, end = max((_common_prefix(old[::-1], body[:end][::-1]), end) for end in ends)
-        lead = _common_prefix(old[:len(old) - trail], body[:end - trail])
-        marked.extend(replaced[lead: len(old) - trail])
-    return marked
-
-
-def _common_prefix(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+def changed_lines(runs: list[Run]) -> list[int]:
+    """Sorted indices of the before lines that ``edit_runs``' runs replace or delete."""
+    return [i for a_start, a_end, _, _ in runs for i in range(a_start, a_end)]

@@ -116,6 +116,11 @@ def reference_edit_runs(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, i
     return runs
 
 
+def before_ranges(runs: list[tuple[int, int, int, int]]) -> list[int]:
+    """The before-side line indices that diff runs replace or delete, ascending."""
+    return [i for a_start, a_end, _, _ in runs for i in range(a_start, a_end)]
+
+
 def reference_number_lines(unit: SourceUnit) -> str:
     """``source.number_lines`` as one f-string per line; oracle for the prefix table."""
     return "\n".join(f"{i} {line}" for i, line in enumerate(unit.lines))

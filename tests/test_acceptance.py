@@ -86,7 +86,7 @@ def test_acceptance_format_goldens(vpx_record):
     assert prompt.startswith(VPX_PROMPT_PREFIX)
     assert prompt.endswith("\n[/INST]")
 
-    derived = derive_patch(vpx_record.source, vpx_record.reference_after)
+    derived, _ = derive_patch(vpx_record.source, vpx_record.reference_after)
     assert serialize_patch(derived) == VPX_REFERENCE_PATCH_TEXT
     print("ACCEPTANCE format_goldens: PASS")
 
@@ -112,7 +112,7 @@ def test_acceptance_roundtrip_sweep():
         rng = random.Random(0xACC2)
         for case_no in range(1000):
             before, after = random_pair(rng, case_no)
-            patch = derive_patch(before, after)
+            patch, _ = derive_patch(before, after)
             validate_patch(before, patch)
             assert apply_patch(before, patch).lines == after.lines
             if _text_representable(patch):

@@ -105,6 +105,28 @@ def test_ingest_missing_file_exits_1(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "command", ["ingest", "ingest-csv", "refine", "export-train", "audit-overlap", "evaluate"]
+)
+def test_records_file_not_utf8_exits_2_naming_it(runner, eval_setup, tmp_path, command):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(json.dumps(raw_row(0)).encode() + b"\n\xff\n")
+    good = write_jsonl(tmp_path / "good.jsonl", [raw_row(9, "test")])
+    out = str(tmp_path / "out.jsonl")
+    argv = {
+        "ingest": ["ingest", "--input", str(bad), "--out", out],
+        "ingest-csv": ["ingest", "--format", "csv", "--input", str(bad), "--out", out],
+        "refine": ["refine", "--train", str(bad), "--test", good, "--out", out],
+        "export-train": ["export-train", "--records", str(bad), "--out", out],
+        "audit-overlap": ["audit-overlap", "--train", str(bad), "--test", good],
+        "evaluate": evaluate_args(dict(eval_setup, records=str(bad)), tmp_path / "r"),
+    }[command]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert f"error: {bad}: not valid UTF-8: " in result.stderr
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
 # --- audit-overlap / refine ---------------------------------------------------------
 
 
@@ -373,6 +395,20 @@ def test_derive_without_text_form_exits_1(runner, tmp_path, before, after):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "error: patch has no lossless text form" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+@pytest.mark.parametrize("flag", ["--before", "--after", "--source", "--patch"])
+def test_derive_and_apply_on_a_file_not_utf8_exit_1(runner, tmp_path, flag):
+    texts = {"--before": "a\n", "--after": "b\n", "--source": "a\n", "--patch": "0-1<MID>b"}
+    flags = ("--before", "--after") if flag in ("--before", "--after") else ("--source", "--patch")
+    for f in flags:
+        (tmp_path / f[2:]).write_text(texts[f])
+    (tmp_path / flag[2:]).write_bytes(b"\xff\n")
+    command = "derive" if flags[0] == "--before" else "apply"
+    result = runner.invoke(main, [command] + [a for f in flags for a in (f, str(tmp_path / f[2:]))])
+    assert result.exit_code == 1
+    assert f"error: {tmp_path / flag[2:]}: not valid UTF-8: " in result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
 
 

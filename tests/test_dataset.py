@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import tempfile
@@ -25,13 +26,13 @@ from linefix.dataset import (
     strip_bug_markers,
     write_records_jsonl,
 )
-from linefix import dataset
-from linefix.engine import changed_before_lines, derive_patch
+from linefix import dataset, engine
+from linefix.engine import derive_patch
 from linefix.errors import SchemaError
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.prompting import VulnRecord
-from linefix.source import from_text, to_text
-from tests.helpers import no_text_form
+from linefix.source import SourceUnit, from_text, to_text
+from tests.helpers import before_ranges, no_text_form, reference_edit_runs
 
 
 def raw_row(i: int, split: str = "train", cwe: str = "CWE-787", **extra) -> dict:
@@ -63,12 +64,12 @@ def mem_record(
 ) -> DatasetRecord:
     src = from_text(before_text)
     after = from_text(after_text)
-    patch = derive_patch(src, after)
+    patch, changed = derive_patch(src, after)
     vuln = VulnRecord(
         id=rid,
         cwe_id=cwe,
         cwe_description="d.",
-        vuln_lines=tuple(changed_before_lines(src, patch)),
+        vuln_lines=tuple(changed),
         source=src,
         reference_patch=patch,
     )
@@ -591,6 +592,96 @@ def test_raw_rows_without_the_field_are_diffed(tmp_path, monkeypatch):
     again = ingest(str(out))
     assert len(calls) == 3
     assert again.records[0].vuln == marked
+
+
+# --- vuln lines from the diff ---------------------------------------------------------
+
+
+def assert_vuln_lines_follow_the_diff(pairs: list[tuple[tuple[str, ...], tuple[str, ...]]]):
+    """Ingest each (before, after) line pair from a source_after row and, with the
+    derived fix as its patch, from a patch-only row without vuln_lines.
+
+    Each kept row's vuln_lines are the before-ranges of the oracle diff, and a
+    source_after row is quarantined exactly when ``expected_quarantine`` says so:
+    the pair has no text form, is unchanged, or its texts cannot share one
+    trailing-newline flag (every line of a source ending in a blank line is
+    deleted), which leaves that fix to the patch-only row.
+    """
+    after_rows, patch_rows, oracle = [], [], {}
+    for i, (before, after) in enumerate(pairs):
+        # an empty source has no trailing LF, so the other side then gets none either
+        end = "\n" if before and after else ""
+        texts = ["\n".join(lines) + end if lines else "" for lines in (before, after)]
+        after_rows.append(raw_row(i, source_before=texts[0], source_after=texts[1]))
+        oracle[f"rec-{i}"] = tuple(before_ranges(reference_edit_runs(before, after)))
+        if before != after and not no_text_form(before, after):
+            patch, _ = derive_patch(SourceUnit(before, True), SourceUnit(after, True))
+            # LF-terminated text reads back as exactly its lines
+            patch_rows.append(patch_row(i, source_before="".join(f"{line}\n" for line in before),
+                                        reference_patch=serialize_patch(patch)))
+    with tempfile.TemporaryDirectory() as tmp:
+        from_after = ingest(write_jsonl(Path(tmp) / "after.jsonl", after_rows))
+        from_patch = ingest(write_jsonl(Path(tmp) / "patch.jsonl", patch_rows))
+    reasons = {q.record_id: q.reason for q in from_after.quarantined}
+    for row in after_rows:
+        expected = expected_quarantine(row["source_before"], row["source_after"])
+        assert (expected is None) == (row["id"] not in reasons), row
+        assert expected is None or expected in reasons[row["id"]]
+    assert from_patch.quarantined == []
+    assert len(from_patch.records) == len(patch_rows)
+    for record in from_after.records + from_patch.records:
+        i = int(record.vuln.id.removeprefix("rec-"))
+        assert record.vuln.reference_after.lines == pairs[i][1]
+        assert record.vuln.vuln_lines == oracle[record.vuln.id], pairs[i]
+
+
+def test_vuln_lines_follow_the_diff_on_every_small_pair():
+    # every pair of 0-4 lines over "", "x", "y": 14,641 pairs, 14,520 of them changed
+    sources = [lines for n in range(5) for lines in itertools.product(("", "x", "y"), repeat=n)]
+    assert_vuln_lines_follow_the_diff(list(itertools.product(sources, repeat=2)))
+
+
+SMALL_SOURCE = st.lists(st.sampled_from(["", "x", "y", "}"]), max_size=10).map(tuple)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(SMALL_SOURCE, SMALL_SOURCE), min_size=1, max_size=4))
+def test_vuln_lines_follow_the_diff(pairs):
+    assert_vuln_lines_follow_the_diff(pairs)
+
+
+def test_vuln_lines_skip_a_line_the_fix_keeps(tmp_path):
+    # the fix deletes "y" and keeps "x" inside the widened end-of-file insertion
+    after_row = raw_row(0, source_before="x\ny\n", source_after="\nx\n\n")
+    record = ingest(write_jsonl(tmp_path / "after.jsonl", [after_row])).records[0]
+    patch = serialize_patch(record.vuln.reference_patch)
+    patch_only = patch_row(0, source_before="x\ny\n", reference_patch=patch)
+    again = ingest(write_jsonl(tmp_path / "patch.jsonl", [patch_only])).records[0]
+    assert record.vuln.vuln_lines == again.vuln.vuln_lines == (1,)
+
+
+def test_ingest_diffs_each_row_at_most_once(tmp_path, monkeypatch):
+    edit_runs, calls = engine.edit_runs, []
+
+    def counting(a, b):
+        calls.append(a[0])
+        return edit_runs(a, b)
+
+    monkeypatch.setattr(engine, "edit_runs", counting)
+    marked = f"int f()\n{{\n{BUG_START}   buf[n] = 1;\n  return n;\n}}\n"
+    rows = [
+        raw_row(0),
+        raw_row(1, source_before=marked),
+        raw_row(2, vuln_lines=[2]),
+        patch_row(3),  # neither vuln_lines nor markers: diffed once
+        patch_row(4, vuln_lines=[2]),
+        patch_row(5, source_before=marked),
+    ]
+    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert result.quarantined == []
+    # each source_after row is diffed once, inside derive_patch
+    assert calls == ["int f0(int n)", "int f()", "int f2(int n)", "int f3(int n)"]
+    assert [r.vuln.vuln_lines for r in result.records] == [(2,)] * 6
 
 
 def write_csv(path, fields: list[str], rows: list[dict]) -> str:

@@ -8,12 +8,7 @@ import re
 
 import pytest
 
-from linefix.engine import (
-    apply_patch,
-    changed_before_lines,
-    derive_patch,
-    validate_patch,
-)
+from linefix.engine import apply_patch, derive_patch, validate_patch
 from linefix.errors import ConflictingSpans, InvalidPatch, PatchFormatError
 from linefix.patchfmt import EditSpan, PatchSet, parse_patch, round_trips, serialize_patch
 from linefix.source import SourceUnit, to_text
@@ -23,8 +18,10 @@ from tests.conftest import (
     VPX_REFERENCE_PATCH_TEXT,
 )
 from tests.helpers import (
+    before_ranges,
     no_text_form,
     random_pair,
+    reference_edit_runs,
     random_patchset,
     shifted_sequential_apply,
     splice_apply,
@@ -135,12 +132,13 @@ def test_apply_is_order_independent():
 
 
 def test_derive_reference_golden(vpx_source, vpx_record):
-    patch = derive_patch(vpx_source, vpx_record.reference_after)
+    patch, _ = derive_patch(vpx_source, vpx_record.reference_after)
     assert serialize_patch(patch) == VPX_REFERENCE_PATCH_TEXT
 
 
 def test_derive_insertion_golden(stb_before, stb_after):
-    patch = derive_patch(stb_before, stb_after)
+    patch, changed = derive_patch(stb_before, stb_after)
+    assert changed == []  # a pure insertion replaces no line
     assert len(patch) == 1
     s = patch.spans[0]
     assert (s.line_bef, s.line_af) == (STB_INSERT_AFTER, STB_INSERT_AFTER + 1)
@@ -148,15 +146,16 @@ def test_derive_insertion_golden(stb_before, stb_after):
 
 
 def test_derive_identity_is_empty():
-    assert derive_patch(SRC, SRC) == PatchSet(())
+    assert derive_patch(SRC, SRC) == (PatchSet(()), [])
 
 
 def test_derive_apply_inversion_randomized():
     rng = random.Random(0xBEEF)
     for case_no in range(400):
         before, after = random_pair(rng, case_no)
-        patch = derive_patch(before, after)
+        patch, changed = derive_patch(before, after)
         assert apply_patch(before, patch).lines == after.lines
+        assert changed == before_ranges(reference_edit_runs(before.lines, after.lines))
         validate_patch(before, patch)
         assert round_trips(patch) != no_text_form(before.lines, after.lines)
 
@@ -177,11 +176,23 @@ def test_derive_apply_inversion_randomized():
         # EOF merge with the previous span, overlapping and touching
         ("ab", ("a", "", "b", ""), "0-1<MID>\nb\n<sep>0-2<MID>"),
         ("x", ("x", "x", ""), "-1-0<MID>x\nx\n<sep>-1-1<MID>"),
+        # widened over "b", which the body carries unchanged
+        ("abc", ("a", "", "b", "c"), "0-2<MID>\nb"),
+        # the EOF split: an insertion that carries line 0, then its deletion
+        ("x", ("x", ""), "-1-0<MID>x\n<sep>-1-1<MID>"),
+        # the same split after two appended empty lines
+        ("ab", ("a", "b", "", ""), "0-1<MID>b\n\n<sep>0-2<MID>"),
+        # the EOF split over a changed line
+        ("ab", ("a", "c", ""), "0-1<MID>c\n<sep>0-2<MID>"),
+        # the split's body carries "c" unchanged, then appends two empty lines
+        ("abc", ("a", "z", "c", "", ""), "0-1<MID>z\nc\n\n<sep>0-3<MID>"),
     ],
 )
 def test_derive_widens_lossy_spans(before, after, text):
     before, after = SourceUnit(tuple(before)), SourceUnit(tuple(after))
-    patch = derive_patch(before, after)
+    patch, changed = derive_patch(before, after)
+    # widening leaves the changed lines as the minimal diff has them
+    assert changed == before_ranges(reference_edit_runs(before.lines, after.lines))
     assert serialize_patch(patch) == text
     assert parse_patch(text) == patch
     assert apply_patch(before, patch).lines == after.lines
@@ -189,7 +200,7 @@ def test_derive_widens_lossy_spans(before, after, text):
 
 @pytest.mark.parametrize("before,after", [((), ("",)), ((), ("x", "")), (("x",), ("",))])
 def test_derive_without_text_form_keeps_the_minimal_patch(before, after):
-    patch = derive_patch(SourceUnit(before), SourceUnit(after))
+    patch, _ = derive_patch(SourceUnit(before), SourceUnit(after))
     assert no_text_form(before, after)
     assert apply_patch(SourceUnit(before), patch).lines == after
     assert not round_trips(patch)
@@ -200,7 +211,7 @@ def test_derive_without_text_form_keeps_the_minimal_patch(before, after):
 def test_derive_trailing_flag_comes_from_before():
     before = SourceUnit(("a",), had_trailing_newline=False)
     after = SourceUnit(("b",), had_trailing_newline=True)
-    patched = apply_patch(before, derive_patch(before, after))
+    patched = apply_patch(before, derive_patch(before, after)[0])
     assert patched.lines == after.lines
     assert not patched.had_trailing_newline
 
@@ -215,38 +226,6 @@ def test_applied_equivalent_spans_differ():
     assert apply_patch(SRC, a) == apply_patch(SRC, b)
     c = PatchSet((EditSpan(1, 3, ("Y",)),))
     assert apply_patch(SRC, a) != apply_patch(SRC, c)
-
-
-def test_changed_before_lines():
-    patch = PatchSet((EditSpan(1, 4, ("x",)), EditSpan(6, 7, ("y",))))
-    assert changed_before_lines(SRC, patch) == [2, 3]
-    # lines a span's body repeats unchanged at either end are not marked
-    kept_ends = PatchSet((EditSpan(1, 6, ("line 2", "x", "line 4", "line 5")),))
-    assert changed_before_lines(SRC, kept_ends) == [3]
-    assert changed_before_lines(SRC, PatchSet((EditSpan(1, 3, ("line 2",)),))) == []
-
-
-@pytest.mark.parametrize(
-    "before,after,text,marked",
-    [
-        # widened over "b", which the body carries unchanged
-        (("a", "b", "c"), ("a", "", "b", "c"), "0-2<MID>\nb", []),
-        # the EOF split inserts "x", "" and deletes line 0 in an empty span;
-        # the insertion carries line 0 unchanged, so nothing is marked
-        (("x",), ("x", ""), "-1-0<MID>x\n<sep>-1-1<MID>", []),
-        # the same split after two appended empty lines
-        (("a", "b"), ("a", "b", "", ""), "0-1<MID>b\n\n<sep>0-2<MID>", []),
-        # the EOF split over a changed line marks only that line
-        (("a", "b"), ("a", "c", ""), "0-1<MID>c\n<sep>0-2<MID>", [1]),
-        # the split's body carries "c" unchanged, then appends two empty lines
-        (("a", "b", "c"), ("a", "z", "c", "", ""), "0-1<MID>z\nc\n\n<sep>0-3<MID>", [1]),
-    ],
-)
-def test_changed_before_lines_of_widened_spans(before, after, text, marked):
-    src = SourceUnit(before)
-    patch = derive_patch(src, SourceUnit(after))
-    assert serialize_patch(patch) == text
-    assert changed_before_lines(src, patch) == marked
 
 
 def test_to_text_of_applied(vpx_source, vpx_reference_patch):

@@ -328,7 +328,7 @@ def test_render_derives_when_patch_missing(stb_before, stb_after):
     record = _record(
         source=stb_before,
         vuln_lines=(6,),
-        reference_patch=derive_patch(stb_before, stb_after),
+        reference_patch=derive_patch(stb_before, stb_after)[0],
     )
     example = render_training_example(record)
     assert example.completion == "5-6<MID>   if (w == NULL) return 0;"
