@@ -29,7 +29,7 @@ import click
 from linefix import dataset as ds
 from linefix.client import DecodeConfig, BackendSpec, HttpBackend, MockBackend
 from linefix.engine import apply_patch, derive_patch
-from linefix.errors import LinefixError, PatchFormatError, SchemaError
+from linefix.errors import EmptyEvaluation, LinefixError, PatchFormatError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.source import from_text, to_text
@@ -291,91 +291,74 @@ def evaluate_cmd(
     report_dir: str,
 ) -> None:
     """Generate candidates for every record and score exact matches."""
-    file_cfg: dict = {}
-    if config_path is not None:
-        try:
-            file_cfg = _load_yaml(config_path)
-        except SchemaError as exc:
-            _fail(EXIT_SCHEMA, str(exc))
-        except OSError as exc:
-            _fail(EXIT_IO, str(exc))
-
-    if (backend_config_path is None) == (mock_script_path is None):
-        _fail(EXIT_USAGE, "exactly one of --backend-config or --mock-script is required")
-
-    try:
-        decode_cfg = dict(file_cfg.get("decode", {}))
-        given: dict = {}
-        for name, flag, section, key in (
-            ("strategy", strategy, decode_cfg, "strategy"),
-            ("k", k, decode_cfg, "k"),
-            ("temperature", temperature, decode_cfg, "temperature"),
-            ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens"),
-            ("stop_sequences", stop_sequences or None, decode_cfg, "stop"),
-            ("seed", seed, file_cfg, "seed"),
-        ):
-            if flag is not None:
-                given[name] = flag
-            elif key in section:
-                given[name] = section[key]
-        cfg = DecodeConfig(**given)
-        file_cwes = file_cfg.get("cwe_list", list(DEFAULT_CWE_ORDER))
-        if not isinstance(file_cwes, list) or not all(isinstance(c, str) for c in file_cwes):
-            raise ValueError(f"cwe_list: expected a list of strings, got {file_cwes!r}")
-        file_strict = file_cfg.get("strict", False)
-        if not isinstance(file_strict, bool):
-            raise ValueError(f"strict: expected true or false, got {file_strict!r}")
-    except (TypeError, ValueError) as exc:
-        _fail(EXIT_USAGE, f"bad decode config: {exc}")
-        return
-    resolved = {
-        **dataclasses.asdict(cfg),
-        "cwe_list": list(cwe_list) or file_cwes,
-        "strict": strict or file_strict,
-    }
-
-    try:
-        backend_cfg = dict(file_cfg.get("backend", {}))
-        if backend_config_path is not None:
-            raw = _load_yaml(backend_config_path)
-            backend_cfg.update(raw.get("backend", raw))
-        if max_in_flight is not None:
-            backend_cfg["max_in_flight"] = max_in_flight
-        spec = BackendSpec(**backend_cfg)
-        if mock_script_path is not None:
-            backend = MockBackend.from_file(mock_script_path, spec)
-        else:
-            backend = HttpBackend(spec)
-    except SchemaError as exc:
-        _fail(EXIT_SCHEMA, str(exc))
-        return
-    except (TypeError, ValueError) as exc:
-        _fail(EXIT_USAGE, f"bad backend config: {exc}")
-        return
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-        return
-
     quarantined: list[ds.QuarantineEntry] = []
-    failure: LinefixError | None = None
-    try:
-        with _exit_codes(), closing(ds.stream(records_path, "jsonl", quarantined)) as rows:
-            report = evaluate(
-                (r.vuln for r in rows),
-                backend,
-                cfg,
-                cwe_order=tuple(resolved["cwe_list"]),
-                strict=resolved["strict"],
-            )
-    except LinefixError as exc:  # EmptyEvaluation; a SchemaError has already exited 2
-        failure = exc
-    if quarantined:
-        click.echo(f"{len(quarantined)} records quarantined at ingest", err=True)
-    if failure is not None:
-        _fail(EXIT_USAGE, str(failure))
-        return
+    with _exit_codes():
+        file_cfg = _load_yaml(config_path) if config_path is not None else {}
+        if (backend_config_path is None) == (mock_script_path is None):
+            raise ValueError("exactly one of --backend-config or --mock-script is required")
 
-    try:
+        try:
+            decode_cfg = dict(file_cfg.get("decode", {}))
+            given: dict = {}
+            for name, flag, section, key in (
+                ("strategy", strategy, decode_cfg, "strategy"),
+                ("k", k, decode_cfg, "k"),
+                ("temperature", temperature, decode_cfg, "temperature"),
+                ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens"),
+                ("stop_sequences", stop_sequences or None, decode_cfg, "stop"),
+                ("seed", seed, file_cfg, "seed"),
+            ):
+                if flag is not None:
+                    given[name] = flag
+                elif key in section:
+                    given[name] = section[key]
+            cfg = DecodeConfig(**given)
+            file_cwes = file_cfg.get("cwe_list", list(DEFAULT_CWE_ORDER))
+            if not isinstance(file_cwes, list) or not all(isinstance(c, str) for c in file_cwes):
+                raise ValueError(f"cwe_list: expected a list of strings, got {file_cwes!r}")
+            file_strict = file_cfg.get("strict", False)
+            if not isinstance(file_strict, bool):
+                raise ValueError(f"strict: expected true or false, got {file_strict!r}")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad decode config: {exc}") from None
+        resolved = {
+            **dataclasses.asdict(cfg),
+            "cwe_list": list(cwe_list) or file_cwes,
+            "strict": strict or file_strict,
+        }
+
+        try:
+            backend_cfg = dict(file_cfg.get("backend", {}))
+            if backend_config_path is not None:
+                raw = _load_yaml(backend_config_path)
+                backend_cfg.update(raw.get("backend", raw))
+            if max_in_flight is not None:
+                backend_cfg["max_in_flight"] = max_in_flight
+            spec = BackendSpec(**backend_cfg)
+            if mock_script_path is not None:
+                backend = MockBackend.from_file(mock_script_path, spec)
+            else:
+                backend = HttpBackend(spec)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad backend config: {exc}") from None
+
+        empty: EmptyEvaluation | None = None
+        try:
+            with closing(ds.stream(records_path, "jsonl", quarantined)) as rows:
+                report = evaluate(
+                    (r.vuln for r in rows),
+                    backend,
+                    cfg,
+                    cwe_order=tuple(resolved["cwe_list"]),
+                    strict=resolved["strict"],
+                )
+        except EmptyEvaluation as exc:
+            empty = exc
+        if quarantined:
+            click.echo(f"{len(quarantined)} records quarantined at ingest", err=True)
+        if empty is not None:
+            raise ValueError(str(empty))  # after the quarantine count
+
         os.makedirs(report_dir, exist_ok=True)
         for fmt, name in (("json", "report.json"), ("text", "report.txt"), ("csv", "report.csv")):
             with open(os.path.join(report_dir, name), "w", encoding="utf-8", newline="\n") as fh:
@@ -394,8 +377,6 @@ def evaluate_cmd(
                 "backend_endpoint": spec.endpoint,
             },
         )
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
 
     click.echo(
         f"pp {report.pp_hits}/{report.pp_total} rate {report.pp_rate:.4f}"

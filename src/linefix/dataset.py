@@ -39,9 +39,11 @@ unique within a file. Records that decode but violate an invariant are
 quarantined with a reason, never silently dropped. Every record that is kept
 carries its reference patch, so export_jsonl writes one training row for each.
 
-The writers and ``detect_overlap`` take any iterable of records.
-``LeakFilter`` holds the test side of refinement as fingerprint counts and
-filters train records as they pass; ``refine`` wraps it for lists.
+The writers take any iterable of records. ``LeakFilter`` is the one leakage
+counter: it holds the test records as fingerprint counts and sorts train
+records into kept, leaked and repeated as they pass. ``refine`` wraps it for
+lists, and ``detect_overlap`` offers it every train record and reports on the
+train set as given.
 """
 
 from __future__ import annotations
@@ -236,7 +238,8 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
 
     src = from_text(raw_before)
     if patch_text is None:
-        patch, changed = derive_patch(src, from_text(raw_after))
+        after = from_text(raw_after)
+        patch, changed = derive_patch(src, after)
     else:
         try:
             patch = parse_patch(patch_text)  # VulnRecord validates it against src
@@ -260,8 +263,11 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
         else:
             vuln_lines = engine.changed_lines(engine.edit_runs(src.lines, after.lines))
 
-    if raw_after is not None and src.had_trailing_newline != raw_after.endswith("\n"):
-        # the fixed source is rebuilt from the patch, which keeps before's flag
+    if patch_text is None and after.lines and (
+        src.had_trailing_newline != after.had_trailing_newline
+    ):
+        # the fixed source is rebuilt from the patch, which keeps before's flag;
+        # an after with no lines has no newline to keep
         raise InvalidRecord("source_before and source_after differ in their trailing newline")
     vuln = VulnRecord(
         id=row["id"],
@@ -407,23 +413,15 @@ def detect_overlap(
 ) -> SplitManifest:
     """Measure test-side leakage: the fraction of test records seen in train.
 
-    Reads ``train`` to the end, then ``test``, holding fingerprints only.
+    Offers every train record to a ``LeakFilter`` built from ``test``, so
+    ``test`` is read first; only fingerprints are held. ``counts`` and
+    ``train_duplicates`` describe the train set as given.
     """
-    train_digests = Counter(compute_fingerprint(r, mode) for r in train)
-    n_test = overlap = 0
-    for r in test:
-        n_test += 1
-        overlap += compute_fingerprint(r, mode) in train_digests
-    n_train = sum(train_digests.values())
-    if not n_train or not n_test:
-        raise ValueError("detect_overlap needs non-empty train and test")
-    return SplitManifest(
-        counts={"train": n_train, "test": n_test},
-        train_duplicates=n_train - len(train_digests),
-        overlap_count=overlap,
-        overlap_fraction=overlap / n_test,
-        mode=mode,
-    )
+    leak = LeakFilter(test, mode)
+    for r in train:
+        leak.keep(r)
+    distinct = len(leak._kept) + len(leak._leaked)
+    return leak._manifest("detect_overlap", leak.read, leak.read - distinct)
 
 
 class LeakFilter:
@@ -460,13 +458,16 @@ class LeakFilter:
 
         Raises ValueError when no train or no test record was read.
         """
+        return self._manifest("refine", len(self._kept), self._duplicates)
+
+    def _manifest(self, command: str, n_train: int, train_duplicates: int) -> SplitManifest:
         n_test = sum(self._test.values())
         if not self.read or not n_test:
-            raise ValueError("refine needs non-empty train and test")
+            raise ValueError(f"{command} needs non-empty train and test")
         overlap = sum(self._test[d] for d in self._leaked)
         return SplitManifest(
-            counts={"train": len(self._kept), "test": n_test},
-            train_duplicates=self._duplicates,
+            counts={"train": n_train, "test": n_test},
+            train_duplicates=train_duplicates,
             overlap_count=overlap,
             overlap_fraction=overlap / n_test,
             mode=self.mode,

@@ -62,8 +62,9 @@ class InvalidRecord(LinefixError):
       not validate against the source;
     - vuln lines out of range or not strictly ascending.
 
-    Ingest also raises it for a raw pair whose before and after differ in
-    their trailing newline, which a line-addressed patch cannot carry.
+    Ingest also raises it for a raw pair whose before and non-empty after
+    differ in their trailing newline, which a line-addressed patch cannot
+    carry.
     """
 
 

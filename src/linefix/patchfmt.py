@@ -73,10 +73,6 @@ class EditSpan:
             if MID in line or SEP in line:
                 raise MalformedBody(f"body lines must not contain {MID} or {SEP}")
 
-    def replaced_range(self) -> range:
-        """Indices of the source lines this span replaces (may be empty)."""
-        return range(self.line_bef + 1, self.line_af)
-
 
 @dataclass(frozen=True)
 class PatchSet:

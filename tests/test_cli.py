@@ -315,13 +315,17 @@ def test_refine_out_may_be_the_train_file(runner, corpus, tmp_path):
     assert Path(corpus["train"]).read_bytes() == separate.read_bytes()
 
 
-def test_refine_reports_the_test_file_error_first(runner, tmp_path):
+@pytest.mark.parametrize("command", ["refine", "audit-overlap"])
+def test_refine_reports_the_test_file_error_first(runner, tmp_path, command):
+    # both commands read --test before --train
     rows = []
     for name in ("train", "test"):
         row = raw_row(0, name)
         del row["cwe_id"]
         rows.append(write_jsonl(tmp_path / f"{name}.jsonl", [row]))
-    argv = ["refine", "--train", rows[0], "--test", rows[1], "--out", str(tmp_path / "o.jsonl")]
+    argv = [command, "--train", rows[0], "--test", rows[1]]
+    if command == "refine":
+        argv += ["--out", str(tmp_path / "o.jsonl")]
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
     assert f"{rows[1]}:1: missing required field 'cwe_id'" in result.output

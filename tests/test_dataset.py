@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from linefix.dataset import (
     BUG_END,
     BUG_START,
     DatasetRecord,
+    SplitManifest,
     compute_fingerprint,
     detect_overlap,
     export_jsonl,
@@ -202,6 +204,23 @@ def test_ingest_quarantines_trailing_newline_change(tmp_path, before, after):
     assert [r.vuln.id for r in result.records] == ["rec-1"]
     assert [q.record_id for q in result.quarantined] == ["rec-0"]
     assert "trailing newline" in result.quarantined[0].reason
+
+
+def test_ingest_keeps_a_fix_deleting_every_line_of_an_lf_terminated_source(tmp_path):
+    # an empty after has no line to end, so no trailing newline to disagree with
+    rows = [
+        raw_row(0, source_before="x\n", source_after=""),
+        patch_row(1, source_before="x\n", reference_patch="-1-1<MID>"),
+    ]
+    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert result.quarantined == []
+    for record in result.records:
+        assert serialize_patch(record.vuln.reference_patch) == "-1-1<MID>"
+        assert record.vuln.vuln_lines == (0,)
+        assert texts(record) == ("x\n", "")
+    out = tmp_path / "out.jsonl"
+    write_records_jsonl(result.records[:1], str(out))
+    assert json.loads(out.read_text())["reference_patch"] == "-1-1<MID>"
 
 
 def test_ingest_csv(tmp_path):
@@ -531,7 +550,7 @@ def blank_heavy_text(draw) -> str:
 def expected_quarantine(before: str, after: str) -> str | None:
     """Why ingest must refuse a raw pair, or None when it must keep it."""
     b, a = from_text(before), from_text(after)
-    if b.had_trailing_newline != after.endswith("\n"):
+    if a.lines and b.had_trailing_newline != a.had_trailing_newline:
         return "differ in their trailing newline"
     if b.lines == a.lines:
         return "reference patch is empty"
@@ -603,14 +622,13 @@ def assert_vuln_lines_follow_the_diff(pairs: list[tuple[tuple[str, ...], tuple[s
 
     Each kept row's vuln_lines are the before-ranges of the oracle diff, and a
     source_after row is quarantined exactly when ``expected_quarantine`` says so:
-    the pair has no text form, is unchanged, or its texts cannot share one
-    trailing-newline flag (every line of a source ending in a blank line is
-    deleted), which leaves that fix to the patch-only row.
+    the pair has no text form, is unchanged, or lines ending in a blank one are
+    added to an empty source, whose text has no trailing LF to share.
     """
     after_rows, patch_rows, oracle = [], [], {}
     for i, (before, after) in enumerate(pairs):
-        # an empty source has no trailing LF, so the other side then gets none either
-        end = "\n" if before and after else ""
+        # an empty source has no trailing LF, so the after side then gets none either
+        end = "\n" if before else ""
         texts = ["\n".join(lines) + end if lines else "" for lines in (before, after)]
         after_rows.append(raw_row(i, source_before=texts[0], source_after=texts[1]))
         oracle[f"rec-{i}"] = tuple(before_ranges(reference_edit_runs(before, after)))
@@ -919,3 +937,51 @@ def test_refine_ws_normalized_catches_indentation_variants():
     assert [r.vuln.id for r in kept_exact] == ["b"]
     kept_ws, _ = refine([a, spaced], test, "ws_normalized")
     assert kept_ws == []
+
+
+# a few distinct fixes: 1 re-indents 0, so the two collide under ws_normalized,
+# and 2 gives 0's source another fix
+LEAK_FIXES = [
+    ("f()\n{\n  x;\n}\n", "f()\n{\n  y;\n}\n"),
+    ("f()\n{\n      x;\n}\n", "f()\n{\n      y;\n}\n"),
+    ("f()\n{\n  x;\n}\n", "f()\n{\n  z;\n}\n"),
+    ("g()\n{\n  x;\n}\n", "g()\n{\n  return;\n}\n"),
+]
+FIX_INDEX = st.integers(0, len(LEAK_FIXES) - 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(FIX_INDEX, min_size=1, max_size=8),
+    st.lists(FIX_INDEX, min_size=1, max_size=6),
+    st.sampled_from(dataset.FINGERPRINT_MODES),
+)
+@example([0, 0, 3], [0, 0, 2], "exact")  # a train fix leaked twice into test
+@example([1, 0, 1], [0, 3, 0], "ws_normalized")
+def test_overlap_and_refine_match_brute_force_counts(train_fixes, test_fixes, mode):
+    train = [mem_record(f"tr{j}", *LEAK_FIXES[i]) for j, i in enumerate(train_fixes)]
+    test = [mem_record(f"te{j}", *LEAK_FIXES[i], "test") for j, i in enumerate(test_fixes)]
+    train_fps = [compute_fingerprint(r, mode) for r in train]
+    test_fps = Counter(compute_fingerprint(r, mode) for r in test)
+    leaked = sum(n for fp, n in test_fps.items() if fp in train_fps)
+    assert detect_overlap(iter(train), iter(test), mode) == SplitManifest(
+        counts={"train": len(train), "test": len(test)},
+        train_duplicates=len(train) - len(set(train_fps)),
+        overlap_count=leaked,
+        overlap_fraction=leaked / len(test),
+        mode=mode,
+    )
+    kept_ids, seen = [], set()
+    for r, fp in zip(train, train_fps):
+        if fp not in test_fps and fp not in seen:
+            seen.add(fp)
+            kept_ids.append(r.vuln.id)
+    kept, manifest = refine(iter(train), iter(test), mode)
+    assert [r.vuln.id for r in kept] == kept_ids
+    assert manifest == SplitManifest(
+        counts={"train": len(kept_ids), "test": len(test)},
+        train_duplicates=sum(fp not in test_fps for fp in train_fps) - len(kept_ids),
+        overlap_count=leaked,
+        overlap_fraction=leaked / len(test),
+        mode=mode,
+    )

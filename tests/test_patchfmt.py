@@ -147,11 +147,6 @@ def test_span_rejects_reserved_tokens_in_body():
         EditSpan(1, 2, ("a\nb",))
 
 
-def test_span_replaced_range():
-    assert list(EditSpan(2, 5).replaced_range()) == [3, 4]
-    assert list(EditSpan(2, 3).replaced_range()) == []
-
-
 # --- serialization ----------------------------------------------------------
 
 
