@@ -45,20 +45,18 @@ from linefix.errors import (
 STRATEGIES = ("beam", "sample")
 
 
-def _check_type(config: object, name: str, types: tuple[type, ...], expected: str) -> None:
-    """Raise ValueError unless the field is an instance of ``types``; bools never pass."""
-    value = getattr(config, name)
+def _check_type(name: str, value: object, types: tuple[type, ...], expected: str) -> None:
+    """Raise ValueError unless ``value`` is an instance of ``types``; bools never pass."""
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
-def _check_finite(config: object, name: str) -> float:
+def _check_finite(name: str, value: object) -> float:
     """``_check_type`` for a real number a float can hold; returns it as a float.
 
     nan, the infinities and ints too large for a float raise ValueError.
     """
-    _check_type(config, name, (int, float), "a number")
-    value = getattr(config, name)
+    _check_type(name, value, (int, float), "a number")
     try:
         number = float(value)
     except OverflowError:
@@ -68,12 +66,28 @@ def _check_finite(config: object, name: str) -> float:
     return number
 
 
+def _check_non_negative(name: str, value: object) -> float:
+    """``_check_finite`` for a delay, which may be 0 but not less."""
+    number = _check_finite(name, value)
+    if number < 0:
+        raise ValueError(f"{name}: expected a number >= 0, got {value!r}")
+    return number
+
+
 def _check_int(config: object, name: str) -> None:
     """``_check_type`` for an int field that also takes an integral float, stored as an int."""
     value = getattr(config, name)
     if isinstance(value, float) and value.is_integer():
         object.__setattr__(config, name, int(value))
-    _check_type(config, name, (int,), "an integer")
+    _check_type(name, getattr(config, name), (int,), "an integer")
+
+
+def _check_list(name: str, value: object, item: type, expected: str) -> None:
+    """Raise ValueError unless ``value`` is a list of ``item`` instances; bools never pass."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, item) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +111,8 @@ class DecodeConfig:
         _check_int(self, "max_new_tokens")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        object.__setattr__(self, "temperature", _check_finite(self, "temperature"))
-        _check_type(self, "seed", (int, type(None)), "an integer or null")
+        object.__setattr__(self, "temperature", _check_finite("temperature", self.temperature))
+        _check_type("seed", self.seed, (int, type(None)), "an integer or null")
         if self.strategy == "sample" and self.temperature <= 0:
             raise ValueError("sampling requires temperature > 0")
         stops = self.stop_sequences
@@ -121,16 +135,15 @@ class BackendSpec:
     extra_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_type(self, "endpoint", (str,), "a string")
-        _check_type(self, "model", (str,), "a string")
-        _check_type(self, "auth_env", (str, type(None)), "a string or null")
-        if _check_finite(self, "timeout_s") <= 0:
+        _check_type("endpoint", self.endpoint, (str,), "a string")
+        _check_type("model", self.model, (str,), "a string")
+        _check_type("auth_env", self.auth_env, (str, type(None)), "a string or null")
+        if _check_finite("timeout_s", self.timeout_s) <= 0:
             raise ValueError(f"timeout_s: expected a number > 0, got {self.timeout_s!r}")
-        _check_type(self, "max_attempts", (int,), "an integer")
-        if _check_finite(self, "backoff_s") < 0:
-            raise ValueError(f"backoff_s: expected a number >= 0, got {self.backoff_s!r}")
-        _check_type(self, "max_in_flight", (int,), "an integer")
-        _check_type(self, "extra_params", (Mapping,), "a mapping")
+        _check_type("max_attempts", self.max_attempts, (int,), "an integer")
+        _check_non_negative("backoff_s", self.backoff_s)
+        _check_type("max_in_flight", self.max_in_flight, (int,), "an integer")
+        _check_type("extra_params", self.extra_params, (Mapping,), "a mapping")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.max_in_flight < 1:
@@ -186,19 +199,43 @@ class MockBackend:
           }
         }
 
-    Candidates are truncated or padded with empty strings to exactly k.
+    Candidates are truncated or padded with empty strings to exactly k. The
+    script's shape is checked once, here: a bad one raises ValueError.
     """
 
     synthetic = True
 
-    def __init__(self, script: dict, spec: BackendSpec | None = None):
+    def __init__(self, script: Mapping, spec: BackendSpec | None = None):
         self.spec = spec if spec is not None else BackendSpec(endpoint="mock:")
-        self.strategies = tuple(script.get("strategies", STRATEGIES))
-        self.default_latency_s = float(script.get("default_latency_s", 0.0))
-        self.samples = script.get("samples", {})
-        self._fail_budget = {
-            sid: int(entry.get("fail_times", 0)) for sid, entry in self.samples.items()
-        }
+        _check_type("script", script, (Mapping,), "a mapping")
+        strategies = script.get("strategies", list(STRATEGIES))
+        if not isinstance(strategies, list) or not all(s in STRATEGIES for s in strategies):
+            raise ValueError(f"strategies: expected a list drawn from {list(STRATEGIES)},"
+                             f" got {strategies!r}")
+        self.strategies = tuple(strategies)
+        default_latency = _check_non_negative(
+            "default_latency_s", script.get("default_latency_s", 0.0))
+        samples = script.get("samples", {})
+        _check_type("samples", samples, (Mapping,), "a mapping")
+        # sample id -> (candidates, tokens or None, latency)
+        self.samples: dict[str, tuple[list[str], list[int] | None, float]] = {}
+        self._fail_budget: dict[str, int] = {}
+        for sid, entry in samples.items():
+            at = f"samples[{sid!r}]"
+            _check_type(at, entry, (Mapping,), "a mapping")
+            candidates = entry.get("candidates", [])
+            _check_list(f"{at}.candidates", candidates, str, "a list of strings")
+            tokens = entry.get("tokens")
+            if tokens is not None:
+                _check_list(f"{at}.tokens", tokens, int, "a list of integers")
+            fail_times = entry.get("fail_times", 0)
+            _check_type(f"{at}.fail_times", fail_times, (int,), "an integer")
+            if fail_times < 0:
+                raise ValueError(f"{at}.fail_times: expected an integer >= 0, got {fail_times!r}")
+            latency = _check_non_negative(
+                f"{at}.latency_s", entry.get("latency_s", default_latency))
+            self.samples[sid] = (candidates, tokens, latency)
+            self._fail_budget[sid] = fail_times
         self._lock = threading.Lock()
 
     @classmethod
@@ -215,16 +252,15 @@ class MockBackend:
         if entry is None:
             raise UnknownSampleId(f"no scripted entry for sample {sample_id!r}")
         with self._lock:
-            if self._fail_budget.get(sample_id, 0) > 0:
+            if self._fail_budget[sample_id] > 0:
                 self._fail_budget[sample_id] -= 1
                 raise TransportError(f"scripted failure for sample {sample_id!r}")
-        candidates = [str(c) for c in entry.get("candidates", [])][: cfg.k]
+        scripted, tokens, latency = entry
+        candidates = scripted[: cfg.k]
         candidates += [""] * (cfg.k - len(candidates))
-        tokens = entry.get("tokens")
         if tokens is not None:
-            tokens = [int(t) for t in tokens][: cfg.k]
+            tokens = tokens[: cfg.k]
             tokens += [0] * (cfg.k - len(tokens))
-        latency = float(entry.get("latency_s", self.default_latency_s))
         return candidates, tokens, latency
 
 

@@ -7,7 +7,10 @@ significant. A sample counts as a hit when any of its k candidates is
 perfect. Malformed candidates and backend failures score as misses and are
 tallied separately; patches that parse, validate, and apply to the same
 result as the reference without matching byte-wise are surfaced as a
-diagnostic only and never folded into the headline rate.
+diagnostic only and never folded into the headline rate. Sampled decoding
+often repeats a candidate, so scoring parses and applies each distinct text
+of a sample once; a repeated malformed candidate still counts as a format
+error each time it appears.
 """
 
 from __future__ import annotations
@@ -188,8 +191,10 @@ def score_batch(
     """Score already-generated outcomes; evaluate calls it once per window.
 
     A candidate hits when its text matches the record's serialized reference
-    patch. For a miss, each parsed candidate that applies is compared with the
-    reference's result on the record's source.
+    patch. Each distinct candidate text of a sample is parsed once, and every
+    candidate that does not parse counts as a format error, repeats included.
+    For a miss, each distinct candidate that parses is applied once to the
+    record's source and its result compared with the reference's.
     """
     tokens_estimated = False
     total_tokens = 0
@@ -207,13 +212,14 @@ def score_batch(
             continue
 
         sample_format_errors = 0
-        parsed = []
+        parsed: dict[str, PatchSet | None] = {}  # each distinct text, in first-seen order
         for candidate in outcome.candidates:
-            try:
-                parsed.append(parse_patch(candidate))
-            except PatchFormatError:
-                parsed.append(None)
-                sample_format_errors += 1
+            if candidate not in parsed:
+                try:
+                    parsed[candidate] = parse_patch(candidate)
+                except PatchFormatError:
+                    parsed[candidate] = None
+            sample_format_errors += parsed[candidate] is None
 
         reference = serialize_patch(record.reference_patch)
         idx = first_hit_index(outcome.candidates, reference, strict=strict)
@@ -221,7 +227,8 @@ def score_batch(
         if idx is None:
             ref_after = record.reference_after
             applied_equiv = any(
-                p is not None and _applies_as(record.source, p, ref_after) for p in parsed
+                p is not None and _applies_as(record.source, p, ref_after)
+                for p in parsed.values()
             )
         sample_results.append(
             SampleResult(record.id, record.cwe_id, idx is not None, idx, sample_format_errors,

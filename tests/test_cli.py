@@ -785,6 +785,61 @@ def test_evaluate_bad_backend_value_exits_64_before_ingest(runner, tmp_path, lin
     assert not (tmp_path / "r").exists()
 
 
+def scripted(entry: dict) -> dict:
+    """A mock script whose rec-0 is ``entry``; the other records keep their candidates."""
+    return {"samples": {"rec-0": entry, "rec-1": {"candidates": [completion(99)]},
+                        "rec-2": {"candidates": ["not a patch"]}}}
+
+
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        ([], "script: expected a mapping, got []"),
+        ({"samples": []}, "samples: expected a mapping, got []"),
+        ({"samples": {"rec-0": [completion(0)]}},
+         f"samples['rec-0']: expected a mapping, got [{completion(0)!r}]"),
+        (scripted({"candidates": completion(0)}),
+         f"samples['rec-0'].candidates: expected a list of strings, got {completion(0)!r}"),
+        (scripted({"candidates": [completion(0), 7]}),
+         f"samples['rec-0'].candidates: expected a list of strings, got [{completion(0)!r}, 7]"),
+        (scripted({"candidates": [completion(0)], "tokens": [1.5]}),
+         "samples['rec-0'].tokens: expected a list of integers, got [1.5]"),
+        (scripted({"candidates": [completion(0)], "tokens": [True]}),
+         "samples['rec-0'].tokens: expected a list of integers, got [True]"),
+        (scripted({"candidates": [completion(0)], "fail_times": "1"}),
+         "samples['rec-0'].fail_times: expected an integer, got '1'"),
+        (scripted({"candidates": [completion(0)], "fail_times": -1}),
+         "samples['rec-0'].fail_times: expected an integer >= 0, got -1"),
+        (scripted({"candidates": [completion(0)], "latency_s": -1}),
+         "samples['rec-0'].latency_s: expected a number >= 0, got -1"),
+        ({**scripted({"candidates": [completion(0)]}), "default_latency_s": "0.25"},
+         "default_latency_s: expected a number, got '0.25'"),
+        ({**scripted({"candidates": [completion(0)]}), "default_latency_s": float("inf")},
+         "default_latency_s: expected a finite number, got inf"),
+        ({**scripted({"candidates": [completion(0)]}), "strategies": "beam"},
+         "strategies: expected a list drawn from ['beam', 'sample'], got 'beam'"),
+        ({**scripted({"candidates": [completion(0)]}), "strategies": ["greedy"]},
+         "strategies: expected a list drawn from ['beam', 'sample'], got ['greedy']"),
+    ],
+    ids=[
+        "top-level list", "samples list", "entry list", "candidates string",
+        "candidate int", "tokens float", "tokens bool", "fail_times string",
+        "fail_times negative", "latency_s negative", "default_latency_s string",
+        "default_latency_s inf", "strategies string", "strategies unknown",
+    ],
+)
+def test_evaluate_bad_mock_script_shape_exits_64(runner, eval_setup, tmp_path, script, message):
+    script_path = tmp_path / "bad_mock.json"
+    script_path.write_text(json.dumps(script))
+    report_dir = tmp_path / "r"
+    args = evaluate_args({**eval_setup, "script": str(script_path)}, report_dir, "--k", "3")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64, result.output
+    assert f"error: bad backend config: {message}\n" in result.output
+    assert "Traceback" not in result.output
+    assert not report_dir.exists()
+
+
 def test_evaluate_missing_credential_exits_64_before_any_request(
     runner, eval_setup, tmp_path, monkeypatch
 ):

@@ -7,13 +7,25 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linefix import client, evaluation
-from linefix.client import BackendSpec, DecodeConfig, MockBackend, batch_pool, generate_batch
-from linefix.errors import EmptyEvaluation
+from linefix.client import (
+    BackendSpec,
+    BatchResult,
+    CandidateSet,
+    DecodeConfig,
+    MockBackend,
+    batch_pool,
+    generate_batch,
+)
+from linefix.engine import apply_patch
+from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
 from linefix.evaluation import (
     DEFAULT_CWE_ORDER,
     EvalReport,
+    SampleResult,
     efficiency,
     evaluate,
     first_hit_index,
@@ -21,7 +33,7 @@ from linefix.evaluation import (
     render_report,
     score_batch,
 )
-from linefix.patchfmt import EditSpan, PatchSet, serialize_patch
+from linefix.patchfmt import EditSpan, PatchSet, parse_patch, serialize_patch
 from linefix.prompting import VulnRecord
 from linefix.source import SourceUnit
 
@@ -291,6 +303,92 @@ def test_score_batch_reusable_without_backend():
     rep = score_batch(records, batch)
     assert rep.pp_hits == 1
     assert rep.efficiency.total_time_s == pytest.approx(2.0)
+
+
+# --- each distinct candidate scored once -------------------------------------------------
+
+# What sampled decoding may return for record(): every scoring path, each text
+# drawn with repeats.
+POOL = (
+    REFERENCE,
+    REFERENCE + "\n",  # a hit unless strict; then it applies like the reference
+    "1-3<MID>    return 6;",  # whitespace variant
+    "1_3<MID>  return 6;",  # malformed header
+    "4-9<MID>  return 6;",  # out of range: parses, does not apply
+    "1-4<MID>  return 6;\n}",  # applies like the reference, differs byte-wise
+    "1-3<MID>  return 7;",  # wrong
+    "",  # parses to the empty patch
+)
+
+
+def outcomes(samples: list[list[str]]) -> BatchResult:
+    return BatchResult(
+        [CandidateSet(f"r{i}", c, [1] * len(c), 1.0, True) for i, c in enumerate(samples)],
+        float(len(samples)),
+        True,
+    )
+
+
+def brute_force(rec: VulnRecord, candidates: list[str], strict: bool) -> SampleResult:
+    """Parse every candidate, and on a miss apply every one that parses."""
+    reference = serialize_patch(rec.reference_patch)
+    trim = (lambda t: t) if strict else (lambda t: t.removesuffix("\n"))
+    hits = [i for i, c in enumerate(candidates) if trim(c) == trim(reference)]
+    parsed, errors = [], 0
+    for c in candidates:
+        try:
+            parsed.append(parse_patch(c))
+        except PatchFormatError:
+            errors += 1
+    equivalent = False
+    if not hits:
+        for p in parsed:
+            try:
+                equivalent |= apply_patch(rec.source, p) == rec.reference_after
+            except InvalidPatch:
+                pass
+    hit = hits[0] if hits else None
+    return SampleResult(rec.id, rec.cwe_id, hit is not None, hit, errors, None, equivalent)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    samples=st.lists(st.lists(st.sampled_from(POOL), min_size=1, max_size=10),
+                     min_size=1, max_size=4),
+    strict=st.booleans(),
+)
+def test_score_batch_equals_brute_force(samples, strict):
+    records = [record(f"r{i}") for i in range(len(samples))]
+    report = score_batch(records, outcomes(samples), strict=strict)
+    expected = [brute_force(r, c, strict) for r, c in zip(records, samples)]
+    assert report.samples == expected
+    assert report.pp_hits == sum(s.hit for s in expected)
+    assert report.format_error_count == sum(s.format_errors for s in expected)
+    assert report.applied_equivalent_misses == sum(s.applied_equivalent for s in expected)
+
+
+def test_each_distinct_candidate_is_parsed_and_applied_once(monkeypatch):
+    parsed, applied = [], []
+
+    def counted_parse(text):
+        parsed.append(text)
+        return parse_patch(text)
+
+    def counted_apply(src, patch):
+        applied.append(serialize_patch(patch))
+        return apply_patch(src, patch)
+
+    monkeypatch.setattr(evaluation, "parse_patch", counted_parse)
+    monkeypatch.setattr(evaluation, "apply_patch", counted_apply)
+    wrong, spaced, malformed, out_of_range = (POOL[6], POOL[2], POOL[3], POOL[4])
+    candidates = [wrong, spaced, wrong, malformed, out_of_range,
+                  wrong, malformed, spaced, malformed, out_of_range]
+    report = score_batch([record("r0")], outcomes([candidates]))
+    assert sorted(parsed) == sorted({wrong, spaced, malformed, out_of_range})
+    # a miss: each distinct candidate that parses is applied once
+    assert sorted(applied) == sorted({wrong, spaced, out_of_range})
+    assert report.pp_hits == 0
+    assert report.format_error_count == 3  # every copy of the malformed one
 
 
 # --- report serialization ---------------------------------------------------------------
