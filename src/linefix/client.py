@@ -74,12 +74,16 @@ def _check_non_negative(name: str, value: object) -> float:
     return number
 
 
-def _check_int(config: object, name: str) -> None:
-    """``_check_type`` for an int field that also takes an integral float, stored as an int."""
-    value = getattr(config, name)
-    if isinstance(value, float) and value.is_integer():
-        object.__setattr__(config, name, int(value))
-    _check_type(name, getattr(config, name), (int,), "an integer")
+def _integral(value: object) -> object:
+    """An integral float as the int it holds; any other value unchanged."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _check_int(name: str, value: object) -> int:
+    """``_check_type`` for an int that may also be given as an integral float; returns the int."""
+    value = _integral(value)
+    _check_type(name, value, (int,), "an integer")
+    return value
 
 
 def _check_list(name: str, value: object, item: type, expected: str) -> None:
@@ -107,8 +111,8 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        _check_int(self, "k")
-        _check_int(self, "max_new_tokens")
+        for name in ("k", "max_new_tokens"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         object.__setattr__(self, "temperature", _check_finite("temperature", self.temperature))
@@ -227,9 +231,10 @@ class MockBackend:
             _check_list(f"{at}.candidates", candidates, str, "a list of strings")
             tokens = entry.get("tokens")
             if tokens is not None:
+                if isinstance(tokens, list):
+                    tokens = [_integral(t) for t in tokens]
                 _check_list(f"{at}.tokens", tokens, int, "a list of integers")
-            fail_times = entry.get("fail_times", 0)
-            _check_type(f"{at}.fail_times", fail_times, (int,), "an integer")
+            fail_times = _check_int(f"{at}.fail_times", entry.get("fail_times", 0))
             if fail_times < 0:
                 raise ValueError(f"{at}.fail_times: expected an integer >= 0, got {fail_times!r}")
             latency = _check_non_negative(

@@ -7,10 +7,10 @@ significant. A sample counts as a hit when any of its k candidates is
 perfect. Malformed candidates and backend failures score as misses and are
 tallied separately; patches that parse, validate, and apply to the same
 result as the reference without matching byte-wise are surfaced as a
-diagnostic only and never folded into the headline rate. Sampled decoding
-often repeats a candidate, so scoring parses and applies each distinct text
-of a sample once; a repeated malformed candidate still counts as a format
-error each time it appears.
+diagnostic only and never folded into the headline rate. A candidate text
+that repeats within its sample is parsed, and on a miss applied, once; a
+repeated malformed candidate still counts as a format error each time it
+appears.
 """
 
 from __future__ import annotations
@@ -211,15 +211,17 @@ def score_batch(
             )
             continue
 
-        sample_format_errors = 0
-        parsed: dict[str, PatchSet | None] = {}  # each distinct text, in first-seen order
-        for candidate in outcome.candidates:
-            if candidate not in parsed:
-                try:
-                    parsed[candidate] = parse_patch(candidate)
-                except PatchFormatError:
-                    parsed[candidate] = None
-            sample_format_errors += parsed[candidate] is None
+        # each distinct text, in first-seen order; None until it parses
+        parsed: dict[str, PatchSet | None] = dict.fromkeys(outcome.candidates)
+        malformed = 0
+        for text in parsed:
+            try:
+                parsed[text] = parse_patch(text)
+            except PatchFormatError:
+                malformed += 1
+        sample_format_errors = malformed
+        if malformed and len(parsed) < len(outcome.candidates):  # count repeats too
+            sample_format_errors = sum(parsed[c] is None for c in outcome.candidates)
 
         reference = serialize_patch(record.reference_patch)
         idx = first_hit_index(outcome.candidates, reference, strict=strict)

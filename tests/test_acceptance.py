@@ -21,6 +21,7 @@ from linefix.dataset import detect_overlap, ingest, refine
 from linefix.engine import apply_patch, derive_patch, validate_patch
 from linefix.evaluation import (
     DEFAULT_CWE_ORDER,
+    WINDOW,
     efficiency,
     evaluate,
     is_perfect,
@@ -207,7 +208,8 @@ def test_acceptance_corpus_counts():
 
 
 def test_acceptance_mock_determinism():
-    records, script = synthetic_eval(20, 7, latency=0.4)
+    # several windows at either slot count, split differently at each
+    records, script = synthetic_eval(2 * WINDOW + 44, 97, latency=0.4)
     cfg = DecodeConfig(strategy="beam", k=5)
     reports = []
     for max_in_flight in (1, 4):

@@ -840,6 +840,24 @@ def test_evaluate_bad_mock_script_shape_exits_64(runner, eval_setup, tmp_path, s
     assert not report_dir.exists()
 
 
+def test_evaluate_mock_script_takes_integral_floats(runner, eval_setup, tmp_path):
+    config = tmp_path / "no_backoff.yaml"
+    config.write_text("backend:\n  backoff_s: 0\n")
+    reports = []
+    for name, tokens, fail_times in (("ints", [10], 1), ("floats", [10.0], 1.0)):
+        script_path = tmp_path / f"{name}.json"
+        entry = {"candidates": [completion(0)], "tokens": tokens, "fail_times": fail_times}
+        script_path.write_text(json.dumps(scripted(entry)))
+        report_dir = tmp_path / name
+        args = evaluate_args({**eval_setup, "script": str(script_path)}, report_dir,
+                             "--k", "3", "--config", str(config))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "pp 1/3" in result.output  # rec-0 hits on its second attempt
+        reports.append((report_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_evaluate_missing_credential_exits_64_before_any_request(
     runner, eval_setup, tmp_path, monkeypatch
 ):
