@@ -32,6 +32,7 @@ from linefix.engine import apply_patch, derive_patch
 from linefix.errors import EmptyEvaluation, LinefixError, PatchFormatError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
 from linefix.patchfmt import parse_patch, serialize_patch
+from linefix.prompting import CWE_ID
 from linefix.source import from_text, to_text
 
 EXIT_IO = 1
@@ -70,9 +71,17 @@ def _load_yaml(path: str) -> dict:
     return data
 
 
+def _refuse_unknown(where: str, section: dict, known: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first key of ``section`` that is not in ``known``."""
+    for key in section:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r}; expected one of {', '.join(known)}")
+
+
 def _write_json(path: str, obj: dict) -> None:
+    """Write ``obj`` as indented JSON; a dataclass in it is written as its fields."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
+        fh.write(json.dumps(obj, indent=2, ensure_ascii=False, default=vars) + "\n")
 
 
 def _write_manifest(path: str, command: str, inputs: dict, config: dict, **extra) -> None:
@@ -136,7 +145,7 @@ def ingest(input_path: str, fmt: str, out_path: str) -> None:
             counts = ds.write_records_jsonl(ds.stream(input_path, fmt, quarantined), tmp)
         _write_json(
             out_path + ".quarantine.json",
-            {"quarantined": [q.to_dict() for q in quarantined]},
+            {"quarantined": quarantined},
         )
         _write_manifest(
             out_path + ".manifest.json",
@@ -167,7 +176,7 @@ def audit_overlap(train_path: str, test_path: str, mode: str, fail_on_leak: bool
             mode,
         )
     _echo_quarantined(quarantined)
-    click.echo(json.dumps(manifest.to_dict(), indent=2))
+    click.echo(json.dumps(manifest, indent=2, default=vars))
     if fail_on_leak and manifest.overlap_count > 0:
         _fail(EXIT_LEAK, f"{manifest.overlap_count} overlapping records")
 
@@ -189,14 +198,14 @@ def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
             manifest = leak.manifest()
         _write_json(
             out_path + ".quarantine.json",
-            {"quarantined": {k: [q.to_dict() for q in v] for k, v in quarantined.items()}},
+            {"quarantined": quarantined},
         )
         _write_manifest(
             out_path + ".manifest.json",
             "refine",
             {"train": train_path, "test": test_path},
             {"mode": mode},
-            result=manifest.to_dict(),
+            result=manifest,
             quarantined={k: len(v) for k, v in quarantined.items()},
         )
     _echo_quarantined(quarantined)
@@ -216,7 +225,7 @@ def export_train(records_path: str, out_path: str) -> None:
         # every record read is exported; only the input's ingest quarantines
         _write_json(
             out_path + ".quarantine.json",
-            {"quarantined": [q.to_dict() for q in quarantined]},
+            {"quarantined": quarantined},
         )
         _write_manifest(
             out_path + ".manifest.json",
@@ -294,11 +303,14 @@ def evaluate_cmd(
     quarantined: list[ds.QuarantineEntry] = []
     with _exit_codes():
         file_cfg = _load_yaml(config_path) if config_path is not None else {}
+        _refuse_unknown("--config", file_cfg, ("decode", "seed", "cwe_list", "strict", "backend"))
         if (backend_config_path is None) == (mock_script_path is None):
             raise ValueError("exactly one of --backend-config or --mock-script is required")
 
         try:
             decode_cfg = dict(file_cfg.get("decode", {}))
+            _refuse_unknown("decode", decode_cfg,
+                            ("strategy", "k", "temperature", "max_new_tokens", "stop"))
             given: dict = {}
             for name, flag, section, key in (
                 ("strategy", strategy, decode_cfg, "strategy"),
@@ -316,22 +328,25 @@ def evaluate_cmd(
             file_cwes = file_cfg.get("cwe_list", list(DEFAULT_CWE_ORDER))
             if not isinstance(file_cwes, list) or not all(isinstance(c, str) for c in file_cwes):
                 raise ValueError(f"cwe_list: expected a list of strings, got {file_cwes!r}")
+            cwes = list(cwe_list) or file_cwes
+            for i, cwe in enumerate(cwes):
+                if not CWE_ID.fullmatch(cwe) or cwe in cwes[:i]:
+                    raise ValueError(f"cwe_list: expected distinct CWE ids, got {cwe!r} in {cwes}")
             file_strict = file_cfg.get("strict", False)
             if not isinstance(file_strict, bool):
                 raise ValueError(f"strict: expected true or false, got {file_strict!r}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad decode config: {exc}") from None
-        resolved = {
-            **dataclasses.asdict(cfg),
-            "cwe_list": list(cwe_list) or file_cwes,
-            "strict": strict or file_strict,
-        }
+        resolved = {**dataclasses.asdict(cfg), "cwe_list": cwes, "strict": strict or file_strict}
 
         try:
             backend_cfg = dict(file_cfg.get("backend", {}))
             if backend_config_path is not None:
                 raw = _load_yaml(backend_config_path)
-                backend_cfg.update(raw.get("backend", raw))
+                if "backend" in raw:  # the wrapped shape holds nothing else
+                    _refuse_unknown("--backend-config", raw, ("backend",))
+                    raw = raw["backend"]
+                backend_cfg.update(raw)
             if max_in_flight is not None:
                 backend_cfg["max_in_flight"] = max_in_flight
             spec = BackendSpec(**backend_cfg)

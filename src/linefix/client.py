@@ -51,39 +51,38 @@ def _check_type(name: str, value: object, types: tuple[type, ...], expected: str
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
-def _check_finite(name: str, value: object) -> float:
-    """``_check_type`` for a real number a float can hold; returns it as a float.
-
-    nan, the infinities and ints too large for a float raise ValueError.
-    """
-    _check_type(name, value, (int, float), "a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"{name}: expected a finite number, got an int too large for a float")
-    if not math.isfinite(number):
-        raise ValueError(f"{name}: expected a finite number, got {number!r}")
-    return number
-
-
-def _check_non_negative(name: str, value: object) -> float:
-    """``_check_finite`` for a delay, which may be 0 but not less."""
-    number = _check_finite(name, value)
-    if number < 0:
-        raise ValueError(f"{name}: expected a number >= 0, got {value!r}")
-    return number
-
-
 def _integral(value: object) -> object:
     """An integral float as the int it holds; any other value unchanged."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-def _check_int(name: str, value: object) -> int:
-    """``_check_type`` for an int that may also be given as an integral float; returns the int."""
-    value = _integral(value)
-    _check_type(name, value, (int,), "an integer")
-    return value
+def _check_number(name: str, value: object, *, integer: bool = False,
+                  low: float | None = None, above: bool = False, null: bool = False):
+    """The one rule for every numeric setting; returns ``value`` as an int or a float.
+
+    ``integer`` asks for an int, which may be given as an integral float;
+    otherwise any real number a float can hold is returned as a float. ``low``
+    is the least value allowed, or the bound to stay ``above``, and ``null``
+    lets None through. Anything else raises ValueError; bools never pass.
+    """
+    if null and value is None:
+        return None
+    kind = "an integer" if integer else "a number"
+    expected = f"{kind} or null" if null else kind
+    if integer:
+        value = number = _integral(value)
+        _check_type(name, value, (int,), expected)
+    else:
+        _check_type(name, value, (int, float), expected)
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValueError(f"{name}: expected a finite number, got an int too large for a float")
+        if not math.isfinite(number):
+            raise ValueError(f"{name}: expected a finite number, got {number!r}")
+    if low is not None and (number <= low if above else number < low):
+        raise ValueError(f"{name}: expected {kind} {'>' if above else '>='} {low}, got {value!r}")
+    return number
 
 
 def _check_list(name: str, value: object, item: type, expected: str) -> None:
@@ -111,12 +110,10 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        for name in ("k", "max_new_tokens"):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        object.__setattr__(self, "temperature", _check_finite("temperature", self.temperature))
-        _check_type("seed", self.seed, (int, type(None)), "an integer or null")
+        for name, rule in (("k", {"integer": True, "low": 1}), ("temperature", {}),
+                           ("max_new_tokens", {"integer": True, "low": 1}),
+                           ("seed", {"integer": True, "null": True})):
+            object.__setattr__(self, name, _check_number(name, getattr(self, name), **rule))
         if self.strategy == "sample" and self.temperature <= 0:
             raise ValueError("sampling requires temperature > 0")
         stops = self.stop_sequences
@@ -142,16 +139,11 @@ class BackendSpec:
         _check_type("endpoint", self.endpoint, (str,), "a string")
         _check_type("model", self.model, (str,), "a string")
         _check_type("auth_env", self.auth_env, (str, type(None)), "a string or null")
-        if _check_finite("timeout_s", self.timeout_s) <= 0:
-            raise ValueError(f"timeout_s: expected a number > 0, got {self.timeout_s!r}")
-        _check_type("max_attempts", self.max_attempts, (int,), "an integer")
-        _check_non_negative("backoff_s", self.backoff_s)
-        _check_type("max_in_flight", self.max_in_flight, (int,), "an integer")
+        for name, rule in (("timeout_s", {"low": 0, "above": True}), ("backoff_s", {"low": 0}),
+                           ("max_attempts", {"integer": True, "low": 1}),
+                           ("max_in_flight", {"integer": True, "low": 1})):
+            setattr(self, name, _check_number(name, getattr(self, name), **rule))
         _check_type("extra_params", self.extra_params, (Mapping,), "a mapping")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
 
 @dataclass
@@ -217,8 +209,8 @@ class MockBackend:
             raise ValueError(f"strategies: expected a list drawn from {list(STRATEGIES)},"
                              f" got {strategies!r}")
         self.strategies = tuple(strategies)
-        default_latency = _check_non_negative(
-            "default_latency_s", script.get("default_latency_s", 0.0))
+        default_latency = _check_number(
+            "default_latency_s", script.get("default_latency_s", 0.0), low=0)
         samples = script.get("samples", {})
         _check_type("samples", samples, (Mapping,), "a mapping")
         # sample id -> (candidates, tokens or None, latency)
@@ -234,11 +226,12 @@ class MockBackend:
                 if isinstance(tokens, list):
                     tokens = [_integral(t) for t in tokens]
                 _check_list(f"{at}.tokens", tokens, int, "a list of integers")
-            fail_times = _check_int(f"{at}.fail_times", entry.get("fail_times", 0))
-            if fail_times < 0:
-                raise ValueError(f"{at}.fail_times: expected an integer >= 0, got {fail_times!r}")
-            latency = _check_non_negative(
-                f"{at}.latency_s", entry.get("latency_s", default_latency))
+                for i, count in enumerate(tokens):
+                    _check_number(f"{at}.tokens[{i}]", count, integer=True, low=0)
+            fail_times = _check_number(
+                f"{at}.fail_times", entry.get("fail_times", 0), integer=True, low=0)
+            latency = _check_number(
+                f"{at}.latency_s", entry.get("latency_s", default_latency), low=0)
             self.samples[sid] = (candidates, tokens, latency)
             self._fail_budget[sid] = fail_times
         self._lock = threading.Lock()
@@ -456,7 +449,7 @@ def generate_batch(
     start = time.perf_counter()
     outcomes = list(pool.map(one, prompts))
     elapsed = time.perf_counter() - start
-    synthetic = bool(getattr(backend, "synthetic", False))
+    synthetic = backend.synthetic
     walls = (o.wall_time_s for o in outcomes)
     return BatchResult(outcomes, batch_time(walls, elapsed, synthetic), synthetic)
 

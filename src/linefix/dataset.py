@@ -95,12 +95,9 @@ class DatasetRecord:
 
 @dataclass
 class QuarantineEntry:
+    record_id: str | None
+    line_no: int | None
     reason: str
-    record_id: str | None = None
-    line_no: int | None = None
-
-    def to_dict(self) -> dict:
-        return {"record_id": self.record_id, "line_no": self.line_no, "reason": self.reason}
 
 
 @dataclass
@@ -118,15 +115,6 @@ class SplitManifest:
     overlap_count: int
     overlap_fraction: float
     mode: str
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": dict(self.counts),
-            "train_duplicates": self.train_duplicates,
-            "overlap_count": self.overlap_count,
-            "overlap_fraction": self.overlap_fraction,
-            "mode": self.mode,
-        }
 
 
 # --- reading ----------------------------------------------------------------
@@ -189,7 +177,7 @@ def _require(row: dict, fields: tuple[str, ...], path: str, line_no: int) -> Non
     for name in fields:
         if name not in row or row[name] is None:
             raise SchemaError(f"missing required field {name!r}", path=path, line_no=line_no)
-        if name != "vuln_lines" and not isinstance(row[name], str):
+        if not isinstance(row[name], str):
             raise SchemaError(
                 f"field {name!r} must be a string, got {type(row[name]).__name__}",
                 path=path,
@@ -248,7 +236,8 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
 
     vuln_lines = row.get("vuln_lines")
     if vuln_lines is not None:
-        if not isinstance(vuln_lines, list) or not all(isinstance(i, int) for i in vuln_lines):
+        # type, not isinstance: a bool is an int but no line number
+        if not isinstance(vuln_lines, list) or not all(type(i) is int for i in vuln_lines):
             raise SchemaError("vuln_lines must be a list of integers", path=path, line_no=line_no)
         vuln_lines = sorted(set(vuln_lines))
     elif marker_lines:

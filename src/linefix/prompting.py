@@ -32,7 +32,7 @@ BUG_END = "<S2SV_EndBug>"
 
 RESERVED_TOKENS = (INST_OPEN, INST_CLOSE, MID, SEP, BUG_START, BUG_END)
 
-_CWE_RE = re.compile(r"CWE-[0-9]+")
+CWE_ID = re.compile(r"CWE-[0-9]+")
 # exactly what build_prompt writes: canonical line numbers, each followed by a
 # space, or a lone space when there are none
 _HEADER_RE = re.compile(r"((?:(?:0|[1-9][0-9]*) )+| )(CWE-[0-9]+) (.*)")
@@ -63,7 +63,7 @@ class VulnRecord:
 
     def validate(self) -> None:
         """Raise InvalidRecord on any invariant violation."""
-        if not _CWE_RE.fullmatch(self.cwe_id):
+        if not CWE_ID.fullmatch(self.cwe_id):
             raise InvalidRecord(f"record {self.id!r}: bad cwe_id {self.cwe_id!r}")
         if "\n" in self.cwe_description:
             raise InvalidRecord(f"record {self.id!r}: cwe_description contains a line feed")

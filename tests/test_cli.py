@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -344,7 +345,7 @@ def test_cli_output_equals_library_ingest_and_writer(runner, tmp_path, command):
     writer(library.records, str(tmp_path / "library.jsonl"))
     assert out.read_bytes() == (tmp_path / "library.jsonl").read_bytes()
     quarantine = json.loads((tmp_path / "out.jsonl.quarantine.json").read_text())
-    assert quarantine == {"quarantined": [q.to_dict() for q in library.quarantined]}
+    assert quarantine == {"quarantined": [dataclasses.asdict(q) for q in library.quarantined]}
     assert len(library.quarantined) == 2
 
 
@@ -655,6 +656,8 @@ def test_evaluate_decode_value_not_coerced(runner, eval_setup, tmp_path, line, m
         ("cwe_list: 5\n", "cwe_list: expected a list of strings, got 5"),
         ("cwe_list: abc\n", "cwe_list: expected a list of strings, got 'abc'"),
         ('strict: "no"\n', "strict: expected true or false, got 'no'"),
+        ("decode:\n  k: 0\n", "k: expected an integer >= 1, got 0"),
+        ("decode:\n  max_new_tokens: -5\n", "max_new_tokens: expected an integer >= 1, got -5"),
     ],
 )
 def test_evaluate_bad_seed_or_temperature_exits_64(runner, eval_setup, tmp_path, text, message):
@@ -747,32 +750,39 @@ def test_evaluate_unreadable_config_file_exits_2(runner, eval_setup, tmp_path, f
     assert "Traceback" not in result.output
 
 
+BAD_BACKEND_VALUES = [  # (line, message, id if not "line-message")
+    ("endpoint: 5", "endpoint: expected a string, got 5"),
+    ("model: [a]", "model: expected a string, got ['a']"),
+    ("auth_env: 3", "auth_env: expected a string or null, got 3"),
+    ("timeout_s: abc", "timeout_s: expected a number, got 'abc'"),
+    ("max_attempts: 2.5", "max_attempts: expected an integer, got 2.5"),
+    ("backoff_s: true", "backoff_s: expected a number, got True"),
+    ("extra_params: [1]", "extra_params: expected a mapping, got [1]"),
+    ("timeout_s: -1", "timeout_s: expected a number > 0, got -1"),
+    ("timeout_s: 0", "timeout_s: expected a number > 0, got 0"),
+    ("timeout_s: .nan", "timeout_s: expected a finite number, got nan"),
+    (f"timeout_s: 1{'0' * 400}",
+     "timeout_s: expected a finite number, got an int too large for a float",
+     "timeout_s: 401-digit int"),
+    ("backoff_s: -0.5", "backoff_s: expected a number >= 0, got -0.5"),
+    ("backoff_s: .inf", "backoff_s: expected a finite number, got inf"),
+    ("max_in_flight: 0", "max_in_flight: expected an integer >= 1, got 0"),
+]
+
+
 @pytest.mark.parametrize(
-    "line,message",
+    "template,line,message",
     [
-        ("endpoint: 5", "endpoint: expected a string, got 5"),
-        ("model: [a]", "model: expected a string, got ['a']"),
-        ("auth_env: 3", "auth_env: expected a string or null, got 3"),
-        ("timeout_s: abc", "timeout_s: expected a number, got 'abc'"),
-        ("max_attempts: 2.5", "max_attempts: expected an integer, got 2.5"),
-        ("backoff_s: true", "backoff_s: expected a number, got True"),
-        ("max_in_flight: 1.0", "max_in_flight: expected an integer, got 1.0"),
-        ("extra_params: [1]", "extra_params: expected a mapping, got [1]"),
-        ("timeout_s: -1", "timeout_s: expected a number > 0, got -1"),
-        ("timeout_s: 0", "timeout_s: expected a number > 0, got 0"),
-        ("timeout_s: .nan", "timeout_s: expected a finite number, got nan"),
-        pytest.param(
-            f"timeout_s: 1{'0' * 400}",
-            "timeout_s: expected a finite number, got an int too large for a float",
-            id="timeout_s: 401-digit int",
-        ),
-        ("backoff_s: -0.5", "backoff_s: expected a number >= 0, got -0.5"),
-        ("backoff_s: .inf", "backoff_s: expected a finite number, got inf"),
+        pytest.param(template, line, message, id=prefix + (case_id or [f"{line}-{message}"])[0])
+        for line, message, *case_id in BAD_BACKEND_VALUES
+        for prefix, template in (("", "backend:\n  {}\n"), ("flat ", "{}\n"))
     ],
 )
-def test_evaluate_bad_backend_value_exits_64_before_ingest(runner, tmp_path, line, message):
+def test_evaluate_bad_backend_value_exits_64_before_ingest(
+    runner, tmp_path, template, line, message
+):
     backend_cfg = tmp_path / "backend.yaml"
-    backend_cfg.write_text(f"backend:\n  {line}\n")
+    backend_cfg.write_text(template.format(line))
     args = [
         "evaluate",
         "--records", str(tmp_path / "absent.jsonl"),  # reading it would exit 1
@@ -806,6 +816,8 @@ def scripted(entry: dict) -> dict:
          "samples['rec-0'].tokens: expected a list of integers, got [1.5]"),
         (scripted({"candidates": [completion(0)], "tokens": [True]}),
          "samples['rec-0'].tokens: expected a list of integers, got [True]"),
+        (scripted({"candidates": [completion(0)], "tokens": [4, -3]}),
+         "samples['rec-0'].tokens[1]: expected an integer >= 0, got -3"),
         (scripted({"candidates": [completion(0)], "fail_times": "1"}),
          "samples['rec-0'].fail_times: expected an integer, got '1'"),
         (scripted({"candidates": [completion(0)], "fail_times": -1}),
@@ -823,7 +835,7 @@ def scripted(entry: dict) -> dict:
     ],
     ids=[
         "top-level list", "samples list", "entry list", "candidates string",
-        "candidate int", "tokens float", "tokens bool", "fail_times string",
+        "candidate int", "tokens float", "tokens bool", "tokens negative", "fail_times string",
         "fail_times negative", "latency_s negative", "default_latency_s string",
         "default_latency_s inf", "strategies string", "strategies unknown",
     ],
@@ -856,6 +868,92 @@ def test_evaluate_mock_script_takes_integral_floats(runner, eval_setup, tmp_path
         assert "pp 1/3" in result.output  # rec-0 hits on its second attempt
         reports.append((report_dir / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_evaluate_takes_integral_floats_for_every_integer_setting(runner, eval_setup, tmp_path):
+    outputs = []
+    for name, point in (("ints", ""), ("floats", ".0")):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(f"seed: 9{point}\ndecode:\n  k: 2{point}\n  max_new_tokens: 64{point}\n"
+                          f"backend:\n  max_attempts: 2{point}\n  max_in_flight: 1{point}\n")
+        report_dir = tmp_path / name
+        args = evaluate_args(eval_setup, report_dir, "--config", str(config))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        outputs.append([(report_dir / f).read_bytes() for f in ("report.json", "report.csv")])
+        resolved = json.loads((report_dir / "resolved_config.json").read_text())["config"]
+        assert (resolved["seed"], resolved["max_in_flight"]) == (9, 1)
+    assert outputs[0] == outputs[1]
+
+
+def readme_eval_yaml() -> str:
+    """The --config example of the README's "Evaluation" section, as written there."""
+    blocks = (Path(__file__).parents[1] / "README.md").read_text("utf-8").split("```yaml\n")
+    return next(block.split("```")[0] for block in blocks if block.startswith("decode:"))
+
+
+@pytest.mark.parametrize(
+    "flag,text,key",
+    [
+        ("--config", ("seed:", "sead:"), "sead"),  # an edit of the README example
+        ("--config", ("  k:", "  kk:"), "kk"),
+        ("--config", "decode:\n  temprature: 0.5\n", "temprature"),
+        ("--backend-config", "backend:\n  endpoint: http://127.0.0.1:9/\ntimeout_s: 5\n",
+         "timeout_s"),
+    ],
+    ids=["top-level", "decode", "decode only", "beside backend"],
+)
+def test_evaluate_unknown_config_key_exits_64_before_ingest(
+    runner, eval_setup, tmp_path, flag, text, key
+):
+    readme_config = tmp_path / "eval.yaml"
+    readme_config.write_text(readme_eval_yaml())
+    args = evaluate_args(eval_setup, tmp_path / "ok", "--config", str(readme_config))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    if isinstance(text, tuple):
+        text = readme_eval_yaml().replace(*text)
+        assert f"{key}:" in text
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    args = [
+        "evaluate",
+        "--records", str(tmp_path / "absent.jsonl"),  # reading it would exit 1
+        flag, str(config),
+        "--report-dir", str(tmp_path / "r"),
+    ]
+    if flag == "--config":
+        args += ["--mock-script", eval_setup["script"]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64, result.output
+    assert f"unknown key {key!r}" in result.stderr
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,config,bad",
+    [
+        (["--cwe", "CWE-787", "--cwe", "CWE-787"], None, "CWE-787"),
+        (["--cwe", "other"], None, "other"),
+        ([], "cwe_list: [CWE-79, CWE-79]\n", "CWE-79"),
+        ([], "cwe_list: [CWE-79, cwe-787]\n", "cwe-787"),
+    ],
+    ids=["flag repeated", "flag not a CWE id", "file repeated", "file not a CWE id"],
+)
+def test_evaluate_repeated_or_non_cwe_entry_exits_64(
+    runner, eval_setup, tmp_path, flags, config, bad
+):
+    # a repeat, or "other", would give one bucket two rows in report.csv and
+    # report.txt; an id of another form names a bucket no record can fall into
+    if config is not None:
+        (tmp_path / "eval.yaml").write_text(config)
+        flags = flags + ["--config", str(tmp_path / "eval.yaml")]
+    report_dir = tmp_path / "r"
+    result = runner.invoke(main, evaluate_args(eval_setup, report_dir, *flags))
+    assert result.exit_code == 64, result.output
+    assert f"error: bad decode config: cwe_list: expected distinct CWE ids, got {bad!r}" in (
+        result.stderr)
+    assert not report_dir.exists()
 
 
 def test_evaluate_missing_credential_exits_64_before_any_request(

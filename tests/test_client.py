@@ -82,6 +82,9 @@ def test_decode_config_coerces_stop_tuple():
         ("temperature", float("nan")),
         ("temperature", float("inf")),
         pytest.param("temperature", 10**400, id="temperature-401-digit int"),
+        ("max_new_tokens", 0),
+        ("k", 0),
+        ("seed", 1.5),
     ],
 )
 def test_decode_config_rejects_bad_value(field, value):
@@ -101,7 +104,6 @@ def test_backend_spec_validation():
         {"timeout_s": False},
         {"max_attempts": True},
         {"backoff_s": None},
-        {"max_in_flight": 2.0},
         {"extra_params": [("k", 1)]},
         {"timeout_s": -1},
         {"timeout_s": 0},
@@ -113,6 +115,8 @@ def test_backend_spec_validation():
         with pytest.raises(ValueError, match=f"{next(iter(bad))}: expected"):
             BackendSpec(**bad)
     BackendSpec(timeout_s=5, backoff_s=0, auth_env="TOKEN", extra_params={"n": 1})
+    # one integer rule for every setting: a whole-number float is the int it holds
+    assert BackendSpec(max_in_flight=2.0, max_attempts=3.0).max_in_flight == 2
 
 
 # --- mock backend ----------------------------------------------------------------

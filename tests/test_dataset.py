@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -151,6 +152,23 @@ def test_ingest_bad_vuln_lines_type_is_schema_error(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, vuln_lines=["2"])])
     with pytest.raises(SchemaError):
         ingest(path)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_ingest_bool_vuln_lines_is_schema_error(tmp_path, fmt):
+    # kept, [true] would be exported as the line number "True", which no
+    # ingest of that export could read back
+    row = raw_row(0, vuln_lines=[True])
+    if fmt == "jsonl":
+        path = write_jsonl(tmp_path / "r.jsonl", [row])
+    else:
+        path = tmp_path / "r.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow({**row, "vuln_lines": "[true]"})
+    with pytest.raises(SchemaError, match="vuln_lines must be a list of integers"):
+        ingest(str(path), fmt=fmt)
 
 
 def test_ingest_quarantines_invariant_violations(tmp_path):
@@ -303,7 +321,7 @@ def test_ingest_quarantines_repeated_ids(tmp_path):
     assert [r.vuln.id for r in result.records] == ["", "a", "b"]
     assert [r.vuln.source.lines[0] for r in result.records] == [
         "int f0(int n)", "int f2(int n)", "int f5(int n)"]
-    assert [q.to_dict() for q in result.quarantined] == [
+    assert [dataclasses.asdict(q) for q in result.quarantined] == [
         {"record_id": "", "line_no": 2, "reason": "duplicate id '' (first at line 1)"},
         {"record_id": "a", "line_no": 4, "reason": "duplicate id 'a' (first at line 3)"},
         {"record_id": "b", "line_no": 5, "reason": "record 'b': bad cwe_id 'CWE-XX'"},
@@ -919,8 +937,9 @@ def test_refine_and_detect_overlap_read_iterators_once():
     kept, manifest = refine(iter(train), iter(test))
     assert [r.vuln.id for r in kept] == ["m1"]
     assert manifest == refine(train, test)[1]
-    assert manifest.to_dict() == {"counts": {"train": 1, "test": 2}, "train_duplicates": 1,
-                                  "overlap_count": 1, "overlap_fraction": 0.5, "mode": "exact"}
+    assert dataclasses.asdict(manifest) == {
+        "counts": {"train": 1, "test": 2}, "train_duplicates": 1,
+        "overlap_count": 1, "overlap_fraction": 0.5, "mode": "exact"}
     assert detect_overlap(iter(train), iter(test)) == detect_overlap(train, test)
     for train_in, test_in in ((iter([]), iter(test)), (iter(train), iter([]))):
         with pytest.raises(ValueError, match="refine needs non-empty train and test"):
