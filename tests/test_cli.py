@@ -1014,3 +1014,97 @@ def test_click_flag_errors_exit_2(runner, corpus):
     # click's own flag parsing reports exit code 2; tool-level usage checks use 64
     result = runner.invoke(main, ["ingest", "--input", corpus["train"]])
     assert result.exit_code == 2  # missing --out
+
+
+GOLDEN = Path(__file__).parent / "golden" / "evaluate"
+# the README's --config example, overridden by a flag for every kind of setting
+GOLDEN_FLAGS = ["--k", "3", "--stop", "\n\n", "--cwe", "CWE-79", "--cwe", "CWE-787",
+                "--max-in-flight", "2"]
+GOLDEN_BACKEND = {"endpoint": "{endpoint}", "model": "repair-model", "timeout_s": 5,
+                  "max_attempts": 2, "backoff_s": 0, "max_in_flight": 3}
+
+
+def masked(path: Path, tmp_path: Path, endpoint: str = "") -> str:
+    """The text of ``path`` with the run's directory and endpoint written as placeholders."""
+    text = path.read_text("utf-8").replace(str(tmp_path), "<tmp>")
+    return text.replace(endpoint, "<endpoint>") if endpoint else text
+
+
+def test_evaluate_golden_with_mock(runner, eval_setup, tmp_path):
+    config = tmp_path / "eval.yaml"
+    config.write_text(readme_eval_yaml())
+    report_dir = tmp_path / "r"
+    args = evaluate_args(eval_setup, report_dir, "--config", str(config), *GOLDEN_FLAGS)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    for name in ("report.json", "report.txt", "report.csv", "resolved_config.json"):
+        assert masked(report_dir / name, tmp_path) == (GOLDEN / "mock" / name).read_text(), name
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["wrapped", "flat"])
+def test_evaluate_golden_with_backend_config(runner, eval_setup, tmp_path, wrapped):
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = json.dumps({"choices": [{"text": completion(0), "tokens": 4}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    spec = {**GOLDEN_BACKEND, "endpoint": endpoint}
+    backend_cfg = tmp_path / "backend.yaml"
+    backend_cfg.write_text(json.dumps({"backend": spec} if wrapped else spec))
+    config = tmp_path / "eval.yaml"
+    config.write_text(readme_eval_yaml())
+    report_dir = tmp_path / "r"
+    args = ["evaluate", "--records", eval_setup["records"], "--backend-config", str(backend_cfg),
+            "--config", str(config), *GOLDEN_FLAGS, "--report-dir", str(report_dir)]
+    try:
+        result = runner.invoke(main, args)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert result.exit_code == 0, result.output
+    # report.json and report.txt hold the measured wall time of an HTTP run
+    for name in ("report.csv", "resolved_config.json"):
+        got = masked(report_dir / name, tmp_path, endpoint)
+        assert got == (GOLDEN / "http" / name).read_text(), name
+
+
+def test_evaluate_zero_seed_flag_is_written(runner, eval_setup, tmp_path):
+    report_dir = tmp_path / "r"
+    result = runner.invoke(main, evaluate_args(eval_setup, report_dir, "--seed", "0"))
+    assert result.exit_code == 0, result.output
+    assert '"seed": 0,' in (report_dir / "resolved_config.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--k", "0"], "bad decode config: k: expected an integer >= 1, got 0"),
+        (["--max-in-flight", "0"],
+         "bad backend config: max_in_flight: expected an integer >= 1, got 0"),
+        (["--strategy", "sample", "--temperature", "0"],
+         "bad decode config: sampling requires temperature > 0"),
+    ],
+    ids=["k", "max-in-flight", "temperature"],
+)
+def test_evaluate_zero_flag_is_not_dropped(runner, eval_setup, tmp_path, flags, message):
+    # a zero flag must reach the check, not fall back to a file's value or the default
+    config = tmp_path / "eval.yaml"
+    config.write_text("decode:\n  temperature: 0.5\nbackend:\n  max_in_flight: 2\n")
+    report_dir = tmp_path / "r"
+    args = evaluate_args(eval_setup, report_dir, "--config", str(config), *flags)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64, result.output
+    assert result.stderr == f"error: {message}\n"
+    assert not report_dir.exists()
