@@ -27,9 +27,9 @@ from contextlib import closing, contextmanager
 import click
 
 from linefix import dataset as ds
-from linefix.client import DecodeConfig, BackendSpec, HttpBackend, MockBackend
+from linefix.client import STRATEGIES, BackendSpec, DecodeConfig, HttpBackend, MockBackend
 from linefix.engine import apply_patch, derive_patch
-from linefix.errors import EmptyEvaluation, LinefixError, PatchFormatError, SchemaError
+from linefix.errors import EmptyEvaluation, LinefixError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.prompting import CWE_ID
@@ -47,35 +47,118 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _read_text(path: str) -> str:
-    """The text of a UTF-8 file; one that does not decode raises OSError naming it."""
+def _read(path: str, what: str = "not valid UTF-8", load=lambda fh: fh.read(),
+          errors=UnicodeDecodeError):
+    """``load`` applied to a UTF-8 file; one it cannot decode raises SchemaError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise OSError(f"{path}: not valid UTF-8: {exc}") from None
+            return load(fh)
+    except errors as exc:
+        raise SchemaError(f"{what}: {exc}", path=path) from None
 
 
-def _load_yaml(path: str) -> dict:
+def _load_yaml(path: str) -> object:
     import yaml  # deferred: only evaluate's config flags read YAML
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"config file is not valid UTF-8 YAML: {exc}", path=path)
-    if data is None:
+    return _read(path, "config file is not valid UTF-8 YAML", yaml.safe_load,
+                 (yaml.YAMLError, UnicodeDecodeError))
+
+
+# Every tuning flag of evaluate, once: the flag, and the section of a --config
+# file (None for the top level) and the key there that hold the same setting.
+# A flag is named as the DecodeConfig or BackendSpec field it sets, if any.
+_SETTINGS: tuple[tuple[click.Option, str | None, str], ...] = (
+    (click.Option(["--strategy"], type=click.Choice(STRATEGIES)), "decode", "strategy"),
+    (click.Option(["--k"], type=int), "decode", "k"),
+    (click.Option(["--temperature"], type=float), "decode", "temperature"),
+    (click.Option(["--max-new-tokens"], type=int), "decode", "max_new_tokens"),
+    (click.Option(["--stop", "stop_sequences"], multiple=True), "decode", "stop"),
+    (click.Option(["--seed"], type=int), None, "seed"),
+    (click.Option(["--cwe", "cwe_list"], multiple=True,
+                  help="CWE ids for the breakdown, in render order."), None, "cwe_list"),
+    (click.Option(["--strict"], is_flag=True, help="Exact bytes, no trailing-LF allowance."),
+     None, "strict"),
+    (click.Option(["--max-in-flight"], type=int), "backend", "max_in_flight"),
+)
+# The keys each section of a --config file may hold; a flat --backend-config
+# file holds the backend keys.
+_KEYS: dict[str | None, tuple[str, ...]] = {
+    None: tuple(dict.fromkeys(section or key for _, section, key in _SETTINGS)),
+    "decode": tuple(key for _, section, key in _SETTINGS if section == "decode"),
+    "backend": tuple(f.name for f in dataclasses.fields(BackendSpec)),
+}
+
+
+def _section(where: str, value: object, known: tuple[str, ...]) -> dict:
+    """``value`` read as a config section: null holds nothing, and anything but a
+    mapping of ``known`` keys raises ValueError naming ``where``."""
+    if value is None:
         return {}
-    if not isinstance(data, dict):
-        raise SchemaError("config file must hold a mapping", path=path)
-    return data
-
-
-def _refuse_unknown(where: str, section: dict, known: tuple[str, ...]) -> None:
-    """Raise ValueError naming the first key of ``section`` that is not in ``known``."""
-    for key in section:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected a mapping, got {value!r}")
+    for key in value:
         if key not in known:
             raise ValueError(f"{where}: unknown key {key!r}; expected one of {', '.join(known)}")
+    return value
+
+
+def _pick(sections: dict, flags: dict) -> dict:
+    """Each setting of _SETTINGS that ``sections`` hold, by flag name: its flag
+    if given, else its value in the section."""
+    picked = {}
+    for option, section, key in _SETTINGS:
+        if section in sections:
+            flag = flags.get(option.name)
+            # click passes a flag left off as None, () or False; a zero was given
+            if flag is not None and flag != () and flag is not False:
+                picked[option.name] = flag
+            elif key in sections[section]:
+                picked[option.name] = sections[section][key]
+    return picked
+
+
+def resolve_settings(
+    config: object, backend_config: object, **flags
+) -> tuple[DecodeConfig, BackendSpec, list[str], bool]:
+    """``evaluate``'s DecodeConfig, BackendSpec, CWE order and strict flag, from
+    the data of its ``--config`` and ``--backend-config`` files (None for an
+    absent or empty file) and its tuning ``flags`` by name.
+
+    Each setting is its flag if given, else (for a backend key) its
+    ``backend_config`` value, else its ``config`` value, else its default. Each
+    file's shapes are checked as read, the merged values by DecodeConfig and
+    BackendSpec; a fault raises ValueError naming the setting.
+    """
+    top = _section("--config", config, _KEYS[None])
+    try:
+        decode = _section("decode", top.get("decode"), _KEYS["decode"])
+        file_cwes = top.get("cwe_list", [])
+        if not isinstance(file_cwes, list) or not all(isinstance(c, str) for c in file_cwes):
+            raise ValueError(f"cwe_list: expected a list of strings, got {file_cwes!r}")
+        if not isinstance(top.get("strict", False), bool):
+            raise ValueError(f"strict: expected true or false, got {top['strict']!r}")
+        picked = _pick({None: top, "decode": decode}, flags)
+        strict = picked.pop("strict", False)
+        cwes = list(picked.pop("cwe_list", DEFAULT_CWE_ORDER))
+        cfg = DecodeConfig(**picked)
+        for i, cwe in enumerate(cwes):
+            if not CWE_ID.fullmatch(cwe) or cwe in cwes[:i]:
+                raise ValueError(f"cwe_list: expected distinct CWE ids, got {cwe!r} in {cwes}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad decode config: {exc}") from None
+    try:
+        backend = _section("backend", top.get("backend"), _KEYS["backend"])
+        if backend_config is not None:
+            where = "--backend-config"
+            if isinstance(backend_config, dict) and "backend" in backend_config:
+                # the wrapped shape holds nothing else
+                _section(where, backend_config, ("backend",))
+                where, backend_config = "backend", backend_config["backend"]
+            backend = {**backend, **_section(where, backend_config, _KEYS["backend"])}
+        spec = BackendSpec(**{**backend, **_pick({"backend": backend}, flags)})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad backend config: {exc}") from None
+    return cfg, spec, cwes, strict
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -84,8 +167,12 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write(json.dumps(obj, indent=2, ensure_ascii=False, default=vars) + "\n")
 
 
-def _write_manifest(path: str, command: str, inputs: dict, config: dict, **extra) -> None:
-    _write_json(path, {"command": command, "inputs": inputs, "config": config, **extra})
+def _write_beside(out_path: str, quarantine, command: str, inputs: dict, config: dict,
+                  **extra) -> None:
+    """Write the quarantine file and the manifest that go beside ``out_path``."""
+    _write_json(out_path + ".quarantine.json", {"quarantined": quarantine})
+    _write_json(out_path + ".manifest.json",
+                {"command": command, "inputs": inputs, "config": config, **extra})
 
 
 def _echo_quarantined(quarantined: dict[str, list[ds.QuarantineEntry]]) -> None:
@@ -143,19 +230,8 @@ def ingest(input_path: str, fmt: str, out_path: str) -> None:
     with _exit_codes():
         with _replacing(out_path) as tmp:
             counts = ds.write_records_jsonl(ds.stream(input_path, fmt, quarantined), tmp)
-        _write_json(
-            out_path + ".quarantine.json",
-            {"quarantined": quarantined},
-        )
-        _write_manifest(
-            out_path + ".manifest.json",
-            "ingest",
-            {"input": input_path, "format": fmt},
-            {},
-            counts=counts,
-            records=sum(counts.values()),
-            quarantined=len(quarantined),
-        )
+        _write_beside(out_path, quarantined, "ingest", {"input": input_path, "format": fmt}, {},
+                      counts=counts, records=sum(counts.values()), quarantined=len(quarantined))
     click.echo(f"ingested {sum(counts.values())} records"
                f" ({len(quarantined)} quarantined) -> {out_path}", err=True)
 
@@ -196,18 +272,9 @@ def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
             train = ds.stream(train_path, "jsonl", quarantined["train"])
             ds.write_records_jsonl(filter(leak.keep, train), tmp)
             manifest = leak.manifest()
-        _write_json(
-            out_path + ".quarantine.json",
-            {"quarantined": quarantined},
-        )
-        _write_manifest(
-            out_path + ".manifest.json",
-            "refine",
-            {"train": train_path, "test": test_path},
-            {"mode": mode},
-            result=manifest,
-            quarantined={k: len(v) for k, v in quarantined.items()},
-        )
+        _write_beside(out_path, quarantined, "refine", {"train": train_path, "test": test_path},
+                      {"mode": mode}, result=manifest,
+                      quarantined={k: len(v) for k, v in quarantined.items()})
     _echo_quarantined(quarantined)
     click.echo(f"kept {manifest.counts['train']}/{leak.read} train records -> {out_path}",
                err=True)
@@ -223,18 +290,8 @@ def export_train(records_path: str, out_path: str) -> None:
         with _replacing(out_path) as tmp:
             written = ds.export_jsonl(ds.stream(records_path, "jsonl", quarantined), tmp)
         # every record read is exported; only the input's ingest quarantines
-        _write_json(
-            out_path + ".quarantine.json",
-            {"quarantined": quarantined},
-        )
-        _write_manifest(
-            out_path + ".manifest.json",
-            "export-train",
-            {"records": records_path},
-            {},
-            written=written,
-            quarantined=len(quarantined),
-        )
+        _write_beside(out_path, quarantined, "export-train", {"records": records_path}, {},
+                      written=written, quarantined=len(quarantined))
     click.echo(f"wrote {written} examples -> {out_path}", err=True)
 
 
@@ -244,8 +301,8 @@ def export_train(records_path: str, out_path: str) -> None:
 def apply_cmd(source_path: str, patch_path: str) -> None:
     """Apply a patch file to a source file; patched text goes to stdout."""
     try:
-        src = from_text(_read_text(source_path))
-        result = apply_patch(src, parse_patch(_read_text(patch_path)))
+        src = from_text(_read(source_path))
+        result = apply_patch(src, parse_patch(_read(patch_path)))
     except (OSError, LinefixError) as exc:
         _fail(EXIT_IO, str(exc))
         return
@@ -258,100 +315,44 @@ def apply_cmd(source_path: str, patch_path: str) -> None:
 def derive_cmd(before_path: str, after_path: str) -> None:
     """Derive the patch between two source files; DSL goes to stdout."""
     try:
-        before, after = from_text(_read_text(before_path)), from_text(_read_text(after_path))
+        before, after = from_text(_read(before_path)), from_text(_read(after_path))
         text = serialize_patch(derive_patch(before, after)[0])
-    except (OSError, PatchFormatError) as exc:
+    except (OSError, LinefixError) as exc:
         _fail(EXIT_IO, str(exc))
         return
     sys.stdout.write(text + "\n")
 
 
-@main.command("evaluate")
+@main.command("evaluate", params=[option for option, _, _ in _SETTINGS])
 @click.option("--records", "records_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="YAML config; flags given on the command line win.")
 @click.option("--backend-config", "backend_config_path", type=click.Path(), default=None)
 @click.option("--mock-script", "mock_script_path", type=click.Path(), default=None)
-@click.option("--strategy", type=click.Choice(["beam", "sample"]), default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--temperature", type=float, default=None)
-@click.option("--max-new-tokens", type=int, default=None)
-@click.option("--stop", "stop_sequences", multiple=True)
-@click.option("--max-in-flight", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--cwe", "cwe_list", multiple=True,
-              help="CWE ids for the breakdown, in render order.")
-@click.option("--strict", is_flag=True, help="Exact bytes, no trailing-LF allowance.")
 @click.option("--report-dir", "report_dir", required=True, type=click.Path())
 def evaluate_cmd(
     records_path: str,
     config_path: str | None,
     backend_config_path: str | None,
     mock_script_path: str | None,
-    strategy: str | None,
-    k: int | None,
-    temperature: float | None,
-    max_new_tokens: int | None,
-    stop_sequences: tuple[str, ...],
-    max_in_flight: int | None,
-    seed: int | None,
-    cwe_list: tuple[str, ...],
-    strict: bool,
     report_dir: str,
+    **flags,
 ) -> None:
     """Generate candidates for every record and score exact matches."""
     quarantined: list[ds.QuarantineEntry] = []
     with _exit_codes():
-        file_cfg = _load_yaml(config_path) if config_path is not None else {}
-        _refuse_unknown("--config", file_cfg, ("decode", "seed", "cwe_list", "strict", "backend"))
         if (backend_config_path is None) == (mock_script_path is None):
             raise ValueError("exactly one of --backend-config or --mock-script is required")
-
+        cfg, spec, cwes, strict = resolve_settings(
+            _load_yaml(config_path) if config_path is not None else None,
+            _load_yaml(backend_config_path) if backend_config_path is not None else None,
+            **flags,
+        )
         try:
-            decode_cfg = dict(file_cfg.get("decode", {}))
-            _refuse_unknown("decode", decode_cfg,
-                            ("strategy", "k", "temperature", "max_new_tokens", "stop"))
-            given: dict = {}
-            for name, flag, section, key in (
-                ("strategy", strategy, decode_cfg, "strategy"),
-                ("k", k, decode_cfg, "k"),
-                ("temperature", temperature, decode_cfg, "temperature"),
-                ("max_new_tokens", max_new_tokens, decode_cfg, "max_new_tokens"),
-                ("stop_sequences", stop_sequences or None, decode_cfg, "stop"),
-                ("seed", seed, file_cfg, "seed"),
-            ):
-                if flag is not None:
-                    given[name] = flag
-                elif key in section:
-                    given[name] = section[key]
-            cfg = DecodeConfig(**given)
-            file_cwes = file_cfg.get("cwe_list", list(DEFAULT_CWE_ORDER))
-            if not isinstance(file_cwes, list) or not all(isinstance(c, str) for c in file_cwes):
-                raise ValueError(f"cwe_list: expected a list of strings, got {file_cwes!r}")
-            cwes = list(cwe_list) or file_cwes
-            for i, cwe in enumerate(cwes):
-                if not CWE_ID.fullmatch(cwe) or cwe in cwes[:i]:
-                    raise ValueError(f"cwe_list: expected distinct CWE ids, got {cwe!r} in {cwes}")
-            file_strict = file_cfg.get("strict", False)
-            if not isinstance(file_strict, bool):
-                raise ValueError(f"strict: expected true or false, got {file_strict!r}")
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad decode config: {exc}") from None
-        resolved = {**dataclasses.asdict(cfg), "cwe_list": cwes, "strict": strict or file_strict}
-
-        try:
-            backend_cfg = dict(file_cfg.get("backend", {}))
-            if backend_config_path is not None:
-                raw = _load_yaml(backend_config_path)
-                if "backend" in raw:  # the wrapped shape holds nothing else
-                    _refuse_unknown("--backend-config", raw, ("backend",))
-                    raw = raw["backend"]
-                backend_cfg.update(raw)
-            if max_in_flight is not None:
-                backend_cfg["max_in_flight"] = max_in_flight
-            spec = BackendSpec(**backend_cfg)
             if mock_script_path is not None:
-                backend = MockBackend.from_file(mock_script_path, spec)
+                script = _read(mock_script_path, "mock script is not valid UTF-8 JSON", json.load,
+                               ValueError)
+                backend = MockBackend(script, spec)
             else:
                 backend = HttpBackend(spec)
         except (TypeError, ValueError) as exc:
@@ -360,13 +361,8 @@ def evaluate_cmd(
         empty: EmptyEvaluation | None = None
         try:
             with closing(ds.stream(records_path, "jsonl", quarantined)) as rows:
-                report = evaluate(
-                    (r.vuln for r in rows),
-                    backend,
-                    cfg,
-                    cwe_order=tuple(resolved["cwe_list"]),
-                    strict=resolved["strict"],
-                )
+                report = evaluate((r.vuln for r in rows), backend, cfg,
+                                  cwe_order=tuple(cwes), strict=strict)
         except EmptyEvaluation as exc:
             empty = exc
         if quarantined:
@@ -378,20 +374,21 @@ def evaluate_cmd(
         for fmt, name in (("json", "report.json"), ("text", "report.txt"), ("csv", "report.csv")):
             with open(os.path.join(report_dir, name), "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(render_report(report, fmt))
-        _write_manifest(
-            os.path.join(report_dir, "resolved_config.json"),
-            "evaluate",
-            {
+        _write_json(os.path.join(report_dir, "resolved_config.json"), {
+            "command": "evaluate",
+            "inputs": {
                 "records": records_path,
                 "backend_config": backend_config_path,
                 "mock_script": mock_script_path,
             },
-            {
-                **resolved,
+            "config": {
+                **dataclasses.asdict(cfg),
+                "cwe_list": cwes,
+                "strict": strict,
                 "max_in_flight": spec.max_in_flight,
                 "backend_endpoint": spec.endpoint,
             },
-        )
+        })
 
     click.echo(
         f"pp {report.pp_hits}/{report.pp_total} rate {report.pp_rate:.4f}"

@@ -236,11 +236,6 @@ class MockBackend:
             self._fail_budget[sid] = fail_times
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_file(cls, path: str, spec: BackendSpec | None = None) -> "MockBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh), spec)
-
     def complete(
         self, sample_id: str, prompt: str, cfg: DecodeConfig
     ) -> tuple[list[str], list[int] | None, float]:

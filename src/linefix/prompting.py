@@ -35,7 +35,7 @@ RESERVED_TOKENS = (INST_OPEN, INST_CLOSE, MID, SEP, BUG_START, BUG_END)
 CWE_ID = re.compile(r"CWE-[0-9]+")
 # exactly what build_prompt writes: canonical line numbers, each followed by a
 # space, or a lone space when there are none
-_HEADER_RE = re.compile(r"((?:(?:0|[1-9][0-9]*) )+| )(CWE-[0-9]+) (.*)")
+_HEADER_RE = re.compile(rf"((?:(?:0|[1-9][0-9]*) )+| )({CWE_ID.pattern}) (.*)")
 
 
 @dataclass(frozen=True)

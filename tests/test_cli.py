@@ -852,6 +852,61 @@ def test_evaluate_bad_mock_script_shape_exits_64(runner, eval_setup, tmp_path, s
     assert not report_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"samples": {', b'{"samples": {"rec-0": {"candidates": ["caf\xe9"]}}}'],
+    ids=["not JSON", "not UTF-8"],
+)
+def test_evaluate_mock_script_that_does_not_decode_exits_2_naming_it(
+    runner, eval_setup, tmp_path, content
+):
+    script_path = tmp_path / "bad_mock.json"
+    script_path.write_bytes(content)
+    report_dir = tmp_path / "r"
+    result = runner.invoke(main, evaluate_args({**eval_setup, "script": str(script_path)},
+                                               report_dir))
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {script_path}: mock script is not valid UTF-8 JSON: ")
+    assert "Traceback" not in result.output
+    assert not report_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,text,message",
+    [
+        ("--config", "decode:\n", None),
+        ("--config", "backend:\n", None),
+        ("--config", "decode: [k, 3]\n",
+         "bad decode config: decode: expected a mapping, got ['k', 3]"),
+        ("--config", "backend: [1]\n", "bad backend config: backend: expected a mapping, got [1]"),
+        ("--config", "backend: 5\n", "bad backend config: backend: expected a mapping, got 5"),
+        ("--backend-config", "backend: 5\n",
+         "bad backend config: backend: expected a mapping, got 5"),
+        ("--backend-config", "[1]\n",
+         "bad backend config: --backend-config: expected a mapping, got [1]"),
+        ("--config", "[1]\n", "--config: expected a mapping, got [1]"),
+    ],
+    ids=["empty decode", "empty backend", "decode list", "backend list",
+         "backend scalar", "wrapped scalar", "flat list", "config list"],
+)
+def test_evaluate_config_section_shape(runner, eval_setup, tmp_path, flag, text, message):
+    # an empty section holds nothing; any other value that is not a mapping is refused
+    config = tmp_path / "cfg.yaml"
+    config.write_text(text)
+    report_dir = tmp_path / "r"
+    if flag == "--config":
+        args = evaluate_args(eval_setup, report_dir, "--config", str(config))
+    else:
+        args = ["evaluate", "--records", eval_setup["records"], "--backend-config", str(config),
+                "--report-dir", str(report_dir)]
+    result = runner.invoke(main, args)
+    if message is None:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == 64, result.output
+        assert result.stderr == f"error: {message}\n"
+        assert not report_dir.exists()
+
+
 def test_evaluate_mock_script_takes_integral_floats(runner, eval_setup, tmp_path):
     config = tmp_path / "no_backoff.yaml"
     config.write_text("backend:\n  backoff_s: 0\n")
@@ -900,8 +955,12 @@ def readme_eval_yaml() -> str:
         ("--config", "decode:\n  temprature: 0.5\n", "temprature"),
         ("--backend-config", "backend:\n  endpoint: http://127.0.0.1:9/\ntimeout_s: 5\n",
          "timeout_s"),
+        ("--config", ("  max_in_flight:", "  max_in_fligth:"), "max_in_fligth"),
+        ("--backend-config", "backend:\n  endpoint: http://127.0.0.1:9/\n  bogus: 1\n", "bogus"),
+        ("--backend-config", "endpoint: http://127.0.0.1:9/\nbogus: 1\n", "bogus"),
     ],
-    ids=["top-level", "decode", "decode only", "beside backend"],
+    ids=["top-level", "decode", "decode only", "beside backend", "backend",
+         "wrapped backend", "flat backend"],
 )
 def test_evaluate_unknown_config_key_exits_64_before_ingest(
     runner, eval_setup, tmp_path, flag, text, key
