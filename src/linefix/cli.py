@@ -47,12 +47,25 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+class _DuplicateKey(Exception):
+    """A key that one mapping of a config file or mock script holds twice."""
+
+
+def _unique(pairs: list[tuple]) -> dict:
+    """One mapping's key-value ``pairs`` as a dict; a repeated key raises _DuplicateKey."""
+    if len(mapping := dict(pairs)) < len(pairs):
+        raise _DuplicateKey(next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i])))
+    return mapping
+
+
 def _read(path: str, what: str = "not valid UTF-8", load=lambda fh: fh.read(),
           errors=UnicodeDecodeError):
-    """``load`` applied to a UTF-8 file; one it cannot decode raises SchemaError naming it."""
+    """``load`` on a UTF-8 file; SchemaError if it cannot decode it, ValueError if a key repeats."""
     try:
         with open(path, encoding="utf-8") as fh:
             return load(fh)
+    except _DuplicateKey as exc:
+        raise ValueError(f"{path}: duplicate key {exc.args[0]!r}") from None
     except errors as exc:
         raise SchemaError(f"{what}: {exc}", path=path) from None
 
@@ -60,8 +73,16 @@ def _read(path: str, what: str = "not valid UTF-8", load=lambda fh: fh.read(),
 def _load_yaml(path: str) -> object:
     import yaml  # deferred: only evaluate's config flags read YAML
 
-    return _read(path, "config file is not valid UTF-8 YAML", yaml.safe_load,
-                 (yaml.YAMLError, UnicodeDecodeError))
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            # a merge key (<<) may be overridden; keys written out may not repeat
+            keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep)
+            _unique([(self.construct_object(k), None) for k in keys])
+            return mapping
+
+    return _read(path, "config file is not valid UTF-8 YAML",
+                 lambda fh: yaml.load(fh, UniqueKeyLoader), (yaml.YAMLError, UnicodeDecodeError))
 
 
 # Every tuning flag of evaluate, once: the flag, and the section of a --config
@@ -348,10 +369,11 @@ def evaluate_cmd(
             _load_yaml(backend_config_path) if backend_config_path is not None else None,
             **flags,
         )
+        if mock_script_path is not None:
+            script = _read(mock_script_path, "mock script is not valid UTF-8 JSON",
+                           lambda fh: json.load(fh, object_pairs_hook=_unique), ValueError)
         try:
             if mock_script_path is not None:
-                script = _read(mock_script_path, "mock script is not valid UTF-8 JSON", json.load,
-                               ValueError)
                 backend = MockBackend(script, spec)
             else:
                 backend = HttpBackend(spec)

@@ -29,7 +29,7 @@ import os
 import threading
 import time
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from linefix.errors import (
@@ -418,9 +418,9 @@ def generate_batch(
     latencies for a synthetic backend so reports stay reproducible.
 
     The batch runs on ``pool``, a ``batch_pool`` the caller keeps open across
-    its batches and shuts down itself. A fresh pool per batch of 128 mock
-    samples made the caller wait on almost every sample in turn, where one
-    pool kept open waited on about one in seven.
+    its batches and shuts down itself; a fresh pool per batch made the caller
+    wait on almost every sample in turn. Each sample is its own task, and the
+    caller waits once for the whole batch, not once for each result in turn.
     """
     ids = [sid for sid, _ in prompts]
     if len(set(ids)) != len(ids):
@@ -442,7 +442,9 @@ def generate_batch(
             )
 
     start = time.perf_counter()
-    outcomes = list(pool.map(one, prompts))
+    futures = [pool.submit(one, item) for item in prompts]
+    wait(futures)
+    outcomes = [f.result() for f in futures]
     elapsed = time.perf_counter() - start
     synthetic = backend.synthetic
     walls = (o.wall_time_s for o in outcomes)

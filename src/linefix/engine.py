@@ -28,16 +28,17 @@ def validate_patch(src: SourceUnit, patch: PatchSet) -> None:
 
 
 def apply_patch(src: SourceUnit, patch: PatchSet) -> SourceUnit:
-    """Apply a validated patch; raises InvalidPatch when validation fails.
-
-    Spans are spliced in descending (line_bef, line_af) order, so every span
-    addresses original line numbers.
-    """
+    """Apply a validated patch; raises InvalidPatch when validation fails."""
     validate_patch(src, patch)
-    out = list(src.lines)
+    return SourceUnit(tuple(splice(src.lines, patch, 0, len(src.lines))), src.had_trailing_newline)
+
+
+def splice(lines: tuple[str, ...], patch: PatchSet, lo: int, hi: int) -> list[str]:
+    """``lines[lo:hi]`` with ``patch``, whose spans lie inside, spliced in last span first."""
+    out = list(lines[lo:hi])
     for s in reversed(patch.spans):
-        out[s.line_bef + 1: s.line_af] = s.body
-    return SourceUnit(tuple(out), src.had_trailing_newline)
+        out[s.line_bef + 1 - lo: s.line_af - lo] = s.body
+    return out
 
 
 def derive_patch(before: SourceUnit, after: SourceUnit) -> tuple[PatchSet, list[int]]:

@@ -8,9 +8,9 @@ perfect. Malformed candidates and backend failures score as misses and are
 tallied separately; patches that parse, validate, and apply to the same
 result as the reference without matching byte-wise are surfaced as a
 diagnostic only and never folded into the headline rate. A candidate text
-that repeats within its sample is parsed, and on a miss applied, once; a
-repeated malformed candidate still counts as a format error each time it
-appears.
+that repeats within its sample is parsed (unless perfect), and on a miss
+compared, once; a repeated malformed candidate still counts as a format error
+each time it appears.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from linefix.client import BatchResult, DecodeConfig, batch_pool, batch_time, generate_batch
-from linefix.engine import apply_patch
+from linefix.engine import splice, validate_patch
 from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
 from linefix.patchfmt import PatchSet, parse_patch, serialize_patch
 from linefix.prompting import VulnRecord, build_prompt
@@ -117,19 +117,17 @@ def is_perfect(candidate: str, reference: str, *, strict: bool = False) -> bool:
     return _trim_one_lf(candidate) == _trim_one_lf(reference)
 
 
-def first_hit_index(candidates: list[str], reference: str, *, strict: bool = False) -> int | None:
-    """Index of the first perfect candidate, or None; an empty list never hits."""
-    for i, c in enumerate(candidates):
-        if is_perfect(c, reference, strict=strict):
-            return i
-    return None
-
-
-def _applies_as(src: SourceUnit, patch: PatchSet, expected: SourceUnit) -> bool:
+def _applies_as(src: SourceUnit, patch: PatchSet, reference: PatchSet) -> bool:
+    """Whether ``patch`` is valid and applies to ``src`` as the validated ``reference``."""
     try:
-        return apply_patch(src, patch) == expected
+        validate_patch(src, patch)
     except InvalidPatch:
         return False
+    # only the window the two patches edit can differ; spans are in anchor order
+    ends = (reference.spans[0], reference.spans[-1], *patch.spans[:1], *patch.spans[-1:])
+    lo = min(s.line_bef for s in ends) + 1
+    hi = max(s.line_af for s in ends)
+    return splice(src.lines, patch, lo, hi) == splice(src.lines, reference, lo, hi)
 
 
 def evaluate(
@@ -191,10 +189,10 @@ def score_batch(
     """Score already-generated outcomes; evaluate calls it once per window.
 
     A candidate hits when its text matches the record's serialized reference
-    patch. Each distinct candidate text of a sample is parsed once, and every
-    candidate that does not parse counts as a format error, repeats included.
-    For a miss, each distinct candidate that parses is applied once to the
-    record's source and its result compared with the reference's.
+    patch. Each other distinct candidate text of a sample is parsed once, and
+    every candidate that does not parse counts as a format error, repeats
+    included. For a miss, each distinct candidate that parses is validated
+    once and compared with the reference over the lines the two patches edit.
     """
     tokens_estimated = False
     total_tokens = 0
@@ -211,10 +209,16 @@ def score_batch(
             )
             continue
 
+        reference = serialize_patch(record.reference_patch)
         # each distinct text, in first-seen order; None until it parses
         parsed: dict[str, PatchSet | None] = dict.fromkeys(outcome.candidates)
         malformed = 0
+        idx = None
         for text in parsed:
+            if is_perfect(text, reference, strict=strict):  # it parses to the reference
+                parsed[text] = record.reference_patch
+                idx = outcome.candidates.index(text) if idx is None else idx
+                continue
             try:
                 parsed[text] = parse_patch(text)
             except PatchFormatError:
@@ -223,13 +227,10 @@ def score_batch(
         if malformed and len(parsed) < len(outcome.candidates):  # count repeats too
             sample_format_errors = sum(parsed[c] is None for c in outcome.candidates)
 
-        reference = serialize_patch(record.reference_patch)
-        idx = first_hit_index(outcome.candidates, reference, strict=strict)
         applied_equiv = False
         if idx is None:
-            ref_after = record.reference_after
             applied_equiv = any(
-                p is not None and _applies_as(record.source, p, ref_after)
+                p is not None and _applies_as(record.source, p, record.reference_patch)
                 for p in parsed.values()
             )
         sample_results.append(

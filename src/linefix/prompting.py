@@ -12,17 +12,19 @@ every record, refuses an LF in the description, a CR in a source line and a
 ``RESERVED_TOKENS`` entry in any of the record's texts. ``parse_prompt`` takes
 a prompt and its training completion back to the record, so it inverts
 ``render_training_example`` and exported rows can be audited mechanically.
+A record renders its prompt once and keeps it; a parsed one keeps the text it parsed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from linefix.engine import apply_patch, validate_patch
+from linefix.engine import validate_patch
 from linefix.errors import InvalidPatch, InvalidRecord, MalformedPrompt
 from linefix.patchfmt import MID, SEP, PatchSet, parse_patch, round_trips, serialize_patch
-from linefix.source import SourceUnit, line_prefixes, number_lines
+from linefix.source import SourceUnit, line_prefixes, number_lines, prefixes_length
 
 INST_OPEN = "[INST]"
 INST_CLOSE = "[/INST]"
@@ -97,10 +99,12 @@ class VulnRecord:
         if any(a >= b for a, b in zip(self.vuln_lines, self.vuln_lines[1:])):
             raise InvalidRecord(f"record {self.id!r}: vuln_lines not strictly ascending")
 
-    @property
-    def reference_after(self) -> SourceUnit:
-        """The fixed source: the reference patch applied to ``source``."""
-        return apply_patch(self.source, self.reference_patch)
+    @cached_property
+    def prompt(self) -> str:
+        """The instruction prompt, rendered on first use and kept; not a field."""
+        nums = " ".join(map(str, self.vuln_lines))
+        header = f"{INST_OPEN}{nums} {self.cwe_id} {self.cwe_description}"
+        return f"{header}\n{number_lines(self.source)}\n{INST_CLOSE}"
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,8 @@ class TrainingExample:
 
 
 def build_prompt(record: VulnRecord) -> str:
-    """Render the instruction prompt for a record. Deterministic."""
-    nums = " ".join(str(i) for i in record.vuln_lines)
-    header = f"{INST_OPEN}{nums} {record.cwe_id} {record.cwe_description}"
-    return f"{header}\n{number_lines(record.source)}\n{INST_CLOSE}"
+    """The instruction prompt for a record, ``record.prompt``. Deterministic."""
+    return record.prompt
 
 
 def parse_prompt(
@@ -141,25 +143,26 @@ def parse_prompt(
     m = _HEADER_RE.fullmatch(header)
     if m is None:
         raise MalformedPrompt(f"bad prompt header: {header[:60]!r}")
-    lines: tuple[str, ...] = ()
-    if numbered:
-        numbered_lines = numbered.split("\n")
-        prefixes = line_prefixes(len(numbered_lines))
-        if not all(map(str.startswith, numbered_lines, prefixes)):
-            for i, (line, prefix) in enumerate(zip(numbered_lines, prefixes)):
-                if not line.startswith(prefix):
-                    raise MalformedPrompt(f"source line {i} not numbered as {prefix!r}")
-        lines = tuple(map(str.removeprefix, numbered_lines, prefixes))
+    numbered_lines = numbered.split("\n") if numbered else []
+    prefixes = line_prefixes(len(numbered_lines))
+    source = SourceUnit(tuple(map(str.removeprefix, numbered_lines, prefixes)))
+    # removeprefix strips a whole prefix or none: the lengths agree when all lines are numbered
+    if len(numbered) - len(source.text) != prefixes_length(len(numbered_lines)):
+        for i, (line, prefix) in enumerate(zip(numbered_lines, prefixes)):
+            if not line.startswith(prefix):
+                raise MalformedPrompt(f"source line {i} not numbered as {prefix!r}")
     if cwe_id is not None and cwe_id != m.group(2):
         raise InvalidRecord(f"cwe_id field {cwe_id!r} disagrees with prompt {m.group(2)!r}")
-    return VulnRecord(
+    record = VulnRecord(
         id=id,
         cwe_id=m.group(2),
         cwe_description=m.group(3),
         vuln_lines=tuple(int(t) for t in m.group(1).split()),
-        source=SourceUnit(lines),
+        source=source,
         reference_patch=parse_patch(completion),
     )
+    object.__setattr__(record, "prompt", text)  # the bytes build_prompt would write
+    return record
 
 
 def render_training_example(record: VulnRecord) -> TrainingExample:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 _PREFIXES: tuple[str, ...] = ()
 
@@ -29,6 +28,8 @@ class SourceUnit:
     Attributes:
         lines: the text lines, without line terminators.
         had_trailing_newline: whether the original text ended with LF.
+        text: the lines joined with LF, without the trailing one, joined when the
+            unit is built. Not a field: equality, hash and repr ignore it.
     """
 
     lines: tuple[str, ...]
@@ -40,19 +41,10 @@ class SourceUnit:
         if not self.lines:
             # Empty text has no line to end, as from_text("") reads it.
             object.__setattr__(self, "had_trailing_newline", False)
-        if "\n" in "".join(self.lines):
+        text = "\n".join(self.lines)
+        if self.lines and text.count("\n") != len(self.lines) - 1:  # one LF between lines
             raise ValueError("source lines must not contain newline characters")
-
-    @cached_property
-    def text(self) -> str:
-        """The lines joined with LF, without the trailing one.
-
-        Joined on first use and kept, so a record's validation, fingerprint
-        and writer share one join. It is not a field: equality, hash and repr
-        ignore it. Units that are only compared, such as the results of
-        ``apply_patch`` during scoring, never join.
-        """
-        return "\n".join(self.lines)
+        object.__setattr__(self, "text", text)
 
 
 def from_text(text: str) -> SourceUnit:
@@ -80,6 +72,15 @@ def line_prefixes(n: int) -> tuple[str, ...]:
         table += tuple(f"{i} " for i in range(len(table), max(n, 2 * len(table), 256)))
         _PREFIXES = table
     return table
+
+
+def prefixes_length(n: int) -> int:
+    """The total length of the first ``n`` numbering prefixes."""
+    total, power = 2 * n, 10  # a digit and a space each, one more digit from each power of ten
+    while power < n:
+        total += n - power
+        power *= 10
+    return total
 
 
 def number_lines(unit: SourceUnit) -> str:

@@ -87,7 +87,7 @@ def test_acceptance_format_goldens(vpx_record):
     assert prompt.startswith(VPX_PROMPT_PREFIX)
     assert prompt.endswith("\n[/INST]")
 
-    derived, _ = derive_patch(vpx_record.source, vpx_record.reference_after)
+    derived, _ = derive_patch(vpx_record.source, apply_patch(vpx_record.source, vpx_record.reference_patch))
     assert serialize_patch(derived) == VPX_REFERENCE_PATCH_TEXT
     print("ACCEPTANCE format_goldens: PASS")
 

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 
 from linefix import dataset as ds
 from linefix.cli import main
+from linefix.engine import apply_patch
 from linefix.source import to_text
 from tests.conftest import (
     VPX_BEFORE_LINES,
@@ -359,7 +360,7 @@ def test_apply_golden(runner, tmp_path, vpx_source, vpx_record):
     patch.write_text(VPX_REFERENCE_PATCH_TEXT)
     result = runner.invoke(main, ["apply", "--source", str(src), "--patch", str(patch)])
     assert result.exit_code == 0, result.output
-    assert result.output == to_text(vpx_record.reference_after)
+    assert result.output == to_text(apply_patch(vpx_record.source, vpx_record.reference_patch))
 
 
 def test_apply_invalid_patch_exits_1(runner, tmp_path):
@@ -385,7 +386,7 @@ def test_derive_golden(runner, tmp_path, vpx_source, vpx_record):
     before = tmp_path / "before.c"
     before.write_text(to_text(vpx_source))
     after = tmp_path / "after.c"
-    after.write_text(to_text(vpx_record.reference_after))
+    after.write_text(to_text(apply_patch(vpx_record.source, vpx_record.reference_patch)))
     result = runner.invoke(main, ["derive", "--before", str(before), "--after", str(after)])
     assert result.exit_code == 0, result.output
     assert result.output == VPX_REFERENCE_PATCH_TEXT + "\n"
@@ -987,6 +988,48 @@ def test_evaluate_unknown_config_key_exits_64_before_ingest(
     assert result.exit_code == 64, result.output
     assert f"unknown key {key!r}" in result.stderr
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,text,key",
+    [
+        ("--config", "decode:\n  k: 1\n  k: 2\n", "k"),
+        ("--config", "decode: {k: 1, k: 2}\n", "k"),
+        ("--config", "seed: 3\nseed: 4\n", "seed"),
+        ("--backend-config", "endpoint: http://127.0.0.1:9/\nendpoint: http://127.0.0.1:8/\n",
+         "endpoint"),
+        ("--mock-script",
+         '{"samples": {"rec-0": {"candidates": ["x"]}, "rec-0": {"candidates": ["y"]}}}',
+         "rec-0"),
+    ],
+    ids=["decode", "decode flow", "top-level", "backend", "mock sample id"],
+)
+def test_evaluate_duplicate_key_exits_64_before_ingest(
+    runner, eval_setup, tmp_path, flag, text, key
+):
+    # a YAML or JSON loader would keep the last value without a word
+    path = tmp_path / ("bad.json" if flag == "--mock-script" else "bad.yaml")
+    path.write_text(text)
+    args = [
+        "evaluate",
+        "--records", str(tmp_path / "absent.jsonl"),  # reading it would exit 1
+        flag, str(path),
+        "--report-dir", str(tmp_path / "r"),
+    ]
+    if flag == "--config":
+        args += ["--mock-script", eval_setup["script"]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64, result.output
+    assert result.stderr == f"error: {path}: duplicate key {key!r}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_config_key_may_override_a_yaml_merge(runner, eval_setup, tmp_path):
+    config = tmp_path / "eval.yaml"
+    config.write_text("<<: {seed: 3}\nseed: 4\n")
+    result = runner.invoke(main, evaluate_args(eval_setup, tmp_path / "r", "--config", str(config)))
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "r" / "resolved_config.json").read_text())["config"]["seed"] == 4
 
 
 @pytest.mark.parametrize(

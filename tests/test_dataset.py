@@ -30,7 +30,7 @@ from linefix.dataset import (
     write_records_jsonl,
 )
 from linefix import dataset, engine
-from linefix.engine import derive_patch
+from linefix.engine import apply_patch, derive_patch
 from linefix.errors import SchemaError
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.prompting import VulnRecord
@@ -81,7 +81,7 @@ def mem_record(
 
 def texts(record: DatasetRecord) -> tuple[str, str]:
     """The record's before and after source text, as ingest reads them."""
-    return to_text(record.vuln.source), to_text(record.vuln.reference_after)
+    return to_text(record.vuln.source), to_text(apply_patch(record.vuln.source, record.vuln.reference_patch))
 
 
 def simple_record(i: int, split: str = "train", cwe: str = "CWE-787") -> DatasetRecord:
@@ -667,7 +667,7 @@ def assert_vuln_lines_follow_the_diff(pairs: list[tuple[tuple[str, ...], tuple[s
     assert len(from_patch.records) == len(patch_rows)
     for record in from_after.records + from_patch.records:
         i = int(record.vuln.id.removeprefix("rec-"))
-        assert record.vuln.reference_after.lines == pairs[i][1]
+        assert apply_patch(record.vuln.source, record.vuln.reference_patch).lines == pairs[i][1]
         assert record.vuln.vuln_lines == oracle[record.vuln.id], pairs[i]
 
 

@@ -132,7 +132,7 @@ def test_apply_is_order_independent():
 
 
 def test_derive_reference_golden(vpx_source, vpx_record):
-    patch, _ = derive_patch(vpx_source, vpx_record.reference_after)
+    patch, _ = derive_patch(vpx_source, apply_patch(vpx_source, vpx_record.reference_patch))
     assert serialize_patch(patch) == VPX_REFERENCE_PATCH_TEXT
 
 

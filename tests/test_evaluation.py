@@ -7,7 +7,7 @@ import json
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linefix import client, evaluation
@@ -20,15 +20,14 @@ from linefix.client import (
     batch_pool,
     generate_batch,
 )
-from linefix.engine import apply_patch
-from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
+from linefix.engine import apply_patch, derive_patch, splice, validate_patch
+from linefix.errors import ConflictingSpans, EmptyEvaluation, InvalidPatch, PatchFormatError
 from linefix.evaluation import (
     DEFAULT_CWE_ORDER,
     EvalReport,
     SampleResult,
     efficiency,
     evaluate,
-    first_hit_index,
     is_perfect,
     render_report,
     score_batch,
@@ -104,10 +103,14 @@ def test_is_perfect_strict():
 
 
 def test_first_hit_index_and_sample_hit():
-    cands = ["x", "ref", "ref"]
-    assert first_hit_index(cands, "ref") == 1
-    assert first_hit_index(["x"], "ref") is None
-    assert first_hit_index([], "ref") is None
+    """A sample's hit index is its first perfect candidate; no candidate never hits."""
+    wrong = "1-3<MID>  return 7;"
+    hit = [wrong, REFERENCE + "\n", wrong, REFERENCE, REFERENCE + "\n"]
+    for strict, index in ((False, 1), (True, 3)):
+        report = score_batch([record("a"), record("b"), record("c")],
+                             outcomes([hit, [wrong], []]), strict=strict)
+        assert [(s.hit, s.hit_index) for s in report.samples] == [
+            (True, index), (False, None), (False, None)]
 
 
 def test_whitespace_prediction_is_a_miss(vpx_reference_patch):
@@ -342,9 +345,10 @@ def brute_force(rec: VulnRecord, candidates: list[str], strict: bool) -> SampleR
             errors += 1
     equivalent = False
     if not hits:
+        after = apply_patch(rec.source, rec.reference_patch)
         for p in parsed:
             try:
-                equivalent |= apply_patch(rec.source, p) == rec.reference_after
+                equivalent |= apply_patch(rec.source, p) == after
             except InvalidPatch:
                 pass
     hit = hits[0] if hits else None
@@ -367,28 +371,78 @@ def test_score_batch_equals_brute_force(samples, strict):
     assert report.applied_equivalent_misses == sum(s.applied_equivalent for s in expected)
 
 
+@st.composite
+def patch_sets(draw, limit: int, min_spans: int = 0) -> PatchSet:
+    """Spans with line_af up to ``limit``, touching ones and insertions at either end included."""
+    spans, af = [], 0
+    for _ in range(draw(st.integers(min_spans, 3))):
+        bef = af - 1 + draw(st.integers(0, 2))  # a gap of 0 touches the span before
+        af = bef + 1 + draw(st.integers(0, 2))  # a width of 0 inserts
+        spans.append(EditSpan(bef, af, tuple(draw(st.lists(st.sampled_from("ab"), max_size=2)))))
+    assume(af <= limit)
+    try:
+        return PatchSet(tuple(spans))
+    except ConflictingSpans:  # two insertions at one place
+        assume(False)
+
+
+@settings(deadline=None, max_examples=400)
+@given(lines=st.lists(st.sampled_from("ab"), max_size=5), data=st.data())
+def test_window_comparison_equals_full_application(lines, data):
+    src = SourceUnit(tuple(lines), had_trailing_newline=True)
+    n = len(lines)
+    reference = data.draw(patch_sets(n, min_spans=1))  # a record's: valid, never empty
+    after = apply_patch(src, reference)
+    candidate = data.draw(st.one_of(
+        patch_sets(n + 2),  # out of range too
+        st.just(derive_patch(src, after)[0]),  # the minimal patch, empty for a no-op reference
+    ))
+    try:
+        expected = apply_patch(src, candidate) == after
+    except InvalidPatch:
+        expected = False
+    assert evaluation._applies_as(src, candidate, reference) == expected
+
+
 def test_each_distinct_candidate_is_parsed_and_applied_once(monkeypatch):
-    parsed, applied = [], []
+    parsed, validated, spliced = [], [], []
 
     def counted_parse(text):
         parsed.append(text)
         return parse_patch(text)
 
-    def counted_apply(src, patch):
-        applied.append(serialize_patch(patch))
-        return apply_patch(src, patch)
+    def counted_validate(src, patch):
+        validated.append(serialize_patch(patch))
+        return validate_patch(src, patch)
+
+    def counted_splice(lines, patch, lo, hi):
+        spliced.append(serialize_patch(patch))
+        return splice(lines, patch, lo, hi)
 
     monkeypatch.setattr(evaluation, "parse_patch", counted_parse)
-    monkeypatch.setattr(evaluation, "apply_patch", counted_apply)
+    monkeypatch.setattr(evaluation, "validate_patch", counted_validate)
+    monkeypatch.setattr(evaluation, "splice", counted_splice)
     wrong, spaced, malformed, out_of_range = (POOL[6], POOL[2], POOL[3], POOL[4])
     candidates = [wrong, spaced, wrong, malformed, out_of_range,
                   wrong, malformed, spaced, malformed, out_of_range]
     report = score_batch([record("r0")], outcomes([candidates]))
     assert sorted(parsed) == sorted({wrong, spaced, malformed, out_of_range})
-    # a miss: each distinct candidate that parses is applied once
-    assert sorted(applied) == sorted({wrong, spaced, out_of_range})
+    # a miss: each distinct candidate that parses is validated once, and each
+    # valid one is compared once, its window beside the reference's
+    assert sorted(validated) == sorted({wrong, spaced, out_of_range})
+    assert sorted(spliced) == sorted([wrong, REFERENCE, spaced, REFERENCE])
     assert report.pp_hits == 0
     assert report.format_error_count == 3  # every copy of the malformed one
+
+    # a hit: a text equal to the reference is not parsed, and nothing is compared
+    for counted in (parsed, validated, spliced):
+        counted.clear()
+    hit = [wrong, REFERENCE, malformed, REFERENCE + "\n", wrong, REFERENCE]
+    report = score_batch([record("r0")], outcomes([hit]))
+    assert sorted(parsed) == sorted({wrong, malformed})
+    assert validated == spliced == []
+    assert report.samples[0].hit_index == 1
+    assert report.format_error_count == 1
 
 
 # --- report serialization ---------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linefix.engine import derive_patch
+from linefix.engine import apply_patch, derive_patch
 from linefix.errors import InvalidRecord, LinefixError, MalformedHeader, MalformedPrompt
 from linefix.patchfmt import EditSpan, PatchSet, serialize_patch
 from linefix.prompting import (
@@ -109,7 +109,7 @@ def test_record_validated_at_construction():
     with pytest.raises(InvalidRecord, match="^record 'r1': source contains a carriage return$"):
         _record(source=SourceUnit(("int f()", "{\r", "}")))
     record = _record(reference_patch=PatchSet((EditSpan(0, 2, ("{ return 0;",)),)))
-    assert record.reference_after.lines == ("int f()", "{ return 0;", "}")
+    assert apply_patch(record.source, record.reference_patch).lines == ("int f()", "{ return 0;", "}")
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.vuln_lines = (7,)
 
@@ -283,6 +283,50 @@ def test_every_record_parses_back_from_its_training_example(fields):
     completion = serialize_patch(record.reference_patch)
     prompt = build_prompt(record)
     assert parse_prompt(prompt, completion=completion, id=record.id, cwe_id=record.cwe_id) == record
+
+
+HEADERS = (" CWE-20 d", "0 CWE-20 d", "0 2 CWE-7 ", "2 0 CWE-20 d", "9 CWE-20 d", "01 CWE-20 d",
+           "CWE-20 d")
+CONTENT = ("", "a", " b", "0 ", "1 x", "{")
+
+
+@st.composite
+def numbered_blocks(draw) -> list[str]:
+    """Source lines, most numbered as build_prompt numbers them, some not, some swapped."""
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        prefix = draw(st.sampled_from(
+            (f"{i} ",) * 6 + (f"{i}", f"{i + 1} ", f"{abs(i - 1)} ", f"0{i} ", f" {i} ", "")))
+        lines.append(prefix + draw(st.sampled_from(CONTENT)))
+    if len(lines) >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+@settings(deadline=None, max_examples=400)
+@given(header=st.sampled_from(HEADERS), block=numbered_blocks())
+def test_parse_accepts_only_the_prompts_it_rebuilds(header, block):
+    """A prompt parses only when each line carries its own number, and then rebuilds
+    byte for byte; a misnumbered one names its first bad line, as a per-line
+    ``startswith`` check would."""
+    numbered = "\n".join(block)
+    text = f"{INST_OPEN}{header}\n{numbered}\n{INST_CLOSE}"
+    rows = numbered.split("\n") if numbered else []
+    bad = next((i for i, line in enumerate(rows) if not line.startswith(f"{i} ")), None)
+    try:
+        parsed = parse_prompt(text, completion=INSERT_TOP_TEXT)
+    except MalformedPrompt as exc:
+        if not str(exc).startswith("bad prompt header"):
+            assert str(exc) == f"source line {bad} not numbered as '{bad} '"
+        return
+    except InvalidRecord:  # a vuln line out of range or out of order, after the numbering
+        assert bad is None
+        return
+    assert bad is None
+    assert vars(parsed)["prompt"] is text  # kept, not rendered again
+    assert build_prompt(parsed) == text
+    assert build_prompt(dataclasses.replace(parsed)) == text  # a fresh render
 
 
 @pytest.mark.parametrize("bad", [0, 1, 255, 256, 299])

@@ -10,7 +10,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linefix import source
@@ -91,8 +91,8 @@ def test_text_is_the_lf_joined_lines_on_every_construction_path(vpx_record):
 
 def test_text_is_left_out_of_equality_hash_and_repr():
     unit = from_text("a\nb\n")
-    assert unit.text == "a\nb"  # joined and kept on the unit from here on
-    other = SourceUnit(("a", "b"), True)  # never joined
+    assert unit.text == "a\nb"  # joined once, when the unit was built
+    other = SourceUnit(("a", "b"), True)  # built from its lines
     assert unit == other
     assert hash(unit) == hash(other)
     assert repr(unit) == repr(other) == "SourceUnit(lines=('a', 'b'), had_trailing_newline=True)"
@@ -104,6 +104,20 @@ def test_text_is_left_out_of_equality_hash_and_repr():
 def test_text_matches_the_lines(lines, trailing):
     unit = SourceUnit(lines, had_trailing_newline=trailing)
     assert unit.text == "\n".join(lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(("", "a", "\r", "\n", "a\nb", "\n\n")), max_size=5))
+@example(())
+@example(("",))
+@example(("\n",))
+def test_lf_rule_counts_the_lfs_of_the_one_join(lines):
+    """The join holds one LF between each two lines; a unit refuses any other."""
+    if any("\n" in line for line in lines):
+        with pytest.raises(ValueError, match="^source lines must not contain newline characters$"):
+            SourceUnit(lines)
+    else:
+        assert SourceUnit(lines).text == "\n".join(lines)
 
 
 def test_lines_coerced_to_tuple():
