@@ -29,8 +29,8 @@ training schema (JSONL)
 
 ``stream`` is the one reader: it yields each record as its row is decoded,
 so a caller that writes as it reads holds one record at a time. Every command
-reads through it; ``ingest``, which collects the stream into a list, stays
-only for tests and the benchmark's traced run.
+reads through it. ``ingest``, which collects the stream into a list, and the
+list ``refine`` stay because ``perfbench/layers.py`` traces them by name.
 Structural problems (missing fields, undecodable rows, bytes that are not
 UTF-8) raise SchemaError for the first one in file order. Records from both
 schemas keep the one rule set of ``VulnRecord.validate``; the reader adds only
@@ -74,7 +74,7 @@ from linefix.prompting import (
     render_training_example,
 )
 from linefix.patchfmt import parse_patch, serialize_patch
-from linefix.source import from_text, to_text
+from linefix.source import SourceUnit, from_text, to_text
 
 SPLITS = ("train", "validation", "test")
 FINGERPRINT_MODES = ("exact", "ws_normalized")
@@ -173,7 +173,8 @@ def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
             yield reader.line_num, row
 
 
-def _require(row: dict, fields: tuple[str, ...], path: str, line_no: int) -> None:
+def _require(row: dict, fields: tuple[str, ...], path: str, line_no: int) -> str:
+    """Check that each of ``fields`` is a string; returns the row's split, which must be known."""
     for name in fields:
         if name not in row or row[name] is None:
             raise SchemaError(f"missing required field {name!r}", path=path, line_no=line_no)
@@ -183,15 +184,23 @@ def _require(row: dict, fields: tuple[str, ...], path: str, line_no: int) -> Non
                 path=path,
                 line_no=line_no,
             )
+    split = row["split"]
+    if split not in SPLITS:
+        raise SchemaError(f"unknown split {split!r}", path=path, line_no=line_no)
+    return split
 
 
-def strip_bug_markers(text: str) -> tuple[str, list[int]]:
-    """Remove upstream bug markers, returning clean text and marked line indices.
+def strip_bug_markers(text: str) -> tuple[SourceUnit, list[int]]:
+    """Split ``text`` into a source with the upstream bug markers removed, and the marked lines.
 
     A line containing either marker counts as marked; the marker token plus
-    one adjacent space is dropped so surrounding code is left untouched.
+    one adjacent space is dropped so surrounding code is left untouched. The
+    clean lines are read back as text, so a last line that the strip leaves
+    empty, with no LF after it, folds into the trailing LF.
     """
     unit = from_text(text)
+    if BUG_START not in text and BUG_END not in text:
+        return unit, []
     clean: list[str] = []
     marked: list[int] = []
     for i, line in enumerate(unit.lines):
@@ -200,10 +209,7 @@ def strip_bug_markers(text: str) -> tuple[str, list[int]]:
             for token in (BUG_START, BUG_END):
                 line = line.replace(token + " ", "").replace(" " + token, "").replace(token, "")
         clean.append(line)
-    out = "\n".join(clean)
-    if unit.had_trailing_newline:
-        out += "\n"
-    return out, marked
+    return from_text(to_text(SourceUnit(tuple(clean), unit.had_trailing_newline))), marked
 
 
 def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
@@ -212,21 +218,11 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
     if len(fix_fields) == 2:
         raise SchemaError("row has both 'source_after' and 'reference_patch'; give one",
                           path=path, line_no=line_no)
-    _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)), path, line_no)
-    split = row["split"]
-    if split not in SPLITS:
-        raise SchemaError(f"unknown split {split!r}", path=path, line_no=line_no)
-    raw_before = row["source_before"]
-    raw_after = row.get("source_after")
+    split = _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)), path, line_no)
     patch_text = row.get("reference_patch")
-
-    marker_lines: list[int] | None = None
-    if BUG_START in raw_before or BUG_END in raw_before:
-        raw_before, marker_lines = strip_bug_markers(raw_before)
-
-    src = from_text(raw_before)
+    src, marker_lines = strip_bug_markers(row["source_before"])
     if patch_text is None:
-        after = from_text(raw_after)
+        after = from_text(row["source_after"])
         patch, changed = derive_patch(src, after)
     else:
         try:
@@ -271,10 +267,7 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
 
 
 def _record_from_training(row: dict, path: str, line_no: int) -> DatasetRecord:
-    _require(row, _TRAINING_REQUIRED, path, line_no)
-    split = row["split"]
-    if split not in SPLITS:
-        raise SchemaError(f"unknown split {split!r}", path=path, line_no=line_no)
+    split = _require(row, _TRAINING_REQUIRED, path, line_no)
     vuln = parse_prompt(
         row["prompt"], id=row["id"], cwe_id=row["cwe_id"], completion=row["completion"]
     )

@@ -25,7 +25,7 @@ from itertools import islice
 from linefix.client import BatchResult, DecodeConfig, batch_pool, batch_time, generate_batch
 from linefix.engine import splice, validate_patch
 from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
-from linefix.patchfmt import PatchSet, parse_patch, serialize_patch
+from linefix.patchfmt import PatchSet, parse_patch, serialize_patch, trim_final_lf
 from linefix.prompting import VulnRecord, build_prompt
 from linefix.source import SourceUnit
 
@@ -103,10 +103,6 @@ def efficiency(samples: int, total_time_s: float, total_tokens: int = 0) -> Effi
     return EfficiencyStats(total_time_s, total_tokens, samples / total_time_s)
 
 
-def _trim_one_lf(text: str) -> str:
-    return text[:-1] if text.endswith("\n") else text
-
-
 def is_perfect(candidate: str, reference: str, *, strict: bool = False) -> bool:
     """Byte equality, modulo at most one trailing LF on each side.
 
@@ -114,7 +110,7 @@ def is_perfect(candidate: str, reference: str, *, strict: bool = False) -> bool:
     """
     if strict:
         return candidate == reference
-    return _trim_one_lf(candidate) == _trim_one_lf(reference)
+    return trim_final_lf(candidate) == trim_final_lf(reference)
 
 
 def _applies_as(src: SourceUnit, patch: PatchSet, reference: PatchSet) -> bool:
@@ -212,7 +208,6 @@ def score_batch(
         reference = serialize_patch(record.reference_patch)
         # each distinct text, in first-seen order; None until it parses
         parsed: dict[str, PatchSet | None] = dict.fromkeys(outcome.candidates)
-        malformed = 0
         idx = None
         for text in parsed:
             if is_perfect(text, reference, strict=strict):  # it parses to the reference
@@ -222,10 +217,8 @@ def score_batch(
             try:
                 parsed[text] = parse_patch(text)
             except PatchFormatError:
-                malformed += 1
-        sample_format_errors = malformed
-        if malformed and len(parsed) < len(outcome.candidates):  # count repeats too
-            sample_format_errors = sum(parsed[c] is None for c in outcome.candidates)
+                pass  # stays None: a format error
+        sample_format_errors = sum(parsed[c] is None for c in outcome.candidates)  # repeats too
 
         applied_equiv = False
         if idx is None:

@@ -11,8 +11,9 @@ them is replaced by the body. ``line_bef = -1`` addresses the position before
 line 0 and ``line_af = len(lines)`` the position after the last line, so edits
 at either boundary stay expressible. The body is carried verbatim: everything
 after ``<MID>`` up to the next ``<sep>`` or end of input, split on LF. One
-trailing LF of the whole input is trimmed before parsing. A patch's spans are
-held in anchor order and are disjoint by construction.
+trailing LF of the whole input is trimmed before parsing (``trim_final_lf``,
+which exact-match scoring shares). A patch's spans are held in anchor order
+and are disjoint by construction.
 
 A lone-empty-line body ``("",)`` anywhere, and a final span whose body ends
 with an empty line, do not survive serialize/parse: the empty-body deletion
@@ -105,8 +106,7 @@ def parse_patch(text: str) -> PatchSet:
     Raises MalformedHeader, MalformedBody, NonIncreasingSpan, BelowSentinel,
     or ConflictingSpans. Empty input parses to an empty PatchSet.
     """
-    if text.endswith("\n"):
-        text = text[:-1]
+    text = trim_final_lf(text)
     if text == "":
         return PatchSet(())
     spans = []
@@ -119,6 +119,11 @@ def parse_patch(text: str) -> PatchSet:
         body = tuple(rawbody.split("\n")) if rawbody else ()
         spans.append(EditSpan(int(m.group(1)), int(m.group(2)), body))
     return PatchSet(tuple(spans))
+
+
+def trim_final_lf(text: str) -> str:
+    """``text`` without one trailing LF: the LF that parsing and exact match both forgive."""
+    return text.removesuffix("\n")
 
 
 def serialize_patch(patch: PatchSet) -> str:

@@ -7,7 +7,8 @@ import random
 from collections.abc import Sequence
 
 from linefix.patchfmt import EditSpan, PatchSet
-from linefix.source import SourceUnit
+from linefix.prompting import BUG_END, BUG_START
+from linefix.source import SourceUnit, from_text
 
 LINE_POOL = (
     "",
@@ -183,6 +184,27 @@ def no_text_form(before: Sequence[str], after: Sequence[str]) -> bool:
     """The two (before, after) line pairs whose fix the patch text cannot carry."""
     after = tuple(after)
     return (not before and after[-1:] == ("",)) or (after == ("",) and "" not in before)
+
+
+def reference_strip_bug_markers(text: str) -> tuple[str, list[int]]:
+    """Marker stripping as text: the clean lines joined with LF, and the marked line indices.
+
+    A line holding either marker is marked and loses each marker token with
+    one adjacent space; the text ends with LF when ``text`` did.
+    """
+    unit = from_text(text)
+    clean: list[str] = []
+    marked: list[int] = []
+    for i, line in enumerate(unit.lines):
+        if BUG_START in line or BUG_END in line:
+            marked.append(i)
+            for token in (BUG_START, BUG_END):
+                line = line.replace(token + " ", "").replace(" " + token, "").replace(token, "")
+        clean.append(line)
+    out = "\n".join(clean)
+    if unit.had_trailing_newline:
+        out += "\n"
+    return out, marked
 
 
 def random_lines(rng: random.Random, max_len: int = 30) -> list[str]:

@@ -35,7 +35,12 @@ from linefix.errors import SchemaError
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.prompting import VulnRecord
 from linefix.source import SourceUnit, from_text, to_text
-from tests.helpers import before_ranges, no_text_form, reference_edit_runs
+from tests.helpers import (
+    before_ranges,
+    no_text_form,
+    reference_edit_runs,
+    reference_strip_bug_markers,
+)
 
 
 def raw_row(i: int, split: str = "train", cwe: str = "CWE-787", **extra) -> dict:
@@ -146,6 +151,13 @@ def test_ingest_unknown_split_is_schema_error(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, split="dev")])
     with pytest.raises(SchemaError):
         ingest(path)
+    # a training row's split is checked by the same rule
+    export_jsonl(ingest(write_jsonl(tmp_path / "ok.jsonl", [raw_row(0)])).records,
+                 str(tmp_path / "t.jsonl"))
+    row = {**json.loads((tmp_path / "t.jsonl").read_text()), "split": "dev"}
+    with pytest.raises(SchemaError, match="unknown split 'dev'") as err:
+        ingest(write_jsonl(tmp_path / "t_dev.jsonl", [row]))
+    assert err.value.line_no == 1
 
 
 def test_ingest_bad_vuln_lines_type_is_schema_error(tmp_path):
@@ -358,9 +370,45 @@ def test_ingest_csv_reports_the_first_structural_error_in_file_order(tmp_path):
 
 def test_strip_bug_markers():
     text = f"int f()\n{BUG_START} buf[i] = 0;\nok;\n{BUG_END} done;\n"
-    clean, marked = strip_bug_markers(text)
-    assert clean == "int f()\nbuf[i] = 0;\nok;\ndone;\n"
+    src, marked = strip_bug_markers(text)
+    assert src == SourceUnit(("int f()", "buf[i] = 0;", "ok;", "done;"), True)
     assert marked == [1, 3]
+    assert strip_bug_markers("a\r\nb") == (SourceUnit(("a", "b")), [])
+    # a CR that the strip leaves before a LF folds with it, as a CR-LF read from the row would
+    assert strip_bug_markers(f"a\r{BUG_START}\nb") == (SourceUnit(("a", "b")), [0])
+    # a last line the strip empties, with no LF after it, becomes the trailing LF
+    assert strip_bug_markers(f"a\n{BUG_END}") == (SourceUnit(("a",), True), [1])
+
+
+MARKER_TEXT = st.lists(
+    st.sampled_from(["a", " ", "\n", "\r\n", BUG_START, BUG_END]), max_size=12
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(MARKER_TEXT)
+def test_strip_bug_markers_matches_the_text_strip(text):
+    src, marked = strip_bug_markers(text)
+    assert not any(BUG_START in line or BUG_END in line for line in src.lines)
+    lines = from_text(text).lines
+    assert marked == [i for i, line in enumerate(lines) if BUG_START in line or BUG_END in line]
+    assert from_text(to_text(src)) == src
+    assert to_text(src) == reference_strip_bug_markers(text)[0]
+
+
+@pytest.mark.parametrize("before, fix, reason", [
+    (BUG_START, {"source_after": "x"}, "record 'rec-0': vuln line 0 outside [0, 0)"),
+    (f"int f()\n{BUG_START}", {"source_after": "int f()\nx\n"},
+     "record 'rec-0': vuln line 1 outside [0, 1)"),
+    (f"int f()\n{BUG_START}", {"reference_patch": "0-1<MID>x"},
+     "record 'rec-0': vuln line 1 outside [0, 1)"),
+])
+def test_marker_on_an_emptied_last_line_quarantines(tmp_path, before, fix, reason):
+    # the emptied last line folds into the trailing LF, so its mark is past the source
+    row = {k: v for k, v in raw_row(0, source_before=before).items() if k != "source_after"}
+    result = ingest(write_jsonl(tmp_path / "r.jsonl", [{**row, **fix}]))
+    assert result.records == []
+    assert [q.reason for q in result.quarantined] == [reason]
 
 
 def test_ingest_marker_source_sets_vuln_lines(tmp_path):

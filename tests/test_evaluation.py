@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import threading
 
 import pytest
@@ -35,6 +36,7 @@ from linefix.evaluation import (
 from linefix.patchfmt import EditSpan, PatchSet, parse_patch, serialize_patch
 from linefix.prompting import VulnRecord
 from linefix.source import SourceUnit
+from tests.helpers import random_patchset
 
 REFERENCE = "1-3<MID>  return 6;"
 
@@ -100,6 +102,17 @@ def test_is_perfect_allows_one_trailing_lf():
 def test_is_perfect_strict():
     assert not is_perfect("a\nb\n", "a\nb", strict=True)
     assert is_perfect("a\nb", "a\nb", strict=True)
+
+
+def test_a_perfect_text_parses_to_the_reference():
+    # score_batch takes a perfect candidate as the reference patch without parsing it
+    rng = random.Random(0x1F)
+    for _ in range(300):
+        patch = random_patchset(rng)  # its text round-trips by construction
+        text = serialize_patch(patch)
+        for candidate in (text, text + "\n"):
+            assert is_perfect(candidate, text)
+            assert parse_patch(candidate) == patch
 
 
 def test_first_hit_index_and_sample_hit():
