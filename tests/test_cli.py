@@ -1118,7 +1118,7 @@ def test_click_flag_errors_exit_2(runner, corpus):
     assert result.exit_code == 2  # missing --out
 
 
-GOLDEN = Path(__file__).parent / "golden" / "evaluate"
+GOLDEN = Path(__file__).parent / "golden"
 # the README's --config example, overridden by a flag for every kind of setting
 GOLDEN_FLAGS = ["--k", "3", "--stop", "\n\n", "--cwe", "CWE-79", "--cwe", "CWE-787",
                 "--max-in-flight", "2"]
@@ -1132,6 +1132,18 @@ def masked(path: Path, tmp_path: Path, endpoint: str = "") -> str:
     return text.replace(endpoint, "<endpoint>") if endpoint else text
 
 
+def check_golden(name: str, text: str) -> None:
+    """Assert that ``text`` is the golden file ``name`` under tests/golden.
+
+    With LINEFIX_UPDATE_GOLDEN=1 in the environment the file is rewritten with
+    ``text`` instead, so every golden can be regenerated offline from the code.
+    """
+    if os.environ.get("LINEFIX_UPDATE_GOLDEN") == "1":
+        (GOLDEN / name).write_text(text, "utf-8")
+    else:
+        assert text == (GOLDEN / name).read_text("utf-8"), name
+
+
 def test_evaluate_golden_with_mock(runner, eval_setup, tmp_path):
     config = tmp_path / "eval.yaml"
     config.write_text(readme_eval_yaml())
@@ -1140,7 +1152,7 @@ def test_evaluate_golden_with_mock(runner, eval_setup, tmp_path):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     for name in ("report.json", "report.txt", "report.csv", "resolved_config.json"):
-        assert masked(report_dir / name, tmp_path) == (GOLDEN / "mock" / name).read_text(), name
+        check_golden(f"evaluate/mock/{name}", masked(report_dir / name, tmp_path))
 
 
 @pytest.mark.parametrize("wrapped", [True, False], ids=["wrapped", "flat"])
@@ -1178,8 +1190,57 @@ def test_evaluate_golden_with_backend_config(runner, eval_setup, tmp_path, wrapp
     assert result.exit_code == 0, result.output
     # report.json and report.txt hold the measured wall time of an HTTP run
     for name in ("report.csv", "resolved_config.json"):
-        got = masked(report_dir / name, tmp_path, endpoint)
-        assert got == (GOLDEN / "http" / name).read_text(), name
+        check_golden(f"evaluate/http/{name}", masked(report_dir / name, tmp_path, endpoint))
+
+
+# The hand-written raw corpus in tests/golden/corpus holds JSONL and CSV input,
+# source_after and reference_patch rows, bug markers (one on a last line of its
+# own), one quarantined row for each reason and a repeated id, an end-of-file
+# blank-line fix, a fix that deletes every line, and three planted rows: an exact
+# leak of a test record, a leak up to whitespace, and a train duplicate.
+CORPUS_STEPS = (
+    ["ingest", "--input", "{d}/raw_train.jsonl", "--out", "{d}/train.jsonl"],
+    ["ingest", "--format", "csv", "--input", "{d}/raw_test.csv", "--out", "{d}/test.jsonl"],
+    ["refine", "--train", "{d}/train.jsonl", "--test", "{d}/test.jsonl",
+     "--mode", "ws_normalized", "--out", "{d}/refined.jsonl"],
+    ["export-train", "--records", "{d}/refined.jsonl", "--out", "{d}/export.jsonl"],
+    # the export read back and exported again
+    ["ingest", "--input", "{d}/export.jsonl", "--out", "{d}/reingested.jsonl"],
+    ["export-train", "--records", "{d}/reingested.jsonl", "--out", "{d}/export_again.jsonl"],
+)
+CORPUS_PINNED = tuple(
+    f"{out}{suffix}" for out in ("train.jsonl", "test.jsonl", "refined.jsonl", "export.jsonl")
+    for suffix in ("", ".quarantine.json", ".manifest.json")
+) + tuple(f"audit-overlap.{mode}.json" for mode in ds.FINGERPRINT_MODES)
+
+
+@pytest.fixture(scope="module")
+def corpus_run(tmp_path_factory) -> Path:
+    """The directory where CORPUS_STEPS and audit-overlap in each mode ran on the golden corpus."""
+    d = tmp_path_factory.mktemp("corpus")
+    for name in ("raw_train.jsonl", "raw_test.csv"):
+        (d / name).write_bytes((GOLDEN / "corpus" / name).read_bytes())
+    runner = CliRunner()
+    for step in CORPUS_STEPS:
+        result = runner.invoke(main, [arg.format(d=d) for arg in step])
+        assert result.exit_code == 0, result.output
+    for mode in ds.FINGERPRINT_MODES:
+        argv = ["audit-overlap", "--train", str(d / "train.jsonl"), "--test",
+                str(d / "test.jsonl"), "--mode", mode]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        (d / f"audit-overlap.{mode}.json").write_text(result.stdout, "utf-8")
+    return d
+
+
+@pytest.mark.parametrize("name", CORPUS_PINNED)
+def test_corpus_golden(corpus_run, name):
+    check_golden(f"corpus/{name}", masked(corpus_run / name, corpus_run))
+
+
+def test_corpus_golden_export_is_a_fixed_point(corpus_run):
+    again = (corpus_run / "export_again.jsonl").read_bytes()
+    assert again == (corpus_run / "export.jsonl").read_bytes()
 
 
 def test_evaluate_zero_seed_flag_is_written(runner, eval_setup, tmp_path):
