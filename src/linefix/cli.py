@@ -8,12 +8,12 @@ Data goes to stdout, diagnostics to stderr, and every file-writing run drops
 a resolved-config manifest next to its outputs. Outputs carry no timestamps:
 identical inputs, flags, and seed produce byte-identical files.
 
-The corpus commands stream their records from reader to writer. Each
-records or export file is written next to ``--out`` and replaces it only on
-success, so a failed run leaves an existing ``--out`` as it was. ``evaluate``
-streams its records too, one window at a time (``evaluation.WINDOW`` records,
-more for a backend with many in-flight slots), and writes its reports only
-once every record is scored.
+The corpus commands stream their records from reader to writer, and
+``evaluate`` one window at a time (``evaluation.WINDOW`` records, more for a
+backend with many in-flight slots). Every file a command writes (records,
+quarantine file, manifest, reports) goes next to its target and is renamed over
+it only once the command has written them all, so a failed run leaves existing
+outputs as they were; ``_replacing`` names the one exception, a failed rename.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 
 import click
 
@@ -182,17 +182,22 @@ def resolve_settings(
     return cfg, spec, cwes, strict
 
 
-def _write_json(path: str, obj: dict) -> None:
-    """Write ``obj`` as indented JSON; a dataclass in it is written as its fields."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2, ensure_ascii=False, default=vars) + "\n")
+def _write(outputs: ExitStack, path: str, text: str) -> None:
+    """Write ``text`` to a file staged in ``outputs`` that replaces ``path`` when they close."""
+    with open(outputs.enter_context(_replacing(path)), "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
 
 
-def _write_beside(out_path: str, quarantine, command: str, inputs: dict, config: dict,
-                  **extra) -> None:
-    """Write the quarantine file and the manifest that go beside ``out_path``."""
-    _write_json(out_path + ".quarantine.json", {"quarantined": quarantine})
-    _write_json(out_path + ".manifest.json",
+def _write_json(outputs: ExitStack, path: str, obj: dict) -> None:
+    """Stage ``obj`` as indented JSON; a dataclass in it is written as its fields."""
+    _write(outputs, path, json.dumps(obj, indent=2, ensure_ascii=False, default=vars) + "\n")
+
+
+def _write_beside(outputs: ExitStack, out_path: str, quarantine, command: str, inputs: dict,
+                  config: dict, **extra) -> None:
+    """Stage the quarantine file and the manifest that go beside ``out_path``."""
+    _write_json(outputs, out_path + ".quarantine.json", {"quarantined": quarantine})
+    _write_json(outputs, out_path + ".manifest.json",
                 {"command": command, "inputs": inputs, "config": config, **extra})
 
 
@@ -222,6 +227,8 @@ def _replacing(out_path: str):
 
     On any error the temporary file is deleted and ``out_path`` keeps its
     bytes. It also lets ``out_path`` name a file the block is still reading.
+    A command stages every output in one ExitStack, its primary output first
+    and so renamed last; a rename that fails leaves those before it renamed.
     """
     tmp = f"{out_path}.{os.getpid()}.tmp"
     try:
@@ -248,11 +255,12 @@ def main() -> None:
 def ingest(input_path: str, fmt: str, out_path: str) -> None:
     """Read raw or training records, normalize them, and write them back out."""
     quarantined: list[ds.QuarantineEntry] = []
-    with _exit_codes():
-        with _replacing(out_path) as tmp:
-            counts = ds.write_records_jsonl(ds.stream(input_path, fmt, quarantined), tmp)
-        _write_beside(out_path, quarantined, "ingest", {"input": input_path, "format": fmt}, {},
-                      counts=counts, records=sum(counts.values()), quarantined=len(quarantined))
+    with _exit_codes(), ExitStack() as outputs:
+        tmp = outputs.enter_context(_replacing(out_path))
+        counts = ds.write_records_jsonl(ds.stream(input_path, fmt, quarantined), tmp)
+        _write_beside(outputs, out_path, quarantined, "ingest",
+                      {"input": input_path, "format": fmt}, {}, counts=counts,
+                      records=sum(counts.values()), quarantined=len(quarantined))
     click.echo(f"ingested {sum(counts.values())} records"
                f" ({len(quarantined)} quarantined) -> {out_path}", err=True)
 
@@ -287,14 +295,14 @@ def audit_overlap(train_path: str, test_path: str, mode: str, fail_on_leak: bool
 def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
     """Drop train records that leak into test, then dedupe train."""
     quarantined: dict[str, list[ds.QuarantineEntry]] = {"train": [], "test": []}
-    with _exit_codes():
+    with _exit_codes(), ExitStack() as outputs:
         leak = ds.LeakFilter(ds.stream(test_path, "jsonl", quarantined["test"]), mode)
-        with _replacing(out_path) as tmp:
-            train = ds.stream(train_path, "jsonl", quarantined["train"])
-            ds.write_records_jsonl(filter(leak.keep, train), tmp)
-            manifest = leak.manifest()
-        _write_beside(out_path, quarantined, "refine", {"train": train_path, "test": test_path},
-                      {"mode": mode}, result=manifest,
+        tmp = outputs.enter_context(_replacing(out_path))
+        train = ds.stream(train_path, "jsonl", quarantined["train"])
+        ds.write_records_jsonl(filter(leak.keep, train), tmp)
+        manifest = leak.manifest()
+        _write_beside(outputs, out_path, quarantined, "refine",
+                      {"train": train_path, "test": test_path}, {"mode": mode}, result=manifest,
                       quarantined={k: len(v) for k, v in quarantined.items()})
     _echo_quarantined(quarantined)
     click.echo(f"kept {manifest.counts['train']}/{leak.read} train records -> {out_path}",
@@ -307,12 +315,12 @@ def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
 def export_train(records_path: str, out_path: str) -> None:
     """Write prompt/completion pairs for training."""
     quarantined: list[ds.QuarantineEntry] = []
-    with _exit_codes():
-        with _replacing(out_path) as tmp:
-            written = ds.export_jsonl(ds.stream(records_path, "jsonl", quarantined), tmp)
+    with _exit_codes(), ExitStack() as outputs:
+        tmp = outputs.enter_context(_replacing(out_path))
+        written = ds.export_jsonl(ds.stream(records_path, "jsonl", quarantined), tmp)
         # every record read is exported; only the input's ingest quarantines
-        _write_beside(out_path, quarantined, "export-train", {"records": records_path}, {},
-                      written=written, quarantined=len(quarantined))
+        _write_beside(outputs, out_path, quarantined, "export-train", {"records": records_path},
+                      {}, written=written, quarantined=len(quarantined))
     click.echo(f"wrote {written} examples -> {out_path}", err=True)
 
 
@@ -361,7 +369,7 @@ def evaluate_cmd(
 ) -> None:
     """Generate candidates for every record and score exact matches."""
     quarantined: list[ds.QuarantineEntry] = []
-    with _exit_codes():
+    with _exit_codes(), ExitStack() as outputs:
         if (backend_config_path is None) == (mock_script_path is None):
             raise ValueError("exactly one of --backend-config or --mock-script is required")
         cfg, spec, cwes, strict = resolve_settings(
@@ -373,10 +381,7 @@ def evaluate_cmd(
             script = _read(mock_script_path, "mock script is not valid UTF-8 JSON",
                            lambda fh: json.load(fh, object_pairs_hook=_unique), ValueError)
         try:
-            if mock_script_path is not None:
-                backend = MockBackend(script, spec)
-            else:
-                backend = HttpBackend(spec)
+            backend = HttpBackend(spec) if mock_script_path is None else MockBackend(script, spec)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad backend config: {exc}") from None
 
@@ -394,9 +399,8 @@ def evaluate_cmd(
 
         os.makedirs(report_dir, exist_ok=True)
         for fmt, name in (("json", "report.json"), ("text", "report.txt"), ("csv", "report.csv")):
-            with open(os.path.join(report_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render_report(report, fmt))
-        _write_json(os.path.join(report_dir, "resolved_config.json"), {
+            _write(outputs, os.path.join(report_dir, name), render_report(report, fmt))
+        _write_json(outputs, os.path.join(report_dir, "resolved_config.json"), {
             "command": "evaluate",
             "inputs": {
                 "records": records_path,

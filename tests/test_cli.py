@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from linefix import cli
 from linefix import dataset as ds
 from linefix.cli import main
 from linefix.engine import apply_patch
@@ -308,6 +309,25 @@ def test_schema_error_on_the_last_row_keeps_out(runner, tmp_path, command):
     assert sorted(os.listdir(tmp_path)) == before  # no temporary file left behind
 
 
+@pytest.mark.parametrize("command", ["ingest", "refine", "export-train"])
+def test_a_manifest_that_cannot_be_written_keeps_every_output(runner, tmp_path, command):
+    write_jsonl(tmp_path / "raw.jsonl", [raw_row(i) for i in range(3)])
+    write_jsonl(tmp_path / "test.jsonl", [raw_row(9, "test")])
+    (tmp_path / "train.jsonl").write_bytes((tmp_path / "raw.jsonl").read_bytes())
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"earlier output\n")
+    quarantine = tmp_path / "out.jsonl.quarantine.json"
+    quarantine.write_bytes(b"earlier quarantine\n")
+    (tmp_path / "out.jsonl.manifest.json").mkdir()  # no file can take its place
+    before = sorted(os.listdir(tmp_path))
+    result = runner.invoke(main, corpus_argv(command, tmp_path, out))
+    assert result.exit_code == 1, result.output
+    assert "out.jsonl.manifest.json" in result.stderr
+    assert out.read_bytes() == b"earlier output\n"
+    assert quarantine.read_bytes() == b"earlier quarantine\n"
+    assert sorted(os.listdir(tmp_path)) == before  # no temporary file left behind
+
+
 def test_refine_out_may_be_the_train_file(runner, corpus, tmp_path):
     separate = tmp_path / "refined.jsonl"
     argv = ["refine", "--train", corpus["train"], "--test", corpus["test"], "--out"]
@@ -576,6 +596,30 @@ def test_evaluate_schema_error_after_the_first_window_writes_no_report(
     assert result.exit_code == 2
     assert ":5: missing required field 'split'" in result.stderr
     assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_failure_while_writing_reports_keeps_every_report(
+    runner, eval_setup, tmp_path, monkeypatch
+):
+    names = ("report.json", "report.txt", "report.csv", "resolved_config.json")
+    report_dir = tmp_path / "r"
+    report_dir.mkdir()
+    for name in names:
+        (report_dir / name).write_text(f"earlier {name}\n")
+    render_report = cli.render_report
+
+    def render_all_but_csv(report, fmt):
+        if fmt == "csv":
+            raise OSError("no space left for report.csv")
+        return render_report(report, fmt)
+
+    monkeypatch.setattr(cli, "render_report", render_all_but_csv)
+    result = runner.invoke(main, evaluate_args(eval_setup, report_dir))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: no space left for report.csv\n"
+    for name in names:
+        assert (report_dir / name).read_text() == f"earlier {name}\n"
+    assert sorted(os.listdir(report_dir)) == sorted(names)  # no temporary file left behind
 
 
 def test_evaluate_config_file_and_flag_precedence(runner, eval_setup, tmp_path):
