@@ -22,12 +22,14 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager, suppress
+from typing import NoReturn
 
 import click
 
 from linefix import dataset as ds
-from linefix.client import STRATEGIES, BackendSpec, DecodeConfig, HttpBackend, MockBackend
+from linefix.client import (STRATEGIES, BackendSpec, DecodeConfig, HttpBackend, MockBackend,
+                            check_mapping)
 from linefix.engine import apply_patch, derive_patch
 from linefix.errors import EmptyEvaluation, LinefixError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
@@ -42,7 +44,7 @@ EXIT_BACKEND = 4
 EXIT_USAGE = 64
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -113,14 +115,9 @@ _KEYS: dict[str | None, tuple[str, ...]] = {
 def _section(where: str, value: object, known: tuple[str, ...]) -> dict:
     """``value`` read as a config section: null holds nothing, and anything but a
     mapping of ``known`` keys raises ValueError naming ``where``."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}: expected a mapping, got {value!r}")
-    for key in value:
-        if key not in known:
-            raise ValueError(f"{where}: unknown key {key!r}; expected one of {', '.join(known)}")
-    return value
+    if value is not None:
+        check_mapping(where, value, known)
+    return value or {}
 
 
 def _pick(sections: dict, flags: dict) -> dict:
@@ -235,11 +232,14 @@ def _replacing(out_path: str):
         yield tmp
         os.replace(tmp, out_path)
     except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        _quietly(os.remove, tmp)
         raise
+
+
+def _quietly(remove, path: str) -> None:
+    """``remove(path)``, ignoring an OSError, so a cleanup never hides the error it follows."""
+    with suppress(OSError):
+        remove(path)
 
 
 @click.group()
@@ -249,17 +249,15 @@ def main() -> None:
 
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="jsonl",
-              show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def ingest(input_path: str, fmt: str, out_path: str) -> None:
+def ingest(input_path: str, out_path: str) -> None:
     """Read raw or training records, normalize them, and write them back out."""
     quarantined: list[ds.QuarantineEntry] = []
     with _exit_codes(), ExitStack() as outputs:
         tmp = outputs.enter_context(_replacing(out_path))
-        counts = ds.write_records_jsonl(ds.stream(input_path, fmt, quarantined), tmp)
+        counts = ds.write_records_jsonl(ds.stream(input_path, quarantined), tmp)
         _write_beside(outputs, out_path, quarantined, "ingest",
-                      {"input": input_path, "format": fmt}, {}, counts=counts,
+                      {"input": input_path}, {}, counts=counts,
                       records=sum(counts.values()), quarantined=len(quarantined))
     click.echo(f"ingested {sum(counts.values())} records"
                f" ({len(quarantined)} quarantined) -> {out_path}", err=True)
@@ -276,8 +274,8 @@ def audit_overlap(train_path: str, test_path: str, mode: str, fail_on_leak: bool
     quarantined: dict[str, list[ds.QuarantineEntry]] = {"train": [], "test": []}
     with _exit_codes():
         manifest = ds.detect_overlap(
-            ds.stream(train_path, "jsonl", quarantined["train"]),
-            ds.stream(test_path, "jsonl", quarantined["test"]),
+            ds.stream(train_path, quarantined["train"]),
+            ds.stream(test_path, quarantined["test"]),
             mode,
         )
     _echo_quarantined(quarantined)
@@ -296,9 +294,9 @@ def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
     """Drop train records that leak into test, then dedupe train."""
     quarantined: dict[str, list[ds.QuarantineEntry]] = {"train": [], "test": []}
     with _exit_codes(), ExitStack() as outputs:
-        leak = ds.LeakFilter(ds.stream(test_path, "jsonl", quarantined["test"]), mode)
+        leak = ds.LeakFilter(ds.stream(test_path, quarantined["test"]), mode)
         tmp = outputs.enter_context(_replacing(out_path))
-        train = ds.stream(train_path, "jsonl", quarantined["train"])
+        train = ds.stream(train_path, quarantined["train"])
         ds.write_records_jsonl(filter(leak.keep, train), tmp)
         manifest = leak.manifest()
         _write_beside(outputs, out_path, quarantined, "refine",
@@ -317,7 +315,7 @@ def export_train(records_path: str, out_path: str) -> None:
     quarantined: list[ds.QuarantineEntry] = []
     with _exit_codes(), ExitStack() as outputs:
         tmp = outputs.enter_context(_replacing(out_path))
-        written = ds.export_jsonl(ds.stream(records_path, "jsonl", quarantined), tmp)
+        written = ds.export_jsonl(ds.stream(records_path, quarantined), tmp)
         # every record read is exported; only the input's ingest quarantines
         _write_beside(outputs, out_path, quarantined, "export-train", {"records": records_path},
                       {}, written=written, quarantined=len(quarantined))
@@ -334,7 +332,6 @@ def apply_cmd(source_path: str, patch_path: str) -> None:
         result = apply_patch(src, parse_patch(_read(patch_path)))
     except (OSError, LinefixError) as exc:
         _fail(EXIT_IO, str(exc))
-        return
     sys.stdout.write(to_text(result))
 
 
@@ -348,7 +345,6 @@ def derive_cmd(before_path: str, after_path: str) -> None:
         text = serialize_patch(derive_patch(before, after)[0])
     except (OSError, LinefixError) as exc:
         _fail(EXIT_IO, str(exc))
-        return
     sys.stdout.write(text + "\n")
 
 
@@ -387,7 +383,7 @@ def evaluate_cmd(
 
         empty: EmptyEvaluation | None = None
         try:
-            with closing(ds.stream(records_path, "jsonl", quarantined)) as rows:
+            with closing(ds.stream(records_path, quarantined)) as rows:
                 report = evaluate((r.vuln for r in rows), backend, cfg,
                                   cwe_order=tuple(cwes), strict=strict)
         except EmptyEvaluation as exc:
@@ -397,7 +393,9 @@ def evaluate_cmd(
         if empty is not None:
             raise ValueError(str(empty))  # after the quarantine count
 
-        os.makedirs(report_dir, exist_ok=True)
+        if not os.path.isdir(report_dir):  # a failed run removes it after the staged reports
+            os.makedirs(report_dir)
+            outputs.push(lambda failed, *_: failed and _quietly(os.rmdir, report_dir))
         for fmt, name in (("json", "report.json"), ("text", "report.txt"), ("csv", "report.csv")):
             _write(outputs, os.path.join(report_dir, name), render_report(report, fmt))
         _write_json(outputs, os.path.join(report_dir, "resolved_config.json"), {

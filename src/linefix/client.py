@@ -51,6 +51,14 @@ def _check_type(name: str, value: object, types: tuple[type, ...], expected: str
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
+def check_mapping(name: str, value: object, known: tuple[str, ...]) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a mapping of ``known`` keys."""
+    _check_type(name, value, (Mapping,), "a mapping")
+    for key in value:
+        if key not in known:
+            raise ValueError(f"{name}: unknown key {key!r}; expected one of {', '.join(known)}")
+
+
 def _integral(value: object) -> object:
     """An integral float as the int it holds; any other value unchanged."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
@@ -196,14 +204,14 @@ class MockBackend:
         }
 
     Candidates are truncated or padded with empty strings to exactly k. The
-    script's shape is checked once, here: a bad one raises ValueError.
+    script's shape and keys are checked once, here: a fault raises ValueError.
     """
 
     synthetic = True
 
     def __init__(self, script: Mapping, spec: BackendSpec | None = None):
         self.spec = spec if spec is not None else BackendSpec(endpoint="mock:")
-        _check_type("script", script, (Mapping,), "a mapping")
+        check_mapping("script", script, ("strategies", "default_latency_s", "samples"))
         strategies = script.get("strategies", list(STRATEGIES))
         if not isinstance(strategies, list) or not all(s in STRATEGIES for s in strategies):
             raise ValueError(f"strategies: expected a list drawn from {list(STRATEGIES)},"
@@ -218,7 +226,7 @@ class MockBackend:
         self._fail_budget: dict[str, int] = {}
         for sid, entry in samples.items():
             at = f"samples[{sid!r}]"
-            _check_type(at, entry, (Mapping,), "a mapping")
+            check_mapping(at, entry, ("candidates", "tokens", "latency_s", "fail_times"))
             candidates = entry.get("candidates", [])
             _check_list(f"{at}.candidates", candidates, str, "a list of strings")
             tokens = entry.get("tokens")

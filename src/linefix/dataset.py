@@ -1,6 +1,7 @@
 """Dataset ingestion, fingerprinting, leakage refinement, and export.
 
-Two on-disk schemas are understood and auto-detected per file:
+Two on-disk schemas are understood and told apart per row. A file named
+``*.csv`` (any case) is read as CSV, any other (``/dev/stdin`` too) as JSONL:
 
 raw schema (JSONL or CSV)
     ``id, cve_id?, cwe_id, cwe_description, vuln_lines?, source_before,
@@ -18,9 +19,9 @@ raw schema (JSONL or CSV)
     has neither ``vuln_lines`` nor markers. A row with both is a SchemaError.
     A stored patch that does not parse or validate quarantines the record and
     is never re-derived; so does a fix that is empty or has no lossless text
-    form. In CSV an empty ``reference_patch`` cell means the field is absent,
-    and so does an empty ``source_after`` cell next to a filled
-    ``reference_patch`` one, so a file can mix both kinds of row.
+    form. In CSV an empty ``vuln_lines``, ``cve_id`` or ``reference_patch`` cell
+    is an absent field, and so is an empty ``source_after`` cell next to a
+    filled ``reference_patch`` one, so a file can mix both kinds of row.
 
 training schema (JSONL)
     ``id, prompt, completion, cwe_id, split`` as written by export_jsonl;
@@ -31,8 +32,8 @@ training schema (JSONL)
 so a caller that writes as it reads holds one record at a time. Every command
 reads through it. ``ingest``, which collects the stream into a list, and the
 list ``refine`` stay because ``perfbench/layers.py`` traces them by name.
-Structural problems (missing fields, undecodable rows, bytes that are not
-UTF-8) raise SchemaError for the first one in file order. Records from both
+Structural problems (missing fields, undecodable rows, bytes or escapes that
+are not UTF-8) raise SchemaError for the first one in file order. Records from both
 schemas keep the one rule set of ``VulnRecord.validate``; the reader adds only
 the raw pair's trailing-newline rule and one rule across rows, that ids are
 unique within a file. Records that decode but violate an invariant are
@@ -81,6 +82,7 @@ FINGERPRINT_MODES = ("exact", "ws_normalized")
 
 _RAW_REQUIRED = ("id", "cwe_id", "cwe_description", "source_before", "split")
 _TRAINING_REQUIRED = ("id", "cwe_id", "prompt", "completion", "split")
+_CSV_OPTIONAL = ("vuln_lines", "cve_id", "reference_patch")
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -135,10 +137,15 @@ def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise SchemaError("row is not an object", path=path, line_no=line_no)
+                # a lone surrogate from an escape cannot be written; an ASCII field holds none
+                if any(isinstance(v, str) and not v.isascii() for v in obj.values()):
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"undecodable JSON: {exc}", path=path, line_no=line_no)
-            if not isinstance(obj, dict):
-                raise SchemaError("row is not an object", path=path, line_no=line_no)
+            except UnicodeEncodeError as exc:
+                raise SchemaError(f"not valid UTF-8: {exc}", path=path, line_no=line_no)
             yield line_no, obj
 
 
@@ -148,28 +155,19 @@ def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
         for obj in reader:
             if None in obj:
                 raise SchemaError("row has more cells than header", path=path, line_no=reader.line_num)
-            row = dict(obj)
+            # an empty cell of an optional field is absent; source_after is optional next to
+            # a filled reference_patch cell, so one file can mix both kinds of row
+            optional = _CSV_OPTIONAL + ("source_after",) * bool(obj.get("reference_patch"))
+            row = {k: v for k, v in obj.items() if v or k not in optional}
             if "vuln_lines" in row:
-                cell = row["vuln_lines"]
-                if cell is None or cell == "":
-                    row.pop("vuln_lines")
-                else:
-                    try:
-                        row["vuln_lines"] = json.loads(cell)
-                    except json.JSONDecodeError:
-                        raise SchemaError(
-                            f"vuln_lines cell is not a JSON list: {cell!r}",
-                            path=path,
-                            line_no=reader.line_num,
-                        )
-            if row.get("cve_id") == "":
-                row["cve_id"] = None
-            # an empty source_after cell next to a filled reference_patch one is
-            # absent too, so one file can mix both kinds of row
-            if row.get("reference_patch") == "":
-                row.pop("reference_patch")
-            elif row.get("source_after") == "" and row.get("reference_patch") is not None:
-                row.pop("source_after")
+                try:
+                    row["vuln_lines"] = json.loads(row["vuln_lines"])
+                except json.JSONDecodeError:
+                    raise SchemaError(
+                        f"vuln_lines cell is not a JSON list: {row['vuln_lines']!r}",
+                        path=path,
+                        line_no=reader.line_num,
+                    )
             yield reader.line_num, row
 
 
@@ -274,19 +272,15 @@ def _record_from_training(row: dict, path: str, line_no: int) -> DatasetRecord:
     return DatasetRecord(split, vuln)
 
 
-def stream(path: str, fmt: str, quarantined: list[QuarantineEntry]) -> Iterator[DatasetRecord]:
+def stream(path: str, quarantined: list[QuarantineEntry]) -> Iterator[DatasetRecord]:
     """Yield the records of a records file in file order, building each as its row is read.
 
+    A path ending in ``.csv`` (any case) is read as CSV, any other as JSONL.
     Rows that violate an invariant are appended to ``quarantined`` instead;
     so is a row whose id an earlier record of the file already has. A
     structural problem raises SchemaError when its row is reached.
     """
-    if fmt == "jsonl":
-        rows = _read_jsonl(path)
-    elif fmt == "csv":
-        rows = _read_csv(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    rows = _read_csv(path) if path.lower().endswith(".csv") else _read_jsonl(path)
     first_line: dict[str, int] = {}  # id -> line of the record that has it
     with closing(rows):  # a SchemaError closes the file now, not when rows is collected
         for line_no, row in rows:
@@ -313,55 +307,54 @@ def stream(path: str, fmt: str, quarantined: list[QuarantineEntry]) -> Iterator[
             yield record
 
 
-def ingest(path: str, fmt: str = "jsonl") -> IngestResult:
+def ingest(path: str) -> IngestResult:
     """Read a whole records file; invariant violations land in the quarantine list."""
     quarantined: list[QuarantineEntry] = []
-    return IngestResult(list(stream(path, fmt, quarantined)), quarantined)
+    return IngestResult(list(stream(path, quarantined)), quarantined)
 
 
 # --- writing ----------------------------------------------------------------
 
 
+def _write_jsonl(rows: Iterable[dict], path: str) -> Counter[str]:
+    """Write each row as one JSON line (UTF-8, LF line ends); returns the rows per split."""
+    counts: Counter[str] = Counter()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            counts[row["split"]] += 1
+    return counts
+
+
 def write_records_jsonl(records: Iterable[DatasetRecord], path: str) -> dict[str, int]:
-    """Write records back out in the raw schema (UTF-8, LF line ends).
+    """Write records back out in the raw schema.
 
     Each fix is written once, as ``reference_patch``. Returns the rows
     written per split, in ``SPLITS`` order.
     """
-    counts: Counter[str] = Counter()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            obj = {
-                "id": r.vuln.id,
-                "cve_id": r.vuln.cve_id,
-                "cwe_id": r.vuln.cwe_id,
-                "cwe_description": r.vuln.cwe_description,
-                "vuln_lines": list(r.vuln.vuln_lines),
-                "source_before": to_text(r.vuln.source),
-                "reference_patch": serialize_patch(r.vuln.reference_patch),
-                "split": r.split,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-            counts[r.split] += 1
+    counts = _write_jsonl(({
+        "id": r.vuln.id,
+        "cve_id": r.vuln.cve_id,
+        "cwe_id": r.vuln.cwe_id,
+        "cwe_description": r.vuln.cwe_description,
+        "vuln_lines": list(r.vuln.vuln_lines),
+        "source_before": to_text(r.vuln.source),
+        "reference_patch": serialize_patch(r.vuln.reference_patch),
+        "split": r.split,
+    } for r in records), path)
     return {s: counts[s] for s in SPLITS if s in counts}
 
 
 def export_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
     """Write the training schema, one row per record; returns the rows written."""
-    written = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            example = render_training_example(r.vuln)
-            obj = {
-                "id": r.vuln.id,
-                "prompt": example.prompt,
-                "completion": example.completion,
-                "cwe_id": r.vuln.cwe_id,
-                "split": r.split,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-            written += 1
-    return written
+    examples = ((r, render_training_example(r.vuln)) for r in records)
+    return _write_jsonl(({
+        "id": r.vuln.id,
+        "prompt": example.prompt,
+        "completion": example.completion,
+        "cwe_id": r.vuln.cwe_id,
+        "split": r.split,
+    } for r, example in examples), path).total()
 
 
 # --- fingerprinting and refinement -------------------------------------------

@@ -112,22 +112,30 @@ def test_ingest_missing_file_exits_1(runner, tmp_path):
     "command", ["ingest", "ingest-csv", "refine", "export-train", "audit-overlap", "evaluate"]
 )
 def test_records_file_not_utf8_exits_2_naming_it(runner, eval_setup, tmp_path, command):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_bytes(json.dumps(raw_row(0)).encode() + b"\n\xff\n")
+    # bytes that are not UTF-8; in JSONL also an escape that decodes to a lone
+    # surrogate, which no UTF-8 output could hold
+    lone = json.dumps(raw_row(0, source_before="int f(void);\ud800\n")) + "\n"
+    inputs = [(json.dumps(raw_row(0)).encode() + b"\n\xff\n", "")]
+    if command != "ingest-csv":
+        inputs.append(((lone + json.dumps(raw_row(1)) + "\n").encode(), "1:"))
     good = write_jsonl(tmp_path / "good.jsonl", [raw_row(9, "test")])
     out = str(tmp_path / "out.jsonl")
-    argv = {
-        "ingest": ["ingest", "--input", str(bad), "--out", out],
-        "ingest-csv": ["ingest", "--format", "csv", "--input", str(bad), "--out", out],
-        "refine": ["refine", "--train", str(bad), "--test", good, "--out", out],
-        "export-train": ["export-train", "--records", str(bad), "--out", out],
-        "audit-overlap": ["audit-overlap", "--train", str(bad), "--test", good],
-        "evaluate": evaluate_args(dict(eval_setup, records=str(bad)), tmp_path / "r"),
-    }[command]
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 2
-    assert f"error: {bad}: not valid UTF-8: " in result.stderr
-    assert isinstance(result.exception, SystemExit)  # no traceback
+    bad = tmp_path / ("bad.csv" if command == "ingest-csv" else "bad.jsonl")
+    for content, line in inputs:
+        bad.write_bytes(content)
+        argv = {
+            "ingest": ["ingest", "--input", str(bad), "--out", out],
+            "ingest-csv": ["ingest", "--input", str(bad), "--out", out],
+            "refine": ["refine", "--train", str(bad), "--test", good, "--out", out],
+            "export-train": ["export-train", "--records", str(bad), "--out", out],
+            "audit-overlap": ["audit-overlap", "--train", str(bad), "--test", good],
+            "evaluate": evaluate_args(dict(eval_setup, records=str(bad)), tmp_path / "r"),
+        }[command]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert f"error: {bad}:{line} not valid UTF-8: " in result.stderr
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert not os.path.exists(out) and not (tmp_path / "r").exists()
 
 
 # --- audit-overlap / refine ---------------------------------------------------------
@@ -620,6 +628,12 @@ def test_evaluate_failure_while_writing_reports_keeps_every_report(
     for name in names:
         assert (report_dir / name).read_text() == f"earlier {name}\n"
     assert sorted(os.listdir(report_dir)) == sorted(names)  # no temporary file left behind
+    # a report directory the run made is removed again, and only that one
+    new_dir = tmp_path / "new" / "r"
+    result = runner.invoke(main, evaluate_args(eval_setup, new_dir))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: no space left for report.csv\n"
+    assert os.listdir(tmp_path / "new") == []
 
 
 def test_evaluate_config_file_and_flag_precedence(runner, eval_setup, tmp_path):
@@ -877,12 +891,18 @@ def scripted(entry: dict) -> dict:
          "strategies: expected a list drawn from ['beam', 'sample'], got 'beam'"),
         ({**scripted({"candidates": [completion(0)]}), "strategies": ["greedy"]},
          "strategies: expected a list drawn from ['beam', 'sample'], got ['greedy']"),
+        (scripted({"candidate": [completion(0)]}),
+         "samples['rec-0']: unknown key 'candidate';"
+         " expected one of candidates, tokens, latency_s, fail_times"),
+        ({"sample": {"rec-0": {"candidates": [completion(0)]}}},
+         "script: unknown key 'sample'; expected one of strategies, default_latency_s, samples"),
     ],
     ids=[
         "top-level list", "samples list", "entry list", "candidates string",
         "candidate int", "tokens float", "tokens bool", "tokens negative", "fail_times string",
         "fail_times negative", "latency_s negative", "default_latency_s string",
         "default_latency_s inf", "strategies string", "strategies unknown",
+        "entry unknown key", "top-level unknown key",
     ],
 )
 def test_evaluate_bad_mock_script_shape_exits_64(runner, eval_setup, tmp_path, script, message):
@@ -1244,7 +1264,7 @@ def test_evaluate_golden_with_backend_config(runner, eval_setup, tmp_path, wrapp
 # leak of a test record, a leak up to whitespace, and a train duplicate.
 CORPUS_STEPS = (
     ["ingest", "--input", "{d}/raw_train.jsonl", "--out", "{d}/train.jsonl"],
-    ["ingest", "--format", "csv", "--input", "{d}/raw_test.csv", "--out", "{d}/test.jsonl"],
+    ["ingest", "--input", "{d}/raw_test.csv", "--out", "{d}/test.jsonl"],
     ["refine", "--train", "{d}/train.jsonl", "--test", "{d}/test.jsonl",
      "--mode", "ws_normalized", "--out", "{d}/refined.jsonl"],
     ["export-train", "--records", "{d}/refined.jsonl", "--out", "{d}/export.jsonl"],
@@ -1285,6 +1305,28 @@ def test_corpus_golden(corpus_run, name):
 def test_corpus_golden_export_is_a_fixed_point(corpus_run):
     again = (corpus_run / "export_again.jsonl").read_bytes()
     assert again == (corpus_run / "export.jsonl").read_bytes()
+
+
+def test_commands_read_a_csv_file_by_its_extension(corpus_run, runner, tmp_path):
+    # the raw CSV read straight gives what the file ingest made from it gives
+    exports = []
+    for records in ("raw_test.csv", "test.jsonl"):
+        out = tmp_path / f"{records}.export.jsonl"
+        result = runner.invoke(main, ["export-train", "--records", str(corpus_run / records),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        exports.append(out.read_bytes())
+    assert exports[0] == exports[1]
+    for mode in ds.FINGERPRINT_MODES:
+        audits = []
+        for test in ("raw_test.csv", "test.jsonl"):
+            argv = ["audit-overlap", "--train", str(corpus_run / "train.jsonl"),
+                    "--test", str(corpus_run / test), "--mode", mode]
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, result.output
+            audits.append(json.loads(result.stdout))
+        assert audits[0] == audits[1]
+        assert audits[0]["overlap_count"] > 0
 
 
 def test_evaluate_zero_seed_flag_is_written(runner, eval_setup, tmp_path):

@@ -8,6 +8,7 @@ import threading
 import time
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.error import URLError
 from urllib.parse import urlsplit
 
 import pytest
@@ -291,6 +292,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, b"not json at all")
         elif path == "/no-choices":
             self._send(200, json.dumps({"result": "nope"}).encode())
+        elif path == "/no-text":
+            self._send(200, json.dumps({"choices": [{"tokens": 3}]}).encode())
         elif path == "/boom":
             self._send(503, b"overloaded", "text/plain")
         elif path == "/auth":
@@ -411,6 +414,8 @@ def test_http_malformed_response(http_server):
         generate("p", CFG, HttpBackend(_spec(http_server, "/bad-json")), sample_id="s")
     with pytest.raises(MalformedResponse):
         generate("p", CFG, HttpBackend(_spec(http_server, "/no-choices")), sample_id="s")
+    with pytest.raises(MalformedResponse, match="^choice without a text field$"):
+        generate("p", CFG, HttpBackend(_spec(http_server, "/no-text")), sample_id="s")
 
 
 def test_http_auth_header_from_env(http_server, monkeypatch):
@@ -448,6 +453,24 @@ def test_http_uses_env_proxy_read_at_construction(http_server, monkeypatch):
     out = generate("p", CFG, backend, sample_id="s")
     assert out.candidates == ["fix A", "fix B"]
     assert [p for p, _, _ in http_server.requests] == ["http://completions.example/ok"]
+
+
+@pytest.mark.parametrize(
+    "raised,error,message",
+    [(URLError(TimeoutError("timed out")), GenerationTimeout, "timed out"),
+     (OSError("connection reset by peer"), TransportError, "connection reset by peer")],
+    ids=["URLError timeout", "OSError"],
+)
+def test_http_opener_errors_are_classified(monkeypatch, raised, error, message):
+    # a timeout while connecting arrives wrapped in a URLError
+    backend = HttpBackend(BackendSpec(endpoint="http://127.0.0.1:9/gen"))
+
+    def fail(request, timeout):
+        raise raised
+
+    monkeypatch.setattr(backend._opener, "open", fail)
+    with pytest.raises(error, match=f"^{message}$"):
+        backend.complete("s", "p", CFG)
 
 
 def test_http_timeout(http_server):

@@ -141,10 +141,19 @@ def test_ingest_missing_field_is_schema_error(tmp_path):
 
 def test_ingest_undecodable_line_is_schema_error(tmp_path):
     path = tmp_path / "r.jsonl"
-    path.write_text(json.dumps(raw_row(0)) + "\n{broken\n")
-    with pytest.raises(SchemaError) as err:
-        ingest(str(path))
-    assert err.value.line_no == 2
+    for line, message in (("{broken", "undecodable JSON"), ("[1, 2]", "row is not an object")):
+        path.write_text(json.dumps(raw_row(0)) + "\n" + line + "\n")
+        with pytest.raises(SchemaError, match=message) as err:
+            ingest(str(path))
+        assert err.value.line_no == 2
+
+
+def test_ingest_reads_an_escaped_surrogate_pair(tmp_path):
+    # two surrogate escapes that pair up are one character; only a lone one is refused
+    path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, cwe_description="Smile \U0001F600.")])
+    assert "\\ud83d\\ude00" in Path(path).read_text()
+    (record,) = ingest(path).records
+    assert record.vuln.cwe_description == "Smile \U0001F600."
 
 
 def test_ingest_unknown_split_is_schema_error(tmp_path):
@@ -180,7 +189,7 @@ def test_ingest_bool_vuln_lines_is_schema_error(tmp_path, fmt):
             writer.writeheader()
             writer.writerow({**row, "vuln_lines": "[true]"})
     with pytest.raises(SchemaError, match="vuln_lines must be a list of integers"):
-        ingest(str(path), fmt=fmt)
+        ingest(str(path))
 
 
 def test_ingest_quarantines_invariant_violations(tmp_path):
@@ -267,7 +276,7 @@ def test_ingest_csv(tmp_path):
         row2 = raw_row(1, cve_id="CVE-2024-0001")
         row2["vuln_lines"] = ""
         writer.writerow(row2)
-    result = ingest(str(path), fmt="csv")
+    result = ingest(str(path))
     assert len(result.records) == 2
     assert result.records[0].vuln.cve_id is None
     assert result.records[0].vuln.vuln_lines == (2,)
@@ -285,12 +294,7 @@ def test_ingest_csv_bad_vuln_lines_cell(tmp_path):
         row["vuln_lines"] = "not json"
         writer.writerow(row)
     with pytest.raises(SchemaError):
-        ingest(str(path), fmt="csv")
-
-
-def test_ingest_unknown_format():
-    with pytest.raises(ValueError):
-        ingest("whatever.xml", fmt="xml")
+        ingest(str(path))
 
 
 def big_raw_rows(n: int, split: str = "train") -> list[dict]:
@@ -360,9 +364,14 @@ def test_ingest_csv_reports_the_first_structural_error_in_file_order(tmp_path):
         writer = csv.writer(fh)
         writer.writerows([fields, good[:-1], good, good + ["extra"]])
     with pytest.raises(SchemaError) as err:
-        ingest(str(path), fmt="csv")
+        ingest(str(path))
     assert err.value.line_no == 2
     assert "missing required field 'cwe_id'" in str(err.value)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([fields, good, good + ["extra"]])
+    with pytest.raises(SchemaError, match="row has more cells than header") as err:
+        ingest(str(path))
+    assert err.value.line_no == 3
 
 
 # --- bug markers -----------------------------------------------------------------
@@ -781,7 +790,7 @@ def test_csv_reference_patch_cell(tmp_path, monkeypatch):
     stored = patch_row(0)["reference_patch"]
     rows = [patch_row(0), patch_row(1, reference_patch="1-99<MID>x")]
     calls = count_derives(monkeypatch)
-    result = ingest(write_csv(tmp_path / "patch.csv", fields, rows), fmt="csv")
+    result = ingest(write_csv(tmp_path / "patch.csv", fields, rows))
     assert calls == []
     assert [r.vuln.id for r in result.records] == ["rec-0"]
     assert serialize_patch(result.records[0].vuln.reference_patch) == stored
@@ -792,17 +801,17 @@ def test_csv_reference_patch_cell(tmp_path, monkeypatch):
     # next to a source_after column, an empty reference_patch cell means the field is absent
     fields.insert(4, "source_after")
     path = write_csv(tmp_path / "both.csv", fields, [raw_row(2, reference_patch="")])
-    assert [r.vuln.id for r in ingest(path, fmt="csv").records] == ["rec-2"]
+    assert [r.vuln.id for r in ingest(path).records] == ["rec-2"]
     assert len(calls) == 1
     # and an empty source_after cell next to a filled reference_patch one, so rows can mix
     mixed = [raw_row(3, reference_patch=""), patch_row(4, source_after="")]
-    result = ingest(write_csv(tmp_path / "mixed.csv", fields, mixed), fmt="csv")
+    result = ingest(write_csv(tmp_path / "mixed.csv", fields, mixed))
     assert result.quarantined == []
     assert [texts(r)[1] for r in result.records] == [raw_row(i)["source_after"] for i in (3, 4)]
     assert len(calls) == 2
     path = write_csv(tmp_path / "bad.csv", fields, [raw_row(5, reference_patch=stored)])
     with pytest.raises(SchemaError, match="row has both"):
-        ingest(path, fmt="csv")
+        ingest(path)
 
 
 def test_export_then_reingest_is_fixed_point(tmp_path):

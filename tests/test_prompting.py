@@ -205,6 +205,7 @@ def test_parse_roundtrip_randomized():
         "[INST]CWE-20 d\n0 a\n1 b\n[/INST]",  # no vuln lines: the space is written
         "[INST]\u0661 CWE-20 d\n0 a\n1 b\n[/INST]",  # non-ASCII digit
         "[INST]1 CWE-\u0662\u0660 d\n0 a\n1 b\n[/INST]",
+        "[INST]1 CWE-20 d\n[/INST]",  # a header and no source block
     ],
 )
 def test_parse_rejects_malformed(text):
