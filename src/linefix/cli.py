@@ -393,9 +393,13 @@ def evaluate_cmd(
         if empty is not None:
             raise ValueError(str(empty))  # after the quarantine count
 
-        if not os.path.isdir(report_dir):  # a failed run removes it after the staged reports
-            os.makedirs(report_dir)
-            outputs.push(lambda failed, *_: failed and _quietly(os.rmdir, report_dir))
+        made, d = [], report_dir  # the directories this run makes, deepest first
+        while d and not os.path.isdir(d):
+            made.append(d)
+            d = os.path.dirname(d)
+        for path in reversed(made):  # a failed run removes them, deepest first, after the reports
+            outputs.push(lambda failed, *_, path=path: failed and _quietly(os.rmdir, path))
+        os.makedirs(report_dir, exist_ok=True)
         for fmt, name in (("json", "report.json"), ("text", "report.txt"), ("csv", "report.csv")):
             _write(outputs, os.path.join(report_dir, name), render_report(report, fmt))
         _write_json(outputs, os.path.join(report_dir, "resolved_config.json"), {

@@ -17,8 +17,9 @@ fails at once on any other 4xx and on errors no retry can cure (an unknown
 sample id, an unsupported decoding strategy). The HTTP and TLS modules load
 only when an ``HttpBackend`` is built, so importing this module stays cheap.
 
-``generate_batch`` runs up to ``BackendSpec.max_in_flight`` requests at once
-on a thread pool, one worker per slot, also when there is only one slot.
+``generate_batch`` returns a batch's outcomes in input order and keeps no clock.
+It runs up to ``BackendSpec.max_in_flight`` requests at once on a thread pool,
+one worker per slot, also when there is only one slot.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import os
 import threading
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -169,13 +170,6 @@ class CandidateSet:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-@dataclass
-class BatchResult:
-    outcomes: list[CandidateSet]
-    total_time_s: float
-    synthetic_time: bool
 
 
 def _transient(exc: GenerationError) -> bool:
@@ -414,16 +408,14 @@ def generate_batch(
     backend,
     *,
     pool: ThreadPoolExecutor,
-) -> BatchResult:
+) -> list[CandidateSet]:
     """Generate for (sample_id, prompt) pairs with bounded concurrency.
 
     Up to ``backend.spec.max_in_flight`` samples run at once on a thread
     pool, also with one slot: generating on the caller's thread instead made
     mock evaluations swing between two speeds from run to run on a shared
     2-vCPU host. Outcomes come back in input order; a failed sample becomes
-    an error-bearing CandidateSet rather than aborting the batch. Total time
-    is measured once around the whole batch, or summed from scripted
-    latencies for a synthetic backend so reports stay reproducible.
+    an error-bearing CandidateSet rather than aborting the batch.
 
     The batch runs on ``pool``, a ``batch_pool`` the caller keeps open across
     its batches and shuts down itself; a fresh pool per batch made the caller
@@ -449,18 +441,6 @@ def generate_batch(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    start = time.perf_counter()
     futures = [pool.submit(one, item) for item in prompts]
     wait(futures)
-    outcomes = [f.result() for f in futures]
-    elapsed = time.perf_counter() - start
-    synthetic = backend.synthetic
-    walls = (o.wall_time_s for o in outcomes)
-    return BatchResult(outcomes, batch_time(walls, elapsed, synthetic), synthetic)
-
-
-def batch_time(walls: Iterable[float], elapsed: float, synthetic: bool) -> float:
-    """The time a batch reports: the sum of its samples' wall times, in input
-    order, for a synthetic backend, so reports stay reproducible; otherwise
-    the ``elapsed`` time measured around it."""
-    return sum(walls) if synthetic else elapsed
+    return [f.result() for f in futures]

@@ -1,7 +1,8 @@
 """Dataset ingestion, fingerprinting, leakage refinement, and export.
 
 Two on-disk schemas are understood and told apart per row. A file named
-``*.csv`` (any case) is read as CSV, any other (``/dev/stdin`` too) as JSONL:
+``*.csv`` (any case) is read as CSV, any other (``/dev/stdin`` too) as JSONL;
+a leading UTF-8 byte-order mark is skipped in both:
 
 raw schema (JSONL or CSV)
     ``id, cve_id?, cwe_id, cwe_description, vuln_lines?, source_before,
@@ -33,7 +34,8 @@ so a caller that writes as it reads holds one record at a time. Every command
 reads through it. ``ingest``, which collects the stream into a list, and the
 list ``refine`` stay because ``perfbench/layers.py`` traces them by name.
 Structural problems (missing fields, undecodable rows, bytes or escapes that
-are not UTF-8) raise SchemaError for the first one in file order. Records from both
+are not UTF-8) raise SchemaError for the first one in file order. A CSV row
+is named by the line its first cell starts on. Records from both
 schemas keep the one rule set of ``VulnRecord.validate``; the reader adds only
 the raw pair's trailing-newline rule and one rule across rows, that ids are
 unique within a file. Records that decode but violate an invariant are
@@ -57,6 +59,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from linefix import engine
 from linefix.engine import derive_patch
@@ -131,7 +134,7 @@ def _decoded(fh: Iterable[str], path: str) -> Iterator[str]:
 
 
 def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(_decoded(fh, path), start=1):
             if not line.strip():
                 continue
@@ -150,11 +153,18 @@ def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
 
 
 def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(_decoded(fh, path))
-        for obj in reader:
+    """Each row with the line its first cell starts on; blank lines between rows are skipped."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(_decoded(fh, path))
+        header = next(reader, [])
+        end = reader.line_num
+        for cells in reader:
+            line_no, end = end + 1, reader.line_num
+            if not cells:
+                continue
+            obj = dict(zip_longest(header, cells))  # a missing cell is None
             if None in obj:
-                raise SchemaError("row has more cells than header", path=path, line_no=reader.line_num)
+                raise SchemaError("row has more cells than header", path=path, line_no=line_no)
             # an empty cell of an optional field is absent; source_after is optional next to
             # a filled reference_patch cell, so one file can mix both kinds of row
             optional = _CSV_OPTIONAL + ("source_after",) * bool(obj.get("reference_patch"))
@@ -166,9 +176,9 @@ def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
                     raise SchemaError(
                         f"vuln_lines cell is not a JSON list: {row['vuln_lines']!r}",
                         path=path,
-                        line_no=reader.line_num,
+                        line_no=line_no,
                     )
-            yield reader.line_num, row
+            yield line_no, row
 
 
 def _require(row: dict, fields: tuple[str, ...], path: str, line_no: int) -> str:

@@ -11,6 +11,10 @@ diagnostic only and never folded into the headline rate. A candidate text
 that repeats within its sample is parsed (unless perfect), and on a miss
 compared, once; a repeated malformed candidate still counts as a format error
 each time it appears.
+
+``evaluate`` alone times generation and adds up tokens. A synthetic backend's
+time is the sum of its samples' scripted latencies in input order, so reports
+are reproducible; any other backend's is measured around its batches.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
 
-from linefix.client import BatchResult, DecodeConfig, batch_pool, batch_time, generate_batch
+from linefix.client import CandidateSet, DecodeConfig, batch_pool, generate_batch
 from linefix.engine import splice, validate_patch
 from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
 from linefix.patchfmt import PatchSet, parse_patch, serialize_patch, trim_final_lf
@@ -160,24 +165,24 @@ def evaluate(
             if len(seen) != len(samples) + len(window):
                 raise ValueError("sample ids must be unique within an evaluation")
             prompts = [(r.id, build_prompt(r)) for r in window]
-            batch = generate_batch(prompts, cfg, backend, pool=pool)
-            part = score_batch(window, batch, cwe_order=cwe_order, strict=strict)
-            samples += part.samples
-            walls += (o.wall_time_s for o in batch.outcomes)
-            elapsed += batch.total_time_s
-            synthetic = batch.synthetic_time
-            total_tokens += part.efficiency.total_tokens
-            tokens_estimated |= part.tokens_estimated
-            del window, prompts, batch, part  # before the next window is read
+            start = time.perf_counter()
+            outcomes = generate_batch(prompts, cfg, backend, pool=pool)
+            elapsed += time.perf_counter() - start
+            walls += (o.wall_time_s for o in outcomes)
+            total_tokens += sum(sum(o.tokens_generated) for o in outcomes)
+            tokens_estimated |= any(o.ok and not o.backend_reported for o in outcomes)
+            samples += score_batch(window, outcomes, cwe_order=cwe_order, strict=strict).samples
+            del window, prompts, outcomes  # before the next window is read
     if not samples:
         raise EmptyEvaluation("no records to evaluate")
-    total_time = batch_time(walls, elapsed, synthetic)  # as if one batch of every record
+    synthetic = backend.synthetic
+    total_time = sum(walls) if synthetic else elapsed  # as if one batch of every record
     return _report(samples, total_tokens, tokens_estimated, total_time, synthetic, cwe_order)
 
 
 def score_batch(
     records: list[VulnRecord],
-    batch: BatchResult,
+    outcomes: list[CandidateSet],
     *,
     cwe_order: tuple[str, ...] = DEFAULT_CWE_ORDER,
     strict: bool = False,
@@ -189,16 +194,12 @@ def score_batch(
     every candidate that does not parse counts as a format error, repeats
     included. For a miss, each distinct candidate that parses is validated
     once and compared with the reference over the lines the two patches edit.
+    The report holds no time or tokens, which ``evaluate`` adds up: those
+    fields read 0 or false.
     """
-    tokens_estimated = False
-    total_tokens = 0
     sample_results: list[SampleResult] = []
 
-    for record, outcome in zip(records, batch.outcomes):
-        total_tokens += sum(outcome.tokens_generated)
-        if outcome.ok and not outcome.backend_reported:
-            tokens_estimated = True
-
+    for record, outcome in zip(records, outcomes):
         if not outcome.ok:
             sample_results.append(
                 SampleResult(record.id, record.cwe_id, False, None, 0, outcome.error, False)
@@ -231,8 +232,7 @@ def score_batch(
                          None, applied_equiv)
         )
 
-    return _report(sample_results, total_tokens, tokens_estimated, batch.total_time_s,
-                   batch.synthetic_time, cwe_order)
+    return _report(sample_results, 0, False, 0.0, False, cwe_order)
 
 
 def _report(

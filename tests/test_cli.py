@@ -628,12 +628,14 @@ def test_evaluate_failure_while_writing_reports_keeps_every_report(
     for name in names:
         assert (report_dir / name).read_text() == f"earlier {name}\n"
     assert sorted(os.listdir(report_dir)) == sorted(names)  # no temporary file left behind
-    # a report directory the run made is removed again, and only that one
-    new_dir = tmp_path / "new" / "r"
-    result = runner.invoke(main, evaluate_args(eval_setup, new_dir))
-    assert result.exit_code == 1, result.output
-    assert result.stderr == "error: no space left for report.csv\n"
-    assert os.listdir(tmp_path / "new") == []
+    # the directories the run made are removed again, parents too, and only those
+    (tmp_path / "empty").mkdir()
+    for new_dir in (tmp_path / "new" / "r", tmp_path / "empty" / "new" / "r"):
+        result = runner.invoke(main, evaluate_args(eval_setup, new_dir))
+        assert result.exit_code == 1, result.output
+        assert result.stderr == "error: no space left for report.csv\n"
+        assert not (tmp_path / "new").exists()
+    assert os.listdir(tmp_path / "empty") == []  # it was there before the run
 
 
 def test_evaluate_config_file_and_flag_precedence(runner, eval_setup, tmp_path):
@@ -1327,6 +1329,17 @@ def test_commands_read_a_csv_file_by_its_extension(corpus_run, runner, tmp_path)
             audits.append(json.loads(result.stdout))
         assert audits[0] == audits[1]
         assert audits[0]["overlap_count"] > 0
+
+
+def test_ingest_reads_a_byte_order_mark(corpus_run, runner, tmp_path):
+    # a leading UTF-8 BOM, as Excel and pandas' utf-8-sig write one, changes no output byte
+    for raw, out in (("raw_train.jsonl", "train.jsonl"), ("raw_test.csv", "test.jsonl")):
+        (tmp_path / raw).write_bytes(b"\xef\xbb\xbf" + (corpus_run / raw).read_bytes())
+        argv = ["ingest", "--input", str(tmp_path / raw), "--out", str(tmp_path / out)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        for name in (out, f"{out}.quarantine.json", f"{out}.manifest.json"):
+            assert masked(tmp_path / name, tmp_path) == masked(corpus_run / name, corpus_run)
 
 
 def test_evaluate_zero_seed_flag_is_written(runner, eval_setup, tmp_path):

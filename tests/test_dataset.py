@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -372,6 +373,36 @@ def test_ingest_csv_reports_the_first_structural_error_in_file_order(tmp_path):
     with pytest.raises(SchemaError, match="row has more cells than header") as err:
         ingest(str(path))
     assert err.value.line_no == 3
+
+
+def test_csv_rows_are_numbered_by_the_line_they_start_on(tmp_path):
+    # every row spans eleven lines, as its sources hold LFs; the last row follows a
+    # blank line, which must not shift its number either
+    path = tmp_path / "r.csv"
+    first = raw_row(0, vuln_lines="[2]")
+
+    def write(last) -> int:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows([first, first.values()])
+        buf.write("\n")
+        start = buf.getvalue().count("\n") + 1
+        writer.writerow(last)
+        path.write_text(buf.getvalue(), encoding="utf-8")
+        return start
+
+    assert write(raw_row(1, cwe="CWE 787", vuln_lines="[2]").values()) == 14
+    (entry,) = ingest(str(path)).quarantined
+    assert (entry.record_id, entry.line_no) == ("rec-1", 14)
+    for last, message in (
+        (raw_row(1, vuln_lines="not json").values(), "vuln_lines cell is not a JSON list"),
+        ([*raw_row(1, vuln_lines="[2]").values(), "extra"], "row has more cells than header"),
+        (raw_row(1, split="dev", vuln_lines="[2]").values(), "unknown split"),
+    ):
+        start = write(last)
+        with pytest.raises(SchemaError, match=message) as err:
+            ingest(str(path))
+        assert err.value.line_no == start
 
 
 # --- bug markers -----------------------------------------------------------------

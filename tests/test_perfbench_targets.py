@@ -4,8 +4,10 @@
 name it cannot find as 0 calls, so a rename would silently zero a traced
 layer. ``perfbench/runner.py`` times each workload's ``SAMPLE_CALLS`` entry
 by patching that module attribute, so a name the module stopped exposing
-would leave the sample latency with no samples. Both tables are read with
-``ast`` so perfbench is not imported.
+would leave the sample latency with no samples. The score observer reads
+counts off ``score_batch``'s result with ``getattr`` and a default of 0, so a
+result that lost one of those attributes would zero its traced count. The
+tables and the observer are read with ``ast`` so perfbench is not imported.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import inspect
 from pathlib import Path
 
 from linefix import client
+from linefix.evaluation import score_batch
+from tests.test_evaluation import REFERENCE, outcomes, record
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
@@ -67,3 +71,15 @@ def test_generate_batch_takes_backend_third():
     # perfbench's batch observer reads the backend as args[2]
     params = list(inspect.signature(client.generate_batch).parameters)
     assert params[2] == "backend"
+
+
+def test_score_batch_result_has_every_attribute_the_score_observer_reads():
+    tree = ast.parse(LAYERS.read_text(encoding="utf-8"))
+    (observer,) = [n for n in tree.body
+                   if isinstance(n, ast.FunctionDef) and n.name == "_observe_score"]
+    names = {call.args[1].value for call in ast.walk(observer)
+             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"}
+    assert names
+    result = score_batch([record("r0")], outcomes([[REFERENCE]]))
+    assert [n for n in sorted(names) if not hasattr(result, n)] == []
+    assert result.pp_hits == 1

@@ -112,6 +112,9 @@ def test_record_validated_at_construction():
     assert apply_patch(record.source, record.reference_patch).lines == ("int f()", "{ return 0;", "}")
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.vuln_lines = (7,)
+    listed = _record(vuln_lines=[0, 1])  # held as a tuple, so the record hashes
+    assert listed.vuln_lines == (0, 1)
+    assert hash(listed) == hash(_record(vuln_lines=(0, 1)))
 
 
 def test_record_requires_reference_patch():
