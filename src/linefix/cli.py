@@ -29,9 +29,9 @@ import click
 
 from linefix import dataset as ds
 from linefix.client import (STRATEGIES, BackendSpec, DecodeConfig, HttpBackend, MockBackend,
-                            check_mapping)
+                            check_list, check_mapping)
 from linefix.engine import apply_patch, derive_patch
-from linefix.errors import EmptyEvaluation, LinefixError, SchemaError
+from linefix.errors import LinefixError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
 from linefix.patchfmt import parse_patch, serialize_patch
 from linefix.prompting import CWE_ID
@@ -150,9 +150,7 @@ def resolve_settings(
     top = _section("--config", config, _KEYS[None])
     try:
         decode = _section("decode", top.get("decode"), _KEYS["decode"])
-        file_cwes = top.get("cwe_list", [])
-        if not isinstance(file_cwes, list) or not all(isinstance(c, str) for c in file_cwes):
-            raise ValueError(f"cwe_list: expected a list of strings, got {file_cwes!r}")
+        check_list("cwe_list", top.get("cwe_list", []), str, "a list of strings")
         if not isinstance(top.get("strict", False), bool):
             raise ValueError(f"strict: expected true or false, got {top['strict']!r}")
         picked = _pick({None: top, "decode": decode}, flags)
@@ -203,6 +201,12 @@ def _echo_quarantined(quarantined: dict[str, list[ds.QuarantineEntry]]) -> None:
     if any(quarantined.values()):
         counts = ", ".join(f"{len(q)} {name}" for name, q in quarantined.items())
         click.echo(f"records quarantined at ingest: {counts}", err=True)
+
+
+def _echo_quarantine_count(quarantined: list[ds.QuarantineEntry]) -> None:
+    """Say on stderr how many rows of a command's one input were quarantined, if any were."""
+    if quarantined:
+        click.echo(f"{len(quarantined)} records quarantined at ingest", err=True)
 
 
 @contextmanager
@@ -319,6 +323,7 @@ def export_train(records_path: str, out_path: str) -> None:
         # every record read is exported; only the input's ingest quarantines
         _write_beside(outputs, out_path, quarantined, "export-train", {"records": records_path},
                       {}, written=written, quarantined=len(quarantined))
+    _echo_quarantine_count(quarantined)
     click.echo(f"wrote {written} examples -> {out_path}", err=True)
 
 
@@ -381,17 +386,12 @@ def evaluate_cmd(
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad backend config: {exc}") from None
 
-        empty: EmptyEvaluation | None = None
         try:
             with closing(ds.stream(records_path, quarantined)) as rows:
                 report = evaluate((r.vuln for r in rows), backend, cfg,
                                   cwe_order=tuple(cwes), strict=strict)
-        except EmptyEvaluation as exc:
-            empty = exc
-        if quarantined:
-            click.echo(f"{len(quarantined)} records quarantined at ingest", err=True)
-        if empty is not None:
-            raise ValueError(str(empty))  # after the quarantine count
+        finally:  # also when reading or running fails, before its error
+            _echo_quarantine_count(quarantined)
 
         made, d = [], report_dir  # the directories this run makes, deepest first
         while d and not os.path.isdir(d):

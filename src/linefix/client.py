@@ -3,7 +3,10 @@
 Two backends share one small wire contract. ``HttpBackend`` POSTs
 ``{prompt, n, max_tokens, stop, temperature | num_beams, ...}`` as JSON and
 expects ``{"choices": [{"text": ..., "tokens": ...?}, ...]}`` back, which maps
-onto common completion-serving APIs via ``BackendSpec.extra_params``.
+onto common completion-serving APIs via ``BackendSpec.extra_params``. Both
+backends hold token counts to one rule (``_check_number``, an integer >= 0):
+a script that breaks it is refused, and an answer whose counts miss or break it
+gets whitespace-split estimates, as a script without counts does.
 ``MockBackend`` replays a deterministic JSON script keyed by sample id, so
 evaluations can run byte-reproducibly with no server; its scripted latencies
 are accounting only, nothing sleeps.
@@ -94,9 +97,9 @@ def _check_number(name: str, value: object, *, integer: bool = False,
     return number
 
 
-def _check_list(name: str, value: object, item: type, expected: str) -> None:
-    """Raise ValueError unless ``value`` is a list of ``item`` instances; bools never pass."""
-    if not isinstance(value, list) or not all(
+def check_list(name: str, value: object, item: type, expected: str) -> None:
+    """Raise ValueError unless ``value`` is a list or tuple of ``item``s; bools never pass."""
+    if not isinstance(value, (list, tuple)) or not all(
         isinstance(v, item) and not isinstance(v, bool) for v in value
     ):
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
@@ -118,22 +121,20 @@ class DecodeConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+            raise ValueError(f"strategy: expected one of {list(STRATEGIES)}, got {self.strategy!r}")
         for name, rule in (("k", {"integer": True, "low": 1}), ("temperature", {}),
                            ("max_new_tokens", {"integer": True, "low": 1}),
                            ("seed", {"integer": True, "null": True})):
             object.__setattr__(self, name, _check_number(name, getattr(self, name), **rule))
         if self.strategy == "sample" and self.temperature <= 0:
             raise ValueError("sampling requires temperature > 0")
-        stops = self.stop_sequences
-        if not isinstance(stops, (list, tuple)) or not all(isinstance(s, str) for s in stops):
-            raise ValueError(f"stop_sequences: expected a list of strings, got {stops!r}")
-        object.__setattr__(self, "stop_sequences", tuple(stops))
+        check_list("stop_sequences", self.stop_sequences, str, "a list of strings")
+        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendSpec:
-    """Connection and retry settings. auth_env names an env var, never a secret."""
+    """Frozen connection and retry settings; auth_env names an env var, never a secret."""
 
     endpoint: str = ""
     model: str = ""
@@ -148,10 +149,12 @@ class BackendSpec:
         _check_type("endpoint", self.endpoint, (str,), "a string")
         _check_type("model", self.model, (str,), "a string")
         _check_type("auth_env", self.auth_env, (str, type(None)), "a string or null")
+        if self.auth_env == "":
+            raise ValueError("auth_env: expected an environment variable name or null, got ''")
         for name, rule in (("timeout_s", {"low": 0, "above": True}), ("backoff_s", {"low": 0}),
                            ("max_attempts", {"integer": True, "low": 1}),
                            ("max_in_flight", {"integer": True, "low": 1})):
-            setattr(self, name, _check_number(name, getattr(self, name), **rule))
+            object.__setattr__(self, name, _check_number(name, getattr(self, name), **rule))
         _check_type("extra_params", self.extra_params, (Mapping,), "a mapping")
 
 
@@ -207,9 +210,10 @@ class MockBackend:
         self.spec = spec if spec is not None else BackendSpec(endpoint="mock:")
         check_mapping("script", script, ("strategies", "default_latency_s", "samples"))
         strategies = script.get("strategies", list(STRATEGIES))
-        if not isinstance(strategies, list) or not all(s in STRATEGIES for s in strategies):
-            raise ValueError(f"strategies: expected a list drawn from {list(STRATEGIES)},"
-                             f" got {strategies!r}")
+        drawn = f"a list drawn from {list(STRATEGIES)}"
+        check_list("strategies", strategies, str, drawn)
+        if not all(s in STRATEGIES for s in strategies):
+            raise ValueError(f"strategies: expected {drawn}, got {strategies!r}")
         self.strategies = tuple(strategies)
         default_latency = _check_number(
             "default_latency_s", script.get("default_latency_s", 0.0), low=0)
@@ -222,19 +226,19 @@ class MockBackend:
             at = f"samples[{sid!r}]"
             check_mapping(at, entry, ("candidates", "tokens", "latency_s", "fail_times"))
             candidates = entry.get("candidates", [])
-            _check_list(f"{at}.candidates", candidates, str, "a list of strings")
+            check_list(f"{at}.candidates", candidates, str, "a list of strings")
             tokens = entry.get("tokens")
             if tokens is not None:
-                if isinstance(tokens, list):
+                if isinstance(tokens, (list, tuple)):
                     tokens = [_integral(t) for t in tokens]
-                _check_list(f"{at}.tokens", tokens, int, "a list of integers")
+                check_list(f"{at}.tokens", tokens, int, "a list of integers")
                 for i, count in enumerate(tokens):
                     _check_number(f"{at}.tokens[{i}]", count, integer=True, low=0)
             fail_times = _check_number(
                 f"{at}.fail_times", entry.get("fail_times", 0), integer=True, low=0)
             latency = _check_number(
                 f"{at}.latency_s", entry.get("latency_s", default_latency), low=0)
-            self.samples[sid] = (candidates, tokens, latency)
+            self.samples[sid] = (list(candidates), tokens, latency)
             self._fail_budget[sid] = fail_times
         self._lock = threading.Lock()
 
@@ -343,15 +347,11 @@ class HttpBackend:
             if not isinstance(choice, dict) or not isinstance(choice.get("text"), str):
                 raise MalformedResponse("choice without a text field")
             candidates.append(choice["text"])
-            if isinstance(choice.get("tokens"), int):
-                tokens.append(choice["tokens"])
-            else:
+            try:  # the count rule MockBackend applies to its scripted tokens
+                tokens.append(_check_number("tokens", choice.get("tokens"), integer=True, low=0))
+            except ValueError:
                 reported = False
         return candidates, tokens if reported and tokens else None, None
-
-
-def _approx_tokens(text: str) -> int:
-    return len(text.split())
 
 
 def generate(
@@ -382,15 +382,11 @@ def generate(
         if delay > 0 and not backend.synthetic:
             time.sleep(delay)
     wall = latency if latency is not None else time.perf_counter() - start
-    if tokens is None:
-        tokens = [_approx_tokens(c) for c in candidates]
-        reported = False
-    else:
-        reported = True
+    reported = tokens is not None  # else a whitespace-split estimate
     return CandidateSet(
         sample_id=sample_id,
         candidates=candidates,
-        tokens_generated=tokens,
+        tokens_generated=tokens if reported else [len(c.split()) for c in candidates],
         wall_time_s=wall,
         backend_reported=reported,
         attempts=attempt,
@@ -399,7 +395,7 @@ def generate(
 
 def batch_pool(backend) -> ThreadPoolExecutor:
     """A thread pool with one worker per ``max_in_flight`` slot of ``backend``."""
-    return ThreadPoolExecutor(max_workers=max(1, backend.spec.max_in_flight))
+    return ThreadPoolExecutor(max_workers=backend.spec.max_in_flight)
 
 
 def generate_batch(

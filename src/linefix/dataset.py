@@ -157,6 +157,8 @@ def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(_decoded(fh, path))
         header = next(reader, [])
+        if repeated := [name for i, name in enumerate(header) if name in header[:i]]:
+            raise SchemaError(f"header names column {repeated[0]!r} twice", path=path, line_no=1)
         end = reader.line_num
         for cells in reader:
             line_no, end = end + 1, reader.line_num

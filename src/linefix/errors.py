@@ -129,5 +129,5 @@ class CapabilityError(GenerationError):
 # --- evaluation --------------------------------------------------------------
 
 
-class EmptyEvaluation(LinefixError):
-    """Evaluation was asked to score an empty record set."""
+class EmptyEvaluation(ValueError, LinefixError):
+    """Evaluation was asked to score an empty record set; a usage error, so a ValueError."""

@@ -149,7 +149,7 @@ def evaluate(
     would give.
 
     Raises ValueError when a sample id repeats, once its window is reached,
-    and EmptyEvaluation when there is no record.
+    and EmptyEvaluation, a ValueError too, when there is no record.
     """
     samples: list[SampleResult] = []
     walls: list[float] = []  # a synthetic run's time sums these in one pass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -246,6 +247,7 @@ def test_export_train(runner, corpus):
     assert rows[0]["completion"] == completion(0)
     manifest = json.loads((corpus["dir"] / "examples.jsonl.manifest.json").read_text())
     assert manifest["written"] == 8
+    assert result.stderr == f"wrote 8 examples -> {out}\n"  # nothing was quarantined
 
 
 def test_export_train_quarantine_file_lists_ingest_quarantines(runner, tmp_path):
@@ -263,6 +265,23 @@ def test_export_train_quarantine_file_lists_ingest_quarantines(runner, tmp_path)
     manifest = json.loads((tmp_path / "examples.jsonl.manifest.json").read_text())
     assert manifest["written"] == 2
     assert manifest["quarantined"] == len(quarantined)
+    assert result.stderr == f"1 records quarantined at ingest\nwrote 2 examples -> {out}\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "export-train"])
+def test_a_csv_header_naming_a_column_twice_is_a_schema_error(runner, tmp_path, command):
+    # a header read into a dict would keep the last cwe_id cell and ingest the row as CWE-89
+    with open(GOLDEN / "corpus" / "raw_test.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    raw = tmp_path / "raw.csv"
+    with open(raw, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([rows[0] + ["cwe_id"]] + [row + ["CWE-89"] for row in rows[1:]])
+    out = tmp_path / "out.jsonl"
+    flag = "--input" if command == "ingest" else "--records"
+    result = runner.invoke(main, [command, flag, str(raw), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {raw}:1: header names column 'cwe_id' twice\n"
+    assert list(tmp_path.iterdir()) == [raw]
 
 
 # --- streaming and atomic outputs ----------------------------------------------------------
@@ -606,6 +625,18 @@ def test_evaluate_schema_error_after_the_first_window_writes_no_report(
     assert not (tmp_path / "r").exists()
 
 
+def test_evaluate_prints_quarantines_before_a_schema_error(runner, eval_setup, tmp_path):
+    bad = raw_row(1, "test")
+    del bad["split"]
+    rows = [raw_row(0, "test", cwe="CWE-XX"), bad]
+    setup = dict(eval_setup, records=write_jsonl(tmp_path / "bad.jsonl", rows))
+    result = runner.invoke(main, evaluate_args(setup, tmp_path / "r"))
+    assert result.exit_code == 2
+    assert result.stderr == (f"1 records quarantined at ingest\n"
+                             f"error: {setup['records']}:2: missing required field 'split'\n")
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_failure_while_writing_reports_keeps_every_report(
     runner, eval_setup, tmp_path, monkeypatch
 ):
@@ -679,6 +710,7 @@ def test_evaluate_bad_decode_value_exits_64(runner, eval_setup, tmp_path, value)
         ('stop: "[/INST]"', "stop_sequences: expected a list of strings, got '[/INST]'"),
         ("stop: [1, 2]", "stop_sequences: expected a list of strings, got [1, 2]"),
         ("k: 1.9", "k: expected an integer, got 1.9"),
+        ("strategy: greedy", "strategy: expected one of ['beam', 'sample'], got 'greedy'"),
         ("k: .inf", "k: expected an integer, got inf"),
         ("k: true", "k: expected an integer, got True"),
         ("max_new_tokens: 2.5", "max_new_tokens: expected an integer, got 2.5"),
@@ -815,6 +847,7 @@ BAD_BACKEND_VALUES = [  # (line, message, id if not "line-message")
     ("endpoint: 5", "endpoint: expected a string, got 5"),
     ("model: [a]", "model: expected a string, got ['a']"),
     ("auth_env: 3", "auth_env: expected a string or null, got 3"),
+    ('auth_env: ""', "auth_env: expected an environment variable name or null, got ''"),
     ("timeout_s: abc", "timeout_s: expected a number, got 'abc'"),
     ("max_attempts: 2.5", "max_attempts: expected an integer, got 2.5"),
     ("backoff_s: true", "backoff_s: expected a number, got True"),

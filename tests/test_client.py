@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import threading
@@ -80,6 +81,8 @@ def test_decode_config_coerces_stop_tuple():
         ("max_new_tokens", 2.5),
         ("stop_sequences", "ab"),
         ("stop_sequences", [1]),
+        ("stop_sequences", (True,)),
+        ("strategy", "greedy"),
         ("temperature", float("nan")),
         ("temperature", float("inf")),
         pytest.param("temperature", 10**400, id="temperature-401-digit int"),
@@ -116,6 +119,8 @@ def test_backend_spec_validation():
         with pytest.raises(ValueError, match=f"{next(iter(bad))}: expected"):
             BackendSpec(**bad)
     BackendSpec(timeout_s=5, backoff_s=0, auth_env="TOKEN", extra_params={"n": 1})
+    with pytest.raises(ValueError, match="^auth_env: expected an environment variable name"):
+        BackendSpec(endpoint="http://localhost:1/", auth_env="")  # would send no credential
     # one integer rule for every setting: a whole-number float is the int it holds
     assert BackendSpec(max_in_flight=2.0, max_attempts=3.0).max_in_flight == 2
 
@@ -130,6 +135,23 @@ def test_mock_pads_and_truncates_to_k():
     backend = mock_backend({"s": {"candidates": ["a", "b", "c", "d"]}})
     out = generate("p", CFG, backend, sample_id="s")
     assert out.candidates == ["a", "b", "c"]
+
+
+def test_backend_spec_is_frozen_once_checked():
+    spec = BackendSpec(max_in_flight=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.max_in_flight = 0
+    with pytest.raises(ValueError, match="^max_in_flight: expected"):
+        dataclasses.replace(spec, max_in_flight=0)
+    assert spec.max_in_flight == 2
+
+
+def test_mock_pads_tuples_to_k():
+    backend = mock_backend({"s": {"candidates": ("a", "b"), "tokens": (7, 8.0)}})
+    out = generate("p", CFG, backend, sample_id="s")
+    assert out.candidates == ["a", "b", ""]
+    assert out.tokens_generated == [7, 8, 0]
+    assert out.backend_reported
 
 
 def test_mock_tokens_padded_and_reported():
@@ -291,6 +313,10 @@ def test_batches_share_a_pool_the_caller_keeps_open():
 # --- HTTP backend -------------------------------------------------------------------
 
 
+# a route's one choice holds "one two three" with this token count
+TOKEN_COUNTS = {"/bool-tokens": True, "/negative-tokens": -3, "/float-tokens": 2.0}
+
+
 class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output quiet
         pass
@@ -316,6 +342,9 @@ class _Handler(BaseHTTPRequestHandler):
             ).encode())
         elif path == "/no-tokens":
             self._send(200, json.dumps({"choices": [{"text": "one two three"}]}).encode())
+        elif path in TOKEN_COUNTS:
+            self._send(200, json.dumps({"choices": [
+                {"text": "one two three", "tokens": TOKEN_COUNTS[path]}]}).encode())
         elif path == "/bad-json":
             self._send(200, b"not json at all")
         elif path == "/no-choices":
@@ -394,11 +423,22 @@ def test_http_sampling_payload(http_server):
     assert "num_beams" not in payload
 
 
-def test_http_tokens_estimated_when_missing(http_server):
-    backend = HttpBackend(_spec(http_server, "/no-tokens"))
+@pytest.mark.parametrize(
+    "path,tokens,reported",
+    [
+        # a count missing, or one a mock script could not hold, is a whitespace-split estimate
+        pytest.param("/no-tokens", [3], False, id="no-tokens"),
+        pytest.param("/bool-tokens", [3], False, id="bool-tokens"),
+        pytest.param("/negative-tokens", [3], False, id="negative-tokens"),
+        pytest.param("/float-tokens", [2], True, id="float-tokens"),
+    ],
+)
+def test_http_tokens_estimated_when_missing(http_server, path, tokens, reported):
+    backend = HttpBackend(_spec(http_server, path))
     out = generate("p", DecodeConfig(k=1), backend, sample_id="s")
-    assert not out.backend_reported
-    assert out.tokens_generated == [3]  # whitespace-split estimate
+    assert out.backend_reported is reported
+    assert out.tokens_generated == tokens
+    assert all(type(t) is int for t in out.tokens_generated)
 
 
 def test_http_error_status(http_server):
