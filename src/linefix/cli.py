@@ -382,7 +382,11 @@ def evaluate_cmd(
             script = _read(mock_script_path, "mock script is not valid UTF-8 JSON",
                            lambda fh: json.load(fh, object_pairs_hook=_unique), ValueError)
         try:
-            backend = HttpBackend(spec) if mock_script_path is None else MockBackend(script, spec)
+            if mock_script_path is None:
+                backend = HttpBackend(spec)
+                outputs.callback(backend.close)  # its connections, on every exit
+            else:
+                backend = MockBackend(script, spec)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad backend config: {exc}") from None
 

@@ -11,18 +11,29 @@ gets whitespace-split estimates, as a script without counts does.
 evaluations can run byte-reproducibly with no server; its scripted latencies
 are accounting only, nothing sleeps.
 
-``HttpBackend`` speaks HTTP through the standard library's ``urllib.request``,
-one connection per attempt. Its opener is built with the backend, so it uses
-the ``HTTP(S)_PROXY``/``NO_PROXY`` settings of that moment and verifies HTTPS
-against the system's CA store. ``generate`` retries timeouts, transport
-faults, malformed answers, 5xx, 408 and 429 with exponential backoff, and
-fails at once on any other 4xx and on errors no retry can cure (an unknown
-sample id, an unsupported decoding strategy). The HTTP and TLS modules load
-only when an ``HttpBackend`` is built, so importing this module stays cheap.
+``HttpBackend`` speaks HTTP/1.1 through the standard library's ``http.client``
+and keeps each connection it opens for the next request, so with one
+connection per in-flight slot it pays a connection's setup once, not once
+per attempt. After sending each request it sets ``TCP_NODELAY``, and
+``TCP_QUICKACK`` where the platform has it, so a server that leaves Nagle's
+algorithm on does not wait for a delayed acknowledgement. A request that
+finds its idle connection dropped by the server is sent once more on a new
+connection, within the same attempt; a connection whose exchange failed or
+timed out is closed, never reused. No redirect is followed. The proxy is
+read from the ``HTTP(S)_PROXY``/``NO_PROXY`` settings when the backend is
+built, and HTTPS is verified against the system's CA store. ``generate``
+retries timeouts, transport faults, malformed answers, 5xx, 408 and 429 with
+exponential backoff, and fails at once on any other status and on errors no
+retry can cure (an unknown sample id, an unsupported decoding strategy). The
+HTTP, socket and TLS modules load only when an ``HttpBackend`` is built, so
+importing this module stays cheap.
 
-``generate_batch`` returns a batch's outcomes in input order and keeps no clock.
-It runs up to ``BackendSpec.max_in_flight`` requests at once on a thread pool,
-one worker per slot, also when there is only one slot.
+``submit_batch`` queues a batch's samples on a ``batch_pool`` and returns
+their futures, so a caller can queue the next batch before it collects this
+one; ``generate_batch`` submits and waits, and returns the outcomes in input
+order. Neither keeps a clock. The pool runs up to
+``BackendSpec.max_in_flight`` requests at once, one worker per slot, also
+when there is only one slot.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import os
 import threading
 import time
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from linefix.errors import (
@@ -176,9 +187,9 @@ class CandidateSet:
 
 
 def _transient(exc: GenerationError) -> bool:
-    """Whether a retry may succeed: a 4xx other than 408 or 429 repeats itself."""
+    """Whether a retry may succeed: any status but a 5xx, 408 or 429 repeats itself."""
     if isinstance(exc, BackendError):
-        return not 400 <= exc.status < 500 or exc.status in (408, 429)
+        return exc.status >= 500 or exc.status in (408, 429)
     return isinstance(exc, (GenerationTimeout, TransportError, MalformedResponse))
 
 
@@ -264,13 +275,29 @@ class MockBackend:
 
 
 class HttpBackend:
-    """JSON-over-HTTP adapter for completion servers."""
+    """JSON-over-HTTP adapter for completion servers, one persistent connection per slot.
+
+    Idle connections wait on a stack. ``complete`` takes one, or opens one,
+    and puts it back only after a whole exchange whose answer did not ask to
+    close; ``close`` closes the idle ones.
+    """
 
     synthetic = False
 
     def __init__(self, spec: BackendSpec):
         if not spec.endpoint:
             raise ValueError("HttpBackend needs an endpoint")
+        import base64
+        import functools
+        import http.client
+        import socket
+        import urllib.request
+        from urllib.parse import unquote, urlsplit
+
+        url = urlsplit(spec.endpoint)
+        https = url.scheme == "https"
+        if not (https or url.scheme == "http") or not url.hostname:
+            raise ValueError(f"endpoint: expected an http or https URL, got {spec.endpoint!r}")
         self.spec = spec
         self.headers = {"Content-Type": "application/json"}
         if spec.auth_env:
@@ -278,22 +305,91 @@ class HttpBackend:
             if not token:
                 raise ValueError(f"credential env var {spec.auth_env} is not set")
             self.headers["Authorization"] = f"Bearer {token}"
-        import ssl
-        import urllib.request
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        address, self._tunnel = (url.hostname, url.port), None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            login = {}
+            if proxy_url.username is not None:
+                pair = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                login["Proxy-Authorization"] = f"Basic {base64.b64encode(pair.encode()).decode()}"
+            if https:  # a CONNECT tunnel through the proxy
+                self._tunnel = (url.hostname, url.port, login)
+            else:  # the proxy takes the absolute URL
+                self._target = url._replace(fragment="").geturl()
+                self.headers.update(login)
+            address = (proxy_url.hostname, proxy_url.port)
+        if https:
+            import ssl
 
-        handlers = []
-        if spec.endpoint.startswith("https:"):
-            # One TLS context for every attempt: each new one reloads the CA store.
-            handlers.append(urllib.request.HTTPSHandler(context=ssl.create_default_context()))
-        self._opener = urllib.request.build_opener(*handlers)
+            # one TLS context for every connection: each new one reloads the CA store
+            self._new = functools.partial(http.client.HTTPSConnection, *address,
+                                          timeout=spec.timeout_s,
+                                          context=ssl.create_default_context())
+        else:
+            self._new = functools.partial(http.client.HTTPConnection, *address,
+                                          timeout=spec.timeout_s)
+        # Set after each request is sent. A server that leaves Nagle's algorithm on
+        # holds its body until the headers are acknowledged, and on a reused
+        # connection Linux delays that acknowledgement by about 40 ms.
+        self._socket_options = [(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)]
+        if hasattr(socket, "TCP_QUICKACK"):
+            self._socket_options.append((socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1))
+        self._idle: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one."""
+        idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connect(self):
+        conn = self._new()
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _send(self, conn, body: bytes):
+        conn.request("POST", self._target, body, self.headers)
+        for option in self._socket_options:
+            conn.sock.setsockopt(*option)
+        return conn.getresponse()
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """Status and body of one POST; a stale idle connection costs one re-send."""
+        import http.client
+
+        try:
+            conn, reused = self._idle.pop(), True
+        except IndexError:
+            conn, reused = self._connect(), False
+        keep = False
+        try:
+            try:
+                response = self._send(conn, body)
+            except (OSError, http.client.HTTPException) as exc:
+                if not reused or isinstance(exc, TimeoutError):
+                    raise
+                conn.close()  # the server dropped it while it was idle
+                conn = self._connect()
+                response = self._send(conn, body)
+            data = response.read()
+            keep = not response.will_close
+        except TimeoutError as exc:
+            raise GenerationTimeout(str(exc))
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(str(exc))
+        finally:  # never reuse a connection whose exchange did not finish
+            if keep:
+                self._idle.append(conn)
+            else:
+                conn.close()
+        return response.status, data
 
     def complete(
         self, sample_id: str, prompt: str, cfg: DecodeConfig
     ) -> tuple[list[str], list[int] | None, float | None]:
-        import http.client
-        import urllib.request
-        from urllib.error import HTTPError, URLError
-
         payload: dict = {
             "prompt": prompt,
             "n": cfg.k,
@@ -309,27 +405,7 @@ class HttpBackend:
         if cfg.seed is not None:
             payload["seed"] = cfg.seed
         payload.update(self.spec.extra_params)
-        request = urllib.request.Request(
-            self.spec.endpoint,
-            data=json.dumps(payload).encode("utf-8"),
-            headers=self.headers,
-            method="POST",
-        )
-        try:
-            try:
-                response = self._opener.open(request, timeout=self.spec.timeout_s)
-            except HTTPError as exc:
-                response = exc  # an error status; its body is still unread
-            with response:
-                status, body = response.status, response.read()
-        except URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise GenerationTimeout(str(exc.reason))
-            raise TransportError(str(exc.reason))
-        except TimeoutError as exc:
-            raise GenerationTimeout(str(exc))
-        except (OSError, http.client.HTTPException) as exc:
-            raise TransportError(str(exc))
+        status, body = self._post(json.dumps(payload).encode("utf-8"))
         if status >= 300:
             text = body.decode("utf-8", "replace")
             raise BackendError(f"HTTP {status}: {text[:300]}", status)
@@ -398,25 +474,17 @@ def batch_pool(backend) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=backend.spec.max_in_flight)
 
 
-def generate_batch(
+def submit_batch(
     prompts: Sequence[tuple[str, str]],
     cfg: DecodeConfig,
     backend,
     *,
     pool: ThreadPoolExecutor,
-) -> list[CandidateSet]:
-    """Generate for (sample_id, prompt) pairs with bounded concurrency.
+) -> list[Future[CandidateSet]]:
+    """Queue one task per (sample_id, prompt) pair on ``pool``; returns their futures.
 
-    Up to ``backend.spec.max_in_flight`` samples run at once on a thread
-    pool, also with one slot: generating on the caller's thread instead made
-    mock evaluations swing between two speeds from run to run on a shared
-    2-vCPU host. Outcomes come back in input order; a failed sample becomes
-    an error-bearing CandidateSet rather than aborting the batch.
-
-    The batch runs on ``pool``, a ``batch_pool`` the caller keeps open across
-    its batches and shuts down itself; a fresh pool per batch made the caller
-    wait on almost every sample in turn. Each sample is its own task, and the
-    caller waits once for the whole batch, not once for each result in turn.
+    Each future's result is the sample's CandidateSet; a failed sample becomes
+    an error-bearing CandidateSet rather than an exception.
     """
     ids = [sid for sid, _ in prompts]
     if len(set(ids)) != len(ids):
@@ -437,6 +505,28 @@ def generate_batch(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    futures = [pool.submit(one, item) for item in prompts]
+    return [pool.submit(one, item) for item in prompts]
+
+
+def generate_batch(
+    prompts: Sequence[tuple[str, str]],
+    cfg: DecodeConfig,
+    backend,
+    *,
+    pool: ThreadPoolExecutor,
+) -> list[CandidateSet]:
+    """Generate for (sample_id, prompt) pairs with bounded concurrency.
+
+    Up to ``backend.spec.max_in_flight`` samples run at once on a thread
+    pool, also with one slot: generating on the caller's thread instead made
+    mock evaluations swing between two speeds from run to run on a shared
+    2-vCPU host. Outcomes come back in input order (see ``submit_batch``).
+
+    The batch runs on ``pool``, a ``batch_pool`` the caller keeps open across
+    its batches and shuts down itself; a fresh pool per batch made the caller
+    wait on almost every sample in turn. The caller waits once for the whole
+    batch, not once for each result in turn.
+    """
+    futures = submit_batch(prompts, cfg, backend, pool=pool)
     wait(futures)
     return [f.result() for f in futures]

@@ -14,7 +14,8 @@ each time it appears.
 
 ``evaluate`` alone times generation and adds up tokens. A synthetic backend's
 time is the sum of its samples' scripted latencies in input order, so reports
-are reproducible; any other backend's is measured around its batches.
+are reproducible; any other backend's is the wall time from the first window
+queued to the last outcome collected.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import io
 import json
 import time
 from collections.abc import Iterable
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from itertools import islice
 
-from linefix.client import CandidateSet, DecodeConfig, batch_pool, generate_batch
+from linefix.client import CandidateSet, DecodeConfig, batch_pool, submit_batch
 from linefix.engine import splice, validate_patch
 from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
 from linefix.patchfmt import PatchSet, parse_patch, serialize_patch, trim_final_lf
@@ -49,13 +51,14 @@ DEFAULT_CWE_ORDER = (
 
 OTHER_CWE = "other"
 
-# evaluate generates and scores WINDOW records at a time, or ROUNDS per
-# in-flight slot when that is more, so its memory is bounded by the window and
-# the backend's max_in_flight rather than by the test set. A window's slots
-# sit idle while its last samples finish: 64 rounds (128 records at two
-# slots) cost the HTTP benchmark 1.3% of its records/s.
-WINDOW = 128
-ROUNDS = 64
+# evaluate reads WINDOW records at a time, or ROUNDS per in-flight slot when
+# that is more, and holds two windows: the one it scores and the next, which
+# generates meanwhile. So its memory is bounded by the window and the
+# backend's max_in_flight rather than by the test set, and two windows hold
+# what one window of twice the size would. The next window keeps the slots
+# busy while a window's last samples finish and while it is scored.
+WINDOW = 64
+ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -143,40 +146,56 @@ def evaluate(
 
     Records are read ``max(WINDOW, ROUNDS * max_in_flight)`` at a time, so a
     window keeps every slot of the backend busy. Each window's prompts are
-    generated as one batch, which is scored once it is complete; then the
-    window's records, prompts and outcomes are dropped, and only its sample
-    results are kept. The report is the one a single batch of every record
-    would give.
+    queued on one shared pool as one batch (``submit_batch``). The next
+    window is read and queued before a window is collected and scored, so
+    the slots never wait for the caller; once a window is scored, its
+    records, prompts and outcomes are dropped, and only its sample results
+    are kept. The report is the one a single batch of every record would
+    give.
 
     Raises ValueError when a sample id repeats, once its window is reached,
-    and EmptyEvaluation, a ValueError too, when there is no record.
+    and EmptyEvaluation, a ValueError too, when there is no record. On any
+    error, the samples still queued are dropped and the running ones finish.
     """
     samples: list[SampleResult] = []
     walls: list[float] = []  # a synthetic run's time sums these in one pass
-    elapsed = 0.0
     total_tokens = 0
     tokens_estimated = False
     seen: set[str] = set()
     it = iter(records)
     size = max(WINDOW, ROUNDS * backend.spec.max_in_flight)
-    with batch_pool(backend) as pool:  # one pool for every window
+
+    def queued():  # each window read, checked and queued, with the time it was queued
         while window := list(islice(it, size)):
+            count = len(seen)
             seen.update(r.id for r in window)
-            if len(seen) != len(samples) + len(window):
+            if len(seen) != count + len(window):
                 raise ValueError("sample ids must be unique within an evaluation")
             prompts = [(r.id, build_prompt(r)) for r in window]
-            start = time.perf_counter()
-            outcomes = generate_batch(prompts, cfg, backend, pool=pool)
-            elapsed += time.perf_counter() - start
+            yield window, time.perf_counter(), submit_batch(prompts, cfg, backend, pool=pool)
+
+    pool = batch_pool(backend)  # one pool for every window
+    try:
+        windows = queued()
+        ahead = next(windows, None)
+        start = end = ahead[1] if ahead else 0.0
+        while ahead:
+            window, _, futures = ahead
+            ahead = next(windows, None)  # in flight while this window is collected and scored
+            wait(futures)
+            end = time.perf_counter()
+            outcomes = [f.result() for f in futures]
             walls += (o.wall_time_s for o in outcomes)
             total_tokens += sum(sum(o.tokens_generated) for o in outcomes)
             tokens_estimated |= any(o.ok and not o.backend_reported for o in outcomes)
             samples += score_batch(window, outcomes, cwe_order=cwe_order, strict=strict).samples
-            del window, prompts, outcomes  # before the next window is read
+            del window, futures, outcomes  # before the window after next is read
+    finally:  # on an error, samples still queued are dropped
+        pool.shutdown(cancel_futures=True)
     if not samples:
         raise EmptyEvaluation("no records to evaluate")
     synthetic = backend.synthetic
-    total_time = sum(walls) if synthetic else elapsed  # as if one batch of every record
+    total_time = sum(walls) if synthetic else end - start  # as if one batch of every record
     return _report(samples, total_tokens, tokens_estimated, total_time, synthetic, cwe_order)
 
 

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -569,9 +570,10 @@ def write_mock_script(path: Path, ids) -> str:
     return str(path)
 
 
-def test_evaluate_holds_one_window_at_a_time(runner, tmp_path, window):
+def test_evaluate_holds_two_half_windows_at_a_time(runner, tmp_path, window):
     # records with 400-line sources; a run that holds every record, prompt or
-    # outcome peaks with the test set instead of with the window
+    # outcome peaks with the test set instead of with the two windows it holds:
+    # the one being scored and the next, in flight
     window(10)
     peaks = {}
     for windows in (2, 8):
@@ -623,6 +625,29 @@ def test_evaluate_schema_error_after_the_first_window_writes_no_report(
     assert result.exit_code == 2
     assert ":5: missing required field 'split'" in result.stderr
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("bad_row", [False, True], ids=["every-sample-failed", "schema-error"])
+def test_evaluate_closes_the_http_backend_on_every_exit(
+    runner, eval_setup, tmp_path, monkeypatch, bad_row
+):
+    closed = []
+    close = cli.HttpBackend.close
+    monkeypatch.setattr(cli.HttpBackend, "close", lambda self: closed.append(close(self)))
+    rows = [raw_row(i, "test") for i in range(2)]
+    if bad_row:
+        del rows[1]["split"]
+    with socket.socket() as sock:  # a port nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    backend_cfg = tmp_path / "backend.yaml"
+    backend_cfg.write_text(f"endpoint: http://127.0.0.1:{port}/gen\nmax_attempts: 1\n")
+    result = runner.invoke(main, [
+        "evaluate", "--records", write_jsonl(tmp_path / "t.jsonl", rows),
+        "--backend-config", str(backend_cfg), "--report-dir", str(tmp_path / "r"),
+    ])
+    assert result.exit_code == (2 if bad_row else cli.EXIT_BACKEND), result.output
+    assert closed == [None]
 
 
 def test_evaluate_prints_quarantines_before_a_schema_error(runner, eval_setup, tmp_path):
@@ -1206,7 +1231,7 @@ def test_cli_import_loads_no_http_library():
     loaded = set(done.stdout.split())
     assert {"requests", "urllib3", "charset_normalizer"} & loaded == set()
     # PyYAML and the stdlib HTTP/TLS stack load only when a command needs them.
-    assert {"yaml", "ssl", "http.client", "urllib.request", "urllib.error"} & loaded == set()
+    assert {"yaml", "ssl", "socket", "http.client", "urllib.request", "urllib.error"} & loaded == set()
     # Callers that time the first command expect these to be loaded already.
     assert {"linefix.client", "linefix.dataset", "linefix.evaluation"} <= loaded
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+import http.client
 import json
 import socket
+import ssl
+import sys
 import threading
 import time
-import urllib.request
+from contextlib import closing, contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.error import URLError
 from urllib.parse import urlsplit
 
 import pytest
@@ -336,6 +339,8 @@ class _Handler(BaseHTTPRequestHandler):
         payload = json.loads(self.rfile.read(n) or b"{}")
         self.server.requests.append((self.path, dict(self.headers), payload))
         path = urlsplit(self.path).path  # a proxied request names the whole URL
+        if path == "/by-prompt":  # one backend, many routes
+            path = payload["prompt"]
         if path == "/ok":
             self._send(200, json.dumps(
                 {"choices": [{"text": "fix A", "tokens": 3}, {"text": "fix B", "tokens": 4}]}
@@ -367,16 +372,45 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, b"no such route")
 
 
-@pytest.fixture(scope="module")
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    server.requests = []
+class _KeepAlive(_Handler):
+    """``_Handler`` over HTTP/1.1: a connection stays open between requests.
+
+    Nagle's algorithm stays on, as in ``http.server``'s default, so the body
+    waits for the client to acknowledge the headers. Each connection the
+    server accepts is counted.
+    """
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
+
+@contextmanager
+def serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.requests, server.connections = [], 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture(scope="module")
+def http_server():
+    with serving(_Handler) as server:
+        yield server
+
+
+@pytest.fixture(scope="module")
+def keepalive_server():
+    with serving(_KeepAlive) as server:
+        yield server
 
 
 def _spec(server, path: str, **kw) -> BackendSpec:
@@ -456,6 +490,10 @@ def test_http_error_status(http_server):
         ("/status/408", 3),
         ("/status/429", 3),
         ("/status/400", 1),
+        ("/status/300", 1),  # no redirect is followed, and none is retried
+        ("/status/304", 1),
+        ("/status/307", 1),
+        ("/status/308", 1),
         ("/status/404", 1),
         ("/auth", 1),  # 401 without a token
     ],
@@ -523,20 +561,40 @@ def test_http_uses_env_proxy_read_at_construction(http_server, monkeypatch):
     assert [p for p, _, _ in http_server.requests] == ["http://completions.example/ok"]
 
 
+def test_http_proxy_settings(http_server, monkeypatch):
+    host, port = http_server.server_address
+    for name in ("http_proxy", "https_proxy", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", f"http://us%40er:p%3Ass@{host}:{port}")
+    monkeypatch.setenv("HTTPS_PROXY", f"{host}:{port}")  # no scheme: an http:// proxy
+    http_server.requests.clear()
+    spec = BackendSpec(endpoint="http://completions.example/ok", max_attempts=1)
+    generate("p", CFG, HttpBackend(spec), sample_id="s")
+    ((_, headers, _),) = http_server.requests
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"us@er:p:ss").decode()
+    tls = HttpBackend(BackendSpec(endpoint="https://completions.example:8443/v1"))
+    with closing(tls._connect()) as conn:  # HTTPS goes through a CONNECT tunnel
+        assert (conn.host, conn.port) == (host, port)
+        assert (conn._tunnel_host, conn._tunnel_port) == ("completions.example", 8443)
+    monkeypatch.setenv("NO_PROXY", "completions.example")
+    with closing(HttpBackend(spec)._connect()) as conn:
+        assert (conn.host, conn.port) == ("completions.example", 80)
+
+
 @pytest.mark.parametrize(
     "raised,error,message",
-    [(URLError(TimeoutError("timed out")), GenerationTimeout, "timed out"),
+    [(TimeoutError("timed out"), GenerationTimeout, "timed out"),
      (OSError("connection reset by peer"), TransportError, "connection reset by peer")],
-    ids=["URLError timeout", "OSError"],
+    ids=["timeout", "OSError"],
 )
-def test_http_opener_errors_are_classified(monkeypatch, raised, error, message):
-    # a timeout while connecting arrives wrapped in a URLError
+def test_http_connection_errors_are_classified(monkeypatch, raised, error, message):
+    # a timeout while connecting arrives as the socket's TimeoutError
     backend = HttpBackend(BackendSpec(endpoint="http://127.0.0.1:9/gen"))
 
-    def fail(request, timeout):
+    def fail(connection):
         raise raised
 
-    monkeypatch.setattr(backend._opener, "open", fail)
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", fail)
     with pytest.raises(error, match=f"^{message}$"):
         backend.complete("s", "p", CFG)
 
@@ -547,11 +605,90 @@ def test_http_timeout(http_server):
         generate("p", DecodeConfig(k=1), HttpBackend(spec), sample_id="s")
 
 
-def test_https_backend_builds_tls_opener_without_network():
+def test_https_backend_builds_tls_connection_without_network():
     backend = HttpBackend(BackendSpec(endpoint="https://127.0.0.1:9/v1/completions"))
-    assert any(isinstance(h, urllib.request.HTTPSHandler) for h in backend._opener.handlers)
+    with closing(backend._connect()) as first, closing(backend._connect()) as second:
+        assert isinstance(first, http.client.HTTPSConnection)
+        assert (first.host, first.port, first.sock) == ("127.0.0.1", 9, None)  # not connected
+        assert first._context.verify_mode == ssl.CERT_REQUIRED
+        assert first._context.check_hostname
+        assert second._context is first._context  # the CA store is loaded once
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1/gen", "127.0.0.1:8000/gen", "http:///gen"])
+def test_http_endpoint_must_be_an_http_url(endpoint):
+    with pytest.raises(ValueError, match="^endpoint: expected an http or https URL"):
+        HttpBackend(BackendSpec(endpoint=endpoint))
 
 
 def test_http_requires_endpoint():
     with pytest.raises(ValueError):
         HttpBackend(BackendSpec())
+
+
+# --- persistent connections ---------------------------------------------------------
+
+
+def test_a_batch_opens_at_most_one_connection_per_slot(keepalive_server):
+    # more slots than cores, and threads switched often: a connection two slots
+    # popped at once would mix up answers or fail
+    keepalive_server.connections = 0
+    backend = HttpBackend(_spec(keepalive_server, "/ok", max_in_flight=8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with closing(backend):
+            outcomes = run_batch([(f"s{i}", "p") for i in range(80)], backend)
+            assert 1 <= len(backend._idle) <= 8
+    finally:
+        sys.setswitchinterval(interval)
+    assert [o.candidates for o in outcomes] == [["fix A", "fix B"]] * 80
+    assert [o.attempts for o in outcomes] == [1] * 80
+    assert 1 <= keepalive_server.connections <= 8
+
+
+def test_a_timed_out_connection_is_never_reused(keepalive_server):
+    backend = HttpBackend(_spec(keepalive_server, "/by-prompt", timeout_s=0.2))
+    with closing(backend):
+        with pytest.raises(GenerationTimeout):
+            backend.complete("s", "/slow", CFG)
+        assert backend._idle == []  # closed, not kept
+        time.sleep(0.6)  # "/slow" has answered by now, too late
+        assert backend.complete("s", "/ok", CFG)[0] == ["fix A", "fix B"]
+
+
+def test_a_dropped_idle_connection_is_sent_again_at_no_attempt():
+    class Dropping(_KeepAlive):
+        timeout = 0.1  # the server closes a connection idle for this long
+
+    with serving(Dropping) as server:
+        backend = HttpBackend(_spec(server, "/ok", max_attempts=1))
+        with closing(backend):
+            generate("p", CFG, backend, sample_id="s")
+            time.sleep(0.5)
+            out = generate("p", CFG, backend, sample_id="s")
+        assert out.attempts == 1
+        assert out.candidates == ["fix A", "fix B"]
+        assert server.connections == 2
+        assert [p for p, _, _ in server.requests] == ["/ok", "/ok"]
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK here")
+def test_a_reused_connection_waits_for_no_delayed_ack(keepalive_server):
+    # about 40 ms a request when the client delays its acknowledgement of the headers
+    backend = HttpBackend(_spec(keepalive_server, "/ok"))
+    with closing(backend):
+        start = time.perf_counter()
+        outcomes = run_batch([(f"s{i}", "p") for i in range(20)], backend)
+        elapsed = time.perf_counter() - start
+    assert all(o.ok for o in outcomes)
+    assert elapsed < 0.4, elapsed
+
+
+def test_close_closes_every_idle_connection(keepalive_server):
+    backend = HttpBackend(_spec(keepalive_server, "/ok", max_in_flight=2))
+    run_batch([(f"s{i}", "p") for i in range(4)], backend)
+    idle = list(backend._idle)
+    assert idle and all(c.sock is not None for c in idle)
+    backend.close()
+    assert backend._idle == [] and all(c.sock is None for c in idle)

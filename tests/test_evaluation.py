@@ -279,6 +279,57 @@ def test_a_window_keeps_every_in_flight_slot_busy(monkeypatch):
     assert evaluate(records, backend, DecodeConfig(k=1)).pp_hits == 2 * slots
 
 
+def test_the_next_window_is_in_flight_while_a_window_is_scored(monkeypatch, window):
+    # a barrier between windows left the slots idle while the caller scored and read
+    window(2)
+    second_window = threading.Event()
+
+    class Signalling(MockBackend):
+        def complete(self, sample_id, prompt, cfg):
+            if sample_id == "r2":
+                second_window.set()
+            return super().complete(sample_id, prompt, cfg)
+
+    scored = []
+
+    def score_batch_after_the_next_window_starts(records, outcomes, **kwargs):
+        if not scored:
+            assert second_window.wait(timeout=5), "window 2 was not generating"
+        scored.append([r.id for r in records])
+        return score_batch(records, outcomes, **kwargs)
+
+    monkeypatch.setattr(evaluation, "score_batch", score_batch_after_the_next_window_starts)
+    records = [record(f"r{i}") for i in range(5)]
+    backend = Signalling({"samples": {r.id: {"candidates": [REFERENCE]} for r in records}})
+    assert evaluate(records, backend, DecodeConfig(k=1)).pp_hits == 5
+    assert scored == [["r0", "r1"], ["r2", "r3"], ["r4"]]
+
+
+def test_an_error_drops_the_samples_still_queued(window):
+    # a repeated id in window 2 is found while window 1 waits in the pool's queue
+    window(3)
+    started = []
+    release = threading.Event()
+
+    class Held(MockBackend):
+        def complete(self, sample_id, prompt, cfg):
+            started.append(sample_id)
+            release.wait(timeout=5)
+            return super().complete(sample_id, prompt, cfg)
+
+    ids = ["a", "b", "c", "d", "a"]
+    backend = Held({"samples": {i: {"candidates": [REFERENCE]} for i in ids}})
+    timer = threading.Timer(0.5, release.set)
+    timer.start()
+    try:
+        with pytest.raises(ValueError, match="sample ids must be unique"):
+            evaluate([record(i) for i in ids], backend, DecodeConfig(k=1))
+    finally:
+        timer.cancel()
+        release.set()
+    assert started == ["a"]  # the one slot's running sample finishes, the rest are dropped
+
+
 @pytest.mark.parametrize("ids", [["a", "b", "c", "a"], ["a", "b", "b"], ["a", "a"]])
 def test_repeated_sample_id_raises_in_any_window(window, ids):
     window(2)
