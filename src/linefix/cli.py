@@ -28,8 +28,8 @@ from typing import NoReturn
 import click
 
 from linefix import dataset as ds
-from linefix.client import (STRATEGIES, BackendSpec, DecodeConfig, HttpBackend, MockBackend,
-                            check_list, check_mapping)
+from linefix.checks import check_list, check_mapping, repeats
+from linefix.client import STRATEGIES, BackendSpec, DecodeConfig, HttpBackend, MockBackend
 from linefix.engine import apply_patch, derive_patch
 from linefix.errors import LinefixError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
@@ -56,7 +56,7 @@ class _DuplicateKey(Exception):
 def _unique(pairs: list[tuple]) -> dict:
     """One mapping's key-value ``pairs`` as a dict; a repeated key raises _DuplicateKey."""
     if len(mapping := dict(pairs)) < len(pairs):
-        raise _DuplicateKey(next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i])))
+        raise _DuplicateKey(repeats(k for k, _ in pairs)[0])
     return mapping
 
 

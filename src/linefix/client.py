@@ -4,9 +4,9 @@ Two backends share one small wire contract. ``HttpBackend`` POSTs
 ``{prompt, n, max_tokens, stop, temperature | num_beams, ...}`` as JSON and
 expects ``{"choices": [{"text": ..., "tokens": ...?}, ...]}`` back, which maps
 onto common completion-serving APIs via ``BackendSpec.extra_params``. Both
-backends hold token counts to one rule (``_check_number``, an integer >= 0):
-a script that breaks it is refused, and an answer whose counts miss or break it
-gets whitespace-split estimates, as a script without counts does.
+backends hold token counts to one rule (``checks.check_number``, an integer
+>= 0): a script that breaks it is refused, and an answer whose counts miss or
+break it gets whitespace-split estimates, as a script without counts does.
 ``MockBackend`` replays a deterministic JSON script keyed by sample id, so
 evaluations can run byte-reproducibly with no server; its scripted latencies
 are accounting only, nothing sleeps.
@@ -39,7 +39,6 @@ when there is only one slot.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
@@ -47,6 +46,7 @@ from collections.abc import Mapping, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
+from linefix.checks import check_list, check_mapping, check_number, check_type, integral, repeats
 from linefix.errors import (
     BackendError,
     CapabilityError,
@@ -58,62 +58,6 @@ from linefix.errors import (
 )
 
 STRATEGIES = ("beam", "sample")
-
-
-def _check_type(name: str, value: object, types: tuple[type, ...], expected: str) -> None:
-    """Raise ValueError unless ``value`` is an instance of ``types``; bools never pass."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{name}: expected {expected}, got {value!r}")
-
-
-def check_mapping(name: str, value: object, known: tuple[str, ...]) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a mapping of ``known`` keys."""
-    _check_type(name, value, (Mapping,), "a mapping")
-    for key in value:
-        if key not in known:
-            raise ValueError(f"{name}: unknown key {key!r}; expected one of {', '.join(known)}")
-
-
-def _integral(value: object) -> object:
-    """An integral float as the int it holds; any other value unchanged."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-def _check_number(name: str, value: object, *, integer: bool = False,
-                  low: float | None = None, above: bool = False, null: bool = False):
-    """The one rule for every numeric setting; returns ``value`` as an int or a float.
-
-    ``integer`` asks for an int, which may be given as an integral float;
-    otherwise any real number a float can hold is returned as a float. ``low``
-    is the least value allowed, or the bound to stay ``above``, and ``null``
-    lets None through. Anything else raises ValueError; bools never pass.
-    """
-    if null and value is None:
-        return None
-    kind = "an integer" if integer else "a number"
-    expected = f"{kind} or null" if null else kind
-    if integer:
-        value = number = _integral(value)
-        _check_type(name, value, (int,), expected)
-    else:
-        _check_type(name, value, (int, float), expected)
-        try:
-            number = float(value)
-        except OverflowError:
-            raise ValueError(f"{name}: expected a finite number, got an int too large for a float")
-        if not math.isfinite(number):
-            raise ValueError(f"{name}: expected a finite number, got {number!r}")
-    if low is not None and (number <= low if above else number < low):
-        raise ValueError(f"{name}: expected {kind} {'>' if above else '>='} {low}, got {value!r}")
-    return number
-
-
-def check_list(name: str, value: object, item: type, expected: str) -> None:
-    """Raise ValueError unless ``value`` is a list or tuple of ``item``s; bools never pass."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, item) and not isinstance(v, bool) for v in value
-    ):
-        raise ValueError(f"{name}: expected {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +80,7 @@ class DecodeConfig:
         for name, rule in (("k", {"integer": True, "low": 1}), ("temperature", {}),
                            ("max_new_tokens", {"integer": True, "low": 1}),
                            ("seed", {"integer": True, "null": True})):
-            object.__setattr__(self, name, _check_number(name, getattr(self, name), **rule))
+            object.__setattr__(self, name, check_number(name, getattr(self, name), **rule))
         if self.strategy == "sample" and self.temperature <= 0:
             raise ValueError("sampling requires temperature > 0")
         check_list("stop_sequences", self.stop_sequences, str, "a list of strings")
@@ -157,16 +101,16 @@ class BackendSpec:
     extra_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_type("endpoint", self.endpoint, (str,), "a string")
-        _check_type("model", self.model, (str,), "a string")
-        _check_type("auth_env", self.auth_env, (str, type(None)), "a string or null")
+        check_type("endpoint", self.endpoint, (str,), "a string")
+        check_type("model", self.model, (str,), "a string")
+        check_type("auth_env", self.auth_env, (str, type(None)), "a string or null")
         if self.auth_env == "":
             raise ValueError("auth_env: expected an environment variable name or null, got ''")
         for name, rule in (("timeout_s", {"low": 0, "above": True}), ("backoff_s", {"low": 0}),
                            ("max_attempts", {"integer": True, "low": 1}),
                            ("max_in_flight", {"integer": True, "low": 1})):
-            object.__setattr__(self, name, _check_number(name, getattr(self, name), **rule))
-        _check_type("extra_params", self.extra_params, (Mapping,), "a mapping")
+            object.__setattr__(self, name, check_number(name, getattr(self, name), **rule))
+        check_type("extra_params", self.extra_params, (Mapping,), "a mapping")
 
 
 @dataclass
@@ -226,10 +170,10 @@ class MockBackend:
         if not all(s in STRATEGIES for s in strategies):
             raise ValueError(f"strategies: expected {drawn}, got {strategies!r}")
         self.strategies = tuple(strategies)
-        default_latency = _check_number(
+        default_latency = check_number(
             "default_latency_s", script.get("default_latency_s", 0.0), low=0)
         samples = script.get("samples", {})
-        _check_type("samples", samples, (Mapping,), "a mapping")
+        check_type("samples", samples, (Mapping,), "a mapping")
         # sample id -> (candidates, tokens or None, latency)
         self.samples: dict[str, tuple[list[str], list[int] | None, float]] = {}
         self._fail_budget: dict[str, int] = {}
@@ -241,13 +185,13 @@ class MockBackend:
             tokens = entry.get("tokens")
             if tokens is not None:
                 if isinstance(tokens, (list, tuple)):
-                    tokens = [_integral(t) for t in tokens]
+                    tokens = [integral(t) for t in tokens]
                 check_list(f"{at}.tokens", tokens, int, "a list of integers")
                 for i, count in enumerate(tokens):
-                    _check_number(f"{at}.tokens[{i}]", count, integer=True, low=0)
-            fail_times = _check_number(
+                    check_number(f"{at}.tokens[{i}]", count, integer=True, low=0)
+            fail_times = check_number(
                 f"{at}.fail_times", entry.get("fail_times", 0), integer=True, low=0)
-            latency = _check_number(
+            latency = check_number(
                 f"{at}.latency_s", entry.get("latency_s", default_latency), low=0)
             self.samples[sid] = (list(candidates), tokens, latency)
             self._fail_budget[sid] = fail_times
@@ -424,7 +368,7 @@ class HttpBackend:
                 raise MalformedResponse("choice without a text field")
             candidates.append(choice["text"])
             try:  # the count rule MockBackend applies to its scripted tokens
-                tokens.append(_check_number("tokens", choice.get("tokens"), integer=True, low=0))
+                tokens.append(check_number("tokens", choice.get("tokens"), integer=True, low=0))
             except ValueError:
                 reported = False
         return candidates, tokens if reported and tokens else None, None
@@ -486,8 +430,7 @@ def submit_batch(
     Each future's result is the sample's CandidateSet; a failed sample becomes
     an error-bearing CandidateSet rather than an exception.
     """
-    ids = [sid for sid, _ in prompts]
-    if len(set(ids)) != len(ids):
+    if repeats(sid for sid, _ in prompts):
         raise ValueError("sample ids must be unique within a batch")
 
     def one(item: tuple[str, str]) -> CandidateSet:

@@ -34,8 +34,9 @@ so a caller that writes as it reads holds one record at a time. Every command
 reads through it. ``ingest``, which collects the stream into a list, and the
 list ``refine`` stay because ``perfbench/layers.py`` traces them by name.
 Structural problems (missing fields, undecodable rows, bytes or escapes that
-are not UTF-8) raise SchemaError for the first one in file order. A CSV row
-is named by the line its first cell starts on. Records from both
+are not UTF-8) raise SchemaError at ``path:line`` for the first one in file
+order; the record builders raise ValueError, and ``stream`` adds the line. A
+CSV row is named by the line its first cell starts on. Records from both
 schemas keep the one rule set of ``VulnRecord.validate``; the reader adds only
 the raw pair's trailing-newline rule and one rule across rows, that ids are
 unique within a file. Records that decode but violate an invariant are
@@ -62,6 +63,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from linefix import engine
+from linefix.checks import check_list, repeats
 from linefix.engine import derive_patch
 from linefix.errors import (
     InvalidPatch,
@@ -145,10 +147,10 @@ def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
                 # a lone surrogate from an escape cannot be written; an ASCII field holds none
                 if any(isinstance(v, str) and not v.isascii() for v in obj.values()):
                     json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"undecodable JSON: {exc}", path=path, line_no=line_no)
             except UnicodeEncodeError as exc:
                 raise SchemaError(f"not valid UTF-8: {exc}", path=path, line_no=line_no)
+            except ValueError as exc:  # also an integer literal too long to convert
+                raise SchemaError(f"undecodable JSON: {exc}", path=path, line_no=line_no)
             yield line_no, obj
 
 
@@ -156,47 +158,47 @@ def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
     """Each row with the line its first cell starts on; blank lines between rows are skipped."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(_decoded(fh, path))
-        header = next(reader, [])
-        if repeated := [name for i, name in enumerate(header) if name in header[:i]]:
-            raise SchemaError(f"header names column {repeated[0]!r} twice", path=path, line_no=1)
-        end = reader.line_num
-        for cells in reader:
-            line_no, end = end + 1, reader.line_num
-            if not cells:
-                continue
-            obj = dict(zip_longest(header, cells))  # a missing cell is None
-            if None in obj:
-                raise SchemaError("row has more cells than header", path=path, line_no=line_no)
-            # an empty cell of an optional field is absent; source_after is optional next to
-            # a filled reference_patch cell, so one file can mix both kinds of row
-            optional = _CSV_OPTIONAL + ("source_after",) * bool(obj.get("reference_patch"))
-            row = {k: v for k, v in obj.items() if v or k not in optional}
-            if "vuln_lines" in row:
-                try:
-                    row["vuln_lines"] = json.loads(row["vuln_lines"])
-                except json.JSONDecodeError:
-                    raise SchemaError(
-                        f"vuln_lines cell is not a JSON list: {row['vuln_lines']!r}",
-                        path=path,
-                        line_no=line_no,
-                    )
-            yield line_no, row
+        end = 0  # the last line of the rows read so far
+        try:
+            header = next(reader, [])
+            if twice := repeats(header):
+                raise SchemaError(f"header names column {twice[0]!r} twice", path=path, line_no=1)
+            end = reader.line_num
+            for cells in reader:
+                line_no, end = end + 1, reader.line_num
+                if not cells:
+                    continue
+                obj = dict(zip_longest(header, cells))  # a missing cell is None
+                if None in obj:
+                    raise SchemaError("row has more cells than header", path=path, line_no=line_no)
+                # an empty cell of an optional field is absent; source_after is optional next to
+                # a filled reference_patch cell, so one file can mix both kinds of row
+                optional = _CSV_OPTIONAL + ("source_after",) * bool(obj.get("reference_patch"))
+                row = {k: v for k, v in obj.items() if v or k not in optional}
+                if "vuln_lines" in row:
+                    try:
+                        row["vuln_lines"] = json.loads(row["vuln_lines"])
+                    except ValueError:  # also an integer literal too long to convert
+                        raise SchemaError(
+                            f"vuln_lines cell is not a JSON list: {row['vuln_lines']!r}",
+                            path=path,
+                            line_no=line_no,
+                        )
+                yield line_no, row
+        except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+            raise SchemaError(f"unreadable CSV row: {exc}", path=path, line_no=end + 1) from None
 
 
-def _require(row: dict, fields: tuple[str, ...], path: str, line_no: int) -> str:
+def _require(row: dict, fields: tuple[str, ...]) -> str:
     """Check that each of ``fields`` is a string; returns the row's split, which must be known."""
     for name in fields:
         if name not in row or row[name] is None:
-            raise SchemaError(f"missing required field {name!r}", path=path, line_no=line_no)
+            raise ValueError(f"missing required field {name!r}")
         if not isinstance(row[name], str):
-            raise SchemaError(
-                f"field {name!r} must be a string, got {type(row[name]).__name__}",
-                path=path,
-                line_no=line_no,
-            )
+            raise ValueError(f"field {name!r} must be a string, got {type(row[name]).__name__}")
     split = row["split"]
     if split not in SPLITS:
-        raise SchemaError(f"unknown split {split!r}", path=path, line_no=line_no)
+        raise ValueError(f"unknown split {split!r}")
     return split
 
 
@@ -222,13 +224,12 @@ def strip_bug_markers(text: str) -> tuple[SourceUnit, list[int]]:
     return from_text(to_text(SourceUnit(tuple(clean), unit.had_trailing_newline))), marked
 
 
-def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
+def _record_from_raw(row: dict) -> DatasetRecord:
     # the fix is source_after or reference_patch, never both
     fix_fields = tuple(f for f in ("source_after", "reference_patch") if row.get(f) is not None)
     if len(fix_fields) == 2:
-        raise SchemaError("row has both 'source_after' and 'reference_patch'; give one",
-                          path=path, line_no=line_no)
-    split = _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)), path, line_no)
+        raise ValueError("row has both 'source_after' and 'reference_patch'; give one")
+    split = _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)))
     patch_text = row.get("reference_patch")
     src, marker_lines = strip_bug_markers(row["source_before"])
     if patch_text is None:
@@ -242,9 +243,7 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
 
     vuln_lines = row.get("vuln_lines")
     if vuln_lines is not None:
-        # type, not isinstance: a bool is an int but no line number
-        if not isinstance(vuln_lines, list) or not all(type(i) is int for i in vuln_lines):
-            raise SchemaError("vuln_lines must be a list of integers", path=path, line_no=line_no)
+        check_list("vuln_lines", vuln_lines, int, "a list of integers")
         vuln_lines = sorted(set(vuln_lines))
     elif marker_lines:
         vuln_lines = marker_lines
@@ -276,8 +275,8 @@ def _record_from_raw(row: dict, path: str, line_no: int) -> DatasetRecord:
     return DatasetRecord(split, vuln)
 
 
-def _record_from_training(row: dict, path: str, line_no: int) -> DatasetRecord:
-    split = _require(row, _TRAINING_REQUIRED, path, line_no)
+def _record_from_training(row: dict) -> DatasetRecord:
+    split = _require(row, _TRAINING_REQUIRED)
     vuln = parse_prompt(
         row["prompt"], id=row["id"], cwe_id=row["cwe_id"], completion=row["completion"]
     )
@@ -298,9 +297,9 @@ def stream(path: str, quarantined: list[QuarantineEntry]) -> Iterator[DatasetRec
         for line_no, row in rows:
             builder = _record_from_training if "prompt" in row else _record_from_raw
             try:
-                record = builder(row, path, line_no)
-            except SchemaError:
-                raise
+                record = builder(row)
+            except ValueError as exc:  # the row's shape; only this reader knows its line
+                raise SchemaError(str(exc), path=path, line_no=line_no) from None
             except LinefixError as exc:
                 quarantined.append(
                     QuarantineEntry(reason=str(exc), record_id=row.get("id"), line_no=line_no)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import socket
@@ -283,6 +284,69 @@ def test_a_csv_header_naming_a_column_twice_is_a_schema_error(runner, tmp_path, 
     assert result.exit_code == 2
     assert result.stderr == f"error: {raw}:1: header names column 'cwe_id' twice\n"
     assert list(tmp_path.iterdir()) == [raw]
+
+
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def write_csv(path: Path, rows: list[dict]) -> int:
+    """Write ``rows`` under a header of the last row's fields; returns the last row's first line."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[-1]))
+    writer.writeheader()
+    writer.writerows(rows[:-1])
+    line = text.getvalue().count("\n") + 1
+    writer.writerow(rows[-1])
+    path.write_text(text.getvalue(), encoding="utf-8", newline="")
+    return line
+
+
+@pytest.mark.skipif(not MAX_DIGITS, reason="this Python converts integers of any length")
+@pytest.mark.parametrize("where", ["jsonl", "csv", "prompt"])
+def test_an_integer_too_long_to_convert_exits_2_at_its_line(runner, tmp_path, where):
+    # json.loads and int() raise a plain ValueError past the digit limit, not a
+    # JSONDecodeError, which the CLI would report as a usage error with no line
+    huge = "9" * (MAX_DIGITS + 1)
+    rows = [raw_row(0), raw_row(1)]
+    if where == "csv":
+        path = tmp_path / "raw.csv"
+        line = write_csv(path, [rows[0], {**rows[1], "vuln_lines": f"[{huge}]"}])
+        message = "vuln_lines cell is not a JSON list: "
+    elif where == "jsonl":
+        lines = [json.dumps(row) for row in rows]
+        lines[1] = lines[1].replace('"split"', f'"vuln_lines": [{huge}], "split"')
+        path = tmp_path / "raw.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line, message = 2, "undecodable JSON: "
+    else:
+        exported = tmp_path / "train.jsonl"
+        ds.export_jsonl(ds.ingest(write_jsonl(tmp_path / "raw.jsonl", rows)).records, exported)
+        lines = exported.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[1])["prompt"].startswith("[INST]2 CWE-787 ")
+        lines[1] = lines[1].replace("[INST]2 ", f"[INST]{huge} ")
+        path = tmp_path / "exported.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line, message = 2, "Exceeds the limit"
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, ["ingest", "--input", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {path}:{line}: {message}")
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert not out.exists()
+
+
+def test_a_csv_cell_past_the_field_size_limit_exits_2_where_its_row_starts(runner, tmp_path):
+    # the oversized cell spans many lines; the error names the line its row starts on
+    big = "  n++;\n" * (csv.field_size_limit() // 7 + 1)
+    path = tmp_path / "raw.csv"
+    line = write_csv(path, [raw_row(0), raw_row(1, source_before=big)])
+    assert line > 2  # the first row's sources span several lines
+    out = tmp_path / "out.jsonl"
+    result = runner.invoke(main, ["ingest", "--input", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {path}:{line}: unreadable CSV row: field larger")
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert not out.exists()
 
 
 # --- streaming and atomic outputs ----------------------------------------------------------

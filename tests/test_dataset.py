@@ -189,8 +189,11 @@ def test_ingest_bool_vuln_lines_is_schema_error(tmp_path, fmt):
             writer = csv.DictWriter(fh, fieldnames=list(row))
             writer.writeheader()
             writer.writerow({**row, "vuln_lines": "[true]"})
-    with pytest.raises(SchemaError, match="vuln_lines must be a list of integers"):
+    with pytest.raises(SchemaError) as info:
         ingest(str(path))
+    line_no = 2 if fmt == "csv" else 1  # a CSV row comes after its header
+    message = "vuln_lines: expected a list of integers, got [True]"
+    assert str(info.value) == f"{path}:{line_no}: {message}"
 
 
 def test_ingest_quarantines_invariant_violations(tmp_path):
