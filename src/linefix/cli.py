@@ -61,10 +61,10 @@ def _unique(pairs: list[tuple]) -> dict:
 
 
 def _read(path: str, what: str = "not valid UTF-8", load=lambda fh: fh.read(),
-          errors=UnicodeDecodeError):
+          errors=UnicodeDecodeError, encoding="utf-8"):
     """``load`` on a UTF-8 file; SchemaError if it cannot decode it, ValueError if a key repeats."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding=encoding) as fh:
             return load(fh)
     except _DuplicateKey as exc:
         raise ValueError(f"{path}: duplicate key {exc.args[0]!r}") from None
@@ -307,7 +307,7 @@ def refine(train_path: str, test_path: str, mode: str, out_path: str) -> None:
                       {"train": train_path, "test": test_path}, {"mode": mode}, result=manifest,
                       quarantined={k: len(v) for k, v in quarantined.items()})
     _echo_quarantined(quarantined)
-    click.echo(f"kept {manifest.counts['train']}/{leak.read} train records -> {out_path}",
+    click.echo(f"kept {manifest.counts['train']}/{leak.train.total()} train records -> {out_path}",
                err=True)
 
 
@@ -380,7 +380,8 @@ def evaluate_cmd(
         )
         if mock_script_path is not None:
             script = _read(mock_script_path, "mock script is not valid UTF-8 JSON",
-                           lambda fh: json.load(fh, object_pairs_hook=_unique), ValueError)
+                           lambda fh: json.load(fh, object_pairs_hook=_unique), ValueError,
+                           encoding="utf-8-sig")  # skip a BOM; apply and derive keep theirs
         try:
             if mock_script_path is None:
                 backend = HttpBackend(spec)

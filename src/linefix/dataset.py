@@ -44,10 +44,10 @@ quarantined with a reason, never silently dropped. Every record that is kept
 carries its reference patch, so export_jsonl writes one training row for each.
 
 The writers take any iterable of records. ``LeakFilter`` is the one leakage
-counter: it holds the test records as fingerprint counts and sorts train
-records into kept, leaked and repeated as they pass. ``refine`` wraps it for
-lists, and ``detect_overlap`` offers it every train record and reports on the
-train set as given.
+counter: it counts test records, and in its public ``train`` train records, by
+fingerprint; ``manifest()`` (the refined set) and ``audit()`` (the set as
+given) derive every number from those two counts. ``refine`` wraps it for
+lists; ``detect_overlap`` offers it every train record and returns ``audit()``.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _read_csv(path: str) -> Iterator[tuple[int, dict]]:
                         row["vuln_lines"] = json.loads(row["vuln_lines"])
                     except ValueError:  # also an integer literal too long to convert
                         raise SchemaError(
-                            f"vuln_lines cell is not a JSON list: {row['vuln_lines']!r}",
+                            f"vuln_lines cell is not a JSON list: {row['vuln_lines'][:60]!r}",
                             path=path,
                             line_no=line_no,
                         )
@@ -207,21 +207,17 @@ def strip_bug_markers(text: str) -> tuple[SourceUnit, list[int]]:
 
     A line containing either marker counts as marked; the marker token plus
     one adjacent space is dropped so surrounding code is left untouched. The
-    clean lines are read back as text, so a last line that the strip leaves
-    empty, with no LF after it, folds into the trailing LF.
+    whole text is stripped at once (no marker or removal holds a LF) and read
+    back, so a last line that the strip leaves empty, with no LF after it,
+    folds into the trailing LF.
     """
     unit = from_text(text)
     if BUG_START not in text and BUG_END not in text:
         return unit, []
-    clean: list[str] = []
-    marked: list[int] = []
-    for i, line in enumerate(unit.lines):
-        if BUG_START in line or BUG_END in line:
-            marked.append(i)
-            for token in (BUG_START, BUG_END):
-                line = line.replace(token + " ", "").replace(" " + token, "").replace(token, "")
-        clean.append(line)
-    return from_text(to_text(SourceUnit(tuple(clean), unit.had_trailing_newline))), marked
+    marked = [i for i, line in enumerate(unit.lines) if BUG_START in line or BUG_END in line]
+    for token in (BUG_START, BUG_END):
+        text = text.replace(token + " ", "").replace(" " + token, "").replace(token, "")
+    return from_text(text), marked
 
 
 def _record_from_raw(row: dict) -> DatasetRecord:
@@ -399,58 +395,52 @@ def detect_overlap(
 ) -> SplitManifest:
     """Measure test-side leakage: the fraction of test records seen in train.
 
-    Offers every train record to a ``LeakFilter`` built from ``test``, so
-    ``test`` is read first; only fingerprints are held. ``counts`` and
-    ``train_duplicates`` describe the train set as given.
+    Offers every train record to a ``LeakFilter`` built from ``test`` (read
+    first; only fingerprints are held) and returns its ``audit``.
     """
     leak = LeakFilter(test, mode)
     for r in train:
         leak.keep(r)
-    distinct = len(leak._kept) + len(leak._leaked)
-    return leak._manifest("detect_overlap", leak.read, leak.read - distinct)
+    return leak.audit()
 
 
 class LeakFilter:
     """Refinement as a filter over train records that stream past.
 
-    Built from the test records, of which it keeps only fingerprint counts.
-    ``keep`` drops a train record fingerprinted in test, then one whose
-    fingerprint an earlier kept record has (keep-first dedupe), so at most
-    one train fingerprint per kept record is held.
+    Built from the test records, of which it keeps only fingerprint counts;
+    ``train`` counts the records offered to ``keep`` by fingerprint, one entry
+    per distinct fingerprint. ``keep`` drops a train record fingerprinted in
+    test, then one whose fingerprint an earlier record has (keep-first dedupe).
+    ``manifest`` describes the refined train set and ``audit`` the set as
+    given; both raise ValueError when no train or no test record was read.
     """
 
     def __init__(self, test: Iterable[DatasetRecord], mode: str = "exact"):
         self.mode = mode
-        self.read = 0  # train records offered to keep
         self._test = Counter(compute_fingerprint(r, mode) for r in test)
-        self._kept: set[str] = set()
-        self._leaked: set[str] = set()
-        self._duplicates = 0
+        self.train: Counter[str] = Counter()
 
     def keep(self, record: DatasetRecord) -> bool:
-        self.read += 1
         digest = compute_fingerprint(record, self.mode)
-        if digest in self._test:
-            self._leaked.add(digest)
-            return False
-        if digest in self._kept:
-            self._duplicates += 1
-            return False
-        self._kept.add(digest)
-        return True
+        self.train[digest] += 1
+        return self.train[digest] == 1 and digest not in self._test
 
     def manifest(self) -> SplitManifest:
-        """What was found and removed; overlap_count is the input train set's test-side leakage.
+        """The refined train set: the records kept and the repeats dropped among them."""
+        clean = [n for digest, n in self.train.items() if digest not in self._test]
+        return self._manifest("refine", len(clean), sum(clean) - len(clean))
 
-        Raises ValueError when no train or no test record was read.
-        """
-        return self._manifest("refine", len(self._kept), self._duplicates)
+    def audit(self) -> SplitManifest:
+        """The train set as given: every record offered and every repeat among them."""
+        read = self.train.total()
+        return self._manifest("detect_overlap", read, read - len(self.train))
 
     def _manifest(self, command: str, n_train: int, train_duplicates: int) -> SplitManifest:
-        n_test = sum(self._test.values())
-        if not self.read or not n_test:
+        # in both manifests, overlap_count is the test records whose fingerprint train has
+        n_test = self._test.total()
+        if not self.train or not n_test:
             raise ValueError(f"{command} needs non-empty train and test")
-        overlap = sum(self._test[d] for d in self._leaked)
+        overlap = sum(n for digest, n in self._test.items() if digest in self.train)
         return SplitManifest(
             counts={"train": n_train, "test": n_test},
             train_duplicates=train_duplicates,

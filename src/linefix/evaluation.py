@@ -13,9 +13,9 @@ compared, once; a repeated malformed candidate still counts as a format error
 each time it appears.
 
 ``evaluate`` alone times generation and adds up tokens. A synthetic backend's
-time is the sum of its samples' scripted latencies in input order, so reports
-are reproducible; any other backend's is the wall time from the first window
-queued to the last outcome collected.
+time is its samples' scripted latencies added one by one in input order, so
+reports are the same on every Python; any other backend's is the wall time
+from the first window queued to the last outcome collected.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def evaluate(
     error, the samples still queued are dropped and the running ones finish.
     """
     samples: list[SampleResult] = []
-    walls: list[float] = []  # a synthetic run's time sums these in one pass
+    synthetic_time = 0.0  # each outcome's wall time, added one at a time in input order
     total_tokens = 0
     tokens_estimated = False
     seen: set[str] = set()
@@ -185,7 +185,8 @@ def evaluate(
             wait(futures)
             end = time.perf_counter()
             outcomes = [f.result() for f in futures]
-            walls += (o.wall_time_s for o in outcomes)
+            for o in outcomes:
+                synthetic_time += o.wall_time_s
             total_tokens += sum(sum(o.tokens_generated) for o in outcomes)
             tokens_estimated |= any(o.ok and not o.backend_reported for o in outcomes)
             samples += score_batch(window, outcomes, cwe_order=cwe_order, strict=strict).samples
@@ -195,7 +196,7 @@ def evaluate(
     if not samples:
         raise EmptyEvaluation("no records to evaluate")
     synthetic = backend.synthetic
-    total_time = sum(walls) if synthetic else end - start  # as if one batch of every record
+    total_time = synthetic_time if synthetic else end - start  # as if one batch of every record
     return _report(samples, total_tokens, tokens_estimated, total_time, synthetic, cwe_order)
 
 

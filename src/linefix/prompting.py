@@ -129,8 +129,9 @@ def parse_prompt(
     exactly what build_prompt writes.
 
     Errors are reported in this order: MalformedPrompt for the layout,
-    InvalidRecord for a disagreeing ``cwe_id``, PatchFormatError for the
-    completion, then InvalidRecord for a broken record invariant.
+    InvalidRecord for a disagreeing ``cwe_id``, ValueError for a line number
+    too long to convert, PatchFormatError for the completion, then
+    InvalidRecord for a broken record invariant.
     """
     if not text.startswith(INST_OPEN):
         raise MalformedPrompt(f"prompt must start with {INST_OPEN}")
@@ -153,11 +154,16 @@ def parse_prompt(
                 raise MalformedPrompt(f"source line {i} not numbered as {prefix!r}")
     if cwe_id is not None and cwe_id != m.group(2):
         raise InvalidRecord(f"cwe_id field {cwe_id!r} disagrees with prompt {m.group(2)!r}")
+    try:
+        vuln_lines = tuple(map(int, m.group(1).split()))
+    except ValueError:  # a line number past the interpreter's integer-string limit
+        digits = max(map(len, m.group(1).split()))
+        raise ValueError(f"prompt header: line number of {digits} digits") from None
     record = VulnRecord(
         id=id,
         cwe_id=m.group(2),
         cwe_description=m.group(3),
-        vuln_lines=tuple(int(t) for t in m.group(1).split()),
+        vuln_lines=vuln_lines,
         source=source,
         reference_patch=parse_patch(completion),
     )

@@ -172,6 +172,8 @@ def test_refine_then_audit_is_clean(runner, corpus):
          "--out", str(refined)],
     )
     assert result.exit_code == 0, result.output
+    # of 8 train records, rec-0 and its copy leak into test and rec-3-copy repeats rec-3
+    assert f"kept 5/8 train records -> {refined}" in result.stderr
     manifest = json.loads((corpus["dir"] / "refined.jsonl.manifest.json").read_text())
     assert manifest["result"]["overlap_count"] == 1
     assert manifest["result"]["train_duplicates"] == 1
@@ -326,11 +328,13 @@ def test_an_integer_too_long_to_convert_exits_2_at_its_line(runner, tmp_path, wh
         lines[1] = lines[1].replace("[INST]2 ", f"[INST]{huge} ")
         path = tmp_path / "exported.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        line, message = 2, "Exceeds the limit"
+        line, message = 2, f"prompt header: line number of {len(huge)} digits"
     out = tmp_path / "out.jsonl"
     result = runner.invoke(main, ["ingest", "--input", str(path), "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith(f"error: {path}:{line}: {message}")
+    if where == "csv":  # the cell is echoed only in part
+        assert len(result.stderr) < len(f"error: {path}:{line}: {message}") + 100
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert not out.exists()
 
@@ -1057,6 +1061,33 @@ def test_evaluate_mock_script_that_does_not_decode_exits_2_naming_it(
     assert result.stderr.startswith(f"error: {script_path}: mock script is not valid UTF-8 JSON: ")
     assert "Traceback" not in result.output
     assert not report_dir.exists()
+
+
+def test_evaluate_reads_a_mock_script_with_a_byte_order_mark(runner, eval_setup, tmp_path):
+    reports = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        script_path = tmp_path / f"{name}.json"
+        script_path.write_bytes(bom + Path(eval_setup["script"]).read_bytes())
+        report_dir = tmp_path / name
+        result = runner.invoke(main, evaluate_args({**eval_setup, "script": str(script_path)},
+                                                   report_dir))
+        assert result.exit_code == 0, result.output
+        reports.append((report_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_derive_and_apply_read_a_byte_order_mark_as_source_text(runner, tmp_path):
+    (tmp_path / "before.c").write_text("\ufeffa\nb\n", encoding="utf-8")
+    (tmp_path / "after.c").write_text("a\nb\n", encoding="utf-8")
+    derived = runner.invoke(main, ["derive", "--before", str(tmp_path / "before.c"),
+                                   "--after", str(tmp_path / "after.c")])
+    assert derived.exit_code == 0, derived.output
+    assert derived.output == "-1-1<MID>a\n"  # the BOM is part of line 0
+    (tmp_path / "fix.patch").write_text(derived.output, encoding="utf-8")
+    applied = runner.invoke(main, ["apply", "--source", str(tmp_path / "before.c"),
+                                   "--patch", str(tmp_path / "fix.patch")])
+    assert applied.exit_code == 0, applied.output
+    assert applied.output == "a\nb\n"
 
 
 @pytest.mark.parametrize(

@@ -1095,3 +1095,10 @@ def test_overlap_and_refine_match_brute_force_counts(train_fixes, test_fixes, mo
         overlap_fraction=leaked / len(test),
         mode=mode,
     )
+    # one filter gives both manifests from its counts
+    leak = dataset.LeakFilter(iter(test), mode)
+    kept_count = sum(leak.keep(r) for r in train)
+    assert leak.train.total() == len(train)
+    assert kept_count == leak.manifest().counts["train"]
+    assert leak.manifest() == manifest
+    assert leak.audit() == detect_overlap(train, test, mode)
