@@ -1,17 +1,13 @@
-"""Benchmark the line diff.
+"""Synthetic fixes: function-sized line sequences with a few runs mutated.
 
-Synthesizes function-sized line sequences, mutates a few runs the way real
-fixes do, and times edit_runs over each workload.
-
-Run from the repository root:  PYTHONPATH=src python3 benchmarks/bench_diff.py
+``synth_pair`` draws a before/after pair the way real fixes change code;
+``perfbench/corpus.py`` builds its records from it, so its draws are part of
+the benchmark's inputs.
 """
 
 from __future__ import annotations
 
 import random
-import time
-
-from linefix.linediff import edit_runs
 
 VOCAB = [
     "{",
@@ -45,26 +41,3 @@ def synth_pair(rng: random.Random, n_lines: int, n_edits: int) -> tuple[list[str
         else:
             after[pos: pos + rng.randint(1, 3)] = [rng.choice(VOCAB) + " /* repl */"]
     return before, after
-
-
-def bench(pairs: list[tuple[list[str], list[str]]]) -> float:
-    start = time.perf_counter()
-    for before, after in pairs:
-        edit_runs(before, after)
-    return time.perf_counter() - start
-
-
-def main() -> None:
-    rng = random.Random(20240816)
-    workloads = {
-        "small fixes (200 lines, 3 edits, x400)": [synth_pair(rng, 200, 3) for _ in range(400)],
-        "medium fixes (800 lines, 8 edits, x100)": [synth_pair(rng, 800, 8) for _ in range(100)],
-        "heavy rewrites (600 lines, 120 edits, x40)": [synth_pair(rng, 600, 120) for _ in range(40)],
-    }
-    print(f"{'workload':<45}{'edit_runs':>12}")
-    for label, pairs in workloads.items():
-        print(f"{label:<45}{bench(pairs):>11.3f}s")
-
-
-if __name__ == "__main__":
-    main()

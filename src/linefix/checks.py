@@ -27,11 +27,6 @@ def check_mapping(name: str, value: object, known: tuple[str, ...]) -> None:
             raise ValueError(f"{name}: unknown key {key!r}; expected one of {', '.join(known)}")
 
 
-def integral(value: object) -> object:
-    """An integral float as the int it holds; any other value unchanged."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
 def check_number(name: str, value: object, *, integer: bool = False,
                  low: float | None = None, above: bool = False, null: bool = False):
     """The one rule for every numeric setting; returns ``value`` as an int or a float.
@@ -46,7 +41,9 @@ def check_number(name: str, value: object, *, integer: bool = False,
     kind = "an integer" if integer else "a number"
     expected = f"{kind} or null" if null else kind
     if integer:
-        value = number = integral(value)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        number = value
         check_type(name, value, (int,), expected)
     else:
         check_type(name, value, (int, float), expected)

@@ -9,11 +9,13 @@ a resolved-config manifest next to its outputs. Outputs carry no timestamps:
 identical inputs, flags, and seed produce byte-identical files.
 
 The corpus commands stream their records from reader to writer, and
-``evaluate`` one window at a time (``evaluation.WINDOW`` records, more for a
-backend with many in-flight slots). Every file a command writes (records,
-quarantine file, manifest, reports) goes next to its target and is renamed over
-it only once the command has written them all, so a failed run leaves existing
-outputs as they were; ``_replacing`` names the one exception, a failed rename.
+``evaluate`` reads one window at a time (``evaluation.WINDOW`` records, more
+for a backend with many in-flight slots) and holds at most two: the one it
+scores and the next, which generates meanwhile. Every file a command writes
+(records, quarantine file, manifest, reports) goes next to its target and is
+renamed over it only once the command has written them all, so a failed run
+leaves existing outputs as they were; ``_replacing`` names the one exception,
+a failed rename.
 """
 
 from __future__ import annotations
@@ -157,9 +159,9 @@ def resolve_settings(
         strict = picked.pop("strict", False)
         cwes = list(picked.pop("cwe_list", DEFAULT_CWE_ORDER))
         cfg = DecodeConfig(**picked)
-        for i, cwe in enumerate(cwes):
-            if not CWE_ID.fullmatch(cwe) or cwe in cwes[:i]:
-                raise ValueError(f"cwe_list: expected distinct CWE ids, got {cwe!r} in {cwes}")
+        bad = [cwe for cwe in cwes if not CWE_ID.fullmatch(cwe)] + repeats(cwes)
+        if bad:
+            raise ValueError(f"cwe_list: expected distinct CWE ids, got {bad[0]!r} in {cwes}")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad decode config: {exc}") from None
     try:

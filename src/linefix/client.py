@@ -21,7 +21,9 @@ finds its idle connection dropped by the server is sent once more on a new
 connection, within the same attempt; a connection whose exchange failed or
 timed out is closed, never reused. No redirect is followed. The proxy is
 read from the ``HTTP(S)_PROXY``/``NO_PROXY`` settings when the backend is
-built, and HTTPS is verified against the system's CA store. ``generate``
+built, and HTTPS is verified against the system's CA store. What the
+backend sends from its spec is checked then too: the credential (never shown
+in a message), the request target and ``extra_params``. ``generate``
 retries timeouts, transport faults, malformed answers, 5xx, 408 and 429 with
 exponential backoff, and fails at once on any other status and on errors no
 retry can cure (an unknown sample id, an unsupported decoding strategy). The
@@ -46,7 +48,7 @@ from collections.abc import Mapping, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from linefix.checks import check_list, check_mapping, check_number, check_type, integral, repeats
+from linefix.checks import check_list, check_mapping, check_number, check_type, repeats
 from linefix.errors import (
     BackendError,
     CapabilityError,
@@ -184,11 +186,9 @@ class MockBackend:
             check_list(f"{at}.candidates", candidates, str, "a list of strings")
             tokens = entry.get("tokens")
             if tokens is not None:
-                if isinstance(tokens, (list, tuple)):
-                    tokens = [integral(t) for t in tokens]
-                check_list(f"{at}.tokens", tokens, int, "a list of integers")
-                for i, count in enumerate(tokens):
-                    check_number(f"{at}.tokens[{i}]", count, integer=True, low=0)
+                check_type(f"{at}.tokens", tokens, (list, tuple), "a list of integers")
+                tokens = [check_number(f"{at}.tokens[{i}]", count, integer=True, low=0)
+                          for i, count in enumerate(tokens)]
             fail_times = check_number(
                 f"{at}.fail_times", entry.get("fail_times", 0), integer=True, low=0)
             latency = check_number(
@@ -248,6 +248,9 @@ class HttpBackend:
             token = os.environ.get(spec.auth_env)
             if not token:
                 raise ValueError(f"credential env var {spec.auth_env} is not set")
+            if not (token.isascii() and token.isprintable()):  # the message never shows it
+                raise ValueError(f"credential env var {spec.auth_env} holds a control or"
+                                 " non-ASCII character, which a header cannot carry")
             self.headers["Authorization"] = f"Bearer {token}"
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         address, self._tunnel = (url.hostname, url.port), None
@@ -264,6 +267,13 @@ class HttpBackend:
                 self._target = url._replace(fragment="").geturl()
                 self.headers.update(login)
             address = (proxy_url.hostname, proxy_url.port)
+        if any(c <= " " or c >= "\x7f" for c in self._target):
+            raise ValueError(f"endpoint: the request target {self._target!r} holds a space,"
+                             " a control character or a non-ASCII character")
+        try:
+            json.dumps(spec.extra_params, allow_nan=False)
+        except (TypeError, ValueError) as exc:  # a YAML date, a NaN
+            raise ValueError(f"extra_params: {exc}") from None
         if https:
             import ssl
 

@@ -225,7 +225,8 @@ def _record_from_raw(row: dict) -> DatasetRecord:
     fix_fields = tuple(f for f in ("source_after", "reference_patch") if row.get(f) is not None)
     if len(fix_fields) == 2:
         raise ValueError("row has both 'source_after' and 'reference_patch'; give one")
-    split = _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)))
+    given = ("cve_id",) if row.get("cve_id") is not None else ()  # null is absent
+    split = _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)) + given)
     patch_text = row.get("reference_patch")
     src, marker_lines = strip_bug_markers(row["source_before"])
     if patch_text is None:

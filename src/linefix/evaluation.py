@@ -165,22 +165,22 @@ def evaluate(
     it = iter(records)
     size = max(WINDOW, ROUNDS * backend.spec.max_in_flight)
 
-    def queued():  # each window read, checked and queued, with the time it was queued
+    def queued():  # each window read, checked and queued
         while window := list(islice(it, size)):
             count = len(seen)
             seen.update(r.id for r in window)
             if len(seen) != count + len(window):
                 raise ValueError("sample ids must be unique within an evaluation")
             prompts = [(r.id, build_prompt(r)) for r in window]
-            yield window, time.perf_counter(), submit_batch(prompts, cfg, backend, pool=pool)
+            yield window, submit_batch(prompts, cfg, backend, pool=pool)
 
     pool = batch_pool(backend)  # one pool for every window
     try:
         windows = queued()
         ahead = next(windows, None)
-        start = end = ahead[1] if ahead else 0.0
+        start = end = time.perf_counter()  # the first window is queued
         while ahead:
-            window, _, futures = ahead
+            window, futures = ahead
             ahead = next(windows, None)  # in flight while this window is collected and scored
             wait(futures)
             end = time.perf_counter()

@@ -1000,9 +1000,9 @@ def scripted(entry: dict) -> dict:
         (scripted({"candidates": [completion(0), 7]}),
          f"samples['rec-0'].candidates: expected a list of strings, got [{completion(0)!r}, 7]"),
         (scripted({"candidates": [completion(0)], "tokens": [1.5]}),
-         "samples['rec-0'].tokens: expected a list of integers, got [1.5]"),
+         "samples['rec-0'].tokens[0]: expected an integer, got 1.5"),
         (scripted({"candidates": [completion(0)], "tokens": [True]}),
-         "samples['rec-0'].tokens: expected a list of integers, got [True]"),
+         "samples['rec-0'].tokens[0]: expected an integer, got True"),
         (scripted({"candidates": [completion(0)], "tokens": [4, -3]}),
          "samples['rec-0'].tokens[1]: expected an integer >= 0, got -3"),
         (scripted({"candidates": [completion(0)], "fail_times": "1"}),
@@ -1313,6 +1313,28 @@ def test_evaluate_missing_credential_exits_64_before_any_request(
     assert result.exit_code == 64
     assert "bad backend config: credential env var LINEFIX_TEST_TOKEN is not set" in result.output
     assert seen == []
+
+
+def test_evaluate_refuses_a_cr_credential_unshown_before_reading_records(
+    runner, tmp_path, monkeypatch
+):
+    # a .env file saved with CRLF line ends leaves a CR at the end of the value
+    monkeypatch.setenv("LINEFIX_TEST_TOKEN", "abc123secret\r")
+    backend_cfg = tmp_path / "backend.yaml"
+    backend_cfg.write_text(
+        "backend:\n  endpoint: http://127.0.0.1:9/gen\n  auth_env: LINEFIX_TEST_TOKEN\n")
+    report_dir = tmp_path / "r"
+    result = runner.invoke(main, [
+        "evaluate",
+        "--records", str(tmp_path / "missing.jsonl"),
+        "--backend-config", str(backend_cfg),
+        "--report-dir", str(report_dir),
+    ])
+    assert result.exit_code == 64, result.output
+    assert "error: bad backend config: credential env var LINEFIX_TEST_TOKEN holds" in (
+        result.stderr)
+    assert "abc123secret" not in result.stdout + result.stderr
+    assert not report_dir.exists()
 
 
 def test_cli_import_loads_no_http_library():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import datetime
 import http.client
 import json
 import socket
@@ -155,6 +156,12 @@ def test_mock_pads_tuples_to_k():
     assert out.candidates == ["a", "b", ""]
     assert out.tokens_generated == [7, 8, 0]
     assert out.backend_reported
+
+
+@pytest.mark.parametrize("tokens", [5, "7", {"a": 1}])
+def test_mock_tokens_must_be_a_list(tokens):
+    with pytest.raises(ValueError, match=r"^samples\['s'\]\.tokens: expected a list of integers"):
+        mock_backend({"s": {"candidates": ["a"], "tokens": tokens}})
 
 
 def test_mock_tokens_padded_and_reported():
@@ -536,6 +543,30 @@ def test_http_auth_env_missing(http_server, monkeypatch):
     spec = _spec(http_server, "/auth", auth_env="TEST_BACKEND_TOKEN")
     with pytest.raises(ValueError, match="TEST_BACKEND_TOKEN is not set"):
         HttpBackend(spec)
+
+
+@pytest.mark.parametrize("token", ["abc123secret\r", "abc123secret\n", "abc123secret\u2019"],
+                         ids=["CR", "LF", "non-ASCII"])
+def test_http_credential_a_header_cannot_carry_is_refused_unshown(monkeypatch, token):
+    monkeypatch.setenv("TEST_BACKEND_TOKEN", token)
+    spec = BackendSpec(endpoint="http://127.0.0.1:9/gen", auth_env="TEST_BACKEND_TOKEN")
+    with pytest.raises(ValueError, match="^credential env var TEST_BACKEND_TOKEN holds") as info:
+        HttpBackend(spec)
+    assert "abc123secret" not in str(info.value)
+
+
+@pytest.mark.parametrize("path", ["/a b", "/g\u00e9n", "/gen?q=a\x01"],
+                         ids=["space", "non-ASCII", "control"])
+def test_http_request_target_a_request_line_cannot_carry_is_refused(path):
+    with pytest.raises(ValueError, match="^endpoint: the request target"):
+        HttpBackend(BackendSpec(endpoint=f"http://127.0.0.1:9{path}"))
+
+
+@pytest.mark.parametrize("params", [{"since": datetime.date(2024, 1, 1)}, {"t": float("nan")}],
+                         ids=["date", "NaN"])
+def test_http_extra_params_that_are_not_json_are_refused(params):
+    with pytest.raises(ValueError, match="^extra_params: "):
+        HttpBackend(BackendSpec(endpoint="http://127.0.0.1:9/gen", extra_params=params))
 
 
 def test_http_connection_refused_is_transport_error():

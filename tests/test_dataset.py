@@ -631,6 +631,16 @@ def test_non_string_stored_reference_is_schema_error(tmp_path, value):
         ingest(path)
 
 
+@pytest.mark.parametrize("value,kind", [(5, "int"), (["CVE-1"], "list"), ({"a": 1}, "dict"),
+                                        (True, "bool")])
+def test_non_string_cve_id_is_schema_error(tmp_path, value, kind):
+    path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, cve_id="CVE-2020-1"),
+                                              raw_row(1, cve_id=value)])
+    with pytest.raises(SchemaError, match=f"^.*r.jsonl:2: field 'cve_id' must be a string,"
+                                          f" got {kind}$"):
+        ingest(path)
+
+
 def test_fix_fields_are_type_checked_and_one_is_required(tmp_path):
     with pytest.raises(SchemaError, match="'source_after' must be a string"):
         ingest(write_jsonl(tmp_path / "typed.jsonl", [raw_row(0, source_after=5)]))

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import random
 import threading
+import types
 
 import pytest
 from hypothesis import assume, given, settings
@@ -255,6 +256,18 @@ def test_synthetic_time_is_the_same_float_on_every_python():
     samples = {f"r{i}": {"candidates": [REFERENCE], "latency_s": 0.1} for i in range(8)}
     report = run_eval(records, samples, k=1)
     assert report.efficiency.total_time_s == 0.7999999999999999
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_wall_time_spans_the_first_window_queued_to_the_last_collected(monkeypatch, window, n):
+    # the clock is read once when the first window is queued and once per window collected
+    ticks = iter(range(100))
+    monkeypatch.setattr(evaluation, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    window(2)
+    records = [record(f"r{i}") for i in range(2 * n)]
+    backend = MockBackend({"samples": {r.id: {"candidates": [REFERENCE]} for r in records}})
+    backend.synthetic = False
+    assert evaluate(records, backend, DecodeConfig(k=1)).efficiency.total_time_s == n
 
 
 def test_every_window_runs_on_one_pool(monkeypatch, window):

@@ -8,13 +8,22 @@ would leave the sample latency with no samples. The score observer reads
 counts off ``score_batch``'s result with ``getattr`` and a default of 0, so a
 result that lost one of those attributes would zero its traced count. The
 tables and the observer are read with ``ast`` so perfbench is not imported.
+
+The benchmark's records are drawn by ``synth_pair`` in
+``benchmarks/bench_diff.py``, so its draws are pinned by a digest, and that
+file may import nothing that would load into the benchmark runner's own
+process and raise the floor of its measured memory.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib
 import inspect
+import json
+import random
+import runpy
 from pathlib import Path
 
 from linefix import client
@@ -24,6 +33,7 @@ from tests.test_evaluation import REFERENCE, outcomes, record
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYERS = PERFBENCH / "layers.py"
 RUNNER = PERFBENCH / "runner.py"
+SYNTH = PERFBENCH.parent / "benchmarks" / "bench_diff.py"
 
 # engine.applied_equivalent was deleted (score_batch compares applied results
 # itself); perfbench still lists it and reports it as not traced
@@ -83,3 +93,21 @@ def test_score_batch_result_has_every_attribute_the_score_observer_reads():
     result = score_batch([record("r0")], outcomes([[REFERENCE]]))
     assert [n for n in sorted(names) if not hasattr(result, n)] == []
     assert result.pp_hits == 1
+
+
+def test_the_synthetic_fixes_are_the_ones_the_benchmark_was_measured_on():
+    synth = runpy.run_path(str(SYNTH))
+    pairs = [synth["synth_pair"](random.Random(seed), lines, edits)
+             for seed, lines, edits in [(1, 20, 1), (2, 200, 3), (3, 800, 48)]]
+    digest = hashlib.sha256(json.dumps([synth["VOCAB"], pairs]).encode()).hexdigest()
+    assert digest == "9979b36c768366d82997eaed9c0c7a8f6d4fd7500e3aa4553b3f9b28375d68d5"
+
+
+def test_the_synthetic_fix_generator_imports_only_the_standard_random():
+    imported = set()
+    for node in ast.walk(ast.parse(SYNTH.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "random"}

@@ -143,6 +143,12 @@ def test_a_file_value_is_checked_even_where_a_flag_overrides_it(config, flags, m
         resolve_settings(config, None, **flags)
 
 
+def test_a_cwe_list_names_its_first_invalid_id_before_a_repeat():
+    with pytest.raises(ValueError, match="^bad decode config: cwe_list: expected distinct CWE ids,"
+                                         " got 'other' in"):
+        resolve_settings({"cwe_list": ["CWE-79", "CWE-79", "other"]}, None)
+
+
 def test_inputs_are_not_changed():
     config = {"decode": {"k": 2}, "backend": {"model": "a", "max_in_flight": 2}}
     backend_config = {"backend": {"model": "b"}}
