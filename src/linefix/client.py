@@ -23,7 +23,8 @@ timed out is closed, never reused. No redirect is followed. The proxy is
 read from the ``HTTP(S)_PROXY``/``NO_PROXY`` settings when the backend is
 built, and HTTPS is verified against the system's CA store. What the
 backend sends from its spec is checked then too: the credential (never shown
-in a message), the request target and ``extra_params``. ``generate``
+in a message, and refused in the endpoint URL, which a proxy would receive),
+the request target and ``extra_params``. ``generate``
 retries timeouts, transport faults, malformed answers, 5xx, 408 and 429 with
 exponential backoff, and fails at once on any other status and on errors no
 retry can cure (an unknown sample id, an unsupported decoding strategy). The
@@ -31,9 +32,8 @@ HTTP, socket and TLS modules load only when an ``HttpBackend`` is built, so
 importing this module stays cheap.
 
 ``submit_batch`` queues a batch's samples on a ``batch_pool`` and returns
-their futures, so a caller can queue the next batch before it collects this
-one; ``generate_batch`` submits and waits, and returns the outcomes in input
-order. Neither keeps a clock. The pool runs up to
+their futures in input order, so a caller can queue the next batch before it
+collects this one. It keeps no clock. The pool runs up to
 ``BackendSpec.max_in_flight`` requests at once, one worker per slot, also
 when there is only one slot.
 """
@@ -45,10 +45,10 @@ import os
 import threading
 import time
 from collections.abc import Mapping, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from linefix.checks import check_list, check_mapping, check_number, check_type, repeats
+from linefix.checks import check_list, check_mapping, check_number, check_type
 from linefix.errors import (
     BackendError,
     CapabilityError,
@@ -239,6 +239,9 @@ class HttpBackend:
         from urllib.parse import unquote, urlsplit
 
         url = urlsplit(spec.endpoint)
+        if url.username is not None:  # any user info, also ":password@"; never echo it
+            raise ValueError("endpoint: a URL must not hold credentials; put the credential in"
+                             " an environment variable and name it in auth_env")
         https = url.scheme == "https"
         if not (https or url.scheme == "http") or not url.hostname:
             raise ValueError(f"endpoint: expected an http or https URL, got {spec.endpoint!r}")
@@ -424,7 +427,14 @@ def generate(
 
 
 def batch_pool(backend) -> ThreadPoolExecutor:
-    """A thread pool with one worker per ``max_in_flight`` slot of ``backend``."""
+    """A thread pool with one worker per ``max_in_flight`` slot of ``backend``.
+
+    A pool also with one slot: generating on the caller's thread instead made
+    mock evaluations swing between two speeds from run to run on a shared
+    2-vCPU host. The caller keeps one pool open across its batches and shuts
+    it down itself; a fresh pool per batch made the caller wait on almost
+    every sample in turn.
+    """
     return ThreadPoolExecutor(max_workers=backend.spec.max_in_flight)
 
 
@@ -438,10 +448,11 @@ def submit_batch(
     """Queue one task per (sample_id, prompt) pair on ``pool``; returns their futures.
 
     Each future's result is the sample's CandidateSet; a failed sample becomes
-    an error-bearing CandidateSet rather than an exception.
+    an error-bearing CandidateSet rather than an exception. The caller waits
+    once for the whole batch (``concurrent.futures.wait``), not once for each
+    result in turn, and then reads the results in input order. Sample ids are
+    not checked here; ``evaluation.evaluate`` holds them unique.
     """
-    if repeats(sid for sid, _ in prompts):
-        raise ValueError("sample ids must be unique within a batch")
 
     def one(item: tuple[str, str]) -> CandidateSet:
         sid, prompt = item
@@ -459,27 +470,3 @@ def submit_batch(
             )
 
     return [pool.submit(one, item) for item in prompts]
-
-
-def generate_batch(
-    prompts: Sequence[tuple[str, str]],
-    cfg: DecodeConfig,
-    backend,
-    *,
-    pool: ThreadPoolExecutor,
-) -> list[CandidateSet]:
-    """Generate for (sample_id, prompt) pairs with bounded concurrency.
-
-    Up to ``backend.spec.max_in_flight`` samples run at once on a thread
-    pool, also with one slot: generating on the caller's thread instead made
-    mock evaluations swing between two speeds from run to run on a shared
-    2-vCPU host. Outcomes come back in input order (see ``submit_batch``).
-
-    The batch runs on ``pool``, a ``batch_pool`` the caller keeps open across
-    its batches and shuts down itself; a fresh pool per batch made the caller
-    wait on almost every sample in turn. The caller waits once for the whole
-    batch, not once for each result in turn.
-    """
-    futures = submit_batch(prompts, cfg, backend, pool=pool)
-    wait(futures)
-    return [f.result() for f in futures]

@@ -31,8 +31,7 @@ training schema (JSONL)
 
 ``stream`` is the one reader: it yields each record as its row is decoded,
 so a caller that writes as it reads holds one record at a time. Every command
-reads through it. ``ingest``, which collects the stream into a list, and the
-list ``refine`` stay because ``perfbench/layers.py`` traces them by name.
+reads through it.
 Structural problems (missing fields, undecodable rows, bytes or escapes that
 are not UTF-8) raise SchemaError at ``path:line`` for the first one in file
 order; the record builders raise ValueError, and ``stream`` adds the line. A
@@ -46,8 +45,9 @@ carries its reference patch, so export_jsonl writes one training row for each.
 The writers take any iterable of records. ``LeakFilter`` is the one leakage
 counter: it counts test records, and in its public ``train`` train records, by
 fingerprint; ``manifest()`` (the refined set) and ``audit()`` (the set as
-given) derive every number from those two counts. ``refine`` wraps it for
-lists; ``detect_overlap`` offers it every train record and returns ``audit()``.
+given) derive every number from those two counts. The refined train set is
+``filter(leak.keep, train)``, read after ``test``; ``detect_overlap`` offers
+it every train record and returns ``audit()``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 
 from linefix import engine
@@ -105,12 +105,6 @@ class QuarantineEntry:
     record_id: str | None
     line_no: int | None
     reason: str
-
-
-@dataclass
-class IngestResult:
-    records: list[DatasetRecord]
-    quarantined: list[QuarantineEntry] = field(default_factory=list)
 
 
 @dataclass
@@ -315,12 +309,6 @@ def stream(path: str, quarantined: list[QuarantineEntry]) -> Iterator[DatasetRec
             yield record
 
 
-def ingest(path: str) -> IngestResult:
-    """Read a whole records file; invariant violations land in the quarantine list."""
-    quarantined: list[QuarantineEntry] = []
-    return IngestResult(list(stream(path, quarantined)), quarantined)
-
-
 # --- writing ----------------------------------------------------------------
 
 
@@ -411,9 +399,11 @@ class LeakFilter:
     Built from the test records, of which it keeps only fingerprint counts;
     ``train`` counts the records offered to ``keep`` by fingerprint, one entry
     per distinct fingerprint. ``keep`` drops a train record fingerprinted in
-    test, then one whose fingerprint an earlier record has (keep-first dedupe).
-    ``manifest`` describes the refined train set and ``audit`` the set as
-    given; both raise ValueError when no train or no test record was read.
+    test, then one whose fingerprint an earlier record has (keep-first dedupe),
+    so ``detect_overlap`` on the kept records is exactly zero and filtering
+    them again keeps them all. ``manifest`` describes the refined train set
+    and ``audit`` the set as given; both raise ValueError when no train or no
+    test record was read.
     """
 
     def __init__(self, test: Iterable[DatasetRecord], mode: str = "exact"):
@@ -449,16 +439,3 @@ class LeakFilter:
             overlap_fraction=overlap / n_test,
             mode=self.mode,
         )
-
-
-def refine(
-    train: Iterable[DatasetRecord], test: Iterable[DatasetRecord], mode: str = "exact"
-) -> tuple[list[DatasetRecord], SplitManifest]:
-    """Drop train records fingerprinted in test, then dedupe train keeping first.
-
-    detect_overlap on the result is exactly zero and running refine again is a
-    no-op. See LeakFilter, which this reads ``test`` into first.
-    """
-    leak = LeakFilter(test, mode)
-    kept = [r for r in train if leak.keep(r)]
-    return kept, leak.manifest()

@@ -1,11 +1,17 @@
-"""Test-only oracles and generators, independent of the implementations under test."""
+"""Test-only oracles and generators, independent of the implementations under test.
+
+``read_records`` and ``refined`` are not oracles: they collect what
+``dataset.stream`` and ``dataset.LeakFilter`` give into lists, for tests that
+check a whole file or train set at once.
+"""
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
+from linefix.dataset import DatasetRecord, LeakFilter, QuarantineEntry, SplitManifest, stream
 from linefix.patchfmt import EditSpan, PatchSet
 from linefix.prompting import BUG_END, BUG_START
 from linefix.source import SourceUnit, from_text
@@ -22,6 +28,24 @@ LINE_POOL = (
     "    for (i = 0; i < n; i++) {",
     "    memcpy(dst, src, n);",
 )
+
+
+def read_records(path: str) -> tuple[list[DatasetRecord], list[QuarantineEntry]]:
+    """Every record ``stream`` reads from ``path``, and the rows it quarantined."""
+    quarantined: list[QuarantineEntry] = []
+    return list(stream(path, quarantined)), quarantined
+
+
+def refined(
+    train: Iterable[DatasetRecord], test: Iterable[DatasetRecord], mode: str = "exact"
+) -> tuple[list[DatasetRecord], SplitManifest]:
+    """The train records a ``LeakFilter`` over ``test`` keeps, and its manifest.
+
+    ``test`` is read first, and the kept records are the ones ``refine`` writes.
+    """
+    leak = LeakFilter(test, mode)
+    kept = [r for r in train if leak.keep(r)]
+    return kept, leak.manifest()
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 from linefix.client import BackendSpec, DecodeConfig, MockBackend
-from linefix.dataset import detect_overlap, ingest, refine
+from linefix.dataset import detect_overlap
 from linefix.engine import apply_patch, derive_patch, validate_patch
 from linefix.evaluation import (
     DEFAULT_CWE_ORDER,
@@ -35,7 +35,7 @@ from tests.conftest import (
     VPX_PROMPT_PREFIX,
     VPX_REFERENCE_PATCH_TEXT,
 )
-from tests.helpers import random_pair, random_patchset
+from tests.helpers import random_pair, random_patchset, read_records, refined
 from tests.test_dataset import mem_record, texts
 
 
@@ -175,10 +175,10 @@ def test_acceptance_refine_invariant():
                 mem_record(f"e{i}", *texts(r), "test")
                 for i, r in enumerate(rng.sample(train, rng.randint(1, 3)))
             ] + [mem_record("fresh", "g()\n{\n  y;\n}\n", "g()\n{\n  z;\n}\n", "test")]
-            kept, manifest = refine(train, test)
+            kept, manifest = refined(train, test)
             if kept:
                 assert detect_overlap(kept, test).overlap_count == 0
-                again, manifest2 = refine(kept, test)
+                again, manifest2 = refined(kept, test)
                 assert [r.vuln.id for r in again] == [r.vuln.id for r in kept]
                 assert manifest2.overlap_count == 0
                 assert manifest2.train_duplicates == 0
@@ -194,7 +194,7 @@ CORPUS_DIR = os.environ.get("LINEFIX_CORPUS")
 )
 def test_acceptance_corpus_counts():
     splits = {
-        name: ingest(os.path.join(CORPUS_DIR, f"{name}.jsonl")).records
+        name: read_records(os.path.join(CORPUS_DIR, f"{name}.jsonl"))[0]
         for name in ("train", "validation", "test")
     }
     assert len(splits["train"]) == 6429
@@ -202,7 +202,7 @@ def test_acceptance_corpus_counts():
     assert len(splits["test"]) == 1706
     manifest = detect_overlap(splits["train"], splits["test"])
     assert manifest.overlap_fraction == pytest.approx(0.40, abs=0.05)
-    kept, _ = refine(splits["train"], splits["test"])
+    kept, _ = refined(splits["train"], splits["test"])
     assert len(kept) == pytest.approx(4163, rel=0.05)
     print("ACCEPTANCE corpus_counts: PASS")
 

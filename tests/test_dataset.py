@@ -25,8 +25,6 @@ from linefix.dataset import (
     compute_fingerprint,
     detect_overlap,
     export_jsonl,
-    ingest,
-    refine,
     strip_bug_markers,
     write_records_jsonl,
 )
@@ -39,8 +37,10 @@ from linefix.source import SourceUnit, from_text, to_text
 from tests.helpers import (
     before_ranges,
     no_text_form,
+    read_records,
     reference_edit_runs,
     reference_strip_bug_markers,
+    refined,
 )
 
 
@@ -105,13 +105,13 @@ def simple_record(i: int, split: str = "train", cwe: str = "CWE-787") -> Dataset
 
 def test_ingest_raw_jsonl(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0), raw_row(1, split="test")])
-    result = ingest(path)
-    assert len(result.records) == 2
-    assert result.quarantined == []
+    records, quarantined = read_records(path)
+    assert len(records) == 2
+    assert quarantined == []
     # the writer counts rows per split, in SPLITS order whatever the file order
-    counts = write_records_jsonl(reversed(result.records), str(tmp_path / "out.jsonl"))
+    counts = write_records_jsonl(reversed(records), str(tmp_path / "out.jsonl"))
     assert list(counts.items()) == [("train", 1), ("test", 1)]
-    rec = result.records[0]
+    rec = records[0]
     assert rec.vuln.id == "rec-0"
     # vuln_lines default to the before-side lines the reference fix touches
     assert rec.vuln.vuln_lines == (2,)
@@ -120,14 +120,15 @@ def test_ingest_raw_jsonl(tmp_path):
 
 def test_ingest_keeps_explicit_vuln_lines(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, vuln_lines=[3, 1, 1])])
-    rec = ingest(path).records[0]
+    (rec,), _ = read_records(path)
     assert rec.vuln.vuln_lines == (1, 3)  # deduped, ascending
 
 
 def test_ingest_blank_lines_skipped(tmp_path):
     path = tmp_path / "r.jsonl"
     path.write_text(json.dumps(raw_row(0)) + "\n\n" + json.dumps(raw_row(1)) + "\n")
-    assert len(ingest(str(path)).records) == 2
+    records, _ = read_records(str(path))
+    assert len(records) == 2
 
 
 def test_ingest_missing_field_is_schema_error(tmp_path):
@@ -135,7 +136,7 @@ def test_ingest_missing_field_is_schema_error(tmp_path):
     del row["cwe_id"]
     path = write_jsonl(tmp_path / "r.jsonl", [row])
     with pytest.raises(SchemaError) as err:
-        ingest(path)
+        read_records(path)
     assert "cwe_id" in str(err.value)
     assert f"{path}:1" in str(err.value)
 
@@ -145,7 +146,7 @@ def test_ingest_undecodable_line_is_schema_error(tmp_path):
     for line, message in (("{broken", "undecodable JSON"), ("[1, 2]", "row is not an object")):
         path.write_text(json.dumps(raw_row(0)) + "\n" + line + "\n")
         with pytest.raises(SchemaError, match=message) as err:
-            ingest(str(path))
+            read_records(str(path))
         assert err.value.line_no == 2
 
 
@@ -153,27 +154,27 @@ def test_ingest_reads_an_escaped_surrogate_pair(tmp_path):
     # two surrogate escapes that pair up are one character; only a lone one is refused
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, cwe_description="Smile \U0001F600.")])
     assert "\\ud83d\\ude00" in Path(path).read_text()
-    (record,) = ingest(path).records
+    (record,), _ = read_records(path)
     assert record.vuln.cwe_description == "Smile \U0001F600."
 
 
 def test_ingest_unknown_split_is_schema_error(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, split="dev")])
     with pytest.raises(SchemaError):
-        ingest(path)
+        read_records(path)
     # a training row's split is checked by the same rule
-    export_jsonl(ingest(write_jsonl(tmp_path / "ok.jsonl", [raw_row(0)])).records,
-                 str(tmp_path / "t.jsonl"))
+    records, _ = read_records(write_jsonl(tmp_path / "ok.jsonl", [raw_row(0)]))
+    export_jsonl(records, str(tmp_path / "t.jsonl"))
     row = {**json.loads((tmp_path / "t.jsonl").read_text()), "split": "dev"}
     with pytest.raises(SchemaError, match="unknown split 'dev'") as err:
-        ingest(write_jsonl(tmp_path / "t_dev.jsonl", [row]))
+        read_records(write_jsonl(tmp_path / "t_dev.jsonl", [row]))
     assert err.value.line_no == 1
 
 
 def test_ingest_bad_vuln_lines_type_is_schema_error(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, vuln_lines=["2"])])
     with pytest.raises(SchemaError):
-        ingest(path)
+        read_records(path)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -190,7 +191,7 @@ def test_ingest_bool_vuln_lines_is_schema_error(tmp_path, fmt):
             writer.writeheader()
             writer.writerow({**row, "vuln_lines": "[true]"})
     with pytest.raises(SchemaError) as info:
-        ingest(str(path))
+        read_records(str(path))
     line_no = 2 if fmt == "csv" else 1  # a CSV row comes after its header
     message = "vuln_lines: expected a list of integers, got [True]"
     assert str(info.value) == f"{path}:{line_no}: {message}"
@@ -204,16 +205,16 @@ def test_ingest_quarantines_invariant_violations(tmp_path):
         raw_row(3, source_after="int g()\n{\n  x = 1; <MID>\n}\n"),
         raw_row(4),  # a good row after the bad ones still lands
     ]
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert [r.vuln.id for r in result.records] == ["rec-4"]
-    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert [r.vuln.id for r in records] == ["rec-4"]
+    assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-0", "record 'rec-0': bad cwe_id 'bad-cwe'"),
         ("rec-1", "record 'rec-1': cwe_description contains a line feed"),
         ("rec-2", "record 'rec-2': vuln line 99 outside [0, 5)"),
         # the changed line is a patch body, and EditSpan refuses <MID> there
         ("rec-3", "body lines must not contain <MID> or <sep>"),
     ]
-    assert all(q.line_no is not None for q in result.quarantined)
+    assert all(q.line_no is not None for q in quarantined)
 
 
 def test_ingest_quarantines_a_lone_cr_in_a_source_line(tmp_path):
@@ -224,9 +225,9 @@ def test_ingest_quarantines_a_lone_cr_in_a_source_line(tmp_path):
         raw_row(1, source_before="x\ny\rz\nw\n", source_after="x\ny\rz\nv\n"),
         raw_row(2, source_before="x\r\ny\r\n", source_after="x\r\nz\r\n"),  # CR-LF folds
     ]
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert [r.vuln.id for r in result.records] == ["rec-2"]
-    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert [r.vuln.id for r in records] == ["rec-2"]
+    assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-0", "body lines must not contain CR"),
         ("rec-1", "record 'rec-1': source contains a carriage return"),
     ]
@@ -243,10 +244,10 @@ def test_ingest_quarantines_trailing_newline_change(tmp_path, before, after):
     # the fixed source is rebuilt from the patch with before's trailing
     # newline, so writing the record back would change its source_after
     row = raw_row(0, source_before=before, source_after=after)
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", [row, raw_row(1)]))
-    assert [r.vuln.id for r in result.records] == ["rec-1"]
-    assert [q.record_id for q in result.quarantined] == ["rec-0"]
-    assert "trailing newline" in result.quarantined[0].reason
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", [row, raw_row(1)]))
+    assert [r.vuln.id for r in records] == ["rec-1"]
+    assert [q.record_id for q in quarantined] == ["rec-0"]
+    assert "trailing newline" in quarantined[0].reason
 
 
 def test_ingest_keeps_a_fix_deleting_every_line_of_an_lf_terminated_source(tmp_path):
@@ -255,14 +256,14 @@ def test_ingest_keeps_a_fix_deleting_every_line_of_an_lf_terminated_source(tmp_p
         raw_row(0, source_before="x\n", source_after=""),
         patch_row(1, source_before="x\n", reference_patch="-1-1<MID>"),
     ]
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert result.quarantined == []
-    for record in result.records:
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert quarantined == []
+    for record in records:
         assert serialize_patch(record.vuln.reference_patch) == "-1-1<MID>"
         assert record.vuln.vuln_lines == (0,)
         assert texts(record) == ("x\n", "")
     out = tmp_path / "out.jsonl"
-    write_records_jsonl(result.records[:1], str(out))
+    write_records_jsonl(records[:1], str(out))
     assert json.loads(out.read_text())["reference_patch"] == "-1-1<MID>"
 
 
@@ -280,11 +281,11 @@ def test_ingest_csv(tmp_path):
         row2 = raw_row(1, cve_id="CVE-2024-0001")
         row2["vuln_lines"] = ""
         writer.writerow(row2)
-    result = ingest(str(path))
-    assert len(result.records) == 2
-    assert result.records[0].vuln.cve_id is None
-    assert result.records[0].vuln.vuln_lines == (2,)
-    assert result.records[1].vuln.cve_id == "CVE-2024-0001"
+    records, _ = read_records(str(path))
+    assert len(records) == 2
+    assert records[0].vuln.cve_id is None
+    assert records[0].vuln.vuln_lines == (2,)
+    assert records[1].vuln.cve_id == "CVE-2024-0001"
 
 
 def test_ingest_csv_bad_vuln_lines_cell(tmp_path):
@@ -298,7 +299,7 @@ def test_ingest_csv_bad_vuln_lines_cell(tmp_path):
         row["vuln_lines"] = "not json"
         writer.writerow(row)
     with pytest.raises(SchemaError):
-        ingest(str(path))
+        read_records(str(path))
 
 
 def big_raw_rows(n: int, split: str = "train") -> list[dict]:
@@ -323,11 +324,11 @@ def test_ingest_holds_one_raw_row_at_a_time(tmp_path):
     assert size > 5_000_000
     tracemalloc.start()
     try:
-        result = ingest(path)
+        records, _ = read_records(path)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(result.records) == 300
+    assert len(records) == 300
     assert (peak - retained) / size < 0.25
 
 
@@ -337,11 +338,11 @@ def test_ingest_quarantines_repeated_ids(tmp_path):
     # first row was quarantined for another reason stays free
     rows = [raw_row(0, id=""), raw_row(1, id=""), raw_row(2, id="a"), raw_row(3, id="a"),
             raw_row(4, id="b", cwe="CWE-XX"), raw_row(5, id="b")]
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert [r.vuln.id for r in result.records] == ["", "a", "b"]
-    assert [r.vuln.source.lines[0] for r in result.records] == [
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert [r.vuln.id for r in records] == ["", "a", "b"]
+    assert [r.vuln.source.lines[0] for r in records] == [
         "int f0(int n)", "int f2(int n)", "int f5(int n)"]
-    assert [dataclasses.asdict(q) for q in result.quarantined] == [
+    assert [dataclasses.asdict(q) for q in quarantined] == [
         {"record_id": "", "line_no": 2, "reason": "duplicate id '' (first at line 1)"},
         {"record_id": "a", "line_no": 4, "reason": "duplicate id 'a' (first at line 3)"},
         {"record_id": "b", "line_no": 5, "reason": "record 'b': bad cwe_id 'CWE-XX'"},
@@ -354,7 +355,7 @@ def test_ingest_jsonl_reports_the_first_structural_error_in_file_order(tmp_path)
     path = tmp_path / "r.jsonl"
     path.write_text(json.dumps(first) + "\n" + json.dumps(raw_row(1)) + "\n{broken\n")
     with pytest.raises(SchemaError) as err:
-        ingest(str(path))
+        read_records(str(path))
     assert err.value.line_no == 1
     assert "missing required field 'cwe_id'" in str(err.value)
 
@@ -368,13 +369,13 @@ def test_ingest_csv_reports_the_first_structural_error_in_file_order(tmp_path):
         writer = csv.writer(fh)
         writer.writerows([fields, good[:-1], good, good + ["extra"]])
     with pytest.raises(SchemaError) as err:
-        ingest(str(path))
+        read_records(str(path))
     assert err.value.line_no == 2
     assert "missing required field 'cwe_id'" in str(err.value)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([fields, good, good + ["extra"]])
     with pytest.raises(SchemaError, match="row has more cells than header") as err:
-        ingest(str(path))
+        read_records(str(path))
     assert err.value.line_no == 3
 
 
@@ -395,7 +396,7 @@ def test_csv_rows_are_numbered_by_the_line_they_start_on(tmp_path):
         return start
 
     assert write(raw_row(1, cwe="CWE 787", vuln_lines="[2]").values()) == 14
-    (entry,) = ingest(str(path)).quarantined
+    _, (entry,) = read_records(str(path))
     assert (entry.record_id, entry.line_no) == ("rec-1", 14)
     for last, message in (
         (raw_row(1, vuln_lines="not json").values(), "vuln_lines cell is not a JSON list"),
@@ -404,7 +405,7 @@ def test_csv_rows_are_numbered_by_the_line_they_start_on(tmp_path):
     ):
         start = write(last)
         with pytest.raises(SchemaError, match=message) as err:
-            ingest(str(path))
+            read_records(str(path))
         assert err.value.line_no == start
 
 
@@ -449,9 +450,9 @@ def test_strip_bug_markers_matches_the_text_strip(text):
 def test_marker_on_an_emptied_last_line_quarantines(tmp_path, before, fix, reason):
     # the emptied last line folds into the trailing LF, so its mark is past the source
     row = {k: v for k, v in raw_row(0, source_before=before).items() if k != "source_after"}
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", [{**row, **fix}]))
-    assert result.records == []
-    assert [q.reason for q in result.quarantined] == [reason]
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", [{**row, **fix}]))
+    assert records == []
+    assert [q.reason for q in quarantined] == [reason]
 
 
 def test_ingest_marker_source_sets_vuln_lines(tmp_path):
@@ -461,7 +462,7 @@ def test_ingest_marker_source_sets_vuln_lines(tmp_path):
         tmp_path / "r.jsonl",
         [raw_row(0, source_before=before, source_after=after)],
     )
-    rec = ingest(path).records[0]
+    (rec,), _ = read_records(path)
     assert rec.vuln.vuln_lines == (2, 3)
     assert BUG_START not in to_text(rec.vuln.source)
     assert rec.vuln.source.lines[2] == "  buf[i] = 1;"
@@ -469,9 +470,9 @@ def test_ingest_marker_source_sets_vuln_lines(tmp_path):
 
 def test_marker_in_after_side_quarantines(tmp_path):
     row = raw_row(0, source_after=f"int f()\n{{\n{BUG_START}  ok;\n}}\n")
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", [row]))
-    assert result.records == []
-    assert len(result.quarantined) == 1
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", [row]))
+    assert records == []
+    assert len(quarantined) == 1
 
 
 # --- writing and the export fixed point --------------------------------------------
@@ -479,12 +480,12 @@ def test_marker_in_after_side_quarantines(tmp_path):
 
 def test_write_then_ingest_is_fixed_point(tmp_path):
     path1 = write_jsonl(tmp_path / "r.jsonl", [raw_row(0), raw_row(1, split="test")])
-    first = ingest(path1)
+    first, _ = read_records(path1)
     out1 = tmp_path / "out1.jsonl"
-    write_records_jsonl(first.records, str(out1))
-    second = ingest(str(out1))
+    write_records_jsonl(first, str(out1))
+    second, _ = read_records(str(out1))
     out2 = tmp_path / "out2.jsonl"
-    write_records_jsonl(second.records, str(out2))
+    write_records_jsonl(second, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -511,7 +512,8 @@ def blank_line_row(i: int) -> dict:
 
 def written_rows(tmp_path, rows) -> list[dict]:
     out = tmp_path / "written.jsonl"
-    write_records_jsonl(ingest(write_jsonl(tmp_path / "in.jsonl", rows)).records, str(out))
+    records, _ = read_records(write_jsonl(tmp_path / "in.jsonl", rows))
+    write_records_jsonl(records, str(out))
     return [json.loads(line) for line in out.read_text().splitlines()]
 
 
@@ -530,13 +532,13 @@ def test_written_file_reingests_without_diffing(tmp_path, monkeypatch):
     assert rows[0]["reference_patch"] == "1-3<MID>  if (n < LEN) buf[n] = 0;"
     assert rows[1]["reference_patch"] == "1-3<MID>\n  x;"  # widened over the next line
     calls = count_derives(monkeypatch)
-    result = ingest(write_jsonl(tmp_path / "again.jsonl", rows))
-    assert result.quarantined == []
-    assert [r.vuln.id for r in result.records] == ["rec-0", "rec-1", "rec-2"]
+    records, quarantined = read_records(write_jsonl(tmp_path / "again.jsonl", rows))
+    assert quarantined == []
+    assert [r.vuln.id for r in records] == ["rec-0", "rec-1", "rec-2"]
     assert calls == []
-    assert serialize_patch(result.records[0].vuln.reference_patch) == rows[0]["reference_patch"]
-    assert texts(result.records[0])[1] == raw_row(0)["source_after"]
-    assert texts(result.records[1])[1] == blank_line_row(1)["source_after"]
+    assert serialize_patch(records[0].vuln.reference_patch) == rows[0]["reference_patch"]
+    assert texts(records[0])[1] == raw_row(0)["source_after"]
+    assert texts(records[1])[1] == blank_line_row(1)["source_after"]
 
 
 def test_ingest_write_ingest_write_is_byte_identical(tmp_path):
@@ -546,14 +548,14 @@ def test_ingest_write_ingest_write_is_byte_identical(tmp_path):
     same = raw_row(5, source_after=raw_row(5)["source_before"])  # no fix: quarantined
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0), blank_line_row(1), crlf, marked, same])
     out1, out2 = tmp_path / "out1.jsonl", tmp_path / "out2.jsonl"
-    first = ingest(path)
-    assert [(q.record_id, q.reason) for q in first.quarantined] == [
+    first, quarantined = read_records(path)
+    assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-5", "record 'rec-5': reference patch is empty")
     ]
-    write_records_jsonl(first.records, str(out1))
-    second = ingest(str(out1))
-    assert second.quarantined == []
-    write_records_jsonl(second.records, str(out2))
+    write_records_jsonl(first, str(out1))
+    second, quarantined = read_records(str(out1))
+    assert quarantined == []
+    write_records_jsonl(second, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -562,11 +564,12 @@ def test_stored_reference_is_checked_against_crlf_folded_after(tmp_path, monkeyp
     row = patch_row(0)
     row["source_before"] = row["source_before"].replace("\n", "\r\n")
     calls = count_derives(monkeypatch)
-    result = ingest(write_jsonl(tmp_path / "crlf.jsonl", [row, patch_row(1)]))
-    assert result.quarantined == []
+    records, quarantined = read_records(
+        write_jsonl(tmp_path / "crlf.jsonl", [row, patch_row(1)]))
+    assert quarantined == []
     assert calls == []
-    assert texts(result.records[0])[1] == raw_row(0)["source_after"]
-    assert texts(result.records[1])[1] == raw_row(1)["source_after"]
+    assert texts(records[0])[1] == raw_row(0)["source_after"]
+    assert texts(records[1])[1] == raw_row(1)["source_after"]
 
 
 @pytest.mark.parametrize(
@@ -589,10 +592,10 @@ def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value
     rows = written_rows(tmp_path, [raw_row(0), raw_row(1)])
     rows[0][field] = value
     calls = count_derives(monkeypatch)
-    result = ingest(write_jsonl(tmp_path / "bad.jsonl", rows))
-    assert [r.vuln.id for r in result.records] == ["rec-1"]
-    assert [q.record_id for q in result.quarantined] == ["rec-0"]
-    assert result.quarantined[0].reason.startswith(reason)
+    records, quarantined = read_records(write_jsonl(tmp_path / "bad.jsonl", rows))
+    assert [r.vuln.id for r in records] == ["rec-1"]
+    assert [q.record_id for q in quarantined] == ["rec-0"]
+    assert quarantined[0].reason.startswith(reason)
     assert calls == []  # never re-derived
 
 
@@ -617,10 +620,10 @@ def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value
 def test_bad_patch_only_row_is_quarantined(tmp_path, monkeypatch, patch, reason):
     rows = [patch_row(0, reference_patch=patch), patch_row(1)]
     calls = count_derives(monkeypatch)
-    result = ingest(write_jsonl(tmp_path / "bad.jsonl", rows))
-    assert [r.vuln.id for r in result.records] == ["rec-1"]
-    assert [q.record_id for q in result.quarantined] == ["rec-0"]
-    assert result.quarantined[0].reason.startswith(reason)
+    records, quarantined = read_records(write_jsonl(tmp_path / "bad.jsonl", rows))
+    assert [r.vuln.id for r in records] == ["rec-1"]
+    assert [q.record_id for q in quarantined] == ["rec-0"]
+    assert quarantined[0].reason.startswith(reason)
     assert calls == []
 
 
@@ -628,7 +631,7 @@ def test_bad_patch_only_row_is_quarantined(tmp_path, monkeypatch, patch, reason)
 def test_non_string_stored_reference_is_schema_error(tmp_path, value):
     path = write_jsonl(tmp_path / "r.jsonl", [patch_row(0, reference_patch=value)])
     with pytest.raises(SchemaError, match="'reference_patch' must be a string"):
-        ingest(path)
+        read_records(path)
 
 
 @pytest.mark.parametrize("value,kind", [(5, "int"), (["CVE-1"], "list"), ({"a": 1}, "dict"),
@@ -638,21 +641,21 @@ def test_non_string_cve_id_is_schema_error(tmp_path, value, kind):
                                               raw_row(1, cve_id=value)])
     with pytest.raises(SchemaError, match=f"^.*r.jsonl:2: field 'cve_id' must be a string,"
                                           f" got {kind}$"):
-        ingest(path)
+        read_records(path)
 
 
 def test_fix_fields_are_type_checked_and_one_is_required(tmp_path):
     with pytest.raises(SchemaError, match="'source_after' must be a string"):
-        ingest(write_jsonl(tmp_path / "typed.jsonl", [raw_row(0, source_after=5)]))
+        read_records(write_jsonl(tmp_path / "typed.jsonl", [raw_row(0, source_after=5)]))
     both = dict(patch_row(0), source_after=raw_row(0)["source_after"])
     with pytest.raises(
         SchemaError, match="row has both 'source_after' and 'reference_patch'; give one"
     ) as err:
-        ingest(write_jsonl(tmp_path / "both.jsonl", [patch_row(1), both]))
+        read_records(write_jsonl(tmp_path / "both.jsonl", [patch_row(1), both]))
     assert err.value.line_no == 2
     row = raw_row(0, source_after=None)
     with pytest.raises(SchemaError, match="missing required field 'source_after'") as err:
-        ingest(write_jsonl(tmp_path / "neither.jsonl", [raw_row(1), row]))
+        read_records(write_jsonl(tmp_path / "neither.jsonl", [raw_row(1), row]))
     assert err.value.line_no == 2
 
 
@@ -686,24 +689,24 @@ def test_written_records_are_a_fixed_point(pairs):
     rows = [raw_row(i, source_before=b, source_after=a) for i, (b, a) in enumerate(pairs)]
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        first = ingest(write_jsonl(d / "raw.jsonl", rows))
-        write_records_jsonl(first.records, str(d / "records1.jsonl"))
-        stored = ingest(str(d / "records1.jsonl"))
-        write_records_jsonl(stored.records, str(d / "records2.jsonl"))
-        export_jsonl(stored.records, str(d / "train1.jsonl"))
-        trained = ingest(str(d / "train1.jsonl"))
-        export_jsonl(trained.records, str(d / "train2.jsonl"))
+        first, quarantined = read_records(write_jsonl(d / "raw.jsonl", rows))
+        write_records_jsonl(first, str(d / "records1.jsonl"))
+        stored, stored_quarantined = read_records(str(d / "records1.jsonl"))
+        write_records_jsonl(stored, str(d / "records2.jsonl"))
+        export_jsonl(stored, str(d / "train1.jsonl"))
+        trained, trained_quarantined = read_records(str(d / "train1.jsonl"))
+        export_jsonl(trained, str(d / "train2.jsonl"))
         written = (d / "records1.jsonl").read_bytes()
         assert written == (d / "records2.jsonl").read_bytes()
         assert (d / "train1.jsonl").read_bytes() == (d / "train2.jsonl").read_bytes()
-    assert stored.records == first.records
-    assert stored.quarantined == trained.quarantined == []
-    reasons = {q.record_id: q.reason for q in first.quarantined}
+    assert stored == first
+    assert stored_quarantined == trained_quarantined == []
+    reasons = {q.record_id: q.reason for q in quarantined}
     for i, (before, after) in enumerate(pairs):
         expected = expected_quarantine(before, after)
         assert (expected is None) == (f"rec-{i}" not in reasons)
         assert expected is None or expected in reasons[f"rec-{i}"]
-    for record, row in zip(first.records, map(json.loads, written.decode("utf-8").splitlines())):
+    for record, row in zip(first, map(json.loads, written.decode("utf-8").splitlines())):
         assert "source_after" not in row
         assert parse_patch(row["reference_patch"]) == record.vuln.reference_patch
         assert texts(record)[1] == pairs[int(record.vuln.id.removeprefix("rec-"))][1]
@@ -718,18 +721,18 @@ def test_raw_rows_without_the_field_are_diffed(tmp_path, monkeypatch):
         raw_row(2),
     ]
     calls = count_derives(monkeypatch)
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
     assert len(calls) == 3
-    assert [r.vuln.id for r in result.records] == ["rec-0", "rec-2"]
-    assert "trailing newline" in result.quarantined[0].reason
-    marked = result.records[0].vuln
+    assert [r.vuln.id for r in records] == ["rec-0", "rec-2"]
+    assert "trailing newline" in quarantined[0].reason
+    marked = records[0].vuln
     assert marked.vuln_lines == (2, 3)
     assert marked.source.lines[2] == "  buf[i] = 1;"
     out = tmp_path / "out.jsonl"
-    write_records_jsonl(result.records, str(out))
-    again = ingest(str(out))
+    write_records_jsonl(records, str(out))
+    again, _ = read_records(str(out))
     assert len(calls) == 3
-    assert again.records[0].vuln == marked
+    assert again[0].vuln == marked
 
 
 # --- vuln lines from the diff ---------------------------------------------------------
@@ -757,16 +760,16 @@ def assert_vuln_lines_follow_the_diff(pairs: list[tuple[tuple[str, ...], tuple[s
             patch_rows.append(patch_row(i, source_before="".join(f"{line}\n" for line in before),
                                         reference_patch=serialize_patch(patch)))
     with tempfile.TemporaryDirectory() as tmp:
-        from_after = ingest(write_jsonl(Path(tmp) / "after.jsonl", after_rows))
-        from_patch = ingest(write_jsonl(Path(tmp) / "patch.jsonl", patch_rows))
-    reasons = {q.record_id: q.reason for q in from_after.quarantined}
+        from_after, after_quarantined = read_records(write_jsonl(Path(tmp) / "after.jsonl", after_rows))
+        from_patch, patch_quarantined = read_records(write_jsonl(Path(tmp) / "patch.jsonl", patch_rows))
+    reasons = {q.record_id: q.reason for q in after_quarantined}
     for row in after_rows:
         expected = expected_quarantine(row["source_before"], row["source_after"])
         assert (expected is None) == (row["id"] not in reasons), row
         assert expected is None or expected in reasons[row["id"]]
-    assert from_patch.quarantined == []
-    assert len(from_patch.records) == len(patch_rows)
-    for record in from_after.records + from_patch.records:
+    assert patch_quarantined == []
+    assert len(from_patch) == len(patch_rows)
+    for record in from_after + from_patch:
         i = int(record.vuln.id.removeprefix("rec-"))
         assert apply_patch(record.vuln.source, record.vuln.reference_patch).lines == pairs[i][1]
         assert record.vuln.vuln_lines == oracle[record.vuln.id], pairs[i]
@@ -790,10 +793,10 @@ def test_vuln_lines_follow_the_diff(pairs):
 def test_vuln_lines_skip_a_line_the_fix_keeps(tmp_path):
     # the fix deletes "y" and keeps "x" inside the widened end-of-file insertion
     after_row = raw_row(0, source_before="x\ny\n", source_after="\nx\n\n")
-    record = ingest(write_jsonl(tmp_path / "after.jsonl", [after_row])).records[0]
+    (record,), _ = read_records(write_jsonl(tmp_path / "after.jsonl", [after_row]))
     patch = serialize_patch(record.vuln.reference_patch)
     patch_only = patch_row(0, source_before="x\ny\n", reference_patch=patch)
-    again = ingest(write_jsonl(tmp_path / "patch.jsonl", [patch_only])).records[0]
+    (again,), _ = read_records(write_jsonl(tmp_path / "patch.jsonl", [patch_only]))
     assert record.vuln.vuln_lines == again.vuln.vuln_lines == (1,)
 
 
@@ -814,11 +817,11 @@ def test_ingest_diffs_each_row_at_most_once(tmp_path, monkeypatch):
         patch_row(4, vuln_lines=[2]),
         patch_row(5, source_before=marked),
     ]
-    result = ingest(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert result.quarantined == []
+    records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+    assert quarantined == []
     # each source_after row is diffed once, inside derive_patch
     assert calls == ["int f0(int n)", "int f()", "int f2(int n)", "int f3(int n)"]
-    assert [r.vuln.vuln_lines for r in result.records] == [(2,)] * 6
+    assert [r.vuln.vuln_lines for r in records] == [(2,)] * 6
 
 
 def write_csv(path, fields: list[str], rows: list[dict]) -> str:
@@ -834,93 +837,94 @@ def test_csv_reference_patch_cell(tmp_path, monkeypatch):
     stored = patch_row(0)["reference_patch"]
     rows = [patch_row(0), patch_row(1, reference_patch="1-99<MID>x")]
     calls = count_derives(monkeypatch)
-    result = ingest(write_csv(tmp_path / "patch.csv", fields, rows))
+    records, quarantined = read_records(write_csv(tmp_path / "patch.csv", fields, rows))
     assert calls == []
-    assert [r.vuln.id for r in result.records] == ["rec-0"]
-    assert serialize_patch(result.records[0].vuln.reference_patch) == stored
-    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+    assert [r.vuln.id for r in records] == ["rec-0"]
+    assert serialize_patch(records[0].vuln.reference_patch) == stored
+    assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-1", "record 'rec-1': reference patch does not validate: "
                   "span 0: span 1-99 outside [-1, 5]")
     ]
     # next to a source_after column, an empty reference_patch cell means the field is absent
     fields.insert(4, "source_after")
     path = write_csv(tmp_path / "both.csv", fields, [raw_row(2, reference_patch="")])
-    assert [r.vuln.id for r in ingest(path).records] == ["rec-2"]
+    records, _ = read_records(path)
+    assert [r.vuln.id for r in records] == ["rec-2"]
     assert len(calls) == 1
     # and an empty source_after cell next to a filled reference_patch one, so rows can mix
     mixed = [raw_row(3, reference_patch=""), patch_row(4, source_after="")]
-    result = ingest(write_csv(tmp_path / "mixed.csv", fields, mixed))
-    assert result.quarantined == []
-    assert [texts(r)[1] for r in result.records] == [raw_row(i)["source_after"] for i in (3, 4)]
+    records, quarantined = read_records(write_csv(tmp_path / "mixed.csv", fields, mixed))
+    assert quarantined == []
+    assert [texts(r)[1] for r in records] == [raw_row(i)["source_after"] for i in (3, 4)]
     assert len(calls) == 2
     path = write_csv(tmp_path / "bad.csv", fields, [raw_row(5, reference_patch=stored)])
     with pytest.raises(SchemaError, match="row has both"):
-        ingest(path)
+        read_records(path)
 
 
 def test_export_then_reingest_is_fixed_point(tmp_path):
-    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(0), raw_row(1)])).records
+    records, _ = read_records(write_jsonl(tmp_path / "r.jsonl", [raw_row(0), raw_row(1)]))
     out1 = tmp_path / "train1.jsonl"
     assert export_jsonl(records, str(out1)) == 2
-    back = ingest(str(out1))
-    assert back.quarantined == []
-    assert [r.vuln.id for r in back.records] == ["rec-0", "rec-1"]
-    assert back.records[0].vuln.source.lines == records[0].vuln.source.lines
+    back, quarantined = read_records(str(out1))
+    assert quarantined == []
+    assert [r.vuln.id for r in back] == ["rec-0", "rec-1"]
+    assert back[0].vuln.source.lines == records[0].vuln.source.lines
     out2 = tmp_path / "train2.jsonl"
-    export_jsonl(back.records, str(out2))
+    export_jsonl(back, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_training_rows_cwe_mismatch_quarantined(tmp_path):
-    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)])).records
+    records, _ = read_records(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)]))
     out = tmp_path / "t.jsonl"
     export_jsonl(records, str(out))
     row = json.loads(out.read_text().splitlines()[0])
     row["cwe_id"] = "CWE-999"
     path = write_jsonl(tmp_path / "bad.jsonl", [row])
-    result = ingest(path)
-    assert result.records == []
-    assert len(result.quarantined) == 1
+    records, quarantined = read_records(path)
+    assert records == []
+    assert len(quarantined) == 1
 
 
 def test_training_rows_follow_the_raw_rules(tmp_path):
     # training ingest -> records file -> ingest: a row no records file could
     # carry is quarantined at the first ingest, not at the second
-    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(i) for i in range(4)])).records
+    records, _ = read_records(write_jsonl(tmp_path / "r.jsonl", [raw_row(i) for i in range(4)]))
     export_jsonl(records, str(tmp_path / "t.jsonl"))
     rows = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
     rows[0]["prompt"] = rows[0]["prompt"].replace("  return n;", "  return n; [INST]")
     rows[1]["prompt"] = rows[1]["prompt"].replace("  return n;", f"{BUG_START}  return n;")
     rows[2]["completion"] += " [/INST]"
-    first = ingest(write_jsonl(tmp_path / "tampered.jsonl", rows))
-    assert [(q.record_id, q.reason) for q in first.quarantined] == [
+    first, quarantined = read_records(write_jsonl(tmp_path / "tampered.jsonl", rows))
+    assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-0", "record 'rec-0': source contains reserved token [INST]"),
         ("rec-1", f"record 'rec-1': source contains reserved token {BUG_START}"),
         ("rec-2", "record 'rec-2': reference patch contains reserved token [/INST]"),
     ]
-    write_records_jsonl(first.records, str(tmp_path / "records1.jsonl"))
-    second = ingest(str(tmp_path / "records1.jsonl"))
-    assert second.quarantined == []
-    assert second.records == first.records
-    assert [r.vuln.id for r in first.records] == ["rec-3"]
-    write_records_jsonl(second.records, str(tmp_path / "records2.jsonl"))
+    write_records_jsonl(first, str(tmp_path / "records1.jsonl"))
+    second, quarantined = read_records(str(tmp_path / "records1.jsonl"))
+    assert quarantined == []
+    assert second == first
+    assert [r.vuln.id for r in first] == ["rec-3"]
+    write_records_jsonl(second, str(tmp_path / "records2.jsonl"))
     assert (tmp_path / "records1.jsonl").read_bytes() == (tmp_path / "records2.jsonl").read_bytes()
 
 
 def test_training_row_with_a_lone_cr_is_quarantined(tmp_path):
-    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)])).records
+    records, _ = read_records(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)]))
     export_jsonl(records, str(tmp_path / "t.jsonl"))
     row = json.loads((tmp_path / "t.jsonl").read_text())
     row["prompt"] = row["prompt"].replace("  return n;", "  return\rn;")
-    result = ingest(write_jsonl(tmp_path / "cr.jsonl", [row]))
-    assert result.records == []
-    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+    records, quarantined = read_records(write_jsonl(tmp_path / "cr.jsonl", [row]))
+    assert records == []
+    assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-0", "record 'rec-0': source contains a carriage return")
     ]
 
 
 def test_training_rows_validate_each_record_once(tmp_path, monkeypatch):
-    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(i) for i in range(3)])).records
+    records, _ = read_records(write_jsonl(tmp_path / "r.jsonl", [raw_row(i) for i in range(3)]))
     out = tmp_path / "t.jsonl"
     export_jsonl(records, str(out))
     calls = []
@@ -928,24 +932,24 @@ def test_training_rows_validate_each_record_once(tmp_path, monkeypatch):
     monkeypatch.setattr(
         VulnRecord, "validate", lambda self: calls.append(self.id) or validate(self)
     )
-    result = ingest(str(out))
-    assert [r.vuln.reference_patch for r in result.records] == [
+    again, _ = read_records(str(out))
+    assert [r.vuln.reference_patch for r in again] == [
         r.vuln.reference_patch for r in records
     ]
     assert calls == ["rec-0", "rec-1", "rec-2"]
 
 
 def test_training_row_invariant_reason_names_the_row(tmp_path):
-    records = ingest(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)])).records
+    records, _ = read_records(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)]))
     out = tmp_path / "t.jsonl"
     export_jsonl(records, str(out))
     row = json.loads(out.read_text().splitlines()[0])
     assert row["prompt"].startswith("[INST]2 CWE-787 ")
     no_fix = dict(row, id="rec-1", completion="")
     row["prompt"] = row["prompt"].replace("[INST]2 ", "[INST]9 ", 1)
-    result = ingest(write_jsonl(tmp_path / "bad.jsonl", [row, no_fix]))
-    assert result.records == []
-    assert [(q.record_id, q.reason) for q in result.quarantined] == [
+    records, quarantined = read_records(write_jsonl(tmp_path / "bad.jsonl", [row, no_fix]))
+    assert records == []
+    assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-0", "record 'rec-0': vuln line 9 outside [0, 5)"),
         ("rec-1", "record 'rec-1': reference patch is empty"),
     ]
@@ -1017,13 +1021,13 @@ def test_refine_drops_leaks_and_duplicates():
     clean = simple_record(2)
     train = [leak, dup_a, dup_b, clean]
     test = [mem_record("t0", *texts(leak), "test")]
-    kept, manifest = refine(train, test)
+    kept, manifest = refined(train, test)
     assert [r.vuln.id for r in kept] == ["m1", "m2"]  # keep-first on duplicates
     assert manifest.overlap_count == 1
     assert manifest.train_duplicates == 1
     assert manifest.counts == {"train": 2, "test": 1}
     assert detect_overlap(kept, test).overlap_count == 0
-    again, manifest2 = refine(kept, test)
+    again, manifest2 = refined(kept, test)
     assert [r.vuln.id for r in again] == [r.vuln.id for r in kept]
     assert manifest2.overlap_count == 0
     assert manifest2.train_duplicates == 0
@@ -1035,16 +1039,16 @@ def test_refine_and_detect_overlap_read_iterators_once():
     leak = simple_record(0)
     train = [leak, simple_record(1), mem_record("copy-of-1", *texts(simple_record(1)))]
     test = [mem_record("t0", *texts(leak), "test"), simple_record(9, "test")]
-    kept, manifest = refine(iter(train), iter(test))
+    kept, manifest = refined(iter(train), iter(test))
     assert [r.vuln.id for r in kept] == ["m1"]
-    assert manifest == refine(train, test)[1]
+    assert manifest == refined(train, test)[1]
     assert dataclasses.asdict(manifest) == {
         "counts": {"train": 1, "test": 2}, "train_duplicates": 1,
         "overlap_count": 1, "overlap_fraction": 0.5, "mode": "exact"}
     assert detect_overlap(iter(train), iter(test)) == detect_overlap(train, test)
     for train_in, test_in in ((iter([]), iter(test)), (iter(train), iter([]))):
         with pytest.raises(ValueError, match="refine needs non-empty train and test"):
-            refine(train_in, test_in)
+            refined(train_in, test_in)
     with pytest.raises(ValueError, match="detect_overlap needs non-empty train and test"):
         detect_overlap(iter([]), iter(test))
 
@@ -1053,9 +1057,9 @@ def test_refine_ws_normalized_catches_indentation_variants():
     a = mem_record("a", "f()\n{\n  x;\n}\n", "f()\n{\n  y;\n}\n")
     spaced = mem_record("b", "f()\n{\n        x;\n}\n", "f()\n{\n        y;\n}\n")
     test = [mem_record("t", *texts(a), "test")]
-    kept_exact, _ = refine([a, spaced], test, "exact")
+    kept_exact, _ = refined([a, spaced], test, "exact")
     assert [r.vuln.id for r in kept_exact] == ["b"]
-    kept_ws, _ = refine([a, spaced], test, "ws_normalized")
+    kept_ws, _ = refined([a, spaced], test, "ws_normalized")
     assert kept_ws == []
 
 
@@ -1096,7 +1100,7 @@ def test_overlap_and_refine_match_brute_force_counts(train_fixes, test_fixes, mo
         if fp not in test_fps and fp not in seen:
             seen.add(fp)
             kept_ids.append(r.vuln.id)
-    kept, manifest = refine(iter(train), iter(test), mode)
+    kept, manifest = refined(iter(train), iter(test), mode)
     assert [r.vuln.id for r in kept] == kept_ids
     assert manifest == SplitManifest(
         counts={"train": len(kept_ids), "test": len(test)},

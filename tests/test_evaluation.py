@@ -19,7 +19,7 @@ from linefix.client import (
     DecodeConfig,
     MockBackend,
     batch_pool,
-    generate_batch,
+    submit_batch,
 )
 from linefix.engine import apply_patch, derive_patch, splice, validate_patch
 from linefix.errors import ConflictingSpans, EmptyEvaluation, InvalidPatch, PatchFormatError
@@ -242,8 +242,9 @@ def test_windows_take_the_time_sum_of_every_sample_in_input_order(window):
     # the float sum, in input order, of one batch of all twenty, not a sum of window sums
     backend = MockBackend({"samples": samples}, BackendSpec(max_attempts=2, backoff_s=0.0))
     with batch_pool(backend) as pool:
-        batch = generate_batch([(r.id, "p") for r in records], DecodeConfig(k=2), backend,
+        futures = submit_batch([(r.id, "p") for r in records], DecodeConfig(k=2), backend,
                                pool=pool)
+        batch = [f.result() for f in futures]
     total = 0.0
     for o in batch:
         total += o.wall_time_s
@@ -389,7 +390,8 @@ def test_score_batch_reusable_without_backend():
     backend = MockBackend({"samples": samples})
     cfg = DecodeConfig(strategy="beam", k=1)
     with batch_pool(backend) as pool:
-        batch = generate_batch([("a", "p1"), ("b", "p2")], cfg, backend, pool=pool)
+        futures = submit_batch([("a", "p1"), ("b", "p2")], cfg, backend, pool=pool)
+        batch = [f.result() for f in futures]
     rep = score_batch(records, batch)
     assert rep.pp_hits == 1
     assert rep.efficiency.total_time_s == 0.0  # evaluate keeps the time, not score_batch
