@@ -6,7 +6,8 @@ errors raised by this tool's own checks (click reports flag misuse as 2).
 
 Data goes to stdout, diagnostics to stderr, and every file-writing run drops
 a resolved-config manifest next to its outputs. Outputs carry no timestamps:
-identical inputs, flags, and seed produce byte-identical files.
+identical inputs, flags, and seed produce byte-identical files, except
+``evaluate``'s ``metrics.json``, the one file that holds a measured time.
 
 The corpus commands stream their records from reader to writer, and
 ``evaluate`` reads one window at a time (``evaluation.WINDOW`` records, more
@@ -31,7 +32,8 @@ import click
 
 from linefix import dataset as ds
 from linefix.checks import check_list, check_mapping, repeats
-from linefix.client import STRATEGIES, BackendSpec, DecodeConfig, HttpBackend, MockBackend
+from linefix.client import (STRATEGIES, BackendSpec, DecodeConfig, HttpBackend, MockBackend,
+                            shown_endpoint)
 from linefix.engine import apply_patch, derive_patch
 from linefix.errors import LinefixError, SchemaError
 from linefix.evaluation import DEFAULT_CWE_ORDER, evaluate, render_report
@@ -395,8 +397,8 @@ def evaluate_cmd(
 
         try:
             with closing(ds.stream(records_path, quarantined)) as rows:
-                report = evaluate((r.vuln for r in rows), backend, cfg,
-                                  cwe_order=tuple(cwes), strict=strict)
+                report, stats = evaluate((r.vuln for r in rows), backend, cfg,
+                                         cwe_order=tuple(cwes), strict=strict)
         finally:  # also when reading or running fails, before its error
             _echo_quarantine_count(quarantined)
 
@@ -421,9 +423,10 @@ def evaluate_cmd(
                 "cwe_list": cwes,
                 "strict": strict,
                 "max_in_flight": spec.max_in_flight,
-                "backend_endpoint": spec.endpoint,
+                "backend_endpoint": shown_endpoint(spec.endpoint),
             },
         })
+        _write_json(outputs, os.path.join(report_dir, "metrics.json"), stats)
 
     click.echo(
         f"pp {report.pp_hits}/{report.pp_total} rate {report.pp_rate:.4f}"

@@ -24,7 +24,8 @@ read from the ``HTTP(S)_PROXY``/``NO_PROXY`` settings when the backend is
 built, and HTTPS is verified against the system's CA store. What the
 backend sends from its spec is checked then too: the credential (never shown
 in a message, and refused in the endpoint URL, which a proxy would receive),
-the request target and ``extra_params``. ``generate``
+the request target and ``extra_params``. A message or manifest shows the
+endpoint as ``shown_endpoint`` does, query values masked. ``generate``
 retries timeouts, transport faults, malformed answers, 5xx, 408 and 429 with
 exponential backoff, and fails at once on any other status and on errors no
 retry can cure (an unknown sample id, an unsupported decoding strategy). The
@@ -132,6 +133,15 @@ class CandidateSet:
         return self.error is None
 
 
+def shown_endpoint(endpoint: str) -> str:
+    """``endpoint`` with each query value, or a query part with no ``=``, written ``***``."""
+    url, hash_, fragment = endpoint.partition("#")  # split where urlsplit splits
+    base, mark, query = url.partition("?")
+    parts = (part.partition("=") for part in query.split("&")) if query else ()
+    masked = "&".join(f"{key}=***" if eq else "***" for key, eq, _ in parts)
+    return base + mark + masked + hash_ + fragment
+
+
 def _transient(exc: GenerationError) -> bool:
     """Whether a retry may succeed: any status but a 5xx, 408 or 429 repeats itself."""
     if isinstance(exc, BackendError):
@@ -229,8 +239,6 @@ class HttpBackend:
     synthetic = False
 
     def __init__(self, spec: BackendSpec):
-        if not spec.endpoint:
-            raise ValueError("HttpBackend needs an endpoint")
         import base64
         import functools
         import http.client
@@ -244,7 +252,8 @@ class HttpBackend:
                              " an environment variable and name it in auth_env")
         https = url.scheme == "https"
         if not (https or url.scheme == "http") or not url.hostname:
-            raise ValueError(f"endpoint: expected an http or https URL, got {spec.endpoint!r}")
+            raise ValueError("endpoint: expected an http or https URL,"
+                             f" got {shown_endpoint(spec.endpoint)!r}")
         self.spec = spec
         self.headers = {"Content-Type": "application/json"}
         if spec.auth_env:
@@ -271,8 +280,8 @@ class HttpBackend:
                 self.headers.update(login)
             address = (proxy_url.hostname, proxy_url.port)
         if any(c <= " " or c >= "\x7f" for c in self._target):
-            raise ValueError(f"endpoint: the request target {self._target!r} holds a space,"
-                             " a control character or a non-ASCII character")
+            raise ValueError(f"endpoint: the request target {shown_endpoint(self._target)!r}"
+                             " holds a space, a control character or a non-ASCII character")
         try:
             json.dumps(spec.extra_params, allow_nan=False)
         except (TypeError, ValueError) as exc:  # a YAML date, a NaN

@@ -12,10 +12,11 @@ that repeats within its sample is parsed (unless perfect), and on a miss
 compared, once; a repeated malformed candidate still counts as a format error
 each time it appears.
 
-``evaluate`` alone times generation and adds up tokens. A synthetic backend's
-time is its samples' scripted latencies added one by one in input order, so
-reports are the same on every Python; any other backend's is the wall time
-from the first window queued to the last outcome collected.
+``evaluate`` alone adds up tokens and times generation. It returns the time
+beside the report, never in it, so a report's bytes follow from its samples
+alone. A synthetic backend's time is its samples' scripted latencies added
+one by one in input order, the same on every Python; any other backend's is
+the wall time from the first window queued to the last outcome collected.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ ROUNDS = 32
 @dataclass(frozen=True)
 class EfficiencyStats:
     total_time_s: float
-    total_tokens: int
     patches_per_second: float
+    time_synthetic: bool
 
 
 @dataclass
@@ -92,23 +93,22 @@ class EvalReport:
     pp_total: int
     pp_rate: float
     per_cwe: list[CweRow]
-    efficiency: EfficiencyStats
     format_error_count: int
     applied_equivalent_misses: int
     backend_error_count: int
+    total_tokens: int
     tokens_estimated: bool
-    time_synthetic: bool
     samples: list[SampleResult] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(self, default=vars, indent=2, ensure_ascii=False) + "\n"
 
 
-def efficiency(samples: int, total_time_s: float, total_tokens: int = 0) -> EfficiencyStats:
+def efficiency(samples: int, total_time_s: float, synthetic: bool = False) -> EfficiencyStats:
     """Throughput as evaluated samples per second of total wall time."""
     if total_time_s <= 0:
         raise ValueError("total_time_s must be positive")
-    return EfficiencyStats(total_time_s, total_tokens, samples / total_time_s)
+    return EfficiencyStats(total_time_s, samples / total_time_s, synthetic)
 
 
 def is_perfect(candidate: str, reference: str, *, strict: bool = False) -> bool:
@@ -141,8 +141,8 @@ def evaluate(
     *,
     cwe_order: tuple[str, ...] = DEFAULT_CWE_ORDER,
     strict: bool = False,
-) -> EvalReport:
-    """Generate k candidates per record and score them against its reference patch.
+) -> tuple[EvalReport, EfficiencyStats]:
+    """Generate k candidates per record and score them; returns the report and the time.
 
     Records are read ``max(WINDOW, ROUNDS * max_in_flight)`` at a time, so a
     window keeps every slot of the backend busy. Each window's prompts are
@@ -197,7 +197,9 @@ def evaluate(
         raise EmptyEvaluation("no records to evaluate")
     synthetic = backend.synthetic
     total_time = synthetic_time if synthetic else end - start  # as if one batch of every record
-    return _report(samples, total_tokens, tokens_estimated, total_time, synthetic, cwe_order)
+    stats = (efficiency(len(samples), total_time, synthetic) if total_time > 0
+             else EfficiencyStats(0.0, 0.0, synthetic))  # a script with no latency
+    return _report(samples, total_tokens, tokens_estimated, cwe_order), stats
 
 
 def score_batch(
@@ -214,8 +216,8 @@ def score_batch(
     every candidate that does not parse counts as a format error, repeats
     included. For a miss, each distinct candidate that parses is validated
     once and compared with the reference over the lines the two patches edit.
-    The report holds no time or tokens, which ``evaluate`` adds up: those
-    fields read 0 or false.
+    The report holds no tokens, which ``evaluate`` adds up: ``total_tokens``
+    reads 0 and ``tokens_estimated`` false.
     """
     sample_results: list[SampleResult] = []
 
@@ -252,17 +254,11 @@ def score_batch(
                          None, applied_equiv)
         )
 
-    return _report(sample_results, 0, False, 0.0, False, cwe_order)
+    return _report(sample_results, 0, False, cwe_order)
 
 
-def _report(
-    samples: list[SampleResult],
-    total_tokens: int,
-    tokens_estimated: bool,
-    total_time_s: float,
-    synthetic: bool,
-    cwe_order: tuple[str, ...],
-) -> EvalReport:
+def _report(samples: list[SampleResult], total_tokens: int, tokens_estimated: bool,
+            cwe_order: tuple[str, ...]) -> EvalReport:
     """The report over scored samples: every count is read off their results."""
     buckets = [*cwe_order, OTHER_CWE]
     cwe_hits: dict[str, int] = dict.fromkeys(buckets, 0)
@@ -273,21 +269,16 @@ def _report(
         cwe_hits[bucket] += s.hit
     hits = sum(cwe_hits.values())
     total = len(samples)
-    if total_time_s > 0:
-        stats = efficiency(total, total_time_s, total_tokens)
-    else:
-        stats = EfficiencyStats(0.0, total_tokens, 0.0)
     return EvalReport(
         pp_hits=hits,
         pp_total=total,
         pp_rate=hits / total,
         per_cwe=[CweRow(c, cwe_hits[c], cwe_totals[c]) for c in buckets],
-        efficiency=stats,
         format_error_count=sum(s.format_errors for s in samples),
         applied_equivalent_misses=sum(s.applied_equivalent for s in samples),
         backend_error_count=sum(s.backend_error is not None for s in samples),
+        total_tokens=total_tokens,
         tokens_estimated=tokens_estimated,
-        time_synthetic=synthetic,
         samples=samples,
     )
 
@@ -305,19 +296,15 @@ def render_report(report: EvalReport, fmt: str = "json") -> str:
         return buf.getvalue()
     if fmt == "text":
         width = max(len(r.cwe_id) for r in report.per_cwe) + 2
-        lines = [f"{'CWE':<{width}}hits/total"]
-        for row in report.per_cwe:
-            lines.append(f"{row.cwe_id:<{width}}{row.hits}/{row.total}")
-        lines.append("")
-        lines.append(f"perfect predictions: {report.pp_hits}/{report.pp_total}"
-                     f" (rate {report.pp_rate:.4f})")
-        lines.append(f"format errors: {report.format_error_count}")
-        lines.append(f"applied-equivalent misses: {report.applied_equivalent_misses}")
-        lines.append(f"backend errors: {report.backend_error_count}")
-        eff = report.efficiency
-        lines.append(
-            f"efficiency: {eff.patches_per_second:.2f} patches/s"
-            f" over {eff.total_time_s:.2f}s, {eff.total_tokens} tokens"
-        )
+        lines = [
+            f"{'CWE':<{width}}hits/total",
+            *(f"{row.cwe_id:<{width}}{row.hits}/{row.total}" for row in report.per_cwe),
+            "",
+            f"perfect predictions: {report.pp_hits}/{report.pp_total} (rate {report.pp_rate:.4f})",
+            f"format errors: {report.format_error_count}",
+            f"applied-equivalent misses: {report.applied_equivalent_misses}",
+            f"backend errors: {report.backend_error_count}",
+            f"tokens: {report.total_tokens}" + (" (estimated)" if report.tokens_estimated else ""),
+        ]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

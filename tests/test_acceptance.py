@@ -216,7 +216,8 @@ def test_acceptance_mock_determinism():
         for _ in range(2):
             spec = BackendSpec(endpoint="mock:", max_in_flight=max_in_flight)
             backend = MockBackend(script, spec)
-            reports.append(evaluate(records, backend, cfg).to_json())
+            report, stats = evaluate(records, backend, cfg)
+            reports.append((report.to_json(), stats))
     assert len(set(reports)) == 1  # byte-identical across runs and concurrency
     print("ACCEPTANCE mock_determinism: PASS")
 
@@ -225,12 +226,12 @@ def test_acceptance_headline_rate():
     with budget(30.0):
         records, script = synthetic_eval(1706, 436)
         backend = MockBackend(script, BackendSpec(endpoint="mock:", max_in_flight=4))
-        report = evaluate(records, backend, DecodeConfig(strategy="beam", k=5))
+        report, stats = evaluate(records, backend, DecodeConfig(strategy="beam", k=5))
     assert report.pp_hits == 436
     assert report.pp_total == 1706
     assert report.pp_rate == pytest.approx(0.2556, abs=1e-4)
-    assert report.time_synthetic
-    assert report.efficiency.total_time_s == pytest.approx(1706 * 0.33)
+    assert stats.time_synthetic
+    assert stats.total_time_s == pytest.approx(1706 * 0.33)
     print("ACCEPTANCE headline_rate: PASS")
 
 
@@ -238,7 +239,7 @@ def test_acceptance_per_cwe_render():
     with budget(1.0):
         records, script = synthetic_eval(44, 17, latency=0.1)
         backend = MockBackend(script, BackendSpec(endpoint="mock:"))
-        report = evaluate(records, backend, DecodeConfig(strategy="beam", k=5))
+        report, _ = evaluate(records, backend, DecodeConfig(strategy="beam", k=5))
         text = render_report(report, "text")
         positions = [text.index(f"\n{cwe} ") for cwe in DEFAULT_CWE_ORDER]
         assert positions == sorted(positions)  # stated order, all present

@@ -7,16 +7,20 @@ import dataclasses
 import io
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
 import threading
 import tracemalloc
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linefix import cli
 from linefix import dataset as ds
@@ -27,7 +31,7 @@ from tests.conftest import (
     VPX_BEFORE_LINES,
     VPX_REFERENCE_PATCH_TEXT,
 )
-from tests.helpers import read_records
+from tests.helpers import random_pair, read_records
 from tests.test_dataset import big_raw_rows, raw_row, write_jsonl
 
 
@@ -585,12 +589,14 @@ def test_evaluate_with_mock(runner, eval_setup):
     result = runner.invoke(main, evaluate_args(eval_setup, report_dir))
     assert result.exit_code == 0, result.output
     assert "pp 1/3 rate 0.3333" in result.output
-    for name in ("report.json", "report.txt", "report.csv", "resolved_config.json"):
+    for name in ("report.json", "report.txt", "report.csv", "resolved_config.json",
+                 "metrics.json"):
         assert (report_dir / name).exists()
     report = json.loads((report_dir / "report.json").read_text())
     assert report["pp_hits"] == 1
     assert report["format_error_count"] == 1
-    assert report["efficiency"]["total_time_s"] == 0.75
+    metrics = json.loads((report_dir / "metrics.json").read_text())
+    assert metrics["total_time_s"] == 0.75
     resolved = json.loads((report_dir / "resolved_config.json").read_text())
     assert resolved["config"]["k"] == 1
     assert resolved["config"]["strategy"] == "beam"
@@ -605,9 +611,10 @@ def test_evaluate_reports_are_byte_stable(runner, eval_setup):
     ]
     for args in runs:
         assert runner.invoke(main, args).exit_code == 0
-    first = (dirs[0] / "report.json").read_bytes()
-    assert (dirs[1] / "report.json").read_bytes() == first
-    assert (dirs[2] / "report.json").read_bytes() == first
+    for name in ("report.json", "report.txt", "report.csv", "metrics.json"):
+        first = (dirs[0] / name).read_bytes()
+        assert (dirs[1] / name).read_bytes() == first
+        assert (dirs[2] / name).read_bytes() == first
 
 
 def test_evaluate_requires_exactly_one_backend(runner, eval_setup, tmp_path):
@@ -735,7 +742,7 @@ def test_evaluate_prints_quarantines_before_a_schema_error(runner, eval_setup, t
 def test_evaluate_failure_while_writing_reports_keeps_every_report(
     runner, eval_setup, tmp_path, monkeypatch
 ):
-    names = ("report.json", "report.txt", "report.csv", "resolved_config.json")
+    names = ("report.json", "report.txt", "report.csv", "resolved_config.json", "metrics.json")
     report_dir = tmp_path / "r"
     report_dir.mkdir()
     for name in names:
@@ -1359,6 +1366,40 @@ def test_evaluate_refuses_credentials_in_the_endpoint_unshown_before_reading_rec
     assert not report_dir.exists()
 
 
+@settings(deadline=None, max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), lf_and_flags=st.sampled_from(
+    [("", ()), ("\n", ()), ("", ("--strict",))]), read=st.sampled_from(["records", "export"]))
+def test_every_record_scores_its_own_exported_completion(tmp_path_factory, seed, lf_and_flags,
+                                                         read):
+    # ingest -> export-train -> evaluate: each layer's inverse, over generated pairs
+    lf, flags = lf_and_flags
+    d = tmp_path_factory.mktemp("chain")
+    rng = random.Random(seed)
+    rows = []
+    for case_no in range(24):
+        before, after = random_pair(rng, case_no)
+        rows.append(raw_row(case_no, "test", cwe=rng.choice(("CWE-787", "CWE-79", "CWE-1")),
+                            source_before=to_text(before), source_after=to_text(after)))
+    runner = CliRunner()
+    steps = (["ingest", "--input", write_jsonl(d / "raw.jsonl", rows), "--out", str(d / "records")],
+             ["export-train", "--records", str(d / "records"), "--out", str(d / "export")])
+    for step in steps:
+        result = runner.invoke(main, step)
+        assert result.exit_code == 0, result.output
+    exported = [json.loads(line) for line in (d / "export").read_text("utf-8").splitlines()]
+    assert exported  # most generated pairs are accepted
+    script = {"samples": {row["id"]: {"candidates": [row["completion"] + lf]} for row in exported}}
+    (d / "script.json").write_text(json.dumps(script), "utf-8")
+    result = runner.invoke(main, ["evaluate", "--records", str(d / read), "--mock-script",
+                                  str(d / "script.json"), "--k", "1", *flags,
+                                  "--report-dir", str(d / "r")])
+    assert result.exit_code == 0, result.output
+    report = json.loads((d / "r" / "report.json").read_text())
+    assert report["pp_total"] == len(exported)
+    assert report["pp_rate"] == 1.0
+    assert report["format_error_count"] == report["backend_error_count"] == 0
+
+
 def test_cli_import_loads_no_http_library():
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, linefix.cli; print('\\n'.join(sys.modules))"
@@ -1414,14 +1455,22 @@ def test_evaluate_golden_with_mock(runner, eval_setup, tmp_path):
     args = evaluate_args(eval_setup, report_dir, "--config", str(config), *GOLDEN_FLAGS)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
-    for name in ("report.json", "report.txt", "report.csv", "resolved_config.json"):
+    for name in ("report.json", "report.txt", "report.csv", "resolved_config.json",
+                 "metrics.json"):
         check_golden(f"evaluate/mock/{name}", masked(report_dir / name, tmp_path))
 
 
-@pytest.mark.parametrize("wrapped", [True, False], ids=["wrapped", "flat"])
-def test_evaluate_golden_with_backend_config(runner, eval_setup, tmp_path, wrapped):
+@contextmanager
+def completion_server():
+    """A local server that answers every POST with completion(0) at 4 tokens.
+
+    Yields its base URL and the list of request paths it has received.
+    """
+    paths: list[str] = []
+
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
+            paths.append(self.path)
             self.rfile.read(int(self.headers["Content-Length"]))
             body = json.dumps({"choices": [{"text": completion(0), "tokens": 4}]}).encode()
             self.send_response(200)
@@ -1435,25 +1484,67 @@ def test_evaluate_golden_with_backend_config(runner, eval_setup, tmp_path, wrapp
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", paths
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def evaluate_over_http(runner, eval_setup, tmp_path, endpoint, report_dir, wrapped=True):
+    """``evaluate`` of eval_setup's records with the golden flags, against ``endpoint``."""
     spec = {**GOLDEN_BACKEND, "endpoint": endpoint}
     backend_cfg = tmp_path / "backend.yaml"
     backend_cfg.write_text(json.dumps({"backend": spec} if wrapped else spec))
     config = tmp_path / "eval.yaml"
     config.write_text(readme_eval_yaml())
-    report_dir = tmp_path / "r"
     args = ["evaluate", "--records", eval_setup["records"], "--backend-config", str(backend_cfg),
             "--config", str(config), *GOLDEN_FLAGS, "--report-dir", str(report_dir)]
-    try:
-        result = runner.invoke(main, args)
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    return runner.invoke(main, args)
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["wrapped", "flat"])
+def test_evaluate_golden_with_backend_config(runner, eval_setup, tmp_path, wrapped):
+    report_dir = tmp_path / "r"
+    with completion_server() as (url, _):
+        endpoint = f"{url}/v1/completions"
+        result = evaluate_over_http(runner, eval_setup, tmp_path, endpoint, report_dir, wrapped)
     assert result.exit_code == 0, result.output
-    # report.json and report.txt hold the measured wall time of an HTTP run
-    for name in ("report.csv", "resolved_config.json"):
+    for name in ("report.json", "report.txt", "report.csv", "resolved_config.json"):
         check_golden(f"evaluate/http/{name}", masked(report_dir / name, tmp_path, endpoint))
+    # the one file that holds the measured wall time: only its keys are pinned
+    metrics = json.loads((report_dir / "metrics.json").read_text())
+    assert list(metrics) == ["total_time_s", "patches_per_second", "time_synthetic"]
+    assert metrics["time_synthetic"] is False and metrics["total_time_s"] > 0
+
+
+def test_evaluate_over_http_writes_byte_identical_reports(runner, eval_setup, tmp_path):
+    dirs = [tmp_path / "first", tmp_path / "second"]
+    with completion_server() as (url, _):
+        for report_dir in dirs:
+            result = evaluate_over_http(runner, eval_setup, tmp_path, f"{url}/gen", report_dir)
+            assert result.exit_code == 0, result.output
+    for name in ("report.json", "report.txt", "report.csv", "resolved_config.json"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_evaluate_shows_no_query_value_of_the_endpoint(runner, eval_setup, tmp_path):
+    # some completion APIs take their key as a query parameter
+    report_dir = tmp_path / "r"
+    with completion_server() as (url, paths):
+        endpoint = f"{url}/gen?key=s3cret&model=m"
+        result = evaluate_over_http(runner, eval_setup, tmp_path, endpoint, report_dir)
+    assert result.exit_code == 0, result.output
+    assert paths and set(paths) == {"/gen?key=s3cret&model=m"}  # the request carries it
+    resolved = json.loads((report_dir / "resolved_config.json").read_text())
+    assert resolved["config"]["backend_endpoint"] == f"{url}/gen?key=***&model=***"
+    assert sorted(os.listdir(report_dir)) == [
+        "metrics.json", "report.csv", "report.json", "report.txt", "resolved_config.json"]
+    for name in os.listdir(report_dir):
+        assert b"s3cret" not in (report_dir / name).read_bytes(), name
+    assert "s3cret" not in result.stdout
+    assert "s3cret" not in result.stderr
 
 
 # The hand-written raw corpus in tests/golden/corpus holds JSONL and CSV input,

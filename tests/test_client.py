@@ -26,6 +26,7 @@ from linefix.client import (
     MockBackend,
     batch_pool,
     generate,
+    shown_endpoint,
     submit_batch,
 )
 from linefix.errors import (
@@ -671,6 +672,43 @@ def test_http_endpoint_with_credentials_is_refused_unshown(monkeypatch, proxy, e
         HttpBackend(BackendSpec(endpoint=endpoint))
     assert "s3cret" not in str(info.value)
     assert "completions.example" not in str(info.value)
+
+
+@pytest.mark.parametrize("proxy", [None, "http://127.0.0.1:9"], ids=["direct", "HTTP_PROXY"])
+@pytest.mark.parametrize("endpoint,direct,proxied", [
+    ("ftp://h/gen?key=s3cret", "expected an http or https URL, got 'ftp://h/gen?key=***'", None),
+    ("http:///gen?key=s3cret", "expected an http or https URL, got 'http:///gen?key=***'", None),
+    ("http://h/gen?key=s3 cret", "the request target '/gen?key=***' holds a space",
+     "the request target 'http://h/gen?key=***' holds a space"),  # the proxy takes the URL
+    ("http://h/gen?key=s3\x01cret&m=1", "the request target '/gen?key=***&m=***' holds a space",
+     "the request target 'http://h/gen?key=***&m=***' holds a space"),
+], ids=["ftp", "no-host", "space", "control"])
+def test_http_endpoint_messages_mask_each_query_value(monkeypatch, proxy, endpoint, direct,
+                                                      proxied):
+    # some completion APIs take their key as a query parameter
+    for name in ("http_proxy", "https_proxy", "no_proxy", "NO_PROXY", "HTTP_PROXY", "HTTPS_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    if proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+    with pytest.raises(ValueError) as info:
+        HttpBackend(BackendSpec(endpoint=endpoint))
+    assert str(info.value).startswith(f"endpoint: {(proxy and proxied) or direct}")
+    assert "s3" not in str(info.value)
+
+
+@pytest.mark.parametrize("endpoint,shown", [
+    ("", ""),
+    ("http://h/gen", "http://h/gen"),
+    ("http://h/gen?", "http://h/gen?"),
+    ("http://h:8/gen?key=s3cret&model=m", "http://h:8/gen?key=***&model=***"),
+    ("http://h/gen?s3cret", "http://h/gen?***"),  # no key: the part is masked whole
+    ("http://h/gen?a=1&&key=s3=cret", "http://h/gen?a=***&***&key=***"),
+    ("http://h/gen?key=s3cret#part", "http://h/gen?key=***#part"),
+    ("http://h/gen#part?key=1", "http://h/gen#part?key=1"),  # a fragment, never sent
+])
+def test_shown_endpoint_masks_each_query_value(endpoint, shown):
+    assert shown_endpoint(endpoint) == shown
+    assert urlsplit(shown)._replace(query="") == urlsplit(endpoint)._replace(query="")
 
 
 def test_http_requires_endpoint():

@@ -25,6 +25,7 @@ from linefix.engine import apply_patch, derive_patch, splice, validate_patch
 from linefix.errors import ConflictingSpans, EmptyEvaluation, InvalidPatch, PatchFormatError
 from linefix.evaluation import (
     DEFAULT_CWE_ORDER,
+    EfficiencyStats,
     EvalReport,
     SampleResult,
     efficiency,
@@ -64,7 +65,7 @@ def run_eval(records, samples, *, k=3, latency=0.5, strict=False, cwe_order=DEFA
 
 
 @pytest.fixture
-def mixed_report() -> EvalReport:
+def mixed_run() -> tuple[EvalReport, EfficiencyStats]:
     records = [
         record("r1", "CWE-787"),
         record("r2", "CWE-787"),
@@ -82,6 +83,11 @@ def mixed_report() -> EvalReport:
         "r6": {"candidates": ["never delivered"], "fail_times": 5},
     }
     return run_eval(records, samples)
+
+
+@pytest.fixture
+def mixed_report(mixed_run) -> EvalReport:
+    return mixed_run[0]
 
 
 # --- match predicate -------------------------------------------------------------
@@ -152,16 +158,17 @@ def test_efficiency_rejects_nonpositive_time():
 # --- evaluate ------------------------------------------------------------------------
 
 
-def test_headline_counts(mixed_report):
-    rep = mixed_report
+def test_headline_counts(mixed_run):
+    rep, stats = mixed_run
     assert rep.pp_hits == 2
     assert rep.pp_total == 6
     assert rep.pp_rate == 2 / 6
     assert rep.format_error_count == 1
     assert rep.applied_equivalent_misses == 1
     assert rep.backend_error_count == 1
+    assert rep.total_tokens == 37  # r1's 18 scripted, r2..r5's 19 estimated
     assert rep.tokens_estimated  # r2..r5 carry no token counts
-    assert rep.time_synthetic
+    assert stats.time_synthetic
 
 
 def test_per_cwe_rows(mixed_report):
@@ -185,16 +192,17 @@ def test_sample_rows(mixed_report):
     assert by_id["r6"].backend_error.startswith("TransportError")
 
 
-def test_synthetic_time_sums_scripted_latencies(mixed_report):
+def test_synthetic_time_sums_scripted_latencies(mixed_run):
     # five successful samples at 0.5s each; the failed one contributes nothing
-    assert mixed_report.efficiency.total_time_s == pytest.approx(2.5)
-    assert mixed_report.efficiency.patches_per_second == pytest.approx(6 / 2.5)
+    _, stats = mixed_run
+    assert stats.total_time_s == pytest.approx(2.5)
+    assert stats.patches_per_second == pytest.approx(6 / 2.5)
 
 
 def test_custom_cwe_order():
     records = [record("a", "CWE-89"), record("b", "CWE-125")]
     samples = {"a": {"candidates": [REFERENCE]}, "b": {"candidates": [REFERENCE]}}
-    rep = run_eval(records, samples, cwe_order=("CWE-89",))
+    rep, _ = run_eval(records, samples, cwe_order=("CWE-89",))
     assert [row.cwe_id for row in rep.per_cwe] == ["CWE-89", "other"]
     assert rep.per_cwe[1].total == 1
 
@@ -202,8 +210,8 @@ def test_custom_cwe_order():
 def test_strict_mode_rejects_trailing_lf():
     records = [record("a")]
     samples = {"a": {"candidates": [REFERENCE + "\n"]}}
-    assert run_eval(records, samples).pp_hits == 1
-    assert run_eval(records, samples, strict=True).pp_hits == 0
+    assert run_eval(records, samples)[0].pp_hits == 1
+    assert run_eval(records, samples, strict=True)[0].pp_hits == 0
 
 
 def test_evaluate_empty_records():
@@ -228,17 +236,19 @@ def windowed_samples(n: int) -> dict:
 def test_windows_give_the_one_batch_report(window, size):
     records = [record(f"r{i}", ("CWE-787", "CWE-79", "CWE-9999")[i % 3]) for i in range(20)]
     samples = windowed_samples(20)
-    whole = run_eval(records, samples, k=2).to_json()
+    whole, whole_stats = run_eval(records, samples, k=2)
     window(size)
     # a generator is read window by window, never listed whole
-    assert run_eval((r for r in records), samples, k=2).to_json() == whole
+    report, stats = run_eval((r for r in records), samples, k=2)
+    assert report.to_json() == whole.to_json()
+    assert stats == whole_stats
 
 
 def test_windows_take_the_time_sum_of_every_sample_in_input_order(window):
     records = [record(f"r{i}") for i in range(20)]
     samples = windowed_samples(20)
     window(3)
-    report = run_eval(records, samples, k=2)
+    _, stats = run_eval(records, samples, k=2)
     # the float sum, in input order, of one batch of all twenty, not a sum of window sums
     backend = MockBackend({"samples": samples}, BackendSpec(max_attempts=2, backoff_s=0.0))
     with batch_pool(backend) as pool:
@@ -248,15 +258,15 @@ def test_windows_take_the_time_sum_of_every_sample_in_input_order(window):
     total = 0.0
     for o in batch:
         total += o.wall_time_s
-    assert report.efficiency.total_time_s == total
+    assert stats.total_time_s == total
 
 
 def test_synthetic_time_is_the_same_float_on_every_python():
     # added one at a time: from Python 3.12, sum() of floats is compensated and gives 0.8 here
     records = [record(f"r{i}") for i in range(8)]
     samples = {f"r{i}": {"candidates": [REFERENCE], "latency_s": 0.1} for i in range(8)}
-    report = run_eval(records, samples, k=1)
-    assert report.efficiency.total_time_s == 0.7999999999999999
+    _, stats = run_eval(records, samples, k=1)
+    assert stats.total_time_s == 0.7999999999999999
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -268,7 +278,9 @@ def test_wall_time_spans_the_first_window_queued_to_the_last_collected(monkeypat
     records = [record(f"r{i}") for i in range(2 * n)]
     backend = MockBackend({"samples": {r.id: {"candidates": [REFERENCE]} for r in records}})
     backend.synthetic = False
-    assert evaluate(records, backend, DecodeConfig(k=1)).efficiency.total_time_s == n
+    _, stats = evaluate(records, backend, DecodeConfig(k=1))
+    assert stats.total_time_s == n
+    assert not stats.time_synthetic
 
 
 def test_every_window_runs_on_one_pool(monkeypatch, window):
@@ -283,7 +295,7 @@ def test_every_window_runs_on_one_pool(monkeypatch, window):
     monkeypatch.setattr(client, "ThreadPoolExecutor", CountedPool)
     window(2)
     records = [record(f"r{i}") for i in range(7)]
-    assert run_eval(records, windowed_samples(7), k=2).pp_total == 7
+    assert run_eval(records, windowed_samples(7), k=2)[0].pp_total == 7
     assert len(made) == 1
 
 
@@ -301,7 +313,7 @@ def test_a_window_keeps_every_in_flight_slot_busy(monkeypatch):
     records = [record(f"r{i}") for i in range(2 * slots)]
     script = {"samples": {r.id: {"candidates": [REFERENCE]} for r in records}}
     backend = Gathering(script, BackendSpec(endpoint="mock:", max_in_flight=slots))
-    assert evaluate(records, backend, DecodeConfig(k=1)).pp_hits == 2 * slots
+    assert evaluate(records, backend, DecodeConfig(k=1))[0].pp_hits == 2 * slots
 
 
 def test_the_next_window_is_in_flight_while_a_window_is_scored(monkeypatch, window):
@@ -326,7 +338,7 @@ def test_the_next_window_is_in_flight_while_a_window_is_scored(monkeypatch, wind
     monkeypatch.setattr(evaluation, "score_batch", score_batch_after_the_next_window_starts)
     records = [record(f"r{i}") for i in range(5)]
     backend = Signalling({"samples": {r.id: {"candidates": [REFERENCE]} for r in records}})
-    assert evaluate(records, backend, DecodeConfig(k=1)).pp_hits == 5
+    assert evaluate(records, backend, DecodeConfig(k=1))[0].pp_hits == 5
     assert scored == [["r0", "r1"], ["r2", "r3"], ["r4"]]
 
 
@@ -369,15 +381,18 @@ def test_evaluate_is_deterministic():
         f"r{i}": {"candidates": [REFERENCE if i % 2 else "1-3<MID>  no;"]}
         for i in range(6)
     }
-    assert run_eval(records, samples).to_json() == run_eval(records, samples).to_json()
+    first, first_stats = run_eval(records, samples)
+    again, again_stats = run_eval(records, samples)
+    assert first.to_json() == again.to_json()
+    assert first_stats == again_stats
 
 
 def test_zero_time_guard():
     records = [record("a")]
     samples = {"a": {"candidates": [REFERENCE]}}
-    rep = run_eval(records, samples, latency=0.0)
-    assert rep.efficiency.total_time_s == 0.0
-    assert rep.efficiency.patches_per_second == 0.0
+    rep, stats = run_eval(records, samples, latency=0.0)
+    assert stats.total_time_s == 0.0
+    assert stats.patches_per_second == 0.0
     assert rep.pp_hits == 1
 
 
@@ -394,7 +409,8 @@ def test_score_batch_reusable_without_backend():
         batch = [f.result() for f in futures]
     rep = score_batch(records, batch)
     assert rep.pp_hits == 1
-    assert rep.efficiency.total_time_s == 0.0  # evaluate keeps the time, not score_batch
+    assert rep.total_tokens == 0  # evaluate adds up the tokens and keeps the time, not score_batch
+    assert not rep.tokens_estimated
 
 
 # --- each distinct candidate scored once -------------------------------------------------
@@ -559,6 +575,13 @@ def test_render_text(mixed_report):
     assert "format errors: 1" in text
     assert "applied-equivalent misses: 1" in text
     assert "backend errors: 1" in text
+    assert text.endswith("\ntokens: 37 (estimated)\n")
+    assert "efficiency" not in text
+
+
+def test_render_text_says_estimated_only_for_estimated_tokens(mixed_report):
+    reported = dataclasses.replace(mixed_report, tokens_estimated=False)
+    assert render_report(reported, "text").endswith("\ntokens: 37\n")
 
 
 def test_render_unknown_format(mixed_report):
