@@ -4,9 +4,10 @@ Two backends share one small wire contract. ``HttpBackend`` POSTs
 ``{prompt, n, max_tokens, stop, temperature | num_beams, ...}`` as JSON and
 expects ``{"choices": [{"text": ..., "tokens": ...?}, ...]}`` back, which maps
 onto common completion-serving APIs via ``BackendSpec.extra_params``. Both
-backends hold token counts to one rule (``checks.check_number``, an integer
->= 0): a script that breaks it is refused, and an answer whose counts miss or
-break it gets whitespace-split estimates, as a script without counts does.
+backends answer alike: at most k candidates, never padded, and one token
+count per candidate (``checks.check_number``, an integer >= 0) or None. A
+script whose counts break that is refused; an answer whose counts miss or
+break it gives None, as a script without counts does.
 ``MockBackend`` replays a deterministic JSON script keyed by sample id, so
 evaluations can run byte-reproducibly with no server; its scripted latencies
 are accounting only, nothing sleeps.
@@ -118,13 +119,12 @@ class BackendSpec:
 
 @dataclass
 class CandidateSet:
-    """Candidates for one sample, or the error that prevented them."""
+    """Candidates for one sample and its backend's counts, one each or None; or its error."""
 
     sample_id: str
     candidates: list[str]
-    tokens_generated: list[int]
+    tokens: list[int] | None
     wall_time_s: float
-    backend_reported: bool
     attempts: int = 1
     error: str | None = None
 
@@ -167,8 +167,8 @@ class MockBackend:
           }
         }
 
-    Candidates are truncated or padded with empty strings to exactly k. The
-    script's shape and keys are checked once, here: a fault raises ValueError.
+    Candidates and tokens are cut to k, never padded. The script's shape and
+    keys are checked once, here: a fault raises ValueError.
     """
 
     synthetic = True
@@ -203,6 +203,9 @@ class MockBackend:
                 f"{at}.fail_times", entry.get("fail_times", 0), integer=True, low=0)
             latency = check_number(
                 f"{at}.latency_s", entry.get("latency_s", default_latency), low=0)
+            if tokens is not None and len(tokens) != len(candidates):
+                raise ValueError(f"{at}.tokens: expected one count per candidate"
+                                 f" ({len(candidates)}), got {len(tokens)}")
             self.samples[sid] = (list(candidates), tokens, latency)
             self._fail_budget[sid] = fail_times
         self._lock = threading.Lock()
@@ -219,13 +222,8 @@ class MockBackend:
             if self._fail_budget[sample_id] > 0:
                 self._fail_budget[sample_id] -= 1
                 raise TransportError(f"scripted failure for sample {sample_id!r}")
-        scripted, tokens, latency = entry
-        candidates = scripted[: cfg.k]
-        candidates += [""] * (cfg.k - len(candidates))
-        if tokens is not None:
-            tokens = tokens[: cfg.k]
-            tokens += [0] * (cfg.k - len(tokens))
-        return candidates, tokens, latency
+        candidates, tokens, latency = entry
+        return candidates[: cfg.k], None if tokens is None else tokens[: cfg.k], latency
 
 
 class HttpBackend:
@@ -393,7 +391,7 @@ class HttpBackend:
                 tokens.append(check_number("tokens", choice.get("tokens"), integer=True, low=0))
             except ValueError:
                 reported = False
-        return candidates, tokens if reported and tokens else None, None
+        return candidates, tokens if reported else None, None
 
 
 def generate(
@@ -424,15 +422,7 @@ def generate(
         if delay > 0 and not backend.synthetic:
             time.sleep(delay)
     wall = latency if latency is not None else time.perf_counter() - start
-    reported = tokens is not None  # else a whitespace-split estimate
-    return CandidateSet(
-        sample_id=sample_id,
-        candidates=candidates,
-        tokens_generated=tokens if reported else [len(c.split()) for c in candidates],
-        wall_time_s=wall,
-        backend_reported=reported,
-        attempts=attempt,
-    )
+    return CandidateSet(sample_id, candidates, tokens, wall, attempt)
 
 
 def batch_pool(backend) -> ThreadPoolExecutor:
@@ -468,14 +458,6 @@ def submit_batch(
         try:
             return generate(prompt, cfg, backend, sample_id=sid)
         except GenerationError as exc:
-            return CandidateSet(
-                sample_id=sid,
-                candidates=[],
-                tokens_generated=[],
-                wall_time_s=0.0,
-                backend_reported=False,
-                attempts=exc.attempts,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return CandidateSet(sid, [], None, 0.0, exc.attempts, f"{type(exc).__name__}: {exc}")
 
     return [pool.submit(one, item) for item in prompts]

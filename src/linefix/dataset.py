@@ -25,7 +25,7 @@ raw schema (JSONL or CSV)
     filled ``reference_patch`` one, so a file can mix both kinds of row.
 
 training schema (JSONL)
-    ``id, prompt, completion, cwe_id, split`` as written by export_jsonl;
+    ``id, cve_id?, prompt, completion, cwe_id, split`` as written by export_jsonl;
     records are reconstructed by parsing the prompt and completion, so
     ingest -> export -> ingest is a fixed point.
 
@@ -196,6 +196,11 @@ def _require(row: dict, fields: tuple[str, ...]) -> str:
     return split
 
 
+def _given_cve(row: dict) -> tuple[str, ...]:
+    """``("cve_id",)`` when the row gives one, for ``_require``; null is absent."""
+    return ("cve_id",) if row.get("cve_id") is not None else ()
+
+
 def strip_bug_markers(text: str) -> tuple[SourceUnit, list[int]]:
     """Split ``text`` into a source with the upstream bug markers removed, and the marked lines.
 
@@ -219,8 +224,7 @@ def _record_from_raw(row: dict) -> DatasetRecord:
     fix_fields = tuple(f for f in ("source_after", "reference_patch") if row.get(f) is not None)
     if len(fix_fields) == 2:
         raise ValueError("row has both 'source_after' and 'reference_patch'; give one")
-    given = ("cve_id",) if row.get("cve_id") is not None else ()  # null is absent
-    split = _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)) + given)
+    split = _require(row, _RAW_REQUIRED + (fix_fields or ("source_after",)) + _given_cve(row))
     patch_text = row.get("reference_patch")
     src, marker_lines = strip_bug_markers(row["source_before"])
     if patch_text is None:
@@ -267,10 +271,9 @@ def _record_from_raw(row: dict) -> DatasetRecord:
 
 
 def _record_from_training(row: dict) -> DatasetRecord:
-    split = _require(row, _TRAINING_REQUIRED)
-    vuln = parse_prompt(
-        row["prompt"], id=row["id"], cwe_id=row["cwe_id"], completion=row["completion"]
-    )
+    split = _require(row, _TRAINING_REQUIRED + _given_cve(row))
+    vuln = parse_prompt(row["prompt"], id=row["id"], cwe_id=row["cwe_id"],
+                        cve_id=row.get("cve_id"), completion=row["completion"])
     return DatasetRecord(split, vuln)
 
 
@@ -342,10 +345,14 @@ def write_records_jsonl(records: Iterable[DatasetRecord], path: str) -> dict[str
 
 
 def export_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
-    """Write the training schema, one row per record; returns the rows written."""
+    """Write the training schema, one row per record; returns the rows written.
+
+    A row has ``cve_id`` only when its record has one.
+    """
     examples = ((r, render_training_example(r.vuln)) for r in records)
     return _write_jsonl(({
         "id": r.vuln.id,
+        **({"cve_id": r.vuln.cve_id} if r.vuln.cve_id is not None else {}),
         "prompt": example.prompt,
         "completion": example.completion,
         "cwe_id": r.vuln.cwe_id,

@@ -3,20 +3,24 @@
 Every record carries its reference patch. A candidate is perfect when it is
 byte-identical to that patch's serialized text after trimming at most one
 trailing LF from each side; every interior byte, indentation included, is
-significant. A sample counts as a hit when any of its k candidates is
-perfect. Malformed candidates and backend failures score as misses and are
-tallied separately; patches that parse, validate, and apply to the same
-result as the reference without matching byte-wise are surfaced as a
-diagnostic only and never folded into the headline rate. A candidate text
+significant. A sample counts as a hit when any candidate its backend returned
+(at most k, never padded) is perfect. Malformed candidates and backend
+failures score as misses and are tallied separately; patches that parse,
+validate, and apply to the same result as the reference without matching
+byte-wise are surfaced as a diagnostic only and never folded into the
+headline rate. A candidate text
 that repeats within its sample is parsed (unless perfect), and on a miss
 compared, once; a repeated malformed candidate still counts as a format error
 each time it appears.
 
-``evaluate`` alone adds up tokens and times generation. It returns the time
-beside the report, never in it, so a report's bytes follow from its samples
-alone. A synthetic backend's time is its samples' scripted latencies added
-one by one in input order, the same on every Python; any other backend's is
-the wall time from the first window queued to the last outcome collected.
+``evaluate`` alone adds up tokens and times generation. A sample's tokens are
+its backend's counts or, where it reported none, one per whitespace-split word
+of each candidate, and the report then says they are estimated. It returns
+the time beside the report, never in it, so a report's bytes follow from its
+samples alone. A synthetic backend's time is its samples' scripted latencies
+added one by one in input order, the same on every Python; any other
+backend's is the wall time from the first window queued to the last outcome
+collected.
 """
 
 from __future__ import annotations
@@ -187,19 +191,21 @@ def evaluate(
             outcomes = [f.result() for f in futures]
             for o in outcomes:
                 synthetic_time += o.wall_time_s
-            total_tokens += sum(sum(o.tokens_generated) for o in outcomes)
-            tokens_estimated |= any(o.ok and not o.backend_reported for o in outcomes)
+                if o.tokens is None:  # none reported: a whitespace-split estimate
+                    total_tokens += sum(len(c.split()) for c in o.candidates)
+                    tokens_estimated |= o.ok
+                else:
+                    total_tokens += sum(o.tokens)
             samples += score_batch(window, outcomes, cwe_order=cwe_order, strict=strict).samples
             del window, futures, outcomes  # before the window after next is read
     finally:  # on an error, samples still queued are dropped
         pool.shutdown(cancel_futures=True)
-    if not samples:
-        raise EmptyEvaluation("no records to evaluate")
+    report = _report(samples, total_tokens, tokens_estimated, cwe_order)
     synthetic = backend.synthetic
     total_time = synthetic_time if synthetic else end - start  # as if one batch of every record
     stats = (efficiency(len(samples), total_time, synthetic) if total_time > 0
              else EfficiencyStats(0.0, 0.0, synthetic))  # a script with no latency
-    return _report(samples, total_tokens, tokens_estimated, cwe_order), stats
+    return report, stats
 
 
 def score_batch(
@@ -217,11 +223,12 @@ def score_batch(
     included. For a miss, each distinct candidate that parses is validated
     once and compared with the reference over the lines the two patches edit.
     The report holds no tokens, which ``evaluate`` adds up: ``total_tokens``
-    reads 0 and ``tokens_estimated`` false.
+    reads 0 and ``tokens_estimated`` false. ``records`` and ``outcomes`` pair
+    up in order, and lists of unequal length raise ValueError.
     """
     sample_results: list[SampleResult] = []
 
-    for record, outcome in zip(records, outcomes):
+    for record, outcome in zip(records, outcomes, strict=True):
         if not outcome.ok:
             sample_results.append(
                 SampleResult(record.id, record.cwe_id, False, None, 0, outcome.error, False)
@@ -259,7 +266,12 @@ def score_batch(
 
 def _report(samples: list[SampleResult], total_tokens: int, tokens_estimated: bool,
             cwe_order: tuple[str, ...]) -> EvalReport:
-    """The report over scored samples: every count is read off their results."""
+    """The report over scored samples: every count is read off their results.
+
+    Raises EmptyEvaluation when there is no sample.
+    """
+    if not samples:
+        raise EmptyEvaluation("no records to evaluate")
     buckets = [*cwe_order, OTHER_CWE]
     cwe_hits: dict[str, int] = dict.fromkeys(buckets, 0)
     cwe_totals: dict[str, int] = dict.fromkeys(buckets, 0)

@@ -119,14 +119,15 @@ def build_prompt(record: VulnRecord) -> str:
 
 
 def parse_prompt(
-    text: str, *, completion: str, id: str = "", cwe_id: str | None = None
+    text: str, *, completion: str, id: str = "", cwe_id: str | None = None,
+    cve_id: str | None = None,
 ) -> VulnRecord:
     """Recover the record from a training example; inverse of render_training_example.
 
     ``completion`` is parsed as the reference patch. A training row also
-    passes its ``id`` and its ``cwe_id`` field, which must agree with the
-    prompt's; the record is built and validated once. The header must be
-    exactly what build_prompt writes.
+    passes its ``id``, its ``cve_id``, which no prompt holds, and its
+    ``cwe_id`` field, which must agree with the prompt's; the record is built
+    and validated once. The header must be exactly what build_prompt writes.
 
     Errors are reported in this order: MalformedPrompt for the layout,
     InvalidRecord for a disagreeing ``cwe_id``, ValueError for a line number
@@ -166,6 +167,7 @@ def parse_prompt(
         vuln_lines=vuln_lines,
         source=source,
         reference_patch=parse_patch(completion),
+        cve_id=cve_id,
     )
     object.__setattr__(record, "prompt", text)  # the bytes build_prompt would write
     return record

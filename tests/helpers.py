@@ -1,5 +1,7 @@
 """Test-only oracles and generators, independent of the implementations under test.
 
+``serving`` runs a local HTTP server for tests that talk to one.
+
 ``read_records`` and ``refined`` are not oracles: they collect what
 ``dataset.stream`` and ``dataset.LeakFilter`` give into lists, for tests that
 check a whole file or train set at once.
@@ -9,7 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterable, Sequence
+import threading
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from linefix.dataset import DatasetRecord, LeakFilter, QuarantineEntry, SplitManifest, stream
 from linefix.patchfmt import EditSpan, PatchSet
@@ -46,6 +51,25 @@ def refined(
     leak = LeakFilter(test, mode)
     kept = [r for r in train if leak.keep(r)]
     return kept, leak.manifest()
+
+
+@contextmanager
+def serving(handler: type[BaseHTTPRequestHandler]) -> Iterator[ThreadingHTTPServer]:
+    """A server on a free local port that answers with ``handler`` on its own ``thread``.
+
+    Its ``requests`` list and ``connections`` count start empty for the
+    handler to fill. On exit it is shut down and its thread joined.
+    """
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.requests, server.connections = [], 0
+    server.thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.thread.join(timeout=5)
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:

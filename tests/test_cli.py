@@ -11,10 +11,9 @@ import random
 import socket
 import subprocess
 import sys
-import threading
 import tracemalloc
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,7 @@ from tests.conftest import (
     VPX_BEFORE_LINES,
     VPX_REFERENCE_PATCH_TEXT,
 )
-from tests.helpers import random_pair, read_records
+from tests.helpers import random_pair, read_records, serving
 from tests.test_dataset import big_raw_rows, raw_row, write_jsonl
 
 
@@ -1014,6 +1013,8 @@ def scripted(entry: dict) -> dict:
          "samples['rec-0'].tokens[0]: expected an integer, got True"),
         (scripted({"candidates": [completion(0)], "tokens": [4, -3]}),
          "samples['rec-0'].tokens[1]: expected an integer >= 0, got -3"),
+        (scripted({"candidates": [completion(0)], "tokens": [4, 5]}),
+         "samples['rec-0'].tokens: expected one count per candidate (1), got 2"),
         (scripted({"candidates": [completion(0)], "fail_times": "1"}),
          "samples['rec-0'].fail_times: expected an integer, got '1'"),
         (scripted({"candidates": [completion(0)], "fail_times": -1}),
@@ -1036,7 +1037,8 @@ def scripted(entry: dict) -> dict:
     ],
     ids=[
         "top-level list", "samples list", "entry list", "candidates string",
-        "candidate int", "tokens float", "tokens bool", "tokens negative", "fail_times string",
+        "candidate int", "tokens float", "tokens bool", "tokens negative",
+        "tokens not one per candidate", "fail_times string",
         "fail_times negative", "latency_s negative", "default_latency_s string",
         "default_latency_s inf", "strategies string", "strategies unknown",
         "entry unknown key", "top-level unknown key",
@@ -1290,38 +1292,30 @@ def test_evaluate_missing_credential_exits_64_before_any_request(
     runner, eval_setup, tmp_path, monkeypatch
 ):
     monkeypatch.delenv("LINEFIX_TEST_TOKEN", raising=False)
-    seen = []
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            seen.append(self.path)
+            self.server.requests.append(self.path)
             self.send_response(500)
             self.end_headers()
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
-    backend_cfg = tmp_path / "backend.yaml"
-    backend_cfg.write_text(
-        f"backend:\n  endpoint: http://{host}:{port}/gen\n  auth_env: LINEFIX_TEST_TOKEN\n"
-    )
-    args = [
-        "evaluate",
-        "--records", eval_setup["records"],
-        "--backend-config", str(backend_cfg),
-        "--report-dir", str(tmp_path / "r"),
-    ]
-    try:
+    with serving(Handler) as server:
+        host, port = server.server_address
+        backend_cfg = tmp_path / "backend.yaml"
+        backend_cfg.write_text(
+            f"backend:\n  endpoint: http://{host}:{port}/gen\n  auth_env: LINEFIX_TEST_TOKEN\n"
+        )
+        args = [
+            "evaluate",
+            "--records", eval_setup["records"],
+            "--backend-config", str(backend_cfg),
+            "--report-dir", str(tmp_path / "r"),
+        ]
         result = runner.invoke(main, args)
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
+    assert not server.thread.is_alive()
     assert result.exit_code == 64
     assert "bad backend config: credential env var LINEFIX_TEST_TOKEN is not set" in result.output
-    assert seen == []
+    assert server.requests == []
 
 
 def test_evaluate_refuses_a_cr_credential_unshown_before_reading_records(
@@ -1466,11 +1460,10 @@ def completion_server():
 
     Yields its base URL and the list of request paths it has received.
     """
-    paths: list[str] = []
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            paths.append(self.path)
+            self.server.requests.append(self.path)
             self.rfile.read(int(self.headers["Content-Length"]))
             body = json.dumps({"choices": [{"text": completion(0), "tokens": 4}]}).encode()
             self.send_response(200)
@@ -1481,15 +1474,8 @@ def completion_server():
         def log_message(self, *args):
             pass
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", paths
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with serving(Handler) as server:
+        yield f"http://127.0.0.1:{server.server_address[1]}", server.requests
 
 
 def evaluate_over_http(runner, eval_setup, tmp_path, endpoint, report_dir, wrapped=True):

@@ -10,11 +10,10 @@ import json
 import socket
 import ssl
 import sys
-import threading
 import time
 from concurrent.futures import wait
-from contextlib import closing, contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from contextlib import closing
+from http.server import BaseHTTPRequestHandler
 from urllib.parse import urlsplit
 
 import pytest
@@ -37,6 +36,9 @@ from linefix.errors import (
     TransportError,
     UnknownSampleId,
 )
+from linefix.evaluation import evaluate
+from tests.helpers import serving
+from tests.test_evaluation import record
 
 CFG = DecodeConfig(strategy="beam", k=3)
 
@@ -137,13 +139,15 @@ def test_backend_spec_validation():
 # --- mock backend ----------------------------------------------------------------
 
 
-def test_mock_pads_and_truncates_to_k():
+def test_mock_truncates_to_k_and_never_pads():
     backend = mock_backend({"s": {"candidates": ["a"]}})
     out = generate("p", CFG, backend, sample_id="s")
-    assert out.candidates == ["a", "", ""]
-    backend = mock_backend({"s": {"candidates": ["a", "b", "c", "d"]}})
+    assert out.candidates == ["a"]
+    assert out.tokens is None
+    backend = mock_backend({"s": {"candidates": ["a", "b", "c", "d"], "tokens": [1, 2, 3, 4]}})
     out = generate("p", CFG, backend, sample_id="s")
     assert out.candidates == ["a", "b", "c"]
+    assert out.tokens == [1, 2, 3]
 
 
 def test_backend_spec_is_frozen_once_checked():
@@ -155,12 +159,12 @@ def test_backend_spec_is_frozen_once_checked():
     assert spec.max_in_flight == 2
 
 
-def test_mock_pads_tuples_to_k():
+def test_mock_takes_tuples():
     backend = mock_backend({"s": {"candidates": ("a", "b"), "tokens": (7, 8.0)}})
     out = generate("p", CFG, backend, sample_id="s")
-    assert out.candidates == ["a", "b", ""]
-    assert out.tokens_generated == [7, 8, 0]
-    assert out.backend_reported
+    assert out.candidates == ["a", "b"]
+    assert out.tokens == [7, 8]
+    assert all(type(t) is int for t in out.tokens)
 
 
 @pytest.mark.parametrize("tokens", [5, "7", {"a": 1}])
@@ -169,18 +173,25 @@ def test_mock_tokens_must_be_a_list(tokens):
         mock_backend({"s": {"candidates": ["a"], "tokens": tokens}})
 
 
-def test_mock_tokens_padded_and_reported():
-    backend = mock_backend({"s": {"candidates": ["a", "b"], "tokens": [7]}})
-    out = generate("p", CFG, backend, sample_id="s")
-    assert out.tokens_generated == [7, 0, 0]
-    assert out.backend_reported
+def test_mock_tokens_must_be_one_per_candidate():
+    with pytest.raises(ValueError, match=r"^samples\['s'\]\.tokens: expected one count per"
+                                         r" candidate \(2\), got 1$"):
+        mock_backend({"s": {"candidates": ["a", "b"], "tokens": [7]}})
+    # checked after every other rule of the entry, so each of their messages comes first
+    with pytest.raises(ValueError, match=r"^samples\['s'\]\.tokens\[1\]: expected an integer"):
+        mock_backend({"s": {"candidates": ["a"], "tokens": [7, -1]}})
+    with pytest.raises(ValueError, match=r"^samples\['s'\]\.latency_s: expected a number >= 0"):
+        mock_backend({"s": {"candidates": ["a"], "tokens": [], "latency_s": -1}})
 
 
 def test_mock_tokens_estimated_when_absent():
     backend = mock_backend({"s": {"candidates": ["fix the bug now", "b"]}})
     out = generate("p", CFG, backend, sample_id="s")
-    assert not out.backend_reported
-    assert out.tokens_generated == [4, 1, 0]
+    assert out.candidates == ["fix the bug now", "b"]
+    assert out.tokens is None  # evaluate alone estimates
+    report, _ = evaluate([record("s")], backend, CFG)
+    assert report.tokens_estimated
+    assert report.total_tokens == 5
 
 
 def test_mock_latency_is_accounting_only():
@@ -349,7 +360,9 @@ class _Handler(BaseHTTPRequestHandler):
         path = urlsplit(self.path).path  # a proxied request names the whole URL
         if path == "/by-prompt":  # one backend, many routes
             path = payload["prompt"]
-        if path == "/ok":
+        if path == "/echo":  # the prompt is the answer
+            self._send(200, payload["prompt"].encode())
+        elif path == "/ok":
             self._send(200, json.dumps(
                 {"choices": [{"text": "fix A", "tokens": 3}, {"text": "fix B", "tokens": 4}]}
             ).encode())
@@ -395,20 +408,6 @@ class _KeepAlive(_Handler):
         self.server.connections += 1
 
 
-@contextmanager
-def serving(handler):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    server.requests, server.connections = [], 0
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-
 @pytest.fixture(scope="module")
 def http_server():
     with serving(_Handler) as server:
@@ -432,8 +431,7 @@ def test_http_happy_path(http_server):
     backend = HttpBackend(_spec(http_server, "/ok"))
     out = generate("prompt", CFG, backend, sample_id="s")
     assert out.candidates == ["fix A", "fix B"]
-    assert out.tokens_generated == [3, 4]
-    assert out.backend_reported
+    assert out.tokens == [3, 4]
     assert out.wall_time_s > 0.0
 
 
@@ -477,10 +475,36 @@ def test_http_sampling_payload(http_server):
 )
 def test_http_tokens_estimated_when_missing(http_server, path, tokens, reported):
     backend = HttpBackend(_spec(http_server, path))
-    out = generate("p", DecodeConfig(k=1), backend, sample_id="s")
-    assert out.backend_reported is reported
-    assert out.tokens_generated == tokens
-    assert all(type(t) is int for t in out.tokens_generated)
+    cfg = DecodeConfig(k=1)
+    out = generate("p", cfg, backend, sample_id="s")
+    assert out.tokens == (tokens if reported else None)  # evaluate alone estimates
+    report, _ = evaluate([record("s")], backend, cfg)
+    assert report.tokens_estimated is not reported
+    assert report.total_tokens == sum(tokens)
+    assert type(report.total_tokens) is int
+
+
+@pytest.mark.parametrize(
+    "entry, choices",
+    [
+        pytest.param({"candidates": ["fix A", "fix B"], "tokens": [3, 4]},
+                     [{"text": "fix A", "tokens": 3}, {"text": "fix B", "tokens": 4}], id="counts"),
+        pytest.param({"candidates": ["fix A", "fix B"]},
+                     [{"text": "fix A"}, {"text": "fix B"}], id="no-counts"),
+        pytest.param({"candidates": ["fix A", "fix B"]},
+                     [{"text": "fix A", "tokens": 3}, {"text": "fix B"}], id="some-counts"),
+        pytest.param({"candidates": [], "tokens": []}, [], id="empty"),
+        pytest.param({"candidates": ["a", "b", "c", "d"], "tokens": [1, 2, 3, 4]},
+                     [{"text": t, "tokens": n} for n, t in enumerate("abcd", 1)], id="over-k"),
+    ],
+)
+def test_mock_and_http_give_one_answer_shape(http_server, entry, choices):
+    # the same answer from a script and from a server: cut to k, never padded
+    answer = json.dumps({"choices": choices})
+    mock = generate(answer, CFG, mock_backend({"s": entry}), sample_id="s")
+    http = generate(answer, CFG, HttpBackend(_spec(http_server, "/echo")), sample_id="s")
+    assert (http.candidates, http.tokens) == (mock.candidates, mock.tokens)
+    assert mock.candidates == entry["candidates"][: CFG.k]
 
 
 def test_http_error_status(http_server):

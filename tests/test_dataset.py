@@ -875,6 +875,40 @@ def test_export_then_reingest_is_fixed_point(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_export_then_reingest_keeps_the_cve(tmp_path):
+    rows = [raw_row(0, cve_id="CVE-2019-1001"), raw_row(1), raw_row(2, cve_id=None)]
+    records, _ = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+    out = tmp_path / "t.jsonl"
+    export_jsonl(records, str(out))
+    exported = [json.loads(line) for line in out.read_text().splitlines()]
+    # written after the id, and only when the record has one
+    assert [list(row)[:2] for row in exported] == [["id", "cve_id"], ["id", "prompt"],
+                                                   ["id", "prompt"]]
+    back, quarantined = read_records(str(out))
+    assert quarantined == []
+    assert [r.vuln.cve_id for r in back] == ["CVE-2019-1001", None, None]
+    # a training row's cve_id follows the raw rows' optional-string rule
+    exported[1]["cve_id"] = None
+    exported[2]["cve_id"] = 5
+    with pytest.raises(SchemaError, match="^.*t2.jsonl:3: field 'cve_id' must be a string,"
+                                          " got int$"):
+        read_records(write_jsonl(tmp_path / "t2.jsonl", exported))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.none() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
+                min_size=1, max_size=4))
+def test_export_then_reingest_keeps_any_cve(cves):
+    rows = [raw_row(i, cve_id=cve) for i, cve in enumerate(cves)]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        records, _ = read_records(write_jsonl(d / "raw.jsonl", rows))
+        export_jsonl(records, str(d / "train.jsonl"))
+        back, quarantined = read_records(str(d / "train.jsonl"))
+    assert quarantined == []
+    assert [r.vuln.cve_id for r in back] == [r.vuln.cve_id for r in records] == cves
+
+
 def test_training_rows_cwe_mismatch_quarantined(tmp_path):
     records, _ = read_records(write_jsonl(tmp_path / "r.jsonl", [raw_row(0)]))
     out = tmp_path / "t.jsonl"

@@ -75,7 +75,7 @@ def mixed_run() -> tuple[EvalReport, EfficiencyStats]:
         record("r6", "CWE-9999"),
     ]
     samples = {
-        "r1": {"candidates": [REFERENCE], "tokens": [5, 6, 7]},
+        "r1": {"candidates": [REFERENCE], "tokens": [18]},
         "r2": {"candidates": ["garbage, no header"]},
         "r3": {"candidates": ["1-3<MID>  return 7;", "1-3<MID>  return 8;", REFERENCE]},
         "r4": {"candidates": ["1-3<MID>  return 9;"]},
@@ -218,6 +218,31 @@ def test_evaluate_empty_records():
     backend = MockBackend({"samples": {}})
     with pytest.raises(EmptyEvaluation):
         evaluate([], backend, DecodeConfig())
+
+
+def test_score_batch_of_nothing_is_an_empty_evaluation():
+    with pytest.raises(EmptyEvaluation, match="^no records to evaluate$"):
+        score_batch([], [])
+
+
+def test_score_batch_pairs_records_and_outcomes_strictly():
+    # zip would drop the longer side's extra items without a word
+    with pytest.raises(ValueError, match="shorter"):
+        score_batch([record("a"), record("b")], outcomes([[REFERENCE]]))
+    with pytest.raises(ValueError, match="longer"):
+        score_batch([record("a")], outcomes([[REFERENCE], [REFERENCE]]))
+
+
+def test_a_short_answer_is_scored_as_returned():
+    # an empty candidate parses to the empty patch, which applies as this no-op
+    # reference does; a backend that returned one wrong candidate gave no such candidate
+    src = SourceUnit(("a", "b", "c"), had_trailing_newline=True)
+    noop = VulnRecord(id="n", cwe_id="CWE-787", cwe_description="d", vuln_lines=(1,),
+                      source=src, reference_patch=parse_patch("0-2<MID>b"))
+    rep, _ = run_eval([noop], {"n": {"candidates": ["0-2<MID>x"]}}, k=3)
+    assert not rep.samples[0].hit
+    assert not rep.samples[0].applied_equivalent
+    assert rep.total_tokens == 1
 
 
 def windowed_samples(n: int) -> dict:
@@ -430,7 +455,7 @@ POOL = (
 
 
 def outcomes(samples: list[list[str]]) -> list[CandidateSet]:
-    return [CandidateSet(f"r{i}", c, [1] * len(c), 1.0, True) for i, c in enumerate(samples)]
+    return [CandidateSet(f"r{i}", c, [1] * len(c), 1.0) for i, c in enumerate(samples)]
 
 
 def brute_force(rec: VulnRecord, candidates: list[str], strict: bool) -> SampleResult:
