@@ -397,8 +397,7 @@ def evaluate_cmd(
 
         try:
             with closing(ds.stream(records_path, quarantined)) as rows:
-                report, stats = evaluate((r.vuln for r in rows), backend, cfg,
-                                         cwe_order=tuple(cwes), strict=strict)
+                report, stats = evaluate(rows, backend, cfg, cwe_order=tuple(cwes), strict=strict)
         finally:  # also when reading or running fails, before its error
             _echo_quarantine_count(quarantined)
 

@@ -25,13 +25,13 @@ read from the ``HTTP(S)_PROXY``/``NO_PROXY`` settings when the backend is
 built, and HTTPS is verified against the system's CA store. What the
 backend sends from its spec is checked then too: the credential (never shown
 in a message, and refused in the endpoint URL, which a proxy would receive),
-the request target and ``extra_params``. A message or manifest shows the
-endpoint as ``shown_endpoint`` does, query values masked. ``generate``
-retries timeouts, transport faults, malformed answers, 5xx, 408 and 429 with
-exponential backoff, and fails at once on any other status and on errors no
-retry can cure (an unknown sample id, an unsupported decoding strategy). The
-HTTP, socket and TLS modules load only when an ``HttpBackend`` is built, so
-importing this module stays cheap.
+the request target and ``extra_params``, which may not set ``prompt``. A
+message or manifest shows the endpoint as ``shown_endpoint`` does, query
+values masked. ``generate`` retries timeouts, transport faults, malformed
+answers, 5xx, 408 and 429 with exponential backoff, and fails at once on any
+other status and on errors no retry can cure (an unknown sample id, an
+unsupported decoding strategy). The HTTP, socket and TLS modules load only
+when an ``HttpBackend`` is built, so importing this module stays cheap.
 
 ``submit_batch`` queues a batch's samples on a ``batch_pool`` and returns
 their futures in input order, so a caller can queue the next batch before it
@@ -284,6 +284,8 @@ class HttpBackend:
             json.dumps(spec.extra_params, allow_nan=False)
         except (TypeError, ValueError) as exc:  # a YAML date, a NaN
             raise ValueError(f"extra_params: {exc}") from None
+        if "prompt" in spec.extra_params:  # it would replace each sample's prompt in the request
+            raise ValueError("extra_params: 'prompt' is the sample's own and cannot be set")
         if https:
             import ssl
 

@@ -26,12 +26,13 @@ raw schema (JSONL or CSV)
 
 training schema (JSONL)
     ``id, cve_id?, prompt, completion, cwe_id, split`` as written by export_jsonl;
-    records are reconstructed by parsing the prompt and completion, so
-    ingest -> export -> ingest is a fixed point.
+    records are reconstructed by parsing the prompt and completion. The
+    export bytes are a fixed point of export -> ingest -> export; the record
+    is one only up to its source's trailing LF, which no prompt holds.
 
-``stream`` is the one reader: it yields each record as its row is decoded,
-so a caller that writes as it reads holds one record at a time. Every command
-reads through it.
+``stream`` is the one reader: it yields each record, split included, as its
+row is decoded, so a caller that writes as it reads holds one record at a
+time. Every command reads through it.
 Structural problems (missing fields, undecodable rows, bytes or escapes that
 are not UTF-8) raise SchemaError at ``path:line`` for the first one in file
 order; the record builders raise ValueError, and ``stream`` adds the line. A
@@ -79,7 +80,7 @@ from linefix.prompting import (
     parse_prompt,
     render_training_example,
 )
-from linefix.patchfmt import parse_patch, serialize_patch
+from linefix.patchfmt import parse_patch
 from linefix.source import SourceUnit, from_text, to_text
 
 SPLITS = ("train", "validation", "test")
@@ -90,14 +91,6 @@ _TRAINING_REQUIRED = ("id", "cwe_id", "prompt", "completion", "split")
 _CSV_OPTIONAL = ("vuln_lines", "cve_id", "reference_patch")
 
 _WS_RUN = re.compile(r"\s+")
-
-
-@dataclass
-class DatasetRecord:
-    """One corpus record: split tag plus the normalized payload."""
-
-    split: str
-    vuln: VulnRecord
 
 
 @dataclass
@@ -219,7 +212,7 @@ def strip_bug_markers(text: str) -> tuple[SourceUnit, list[int]]:
     return from_text(text), marked
 
 
-def _record_from_raw(row: dict) -> DatasetRecord:
+def _record_from_raw(row: dict) -> VulnRecord:
     # the fix is source_after or reference_patch, never both
     fix_fields = tuple(f for f in ("source_after", "reference_patch") if row.get(f) is not None)
     if len(fix_fields) == 2:
@@ -258,7 +251,7 @@ def _record_from_raw(row: dict) -> DatasetRecord:
         # the fixed source is rebuilt from the patch, which keeps before's flag;
         # an after with no lines has no newline to keep
         raise InvalidRecord("source_before and source_after differ in their trailing newline")
-    vuln = VulnRecord(
+    return VulnRecord(
         id=row["id"],
         cwe_id=row["cwe_id"],
         cwe_description=row["cwe_description"],
@@ -266,18 +259,17 @@ def _record_from_raw(row: dict) -> DatasetRecord:
         source=src,
         cve_id=row.get("cve_id"),
         reference_patch=patch,
+        split=split,
     )
-    return DatasetRecord(split, vuln)
 
 
-def _record_from_training(row: dict) -> DatasetRecord:
+def _record_from_training(row: dict) -> VulnRecord:
     split = _require(row, _TRAINING_REQUIRED + _given_cve(row))
-    vuln = parse_prompt(row["prompt"], id=row["id"], cwe_id=row["cwe_id"],
+    return parse_prompt(row["prompt"], id=row["id"], cwe_id=row["cwe_id"], split=split,
                         cve_id=row.get("cve_id"), completion=row["completion"])
-    return DatasetRecord(split, vuln)
 
 
-def stream(path: str, quarantined: list[QuarantineEntry]) -> Iterator[DatasetRecord]:
+def stream(path: str, quarantined: list[QuarantineEntry]) -> Iterator[VulnRecord]:
     """Yield the records of a records file in file order, building each as its row is read.
 
     A path ending in ``.csv`` (any case) is read as CSV, any other as JSONL.
@@ -299,7 +291,7 @@ def stream(path: str, quarantined: list[QuarantineEntry]) -> Iterator[DatasetRec
                     QuarantineEntry(reason=str(exc), record_id=row.get("id"), line_no=line_no)
                 )
                 continue
-            rid = record.vuln.id
+            rid = record.id
             if rid in first_line:
                 # samples, scripted candidates and report rows are keyed by id
                 quarantined.append(QuarantineEntry(
@@ -325,37 +317,37 @@ def _write_jsonl(rows: Iterable[dict], path: str) -> Counter[str]:
     return counts
 
 
-def write_records_jsonl(records: Iterable[DatasetRecord], path: str) -> dict[str, int]:
+def write_records_jsonl(records: Iterable[VulnRecord], path: str) -> dict[str, int]:
     """Write records back out in the raw schema.
 
     Each fix is written once, as ``reference_patch``. Returns the rows
     written per split, in ``SPLITS`` order.
     """
     counts = _write_jsonl(({
-        "id": r.vuln.id,
-        "cve_id": r.vuln.cve_id,
-        "cwe_id": r.vuln.cwe_id,
-        "cwe_description": r.vuln.cwe_description,
-        "vuln_lines": list(r.vuln.vuln_lines),
-        "source_before": to_text(r.vuln.source),
-        "reference_patch": serialize_patch(r.vuln.reference_patch),
+        "id": r.id,
+        "cve_id": r.cve_id,
+        "cwe_id": r.cwe_id,
+        "cwe_description": r.cwe_description,
+        "vuln_lines": list(r.vuln_lines),
+        "source_before": to_text(r.source),
+        "reference_patch": r.completion,
         "split": r.split,
     } for r in records), path)
     return {s: counts[s] for s in SPLITS if s in counts}
 
 
-def export_jsonl(records: Iterable[DatasetRecord], path: str) -> int:
+def export_jsonl(records: Iterable[VulnRecord], path: str) -> int:
     """Write the training schema, one row per record; returns the rows written.
 
     A row has ``cve_id`` only when its record has one.
     """
-    examples = ((r, render_training_example(r.vuln)) for r in records)
+    examples = ((r, render_training_example(r)) for r in records)
     return _write_jsonl(({
-        "id": r.vuln.id,
-        **({"cve_id": r.vuln.cve_id} if r.vuln.cve_id is not None else {}),
+        "id": r.id,
+        **({"cve_id": r.cve_id} if r.cve_id is not None else {}),
         "prompt": example.prompt,
         "completion": example.completion,
-        "cwe_id": r.vuln.cwe_id,
+        "cwe_id": r.cwe_id,
         "split": r.split,
     } for r, example in examples), path).total()
 
@@ -367,7 +359,7 @@ def _squash_ws(text: str) -> str:
     return _WS_RUN.sub(" ", text).strip()
 
 
-def compute_fingerprint(record: DatasetRecord, mode: str = "exact") -> str:
+def compute_fingerprint(record: VulnRecord, mode: str = "exact") -> str:
     """Sha256 hex digest over the before-source and the serialized reference patch.
 
     ``exact`` hashes bytes as-is; ``ws_normalized`` first collapses every
@@ -376,18 +368,14 @@ def compute_fingerprint(record: DatasetRecord, mode: str = "exact") -> str:
     """
     if mode not in FINGERPRINT_MODES:
         raise ValueError(f"unknown fingerprint mode {mode!r}")
-    src_text = record.vuln.source.text
-    patch_text = serialize_patch(record.vuln.reference_patch)
+    texts = (record.source.text, record.completion)
     if mode == "ws_normalized":
-        src_text = _squash_ws(src_text)
-        patch_text = _squash_ws(patch_text)
-    return hashlib.sha256(
-        src_text.encode("utf-8") + b"\x00" + patch_text.encode("utf-8")
-    ).hexdigest()
+        texts = map(_squash_ws, texts)
+    return hashlib.sha256("\0".join(texts).encode("utf-8")).hexdigest()
 
 
 def detect_overlap(
-    train: Iterable[DatasetRecord], test: Iterable[DatasetRecord], mode: str = "exact"
+    train: Iterable[VulnRecord], test: Iterable[VulnRecord], mode: str = "exact"
 ) -> SplitManifest:
     """Measure test-side leakage: the fraction of test records seen in train.
 
@@ -413,12 +401,12 @@ class LeakFilter:
     test record was read.
     """
 
-    def __init__(self, test: Iterable[DatasetRecord], mode: str = "exact"):
+    def __init__(self, test: Iterable[VulnRecord], mode: str = "exact"):
         self.mode = mode
         self._test = Counter(compute_fingerprint(r, mode) for r in test)
         self.train: Counter[str] = Counter()
 
-    def keep(self, record: DatasetRecord) -> bool:
+    def keep(self, record: VulnRecord) -> bool:
         digest = compute_fingerprint(record, self.mode)
         self.train[digest] += 1
         return self.train[digest] == 1 and digest not in self._test

@@ -37,7 +37,7 @@ from itertools import islice
 from linefix.client import CandidateSet, DecodeConfig, batch_pool, submit_batch
 from linefix.engine import splice, validate_patch
 from linefix.errors import EmptyEvaluation, InvalidPatch, PatchFormatError
-from linefix.patchfmt import PatchSet, parse_patch, serialize_patch, trim_final_lf
+from linefix.patchfmt import PatchSet, parse_patch, trim_final_lf
 from linefix.prompting import VulnRecord, build_prompt
 from linefix.source import SourceUnit
 
@@ -217,11 +217,12 @@ def score_batch(
 ) -> EvalReport:
     """Score already-generated outcomes; evaluate calls it once per window.
 
-    A candidate hits when its text matches the record's serialized reference
-    patch. Each other distinct candidate text of a sample is parsed once, and
-    every candidate that does not parse counts as a format error, repeats
-    included. For a miss, each distinct candidate that parses is validated
-    once and compared with the reference over the lines the two patches edit.
+    A candidate hits when its text matches ``record.completion``, the
+    serialized reference patch. Each other distinct candidate text of a
+    sample is parsed once, and every candidate that does not parse counts as
+    a format error, repeats included. For a miss, each distinct candidate
+    that parses is validated once and compared with the reference over the
+    lines the two patches edit.
     The report holds no tokens, which ``evaluate`` adds up: ``total_tokens``
     reads 0 and ``tokens_estimated`` false. ``records`` and ``outcomes`` pair
     up in order, and lists of unequal length raise ValueError.
@@ -235,12 +236,11 @@ def score_batch(
             )
             continue
 
-        reference = serialize_patch(record.reference_patch)
         # each distinct text, in first-seen order; None until it parses
         parsed: dict[str, PatchSet | None] = dict.fromkeys(outcome.candidates)
         idx = None
         for text in parsed:
-            if is_perfect(text, reference, strict=strict):  # it parses to the reference
+            if is_perfect(text, record.completion, strict=strict):  # it parses to the reference
                 parsed[text] = record.reference_patch
                 idx = outcome.candidates.index(text) if idx is None else idx
                 continue

@@ -10,9 +10,10 @@ The numbered block is ``number_lines(source)``, and the prompt is exactly
 ``2 + len(source.lines)`` lines: ``VulnRecord.validate``, the one rule set for
 every record, refuses an LF in the description, a CR in a source line and a
 ``RESERVED_TOKENS`` entry in any of the record's texts. ``parse_prompt`` takes
-a prompt and its training completion back to the record, so it inverts
-``render_training_example`` and exported rows can be audited mechanically.
-A record renders its prompt once and keeps it; a parsed one keeps the text it parsed.
+a prompt, its training completion and its split back to the record, so it
+inverts ``render_training_example`` and exported rows can be audited
+mechanically. A record renders its prompt and its completion once and keeps
+them; a parsed one keeps the prompt text it parsed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _HEADER_RE = re.compile(rf"((?:(?:0|[1-9][0-9]*) )+| )({CWE_ID.pattern}) (.*)")
 
 @dataclass(frozen=True)
 class VulnRecord:
-    """One vulnerable function, the metadata the prompt carries, and its fix.
+    """One vulnerable function, the metadata the prompt carries, its fix and its split.
 
     The fix is one non-empty line-addressed reference patch against
     ``source`` whose text round-trips; the fixed source is derived from it.
@@ -56,6 +57,7 @@ class VulnRecord:
     vuln_lines: tuple[int, ...]
     source: SourceUnit
     reference_patch: PatchSet
+    split: str  # the reader that builds the record checks it; validate does not
     cve_id: str | None = None
 
     def __post_init__(self) -> None:
@@ -106,6 +108,11 @@ class VulnRecord:
         header = f"{INST_OPEN}{nums} {self.cwe_id} {self.cwe_description}"
         return f"{header}\n{number_lines(self.source)}\n{INST_CLOSE}"
 
+    @cached_property
+    def completion(self) -> str:
+        """The reference patch's text, serialized on first use and kept; not a field."""
+        return serialize_patch(self.reference_patch)
+
 
 @dataclass(frozen=True)
 class TrainingExample:
@@ -119,15 +126,17 @@ def build_prompt(record: VulnRecord) -> str:
 
 
 def parse_prompt(
-    text: str, *, completion: str, id: str = "", cwe_id: str | None = None,
+    text: str, *, completion: str, split: str, id: str = "", cwe_id: str | None = None,
     cve_id: str | None = None,
 ) -> VulnRecord:
     """Recover the record from a training example; inverse of render_training_example.
 
     ``completion`` is parsed as the reference patch. A training row also
-    passes its ``id``, its ``cve_id``, which no prompt holds, and its
-    ``cwe_id`` field, which must agree with the prompt's; the record is built
-    and validated once. The header must be exactly what build_prompt writes.
+    passes its ``split``, ``id`` and ``cve_id``, which no prompt holds, and
+    its ``cwe_id`` field, which must agree with the prompt's; the record is
+    built and validated once. No prompt holds the source's trailing LF
+    either, so the source has none. The header must be exactly what
+    build_prompt writes.
 
     Errors are reported in this order: MalformedPrompt for the layout,
     InvalidRecord for a disagreeing ``cwe_id``, ValueError for a line number
@@ -167,6 +176,7 @@ def parse_prompt(
         vuln_lines=vuln_lines,
         source=source,
         reference_patch=parse_patch(completion),
+        split=split,
         cve_id=cve_id,
     )
     object.__setattr__(record, "prompt", text)  # the bytes build_prompt would write
@@ -174,5 +184,5 @@ def parse_prompt(
 
 
 def render_training_example(record: VulnRecord) -> TrainingExample:
-    """Prompt plus serialized reference patch."""
-    return TrainingExample(build_prompt(record), serialize_patch(record.reference_patch))
+    """The record's prompt and its completion, the serialized reference patch."""
+    return TrainingExample(build_prompt(record), record.completion)

@@ -116,6 +116,7 @@ def vpx_record(vpx_source, vpx_reference_patch) -> VulnRecord:
         vuln_lines=VPX_VULN_LINES,
         source=vpx_source,
         reference_patch=vpx_reference_patch,
+        split="test",
     )
 
 

@@ -16,9 +16,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from linefix.dataset import DatasetRecord, LeakFilter, QuarantineEntry, SplitManifest, stream
+from linefix.dataset import LeakFilter, QuarantineEntry, SplitManifest, stream
 from linefix.patchfmt import EditSpan, PatchSet
-from linefix.prompting import BUG_END, BUG_START
+from linefix.prompting import BUG_END, BUG_START, VulnRecord
 from linefix.source import SourceUnit, from_text
 
 LINE_POOL = (
@@ -35,15 +35,15 @@ LINE_POOL = (
 )
 
 
-def read_records(path: str) -> tuple[list[DatasetRecord], list[QuarantineEntry]]:
+def read_records(path: str) -> tuple[list[VulnRecord], list[QuarantineEntry]]:
     """Every record ``stream`` reads from ``path``, and the rows it quarantined."""
     quarantined: list[QuarantineEntry] = []
     return list(stream(path, quarantined)), quarantined
 
 
 def refined(
-    train: Iterable[DatasetRecord], test: Iterable[DatasetRecord], mode: str = "exact"
-) -> tuple[list[DatasetRecord], SplitManifest]:
+    train: Iterable[VulnRecord], test: Iterable[VulnRecord], mode: str = "exact"
+) -> tuple[list[VulnRecord], SplitManifest]:
     """The train records a ``LeakFilter`` over ``test`` keeps, and its manifest.
 
     ``test`` is read first, and the kept records are the ones ``refine`` writes.

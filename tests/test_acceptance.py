@@ -57,6 +57,7 @@ def eval_record(rid: str, cwe: str) -> VulnRecord:
         vuln_lines=(2,),
         source=src,
         reference_patch=patch,
+        split="test",
     )
 
 
@@ -179,7 +180,7 @@ def test_acceptance_refine_invariant():
             if kept:
                 assert detect_overlap(kept, test).overlap_count == 0
                 again, manifest2 = refined(kept, test)
-                assert [r.vuln.id for r in again] == [r.vuln.id for r in kept]
+                assert [r.id for r in again] == [r.id for r in kept]
                 assert manifest2.overlap_count == 0
                 assert manifest2.train_duplicates == 0
             assert manifest.counts["train"] == len(kept)

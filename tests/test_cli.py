@@ -21,7 +21,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linefix import cli
+from linefix import cli, patchfmt
 from linefix import dataset as ds
 from linefix.cli import main
 from linefix.engine import apply_patch
@@ -189,6 +189,22 @@ def test_refine_then_audit_is_clean(runner, corpus):
     )
     assert audit.exit_code == 0, audit.output
     assert json.loads(audit.output)["overlap_count"] == 0
+
+
+def test_refine_serializes_each_patch_once(runner, corpus, monkeypatch):
+    # a fingerprint serializes the patch, and writing a kept record reuses that text
+    calls = []
+    serialize = patchfmt.serialize_patch
+    for module in [m for name, m in sys.modules.items() if name.startswith("linefix")]:
+        if getattr(module, "serialize_patch", None) is serialize:  # each module that calls it
+            monkeypatch.setattr(module, "serialize_patch",
+                                lambda p: calls.append(p) or serialize(p))
+    refined = corpus["dir"] / "refined.jsonl"
+    argv = ["refine", "--train", corpus["train"], "--test", corpus["test"], "--out", str(refined)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert "kept 5/8 train records" in result.stderr
+    assert len(calls) == 8 + 2  # every train and test record read
 
 
 def quarantine_corpus(d: Path) -> dict:
@@ -1357,6 +1373,23 @@ def test_evaluate_refuses_credentials_in_the_endpoint_unshown_before_reading_rec
     assert "error: bad backend config: endpoint: a URL must not hold credentials" in (
         result.stderr)
     assert "abc123secret" not in result.stdout + result.stderr
+    assert not report_dir.exists()
+
+
+def test_evaluate_refuses_a_prompt_in_extra_params_before_reading_records(runner, tmp_path):
+    backend_cfg = tmp_path / "backend.yaml"
+    backend_cfg.write_text("backend:\n  endpoint: http://127.0.0.1:9/gen\n"
+                           "  extra_params: {prompt: fixed}\n")
+    report_dir = tmp_path / "r"
+    result = runner.invoke(main, [
+        "evaluate",
+        "--records", str(tmp_path / "missing.jsonl"),  # reading it would exit 1
+        "--backend-config", str(backend_cfg),
+        "--report-dir", str(report_dir),
+    ])
+    assert result.exit_code == 64, result.output
+    assert result.stderr == (
+        "error: bad backend config: extra_params: 'prompt' is the sample's own and cannot be set\n")
     assert not report_dir.exists()
 
 

@@ -594,6 +594,13 @@ def test_http_extra_params_that_are_not_json_are_refused(params):
         HttpBackend(BackendSpec(endpoint="http://127.0.0.1:9/gen", extra_params=params))
 
 
+def test_http_extra_params_may_not_replace_the_prompt():
+    # sent as given, it would replace every sample's prompt in its request
+    with pytest.raises(ValueError, match="^extra_params: 'prompt' is the sample's own"):
+        HttpBackend(BackendSpec(endpoint="http://127.0.0.1:9/gen",
+                                extra_params={"top_p": 0.9, "prompt": "fixed"}))
+
+
 def test_http_connection_refused_is_transport_error():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))

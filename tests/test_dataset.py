@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from linefix.dataset import (
     BUG_END,
     BUG_START,
-    DatasetRecord,
     SplitManifest,
     compute_fingerprint,
     detect_overlap,
@@ -70,27 +69,27 @@ def mem_record(
     after_text: str,
     split: str = "train",
     cwe: str = "CWE-787",
-) -> DatasetRecord:
+) -> VulnRecord:
     src = from_text(before_text)
     after = from_text(after_text)
     patch, changed = derive_patch(src, after)
-    vuln = VulnRecord(
+    return VulnRecord(
         id=rid,
         cwe_id=cwe,
         cwe_description="d.",
         vuln_lines=tuple(changed),
         source=src,
         reference_patch=patch,
+        split=split,
     )
-    return DatasetRecord(split, vuln)
 
 
-def texts(record: DatasetRecord) -> tuple[str, str]:
+def texts(record: VulnRecord) -> tuple[str, str]:
     """The record's before and after source text, as ingest reads them."""
-    return to_text(record.vuln.source), to_text(apply_patch(record.vuln.source, record.vuln.reference_patch))
+    return to_text(record.source), to_text(apply_patch(record.source, record.reference_patch))
 
 
-def simple_record(i: int, split: str = "train", cwe: str = "CWE-787") -> DatasetRecord:
+def simple_record(i: int, split: str = "train", cwe: str = "CWE-787") -> VulnRecord:
     return mem_record(
         f"m{i}",
         f"int f{i}()\n{{\n  return {i};\n}}\n",
@@ -106,22 +105,22 @@ def simple_record(i: int, split: str = "train", cwe: str = "CWE-787") -> Dataset
 def test_ingest_raw_jsonl(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0), raw_row(1, split="test")])
     records, quarantined = read_records(path)
-    assert len(records) == 2
+    assert [r.split for r in records] == ["train", "test"]
     assert quarantined == []
     # the writer counts rows per split, in SPLITS order whatever the file order
     counts = write_records_jsonl(reversed(records), str(tmp_path / "out.jsonl"))
     assert list(counts.items()) == [("train", 1), ("test", 1)]
     rec = records[0]
-    assert rec.vuln.id == "rec-0"
+    assert rec.id == "rec-0"
     # vuln_lines default to the before-side lines the reference fix touches
-    assert rec.vuln.vuln_lines == (2,)
-    assert rec.vuln.reference_patch is not None
+    assert rec.vuln_lines == (2,)
+    assert rec.reference_patch is not None
 
 
 def test_ingest_keeps_explicit_vuln_lines(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, vuln_lines=[3, 1, 1])])
     (rec,), _ = read_records(path)
-    assert rec.vuln.vuln_lines == (1, 3)  # deduped, ascending
+    assert rec.vuln_lines == (1, 3)  # deduped, ascending
 
 
 def test_ingest_blank_lines_skipped(tmp_path):
@@ -155,7 +154,7 @@ def test_ingest_reads_an_escaped_surrogate_pair(tmp_path):
     path = write_jsonl(tmp_path / "r.jsonl", [raw_row(0, cwe_description="Smile \U0001F600.")])
     assert "\\ud83d\\ude00" in Path(path).read_text()
     (record,), _ = read_records(path)
-    assert record.vuln.cwe_description == "Smile \U0001F600."
+    assert record.cwe_description == "Smile \U0001F600."
 
 
 def test_ingest_unknown_split_is_schema_error(tmp_path):
@@ -206,7 +205,7 @@ def test_ingest_quarantines_invariant_violations(tmp_path):
         raw_row(4),  # a good row after the bad ones still lands
     ]
     records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert [r.vuln.id for r in records] == ["rec-4"]
+    assert [r.id for r in records] == ["rec-4"]
     assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-0", "record 'rec-0': bad cwe_id 'bad-cwe'"),
         ("rec-1", "record 'rec-1': cwe_description contains a line feed"),
@@ -226,7 +225,7 @@ def test_ingest_quarantines_a_lone_cr_in_a_source_line(tmp_path):
         raw_row(2, source_before="x\r\ny\r\n", source_after="x\r\nz\r\n"),  # CR-LF folds
     ]
     records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert [r.vuln.id for r in records] == ["rec-2"]
+    assert [r.id for r in records] == ["rec-2"]
     assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-0", "body lines must not contain CR"),
         ("rec-1", "record 'rec-1': source contains a carriage return"),
@@ -245,7 +244,7 @@ def test_ingest_quarantines_trailing_newline_change(tmp_path, before, after):
     # newline, so writing the record back would change its source_after
     row = raw_row(0, source_before=before, source_after=after)
     records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", [row, raw_row(1)]))
-    assert [r.vuln.id for r in records] == ["rec-1"]
+    assert [r.id for r in records] == ["rec-1"]
     assert [q.record_id for q in quarantined] == ["rec-0"]
     assert "trailing newline" in quarantined[0].reason
 
@@ -259,8 +258,8 @@ def test_ingest_keeps_a_fix_deleting_every_line_of_an_lf_terminated_source(tmp_p
     records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
     assert quarantined == []
     for record in records:
-        assert serialize_patch(record.vuln.reference_patch) == "-1-1<MID>"
-        assert record.vuln.vuln_lines == (0,)
+        assert serialize_patch(record.reference_patch) == "-1-1<MID>"
+        assert record.vuln_lines == (0,)
         assert texts(record) == ("x\n", "")
     out = tmp_path / "out.jsonl"
     write_records_jsonl(records[:1], str(out))
@@ -283,9 +282,9 @@ def test_ingest_csv(tmp_path):
         writer.writerow(row2)
     records, _ = read_records(str(path))
     assert len(records) == 2
-    assert records[0].vuln.cve_id is None
-    assert records[0].vuln.vuln_lines == (2,)
-    assert records[1].vuln.cve_id == "CVE-2024-0001"
+    assert records[0].cve_id is None
+    assert records[0].vuln_lines == (2,)
+    assert records[1].cve_id == "CVE-2024-0001"
 
 
 def test_ingest_csv_bad_vuln_lines_cell(tmp_path):
@@ -339,8 +338,8 @@ def test_ingest_quarantines_repeated_ids(tmp_path):
     rows = [raw_row(0, id=""), raw_row(1, id=""), raw_row(2, id="a"), raw_row(3, id="a"),
             raw_row(4, id="b", cwe="CWE-XX"), raw_row(5, id="b")]
     records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
-    assert [r.vuln.id for r in records] == ["", "a", "b"]
-    assert [r.vuln.source.lines[0] for r in records] == [
+    assert [r.id for r in records] == ["", "a", "b"]
+    assert [r.source.lines[0] for r in records] == [
         "int f0(int n)", "int f2(int n)", "int f5(int n)"]
     assert [dataclasses.asdict(q) for q in quarantined] == [
         {"record_id": "", "line_no": 2, "reason": "duplicate id '' (first at line 1)"},
@@ -463,9 +462,9 @@ def test_ingest_marker_source_sets_vuln_lines(tmp_path):
         [raw_row(0, source_before=before, source_after=after)],
     )
     (rec,), _ = read_records(path)
-    assert rec.vuln.vuln_lines == (2, 3)
-    assert BUG_START not in to_text(rec.vuln.source)
-    assert rec.vuln.source.lines[2] == "  buf[i] = 1;"
+    assert rec.vuln_lines == (2, 3)
+    assert BUG_START not in to_text(rec.source)
+    assert rec.source.lines[2] == "  buf[i] = 1;"
 
 
 def test_marker_in_after_side_quarantines(tmp_path):
@@ -534,9 +533,9 @@ def test_written_file_reingests_without_diffing(tmp_path, monkeypatch):
     calls = count_derives(monkeypatch)
     records, quarantined = read_records(write_jsonl(tmp_path / "again.jsonl", rows))
     assert quarantined == []
-    assert [r.vuln.id for r in records] == ["rec-0", "rec-1", "rec-2"]
+    assert [r.id for r in records] == ["rec-0", "rec-1", "rec-2"]
     assert calls == []
-    assert serialize_patch(records[0].vuln.reference_patch) == rows[0]["reference_patch"]
+    assert serialize_patch(records[0].reference_patch) == rows[0]["reference_patch"]
     assert texts(records[0])[1] == raw_row(0)["source_after"]
     assert texts(records[1])[1] == blank_line_row(1)["source_after"]
 
@@ -593,7 +592,7 @@ def test_bad_stored_reference_is_quarantined(tmp_path, monkeypatch, field, value
     rows[0][field] = value
     calls = count_derives(monkeypatch)
     records, quarantined = read_records(write_jsonl(tmp_path / "bad.jsonl", rows))
-    assert [r.vuln.id for r in records] == ["rec-1"]
+    assert [r.id for r in records] == ["rec-1"]
     assert [q.record_id for q in quarantined] == ["rec-0"]
     assert quarantined[0].reason.startswith(reason)
     assert calls == []  # never re-derived
@@ -621,7 +620,7 @@ def test_bad_patch_only_row_is_quarantined(tmp_path, monkeypatch, patch, reason)
     rows = [patch_row(0, reference_patch=patch), patch_row(1)]
     calls = count_derives(monkeypatch)
     records, quarantined = read_records(write_jsonl(tmp_path / "bad.jsonl", rows))
-    assert [r.vuln.id for r in records] == ["rec-1"]
+    assert [r.id for r in records] == ["rec-1"]
     assert [q.record_id for q in quarantined] == ["rec-0"]
     assert quarantined[0].reason.startswith(reason)
     assert calls == []
@@ -708,8 +707,8 @@ def test_written_records_are_a_fixed_point(pairs):
         assert expected is None or expected in reasons[f"rec-{i}"]
     for record, row in zip(first, map(json.loads, written.decode("utf-8").splitlines())):
         assert "source_after" not in row
-        assert parse_patch(row["reference_patch"]) == record.vuln.reference_patch
-        assert texts(record)[1] == pairs[int(record.vuln.id.removeprefix("rec-"))][1]
+        assert parse_patch(row["reference_patch"]) == record.reference_patch
+        assert texts(record)[1] == pairs[int(record.id.removeprefix("rec-"))][1]
 
 
 def test_raw_rows_without_the_field_are_diffed(tmp_path, monkeypatch):
@@ -723,16 +722,16 @@ def test_raw_rows_without_the_field_are_diffed(tmp_path, monkeypatch):
     calls = count_derives(monkeypatch)
     records, quarantined = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
     assert len(calls) == 3
-    assert [r.vuln.id for r in records] == ["rec-0", "rec-2"]
+    assert [r.id for r in records] == ["rec-0", "rec-2"]
     assert "trailing newline" in quarantined[0].reason
-    marked = records[0].vuln
+    marked = records[0]
     assert marked.vuln_lines == (2, 3)
     assert marked.source.lines[2] == "  buf[i] = 1;"
     out = tmp_path / "out.jsonl"
     write_records_jsonl(records, str(out))
     again, _ = read_records(str(out))
     assert len(calls) == 3
-    assert again[0].vuln == marked
+    assert again[0] == marked
 
 
 # --- vuln lines from the diff ---------------------------------------------------------
@@ -770,9 +769,9 @@ def assert_vuln_lines_follow_the_diff(pairs: list[tuple[tuple[str, ...], tuple[s
     assert patch_quarantined == []
     assert len(from_patch) == len(patch_rows)
     for record in from_after + from_patch:
-        i = int(record.vuln.id.removeprefix("rec-"))
-        assert apply_patch(record.vuln.source, record.vuln.reference_patch).lines == pairs[i][1]
-        assert record.vuln.vuln_lines == oracle[record.vuln.id], pairs[i]
+        i = int(record.id.removeprefix("rec-"))
+        assert apply_patch(record.source, record.reference_patch).lines == pairs[i][1]
+        assert record.vuln_lines == oracle[record.id], pairs[i]
 
 
 def test_vuln_lines_follow_the_diff_on_every_small_pair():
@@ -794,10 +793,10 @@ def test_vuln_lines_skip_a_line_the_fix_keeps(tmp_path):
     # the fix deletes "y" and keeps "x" inside the widened end-of-file insertion
     after_row = raw_row(0, source_before="x\ny\n", source_after="\nx\n\n")
     (record,), _ = read_records(write_jsonl(tmp_path / "after.jsonl", [after_row]))
-    patch = serialize_patch(record.vuln.reference_patch)
+    patch = serialize_patch(record.reference_patch)
     patch_only = patch_row(0, source_before="x\ny\n", reference_patch=patch)
     (again,), _ = read_records(write_jsonl(tmp_path / "patch.jsonl", [patch_only]))
-    assert record.vuln.vuln_lines == again.vuln.vuln_lines == (1,)
+    assert record.vuln_lines == again.vuln_lines == (1,)
 
 
 def test_ingest_diffs_each_row_at_most_once(tmp_path, monkeypatch):
@@ -821,7 +820,7 @@ def test_ingest_diffs_each_row_at_most_once(tmp_path, monkeypatch):
     assert quarantined == []
     # each source_after row is diffed once, inside derive_patch
     assert calls == ["int f0(int n)", "int f()", "int f2(int n)", "int f3(int n)"]
-    assert [r.vuln.vuln_lines for r in records] == [(2,)] * 6
+    assert [r.vuln_lines for r in records] == [(2,)] * 6
 
 
 def write_csv(path, fields: list[str], rows: list[dict]) -> str:
@@ -839,8 +838,8 @@ def test_csv_reference_patch_cell(tmp_path, monkeypatch):
     calls = count_derives(monkeypatch)
     records, quarantined = read_records(write_csv(tmp_path / "patch.csv", fields, rows))
     assert calls == []
-    assert [r.vuln.id for r in records] == ["rec-0"]
-    assert serialize_patch(records[0].vuln.reference_patch) == stored
+    assert [r.id for r in records] == ["rec-0"]
+    assert serialize_patch(records[0].reference_patch) == stored
     assert [(q.record_id, q.reason) for q in quarantined] == [
         ("rec-1", "record 'rec-1': reference patch does not validate: "
                   "span 0: span 1-99 outside [-1, 5]")
@@ -849,7 +848,7 @@ def test_csv_reference_patch_cell(tmp_path, monkeypatch):
     fields.insert(4, "source_after")
     path = write_csv(tmp_path / "both.csv", fields, [raw_row(2, reference_patch="")])
     records, _ = read_records(path)
-    assert [r.vuln.id for r in records] == ["rec-2"]
+    assert [r.id for r in records] == ["rec-2"]
     assert len(calls) == 1
     # and an empty source_after cell next to a filled reference_patch one, so rows can mix
     mixed = [raw_row(3, reference_patch=""), patch_row(4, source_after="")]
@@ -868,8 +867,8 @@ def test_export_then_reingest_is_fixed_point(tmp_path):
     assert export_jsonl(records, str(out1)) == 2
     back, quarantined = read_records(str(out1))
     assert quarantined == []
-    assert [r.vuln.id for r in back] == ["rec-0", "rec-1"]
-    assert back[0].vuln.source.lines == records[0].vuln.source.lines
+    assert [r.id for r in back] == ["rec-0", "rec-1"]
+    assert back[0].source.lines == records[0].source.lines
     out2 = tmp_path / "train2.jsonl"
     export_jsonl(back, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
@@ -886,7 +885,7 @@ def test_export_then_reingest_keeps_the_cve(tmp_path):
                                                    ["id", "prompt"]]
     back, quarantined = read_records(str(out))
     assert quarantined == []
-    assert [r.vuln.cve_id for r in back] == ["CVE-2019-1001", None, None]
+    assert [r.cve_id for r in back] == ["CVE-2019-1001", None, None]
     # a training row's cve_id follows the raw rows' optional-string rule
     exported[1]["cve_id"] = None
     exported[2]["cve_id"] = 5
@@ -906,7 +905,24 @@ def test_export_then_reingest_keeps_any_cve(cves):
         export_jsonl(records, str(d / "train.jsonl"))
         back, quarantined = read_records(str(d / "train.jsonl"))
     assert quarantined == []
-    assert [r.vuln.cve_id for r in back] == [r.vuln.cve_id for r in records] == cves
+    assert [r.cve_id for r in back] == [r.cve_id for r in records] == cves
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(blank_heavy_text(), blank_heavy_text(), st.sampled_from(dataset.SPLITS),
+                          st.none() | st.just("CVE-2024-0001")), min_size=1, max_size=4))
+@example([("x\ny\n", "x\nz\n", "test", None), ("x\ny", "x\nz", "train", "CVE-2024-0001")])
+def test_export_then_reingest_loses_only_the_trailing_lf(pairs):
+    # no prompt holds the source's trailing LF; every other field comes back as it was
+    rows = [raw_row(i, split, source_before=before, source_after=after, cve_id=cve)
+            for i, (before, after, split, cve) in enumerate(pairs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        records, _ = read_records(write_jsonl(d / "raw.jsonl", rows))
+        export_jsonl(records, str(d / "train.jsonl"))
+        back, quarantined = read_records(str(d / "train.jsonl"))
+    assert quarantined == []
+    assert back == [dataclasses.replace(r, source=SourceUnit(r.source.lines)) for r in records]
 
 
 def test_training_rows_cwe_mismatch_quarantined(tmp_path):
@@ -940,7 +956,7 @@ def test_training_rows_follow_the_raw_rules(tmp_path):
     second, quarantined = read_records(str(tmp_path / "records1.jsonl"))
     assert quarantined == []
     assert second == first
-    assert [r.vuln.id for r in first] == ["rec-3"]
+    assert [r.id for r in first] == ["rec-3"]
     write_records_jsonl(second, str(tmp_path / "records2.jsonl"))
     assert (tmp_path / "records1.jsonl").read_bytes() == (tmp_path / "records2.jsonl").read_bytes()
 
@@ -967,8 +983,8 @@ def test_training_rows_validate_each_record_once(tmp_path, monkeypatch):
         VulnRecord, "validate", lambda self: calls.append(self.id) or validate(self)
     )
     again, _ = read_records(str(out))
-    assert [r.vuln.reference_patch for r in again] == [
-        r.vuln.reference_patch for r in records
+    assert [r.reference_patch for r in again] == [
+        r.reference_patch for r in records
     ]
     assert calls == ["rec-0", "rec-1", "rec-2"]
 
@@ -1031,7 +1047,7 @@ def test_detect_overlap_counts_test_side():
     shared = [simple_record(i) for i in range(2)]
     train = shared + [simple_record(i) for i in range(2, 6)]
     test = [
-        mem_record(f"t{r.vuln.id}", *texts(r), "test") for r in shared
+        mem_record(f"t{r.id}", *texts(r), "test") for r in shared
     ] + [simple_record(i, "test") for i in range(10, 12)]
     manifest = detect_overlap(train, test)
     assert manifest.overlap_count == 2
@@ -1056,13 +1072,13 @@ def test_refine_drops_leaks_and_duplicates():
     train = [leak, dup_a, dup_b, clean]
     test = [mem_record("t0", *texts(leak), "test")]
     kept, manifest = refined(train, test)
-    assert [r.vuln.id for r in kept] == ["m1", "m2"]  # keep-first on duplicates
+    assert [r.id for r in kept] == ["m1", "m2"]  # keep-first on duplicates
     assert manifest.overlap_count == 1
     assert manifest.train_duplicates == 1
     assert manifest.counts == {"train": 2, "test": 1}
     assert detect_overlap(kept, test).overlap_count == 0
     again, manifest2 = refined(kept, test)
-    assert [r.vuln.id for r in again] == [r.vuln.id for r in kept]
+    assert [r.id for r in again] == [r.id for r in kept]
     assert manifest2.overlap_count == 0
     assert manifest2.train_duplicates == 0
 
@@ -1074,7 +1090,7 @@ def test_refine_and_detect_overlap_read_iterators_once():
     train = [leak, simple_record(1), mem_record("copy-of-1", *texts(simple_record(1)))]
     test = [mem_record("t0", *texts(leak), "test"), simple_record(9, "test")]
     kept, manifest = refined(iter(train), iter(test))
-    assert [r.vuln.id for r in kept] == ["m1"]
+    assert [r.id for r in kept] == ["m1"]
     assert manifest == refined(train, test)[1]
     assert dataclasses.asdict(manifest) == {
         "counts": {"train": 1, "test": 2}, "train_duplicates": 1,
@@ -1092,7 +1108,7 @@ def test_refine_ws_normalized_catches_indentation_variants():
     spaced = mem_record("b", "f()\n{\n        x;\n}\n", "f()\n{\n        y;\n}\n")
     test = [mem_record("t", *texts(a), "test")]
     kept_exact, _ = refined([a, spaced], test, "exact")
-    assert [r.vuln.id for r in kept_exact] == ["b"]
+    assert [r.id for r in kept_exact] == ["b"]
     kept_ws, _ = refined([a, spaced], test, "ws_normalized")
     assert kept_ws == []
 
@@ -1133,9 +1149,9 @@ def test_overlap_and_refine_match_brute_force_counts(train_fixes, test_fixes, mo
     for r, fp in zip(train, train_fps):
         if fp not in test_fps and fp not in seen:
             seen.add(fp)
-            kept_ids.append(r.vuln.id)
+            kept_ids.append(r.id)
     kept, manifest = refined(iter(train), iter(test), mode)
-    assert [r.vuln.id for r in kept] == kept_ids
+    assert [r.id for r in kept] == kept_ids
     assert manifest == SplitManifest(
         counts={"train": len(kept_ids), "test": len(test)},
         train_duplicates=sum(fp not in test_fps for fp in train_fps) - len(kept_ids),

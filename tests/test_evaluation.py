@@ -52,6 +52,7 @@ def record(rid: str, cwe: str = "CWE-787") -> VulnRecord:
         vuln_lines=(2,),
         source=src,
         reference_patch=patch,
+        split="test",
     )
 
 
@@ -238,7 +239,7 @@ def test_a_short_answer_is_scored_as_returned():
     # reference does; a backend that returned one wrong candidate gave no such candidate
     src = SourceUnit(("a", "b", "c"), had_trailing_newline=True)
     noop = VulnRecord(id="n", cwe_id="CWE-787", cwe_description="d", vuln_lines=(1,),
-                      source=src, reference_patch=parse_patch("0-2<MID>b"))
+                      source=src, reference_patch=parse_patch("0-2<MID>b"), split="test")
     rep, _ = run_eval([noop], {"n": {"candidates": ["0-2<MID>x"]}}, k=3)
     assert not rep.samples[0].hit
     assert not rep.samples[0].applied_equivalent

@@ -48,6 +48,7 @@ def _record(**kw) -> VulnRecord:
         vuln_lines=(1,),
         source=SourceUnit(("int f()", "{", "}")),
         reference_patch=INSERT_TOP,
+        split="train",
     )
     base.update(kw)
     return VulnRecord(**base)
@@ -159,7 +160,7 @@ def test_record_refuses_line_feed_in_description():
 def test_parse_inverts_build():
     record = _record(reference_patch=PatchSet((EditSpan(0, 2, ("{ return 0;",)),)))
     example = render_training_example(record)
-    parsed = parse_prompt(example.prompt, completion=example.completion)
+    parsed = parse_prompt(example.prompt, completion=example.completion, split="train")
     assert parsed.cwe_id == record.cwe_id
     assert parsed.cwe_description == record.cwe_description
     assert parsed.vuln_lines == record.vuln_lines
@@ -182,7 +183,7 @@ def test_parse_roundtrip_randomized():
             source=SourceUnit(lines),
         )
         prompt = build_prompt(record)
-        parsed = parse_prompt(prompt, completion=INSERT_TOP_TEXT)
+        parsed = parse_prompt(prompt, completion=INSERT_TOP_TEXT, split="train")
         assert parsed.cwe_id == record.cwe_id
         assert parsed.cwe_description == record.cwe_description
         assert parsed.vuln_lines == record.vuln_lines
@@ -213,12 +214,12 @@ def test_parse_roundtrip_randomized():
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(MalformedPrompt):
-        parse_prompt(text, completion="")
+        parse_prompt(text, completion="", split="train")
 
 
 def test_parse_empty_source_block():
     record = _record(source=SourceUnit(()), vuln_lines=())
-    parsed = parse_prompt(build_prompt(record), completion=INSERT_TOP_TEXT)
+    parsed = parse_prompt(build_prompt(record), completion=INSERT_TOP_TEXT, split="train")
     assert parsed.source.lines == ()
 
 
@@ -236,9 +237,10 @@ def test_parse_roundtrip_long_sources():
         )
         prompt = build_prompt(record)
         completion = serialize_patch(record.reference_patch)
-        assert parse_prompt(prompt, completion=completion) == dataclasses.replace(record, id="")
+        parsed = parse_prompt(prompt, completion=completion, split=record.split)
+        assert parsed == dataclasses.replace(record, id="")
         assert parse_prompt(
-            prompt, id=record.id, cwe_id=record.cwe_id, completion=completion
+            prompt, id=record.id, cwe_id=record.cwe_id, completion=completion, split=record.split
         ) == record
 
 
@@ -281,12 +283,14 @@ def test_every_record_parses_back_from_its_training_example(fields):
             vuln_lines=fields["vuln_lines"],
             source=SourceUnit(fields["source"]),
             reference_patch=PatchSet(tuple(EditSpan(*span) for span in fields["spans"])),
+            split="train",
         )
     except (ValueError, LinefixError):
         return  # no record carries these fields
     completion = serialize_patch(record.reference_patch)
     prompt = build_prompt(record)
-    assert parse_prompt(prompt, completion=completion, id=record.id, cwe_id=record.cwe_id) == record
+    assert parse_prompt(prompt, completion=completion, split=record.split, id=record.id,
+                        cwe_id=record.cwe_id) == record
 
 
 HEADERS = (" CWE-20 d", "0 CWE-20 d", "0 2 CWE-7 ", "2 0 CWE-20 d", "9 CWE-20 d", "01 CWE-20 d",
@@ -319,7 +323,7 @@ def test_parse_accepts_only_the_prompts_it_rebuilds(header, block):
     rows = numbered.split("\n") if numbered else []
     bad = next((i for i, line in enumerate(rows) if not line.startswith(f"{i} ")), None)
     try:
-        parsed = parse_prompt(text, completion=INSERT_TOP_TEXT)
+        parsed = parse_prompt(text, completion=INSERT_TOP_TEXT, split="train")
     except MalformedPrompt as exc:
         if not str(exc).startswith("bad prompt header"):
             assert str(exc) == f"source line {bad} not numbered as '{bad} '"
@@ -340,7 +344,7 @@ def test_parse_names_first_misnumbered_line(bad):
     lines[-1] = "7 later damage is not reported"
     text = "[INST] CWE-20 d\n" + "\n".join(lines) + "\n[/INST]"
     with pytest.raises(MalformedPrompt, match=f"^source line {bad} not numbered as '{bad} '$"):
-        parse_prompt(text, completion="")
+        parse_prompt(text, completion="", split="train")
 
 
 @pytest.mark.parametrize(
@@ -360,10 +364,27 @@ def test_parse_names_first_misnumbered_line(bad):
 )
 def test_parse_training_fields_error_order(prompt, cwe_id, completion, error, message):
     with pytest.raises(error, match=message):
-        parse_prompt(prompt, id="row-9", cwe_id=cwe_id, completion=completion)
+        parse_prompt(prompt, id="row-9", cwe_id=cwe_id, completion=completion, split="train")
 
 
 # --- training examples --------------------------------------------------------
+
+
+def test_completion_is_serialized_once_and_is_not_a_field(monkeypatch):
+    record, calls = _record(), []
+    monkeypatch.setattr("linefix.prompting.serialize_patch", lambda p: calls.append(p) or "text")
+    assert record.completion == record.completion == "text"
+    assert calls == [INSERT_TOP]
+    assert "completion" not in {f.name for f in dataclasses.fields(record)}
+    assert record == _record()  # a kept completion does not take part in equality
+
+
+def test_split_is_kept_as_given():
+    # validate leaves the split to the reader, which refuses an unknown one
+    assert _record(split="anything").split == "anything"
+    parsed = parse_prompt(_record().prompt, completion=INSERT_TOP_TEXT, split="test")
+    assert parsed.split == "test"
+    assert parsed == _record(id="", split="test")
 
 
 def test_render_uses_stored_patch(vpx_record):

@@ -83,7 +83,8 @@ def test_text_is_the_lf_joined_lines_on_every_construction_path(vpx_record):
         from_text("a\rb\nc"),  # a lone CR stays in its line
         dataclasses.replace(SourceUnit(("a",)), lines=("x", "y")),
         apply_patch(SourceUnit(("a", "b")), PatchSet((EditSpan(0, 2, ("c",)),))),
-        parse_prompt(build_prompt(vpx_record), completion=VPX_REFERENCE_PATCH_TEXT).source,
+        parse_prompt(build_prompt(vpx_record), completion=VPX_REFERENCE_PATCH_TEXT,
+                     split="test").source,
     ]
     for unit in units:
         assert unit.text == "\n".join(unit.lines), unit
